@@ -19,9 +19,6 @@ and fails CI on any mismatch:
    documented in ``docs/service.md``.
 5. **Links** — every relative markdown link in ``docs/*.md`` and
    ``README.md`` must point at an existing file.
-6. **Backed options** — every backend-gated flag in
-   ``repro.api._BACKED_OPTIONS`` must have a registered backend in this
-   build and appear as ``engine.<flag>`` in ``docs/job-spec.md``.
 
 Usage::
 
@@ -133,21 +130,6 @@ def check_service_docs() -> None:
                  f"(expected a heading containing {token})")
 
 
-# -- 6. backend-gated engine options -----------------------------------------
-
-def check_backed_options() -> None:
-    import repro.api as api_mod
-    from repro.api.engines import option_backend
-
-    text = read("docs/job-spec.md")
-    for flag in sorted(api_mod._BACKED_OPTIONS):
-        if option_backend(flag) is None:
-            fail(f"repro.api: gated option engine.{flag} has no registered "
-                 f"backend in this build (register_option_backend missing?)")
-        if f"`{flag}`" not in text:
-            fail(f"docs/job-spec.md: gated option engine.{flag} is undocumented")
-
-
 # -- 5. relative links -------------------------------------------------------
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
@@ -168,7 +150,6 @@ def main() -> int:
     check_env_vars()
     check_spec_docs()
     check_service_docs()
-    check_backed_options()
     check_links()
     if ERRORS:
         print(f"check_docs: {len(ERRORS)} problem(s):", file=sys.stderr)

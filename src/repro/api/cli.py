@@ -66,17 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "corner group over N worker processes (bit-identical merge)",
     )
     p_run.add_argument(
-        "--warm-start", dest="warm_start", action="store_true", default=None,
-        help="override engine.warm_start: adopt the MNA symbolic setup from "
-             "the topology-keyed plan cache (bit-identical to a cold run; "
-             "a cold run populates the cache for the next one)",
-    )
-    p_run.add_argument(
-        "--no-warm-start", dest="warm_start", action="store_false",
-        help="override engine.warm_start: force cold setup, ignoring the "
-             "plan cache and the REPRO_PLAN_CACHE environment toggle",
-    )
-    p_run.add_argument(
         "--samples", type=int, default=None, metavar="N",
         help="override stats.samples of a Monte Carlo sweep (the job must "
              "already declare a stats block)",
@@ -173,7 +162,6 @@ def _cmd_run(
     max_retries: int | None = None,
     on_nonconvergence: str | None = None,
     workers: int | None = None,
-    warm_start: bool | None = None,
     samples: int | None = None,
     stat_seed: int | None = None,
 ) -> int:
@@ -191,8 +179,6 @@ def _cmd_run(
         overrides["on_nonconvergence"] = on_nonconvergence
     if workers is not None:
         overrides["workers"] = workers
-    if warm_start is not None:
-        overrides["warm_start"] = warm_start
     if overrides:
         spec = dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, **overrides)
@@ -227,7 +213,6 @@ def _cmd_run(
         "shared_factorizations", "static_reuses", "batched_rbf_evals", "block_solves",
         "backend", "factorizations", "sparse_factorizations",
         "symbolic_factorizations", "pattern_reuses",
-        "plan_cache_hits", "plan_cache_misses",
         "batched_prepare_folds", "batched_prepare_scenarios",
         "banked_elements", "accept_calls",
         "shards", "workers", "parallel_efficiency",
@@ -290,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
                 max_retries=args.max_retries,
                 on_nonconvergence=args.on_nonconvergence,
                 workers=args.workers,
-                warm_start=args.warm_start,
                 samples=args.samples,
                 stat_seed=args.stat_seed,
             )
@@ -305,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         # One-line taxonomy verdict: kind, step, scenario, residual.
         print(f"solver failure: {exc.failure.describe()}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, NotImplementedError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

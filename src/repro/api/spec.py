@@ -19,8 +19,9 @@ Round-trip contract
 ``spec_from_dict(spec.to_dict()) == spec`` holds exactly for every valid
 spec (numbers survive JSON because Python round-trips floats through
 ``repr``), and :meth:`SimulationSpec.content_hash` is a stable SHA-256 of
-the canonical JSON encoding — equal across processes, machines and dict
-orderings, so it can key a shared result cache.
+the canonical JSON encoding, less the process-count knobs
+``engine.workers``/``engine.shards`` — equal across processes, machines
+and dict orderings, so it can key a shared result cache.
 
 ``from_dict`` validates *strictly*: unknown keys, unknown kinds and
 malformed blocks raise ``ValueError`` with the offending path, in the
@@ -60,6 +61,11 @@ ENGINE_KINDS = ("circuit", "fdtd1d", "fdtd3d", "sweep")
 #: the parameter-distribution kinds a ``stats`` block may declare
 #: (see :class:`DistributionSpec` and :mod:`repro.sweep.montecarlo`)
 DISTRIBUTION_KINDS = ("uniform", "normal", "choice", "pattern")
+
+#: engine options left out of :meth:`SimulationSpec.content_hash`: they
+#: pick how many processes run a sweep, and sharded output is
+#: bit-identical to single-process output
+_UNHASHED_ENGINE_KEYS = ("workers", "shards")
 
 #: default time step of the SPICE-class engines and sweeps when
 #: ``engine.dt`` is null — the single source for the adapters
@@ -856,16 +862,10 @@ class EngineOptions:
         a corner group is never split across shards (that would break
         the one-factorization-per-group invariant *and* bit-identical
         merging).  Must be ≥ 1 when set.  Sweep kind only.
-    warm_start:
-        Warm-start MNA assembly from the topology-keyed plan cache
-        (:mod:`repro.perf.plan_store`): bank-compaction grouping and the
-        sparse solver's symbolic setup are adopted from a persisted
-        :class:`~repro.perf.plan.AssemblyPlan` keyed by
-        :meth:`SimulationSpec.topology_hash`, validated against the live
-        system before use (mismatch falls back to cold setup, so results
-        are always bit-identical to a cold run).  ``None`` (default)
-        follows the ``REPRO_PLAN_CACHE`` environment toggle (off unless
-        set).  SPICE-class kinds only; ignored by the field engines.
+
+    ``workers`` and ``shards`` only schedule the work: sharded and
+    single-process runs merge to bit-identical waveforms, so both are
+    left out of :meth:`SimulationSpec.content_hash`.
     """
 
     dt: Optional[float] = None
@@ -879,7 +879,6 @@ class EngineOptions:
     on_nonconvergence: str = "raise"
     workers: Optional[int] = None
     shards: Optional[int] = None
-    warm_start: Optional[bool] = None
 
     def __post_init__(self):
         object.__setattr__(self, "dt", _opt_float(self.dt, "engine.dt"))
@@ -918,7 +917,6 @@ class EngineOptions:
                     raise ValueError(
                         f"engine.{name} must be at least 1 (or null), got {value}"
                     )
-        _opt_bool(self.warm_start, "engine.warm_start")
 
     def to_dict(self) -> dict:
         return {
@@ -933,7 +931,6 @@ class EngineOptions:
             "on_nonconvergence": self.on_nonconvergence,
             "workers": self.workers,
             "shards": self.shards,
-            "warm_start": self.warm_start,
         }
 
     @classmethod
@@ -941,7 +938,7 @@ class EngineOptions:
         data = _require_mapping(data, where)
         allowed = {
             "dt", "fast", "n_cells", "variant", "sweep_family", "sparse_mna", "batch_prepare",
-            "max_retries", "on_nonconvergence", "workers", "shards", "warm_start",
+            "max_retries", "on_nonconvergence", "workers", "shards",
         }
         _reject_unknown(data, allowed, where)
         return cls(
@@ -956,7 +953,6 @@ class EngineOptions:
             on_nonconvergence=data.get("on_nonconvergence", "raise"),
             workers=data.get("workers"),
             shards=data.get("shards"),
-            warm_start=data.get("warm_start"),
         )
 
 
@@ -993,9 +989,8 @@ class SimulationSpec:
         the scenario batch is *generated* — sampled deterministically
         from the declared parameter distributions — instead of being
         written out.  Mutually exclusive with ``scenarios``.  Part of
-        :meth:`content_hash` (a different seed or sample count is a
-        different job) but not of :meth:`topology_hash` (sampling never
-        moves an MNA stamp).
+        :meth:`content_hash`: a different seed or sample count is a
+        different job.
     label:
         Free-form human label (part of the content hash).
     """
@@ -1097,50 +1092,13 @@ class SimulationSpec:
         (:class:`repro.service.store.ResultStore`) is keyed by it, so two
         submissions of the same spec perform exactly one solve.  Note
         that ``label`` is part of the spec and therefore of the hash:
-        relabelling a job creates a new cache entry.
+        relabelling a job creates a new cache entry.  The scheduling
+        knobs in ``_UNHASHED_ENGINE_KEYS`` are not: a rerun that only
+        changes them is the same job.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    #: engine options that never change the assembled MNA topology —
-    #: stimulus-shaping, scheduling and policy knobs excluded from
-    #: :meth:`topology_hash` so a sharded worker fleet (``workers`` pinned
-    #: to 1 in sub-specs), reruns at a different ``dt`` and retry-policy
-    #: variants of the same system all share one assembly plan.
-    _TOPOLOGY_NEUTRAL_ENGINE_KEYS = (
-        "dt", "fast", "batch_prepare", "max_retries", "on_nonconvergence",
-        "workers", "shards", "warm_start",
-    )
-
-    def topology_hash(self) -> str:
-        """Stable SHA-256 of the *topology-defining* spec blocks only.
-
-        Sibling of :meth:`content_hash`, but stimulus-invariant: scenarios
-        only vary the right-hand side (corners, drive strengths and bit
-        patterns never move an MNA stamp), so the hash covers the
-        ``devices``/``link``/``structure`` blocks plus the engine options
-        that select the assembled system (variant, sweep family, sparse
-        backend) — excluding ``stimulus``, ``scenarios``, ``stats``
-        (sampled dimensions are stimulus/corner values, never new
-        stamps), ``label``, ``duration`` and the scheduling/policy knobs
-        listed in ``_TOPOLOGY_NEUTRAL_ENGINE_KEYS``.  It keys the cross-job
-        :class:`~repro.perf.plan_store.PlanStore`: every worker of a
-        sharded sweep, every Monte Carlo variation and every
-        near-duplicate service job of the same system resolves to the
-        same :class:`~repro.perf.plan.AssemblyPlan`.  A collision is
-        harmless (plans are re-validated against the live system before
-        adoption); a miss only costs one cold setup.
-        """
-        engine = self.engine.to_dict()
-        for key in self._TOPOLOGY_NEUTRAL_ENGINE_KEYS:
-            engine.pop(key, None)
-        doc = {
-            "topology_version": FORMAT_VERSION,
-            "devices": self.devices.to_dict(),
-            "link": self.link.to_dict(),
-            "structure": self.structure.to_dict(),
-            "engine": engine,
-        }
+        doc = self.to_dict()
+        for key in _UNHASHED_ENGINE_KEYS:
+            del doc["engine"][key]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -1,9 +1,10 @@
 """Hardened atomic JSON disk cache shared by every on-disk store.
 
-The macromodel identification cache (:mod:`repro.experiments.devices`)
-grew a robust unlink-and-recompute pattern for corrupt entries; the
-ROADMAP item-5 warm-start/result store needs the same guarantees.  This
-module is that pattern as a reusable helper:
+The package keeps two disk stores under one root: identified macromodels
+(:mod:`repro.experiments.devices`) and the service's finished results
+(:mod:`repro.service.store`).  Both find that root and the on/off switch
+through :func:`cache_root` and :func:`disk_cache_enabled`, and both write
+through the helpers below:
 
 * **atomic writes** — payloads land via ``tempfile`` + ``os.replace`` in
   the target directory, so readers never observe a torn file and
@@ -32,6 +33,8 @@ from typing import Any
 
 __all__ = [
     "CACHE_DOC_FORMAT",
+    "cache_root",
+    "disk_cache_enabled",
     "checksum",
     "atomic_write_json",
     "read_json",
@@ -40,6 +43,16 @@ __all__ = [
 
 #: bump when the wrapping document schema changes incompatibly
 CACHE_DOC_FORMAT = 1
+
+
+def cache_root() -> str:
+    """The directory every disk store lives under: ``$REPRO_CACHE_DIR``, default ``.cache``."""
+    return os.environ.get("REPRO_CACHE_DIR", ".cache")
+
+
+def disk_cache_enabled() -> bool:
+    """Whether disk stores read and write (``REPRO_DISK_CACHE=0``/``false``/``off`` disables)."""
+    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() not in ("0", "false", "off")
 
 
 def checksum(payload: Any) -> str:

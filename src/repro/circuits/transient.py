@@ -102,12 +102,6 @@ class TransientOptions:
         step retries (rewind + re-run, then local dt-halving with boosted
         damping) before the ``on_nonconvergence`` policy applies.  ``None``
         (default) disables retrying.
-    plan_key:
-        Topology hash keying this run in the cross-job assembly-plan
-        cache (:mod:`repro.perf.plan_store`); ``None`` (default) runs
-        cold.  Fast path only — the reference path has no symbolic setup
-        to warm.  Validated plans are adopted bit-identically; anything
-        stale falls back to cold setup.
     """
 
     method: str = "trapezoidal"
@@ -121,7 +115,6 @@ class TransientOptions:
     compact_banks: bool | None = None
     on_nonconvergence: str = "raise"
     retry_policy: RetryPolicy | None = None
-    plan_key: str | None = None
 
     def __post_init__(self):
         if self.method not in ("trapezoidal", "backward_euler"):
@@ -139,11 +132,6 @@ class TransientOptions:
             raise ValueError(
                 f"retry_policy must be a repro.resilience.RetryPolicy or None, "
                 f"got {type(self.retry_policy).__name__}"
-            )
-        if self.plan_key is not None and not isinstance(self.plan_key, str):
-            raise ValueError(
-                f"plan_key must be a topology-hash string or None, "
-                f"got {type(self.plan_key).__name__}"
             )
 
 
@@ -309,7 +297,6 @@ class TransientSolver:
                 backend=self.options.backend,
                 compact_banks=self.options.compact_banks,
                 health=self.health,
-                plan_key=self.options.plan_key,
             )
             run.assembler.begin_run()
             self.perf_stats = run.assembler.stats

@@ -83,9 +83,8 @@ def identification_cache_path(
     cache lives under ``.cache/macromodels`` (override the root with
     ``REPRO_CACHE_DIR``; set ``REPRO_DISK_CACHE=0`` to disable caching).
     """
-    if os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() in ("0", "false", "off"):
+    if not cache.disk_cache_enabled():
         return None
-    root = os.environ.get("REPRO_CACHE_DIR", ".cache")
     payload = json.dumps(
         {
             "format": _DISK_CACHE_FORMAT,
@@ -96,7 +95,7 @@ def identification_cache_path(
         sort_keys=True,
     )
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-    return os.path.join(root, "macromodels", f"identified_{digest}.json")
+    return os.path.join(cache.cache_root(), "macromodels", f"identified_{digest}.json")
 
 
 def _load_identified_from_disk(

@@ -431,17 +431,6 @@ class SparseBackend(LinearSolverBackend):
         self._csc = None
         self._csc_static = None
         self._lu = None
-        # symbolic state a warm start adopts / a cold run captures into a
-        # plan: the static CSC compression and (nonlinear) union maps
-        self._static_indices: np.ndarray | None = None
-        self._static_indptr: np.ndarray | None = None
-        self._static_positions: np.ndarray | None = None
-        self._union_dyn_sorted: np.ndarray | None = None
-        self._union_static_positions: np.ndarray | None = None
-        self._union_dyn_positions: np.ndarray | None = None
-        #: None = undetermined (shared adoption), else the verdict of
-        #: comparing this run's static COO layout against the plan's
-        self._plan_static_ok: bool | None = None
 
     # -- static assembly ---------------------------------------------------
     def adopt_shared(self, shared) -> bool:
@@ -492,8 +481,7 @@ class SparseBackend(LinearSolverBackend):
         self._csc_static = self._build_static_csc()
         if asm.linear_only:
             self._adopt_static_pattern()
-            if not self._plan_static_ok:
-                self.stats["symbolic_factorizations"] += 1
+            self.stats["symbolic_factorizations"] += 1
         if shared is not None:
             shared.sparse_state = (
                 self._static_rows, self._static_cols, self._static_vals,
@@ -501,37 +489,13 @@ class SparseBackend(LinearSolverBackend):
             )
 
     def _build_static_csc(self):
-        """Compress the static COO triplets to CSC (duplicates summed in order).
-
-        With a validated warm-start plan the compression (indices, indptr
-        and the COO→CSC position map) is adopted after an exact ``O(nnz)``
-        equality check of the freshly recorded rows/cols against the
-        captured layout — the compressed arrays are a deterministic pure
-        function of those inputs, so the adopted CSC is bit-identical to
-        a cold build.  Any mismatch recompresses cold.
-        """
-        asm = self.assembler
-        plan = asm._plan
-        if plan is not None and plan.matches_static(self._static_rows, self._static_cols):
-            self._plan_static_ok = True
-            self._static_indices = plan.static_indices
-            self._static_indptr = plan.static_indptr
-            self._static_positions = plan.static_positions
-            asm._note_plan(hit=True)
-        else:
-            self._plan_static_ok = False
-            if asm._plan_key is not None:
-                asm._note_plan(hit=False)
-            (self._static_indices, self._static_indptr,
-             self._static_positions) = self._compress_pattern(
-                self._static_rows, self._static_cols
-            )
-        base = np.zeros(self._static_indices.size)
-        np.add.at(base, self._static_positions, self._static_vals)
-        return _csc_matrix(
-            (base, self._static_indices, self._static_indptr),
-            shape=(self._n, self._n),
+        """Compress the static COO triplets to CSC (duplicates summed in order)."""
+        indices, indptr, positions = self._compress_pattern(
+            self._static_rows, self._static_cols
         )
+        base = np.zeros(indices.size)
+        np.add.at(base, positions, self._static_vals)
+        return _csc_matrix((base, indices, indptr), shape=(self._n, self._n))
 
     def _adopt_static_pattern(self) -> None:
         """Linear-only runs: the static CSC doubles as the full system."""
@@ -572,37 +536,11 @@ class SparseBackend(LinearSolverBackend):
             (int(i), int(j)): int(p)
             for (i, j), p in zip(dyn, positions[n_static:])
         }
-        # capturable symbolic state (what a warm-start plan snapshots)
-        self._union_dyn_sorted = dyn
-        self._union_static_positions = positions[:n_static]
-        self._union_dyn_positions = positions[n_static:]
         self._csc = _csc_matrix(
             (np.empty(indices.size), self._indices, self._indptr),
             shape=(self._n, self._n),
         )
         self._data = self._csc.data  # write-through view: iterate() fills it
-
-    def _adopt_union_plan(self, plan) -> None:
-        """Adopt a validated union pattern instead of recompressing it.
-
-        Only called after :meth:`~repro.perf.plan.AssemblyPlan.matches_static`
-        and :meth:`~repro.perf.plan.AssemblyPlan.matches_dyn` both verified
-        exact equality with this run's recorded layout, so every adopted
-        array equals what :meth:`_build_union_pattern` would compute.
-        """
-        self._indices = plan.union_indices
-        self._indptr = plan.union_indptr
-        self._static_base = np.zeros(plan.union_indices.size)
-        np.add.at(self._static_base, plan.union_static_positions, self._static_vals)
-        self._pos_of = plan.dyn_pos_of()
-        self._union_dyn_sorted = plan.dyn_keys
-        self._union_static_positions = plan.union_static_positions
-        self._union_dyn_positions = plan.union_dyn_positions
-        self._csc = _csc_matrix(
-            (np.empty(plan.union_indices.size), self._indices, self._indptr),
-            shape=(self._n, self._n),
-        )
-        self._data = self._csc.data
 
     # -- per-iteration assembly and solves --------------------------------
     def static_system(self):
@@ -618,30 +556,7 @@ class SparseBackend(LinearSolverBackend):
             # First iteration, or an element stamped a position never seen
             # before (e.g. a MOSFET leaving cutoff): grow the union pattern.
             self._dyn_keys.update(pairs)
-            asm = self.assembler
-            if self._indices is None:
-                # First build: a validated warm-start plan replaces the
-                # compression.  Exact key-set equality is required — a
-                # superset pattern would store explicit zeros the cold run
-                # never sees and change splu pivoting.
-                plan = asm._plan
-                if self._plan_static_ok is None and plan is not None:
-                    # Shared-context adoption skipped the static compare;
-                    # settle it now against the shared COO layout.
-                    self._plan_static_ok = plan.matches_static(
-                        self._static_rows, self._static_cols
-                    )
-                if plan is not None and self._plan_static_ok \
-                        and plan.matches_dyn(self._dyn_keys):
-                    self._adopt_union_plan(plan)
-                    asm._note_plan(hit=True)
-                else:
-                    if asm._plan_key is not None:
-                        asm._note_plan(hit=False)
-                    self._build_union_pattern()
-                asm._maybe_persist_plan()
-            else:
-                self._build_union_pattern()
+            self._build_union_pattern()
             pos_of = self._pos_of
         else:
             self.stats["pattern_reuses"] += 1

@@ -75,8 +75,6 @@ __all__ = [
     "SPARSE_THRESHOLD",
     "bank_compaction_default",
     "compact_elements",
-    "compaction_signature",
-    "compaction_groups",
 ]
 
 
@@ -163,50 +161,25 @@ def _is_plain(element) -> bool:
     return not any(hook in instance_dict for hook in _BEHAVIOUR_HOOKS)
 
 
-#: bank kinds by class name — how a persisted plan's compaction groups
-#: (JSON string keys) map back to element classes
-_BANK_KINDS_BY_NAME = {kind.__name__: kind for kind in _BANKABLE}
-
-
-def compaction_signature(elements) -> list:
-    """The per-element facts that fully determine the compaction grouping.
-
-    One ``[type_name, bankable_and_plain]`` pair per element, in element
-    order.  Two element lists with equal signatures produce identical
-    :func:`compaction_groups` output, which is what lets a warm start
-    adopt a cached grouping after this cheap ``O(n)`` comparison instead
-    of re-deriving it (the JSON round-trip of a persisted plan preserves
-    the pairs exactly).
-    """
-    return [
-        [type(el).__name__, type(el) in _BANKABLE and _is_plain(el)]
-        for el in elements
-    ]
-
-
-def compaction_groups(elements, min_group: int = COMPACTION_MIN_GROUP) -> dict:
-    """The compaction grouping as ``{element class: member indices}``.
+def compact_elements(elements, min_group: int = COMPACTION_MIN_GROUP):
+    """Group homogeneous scalar elements into banks for one assembler run.
 
     Only exact, uncustomised instances of the five stock scalar kinds are
     grouped: subclasses and elements with instance-installed behaviour
     (e.g. a per-instance ``accept`` probe) may carry extra semantics a
     synthetic bank would silently drop, so they pass through untouched.
+    Each bank replaces its first member's position in the element order.
+    Returns ``(effective_elements, n_compacted)`` where ``n_compacted``
+    counts the scalar elements absorbed into banks.
     """
+    elements = list(elements)
     groups: dict[type, list[int]] = {}
     for idx, el in enumerate(elements):
         if type(el) in _BANKABLE and _is_plain(el):
             groups.setdefault(type(el), []).append(idx)
-    return {kind: idxs for kind, idxs in groups.items() if len(idxs) >= min_group}
-
-
-def _apply_groups(elements, groups: dict):
-    """Substitute banks for the grouped member indices (order-preserving).
-
-    Each bank replaces its first member's position in the element order.
-    Returns ``(effective_elements, n_compacted)``.
-    """
+    groups = {kind: idxs for kind, idxs in groups.items() if len(idxs) >= min_group}
     if not groups:
-        return list(elements), 0
+        return elements, 0
     absorbed = {idx: kind for kind, idxs in groups.items() for idx in idxs}
     out = []
     emitted: set[type] = set()
@@ -222,18 +195,6 @@ def _apply_groups(elements, groups: dict):
         else:
             out.append(el)
     return out, compacted
-
-
-def compact_elements(elements, min_group: int = COMPACTION_MIN_GROUP):
-    """Group homogeneous scalar elements into banks for one assembler run.
-
-    The grouping rule lives in :func:`compaction_groups`; the bank
-    substitution in :func:`_apply_groups` (warm starts reuse the latter
-    with a cached grouping).  Returns ``(effective_elements, n_compacted)``
-    where ``n_compacted`` counts the scalar elements absorbed into banks.
-    """
-    elements = list(elements)
-    return _apply_groups(elements, compaction_groups(elements, min_group))
 
 
 class SharedStaticContext:
@@ -393,20 +354,6 @@ class FastPathAssembler:
         transient solver passes its own so backend events land in the same
         telemetry as step-level failures.  A private one is created when
         omitted.
-    plan_key:
-        Topology hash keying this run in the cross-job plan cache
-        (:meth:`repro.api.spec.SimulationSpec.topology_hash`); ``None``
-        (default) disables warm starts.  With a key, the compaction
-        grouping and the sparse symbolic setup are adopted from a cached
-        :class:`~repro.perf.plan.AssemblyPlan` when (and only when) they
-        validate against the live system — results stay bit-identical to
-        a cold run — and a cold setup persists a fresh plan for the rest
-        of the fleet.  ``stats["plan_cache_hits"]`` /
-        ``stats["plan_cache_misses"]`` count adopted vs rebuilt
-        components.
-    plan_store:
-        Store override for tests/benchmarks; ``None`` uses
-        :func:`repro.perf.plan_store.default_plan_store`.
     """
 
     def __init__(
@@ -420,8 +367,6 @@ class FastPathAssembler:
         backend: str | None = None,
         compact_banks: bool | None = None,
         health: RunHealth | None = None,
-        plan_key: str | None = None,
-        plan_store=None,
     ):
         self.circuit = circuit
         self.compiled = compiled
@@ -432,40 +377,10 @@ class FastPathAssembler:
         self.health = health if health is not None else RunHealth()
         self.compact_banks = resolve_bank_compaction(compact_banks)
 
-        # -- warm start: resolve the topology-keyed plan before any setup --
-        self._plan_key = plan_key
-        self._plan_store = None
-        self._plan = None
-        self._plan_persisted = False
-        self._plan_dirty = False
-        if plan_key is not None:
-            if plan_store is None:
-                from repro.perf.plan_store import default_plan_store
-
-                plan_store = default_plan_store()
-            self._plan_store = plan_store
-            plan = plan_store.get(plan_key)
-            if plan is not None and plan.n_unknowns != compiled.n_unknowns:
-                plan = None  # stale entry of a different topology: rebuild
-            self._plan = plan
-
         elements = list(circuit.elements)
         compacted = 0
-        plan_hits = plan_misses = 0
-        self._compaction_signature = None
-        self._compaction_groups = {}
         if self.compact_banks:
-            self._compaction_signature = compaction_signature(elements)
-            groups = self._plan_compaction_groups(elements)
-            if groups is not None:
-                plan_hits += 1
-            else:
-                if plan_key is not None:
-                    plan_misses += 1
-                    self._plan_dirty = True
-                groups = compaction_groups(elements)
-            self._compaction_groups = groups
-            elements, compacted = _apply_groups(elements, groups)
+            elements, compacted = compact_elements(elements)
         #: the element list this run assembles/accepts (banks substituted)
         self.elements = elements
 
@@ -496,86 +411,9 @@ class FastPathAssembler:
             ),
             "compacted_elements": compacted,
             "accept_calls": 0,
-            "plan_cache_hits": plan_hits,
-            "plan_cache_misses": plan_misses,
         }
         self.backend = make_backend(backend, self)
         self.stats["backend"] = self.backend.name
-
-    # -- warm-start plumbing ----------------------------------------------
-    def _plan_compaction_groups(self, elements) -> dict | None:
-        """The cached compaction grouping, iff it validates against this run.
-
-        The grouping is a pure function of the element signature, so
-        signature equality (plus structural sanity of the stored indices)
-        guarantees the adopted grouping equals what
-        :func:`compaction_groups` would compute — and therefore identical
-        banks, stamps and results.
-        """
-        plan = self._plan
-        if plan is None or plan.compaction is None:
-            return None
-        if plan.compaction.get("signature") != self._compaction_signature:
-            return None
-        groups: dict[type, list[int]] = {}
-        for name, idxs in plan.compaction.get("groups", {}).items():
-            kind = _BANK_KINDS_BY_NAME.get(name)
-            if kind is None:
-                return None
-            try:
-                idxs = [int(i) for i in idxs]
-            except (TypeError, ValueError):
-                return None
-            if any(not 0 <= i < len(elements) for i in idxs):
-                return None
-            groups[kind] = idxs
-        return groups
-
-    def _plan_compaction_snapshot(self) -> dict | None:
-        """This run's compaction decisions in persistable form."""
-        if not self.compact_banks or self._compaction_signature is None:
-            return None
-        return {
-            "signature": self._compaction_signature,
-            "groups": {
-                kind.__name__: list(idxs)
-                for kind, idxs in self._compaction_groups.items()
-            },
-        }
-
-    def _note_plan(self, hit: bool) -> None:
-        """Count one plan component as adopted (hit) or rebuilt cold (miss)."""
-        if hit:
-            self.stats["plan_cache_hits"] += 1
-        else:
-            self.stats["plan_cache_misses"] += 1
-            self._plan_dirty = True
-
-    def _maybe_persist_plan(self) -> None:
-        """Persist a fresh plan once this run's symbolic setup is complete.
-
-        No-op unless warm starts are active and some component had to be
-        rebuilt cold (``_plan_dirty``) — an all-hit run leaves the stored
-        plan untouched.  Sparse nonlinear runs complete only at the first
-        Newton iteration (the union pattern), so the backend calls this
-        again from :meth:`~repro.perf.backends.SparseBackend.iterate`.
-        Capture can also be impossible (a shared-context adoption never
-        derives its own position maps); that run simply does not persist.
-        """
-        if self._plan_key is None or self._plan_store is None or self._plan_persisted:
-            return
-        if not self._plan_dirty:
-            return
-        backend = self.backend
-        if backend.name == "sparse" and not self.linear_only \
-                and backend._indices is None:
-            return  # union pattern pending: persist at the first iterate
-        from repro.perf.plan import AssemblyPlan
-
-        plan = AssemblyPlan.capture(self)
-        if plan is not None:
-            self._plan_store.put(self._plan_key, plan)
-            self._plan_persisted = True
 
     def accept_elements(self) -> list:
         """The elements whose ``accept`` must run after every converged step.
@@ -605,13 +443,11 @@ class FastPathAssembler:
                 self.stats["static_reused"] = True
                 for element, _ in self.dynamic_stamps:
                     element.prepare_fast(self.compiled)
-                self._maybe_persist_plan()
                 return
         ctx = StampContext(self.compiled, self.dt, 0.0, self.method)
         self.backend.assemble_static(ctx, shared)
         for element, _ in self.dynamic_stamps:
             element.prepare_fast(self.compiled)
-        self._maybe_persist_plan()
 
     def begin_step(self, t: float) -> StampContext:
         """Assemble the per-step static RHS and return the step context."""

@@ -36,11 +36,11 @@ Endpoints
     Liveness + daemon-lifetime counters (submitted, solves, cache_hits,
     completed, failed, queued, workers).
 ``GET /engines``
-    The registered engine kinds and backed engine options.
+    The registered engine kinds and the ``engine`` option names a spec
+    may set.
 ``GET /stats``
     Cache-layer counters since daemon start: the job counters plus
-    hit/miss/put counts of the content-addressed result store and of the
-    topology-keyed assembly-plan store (PR 9 warm starts).
+    hit/miss/put counts of the content-addressed result store.
 
 Failures never surface as ``500``: a solver failure is a *job* state
 (``failed`` with the PR 6 taxonomy records), not a transport error.
@@ -48,6 +48,7 @@ Failures never surface as ``500``: a solver failure is a *job* state
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import threading
@@ -176,10 +177,7 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_stats(self) -> None:
-        """Cache-layer counters since daemon start (result + plan stores)."""
-        from repro.perf.plan_store import default_plan_store, plan_store_stats
-
-        plan_store = default_plan_store()
+        """Cache-layer counters since daemon start."""
         self._send_json(200, {
             "jobs": self.manager.stats(),
             "result_store": {
@@ -187,22 +185,18 @@ class _Handler(BaseHTTPRequestHandler):
                 "root": self.manager.store.root,
                 **self.manager.store.stats,
             },
-            "plan_store": {
-                "enabled": plan_store.enabled,
-                "root": plan_store.root,
-                **plan_store_stats(),
-            },
         })
 
     def _get_engines(self) -> None:
-        from repro.api import list_engines
-        from repro.api.engines import supported_engine_options
+        from repro.api import EngineOptions, list_engines
 
         self._send_json(200, {
             "engines": [
                 {"kind": info.kind, "summary": info.summary} for info in list_engines()
             ],
-            "engine_options": supported_engine_options(),
+            "engine_options": sorted(
+                field.name for field in dataclasses.fields(EngineOptions)
+            ),
         })
 
     def _get_jobs(self, query: dict) -> None:

@@ -45,11 +45,7 @@ def default_store_root() -> str:
     subdirectory — next to, not mixed with, the macromodel
     identification cache.
     """
-    return os.path.join(os.environ.get("REPRO_CACHE_DIR", ".cache"), "results")
-
-
-def _disk_cache_disabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1").strip().lower() in ("0", "false", "off")
+    return os.path.join(cache.cache_root(), "results")
 
 
 class ResultStore:
@@ -82,7 +78,7 @@ class ResultStore:
         """Whether reads/writes touch the disk (re-checks the env default)."""
         if self._enabled is not None:
             return self._enabled
-        return not _disk_cache_disabled()
+        return cache.disk_cache_enabled()
 
     # -- paths ------------------------------------------------------------
     def _entry_path(self, spec_hash: str, suffix: str) -> str:

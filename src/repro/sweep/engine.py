@@ -266,8 +266,6 @@ class CircuitSweep:
             "static_reuses": 0,
             "block_solves": 0,
             "symbolic_factorizations": 0,
-            "plan_cache_hits": 0,
-            "plan_cache_misses": 0,
         }
         prepare_batcher = BatchedPrepare() if (fast and self.batch_prepare) else None
 
@@ -453,14 +451,12 @@ class CircuitSweep:
                 stats["batched_prepare_scenarios"] = (
                     prepare_batcher.stats["folded_scenarios"]
                 )
-            # Symbolic-setup counters summed over every solver that ran,
-            # including solo retries (their cold re-runs pay real setup).
-            for key in ("symbolic_factorizations", "plan_cache_hits",
-                        "plan_cache_misses"):
-                stats[key] = sum(
-                    int(solver.perf_stats.get(key, 0))
-                    for solver in (*solvers, *solo_solvers)
-                )
+            # Symbolic setups summed over every solver that ran, including
+            # solo retries (their cold re-runs pay real setup).
+            stats["symbolic_factorizations"] = sum(
+                int(solver.perf_stats.get("symbolic_factorizations", 0))
+                for solver in (*solvers, *solo_solvers)
+            )
             stats["per_scenario"] = {
                 scenario.name: solver.perf_stats
                 for scenario, solver in zip(self.scenarios, solvers)

@@ -234,8 +234,6 @@ _SUM_KEYS = (
     "block_solves",
     "solo_retries",
     "symbolic_factorizations",
-    "plan_cache_hits",
-    "plan_cache_misses",
 )
 
 #: sorted-name lists unioned across shards
@@ -322,7 +320,6 @@ def merge_shard_results(
             "symbolic_factorizations": int(
                 part.perf_stats.get("symbolic_factorizations", 0)
             ),
-            "plan_cache_hits": int(part.perf_stats.get("plan_cache_hits", 0)),
             "wall_time": part.wall_time,
         }
         for shard, part in zip(plan.shards, shard_results)

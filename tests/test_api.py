@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -32,6 +33,22 @@ from repro.macromodel.serialization import macromodel_to_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JOBS_DIR = os.path.join(REPO_ROOT, "examples", "jobs")
+
+#: ``content_hash()`` of every job fixture.  A result store is keyed by
+#: these, so a change to the spec codec that moves one orphans every
+#: stored result of that job: such a change must be deliberate.
+PINNED_FIXTURE_HASHES = {
+    "fdtd1d_link.json": "f9e25403803a86663fb2d9eb7becc6527ddce71ae696b6e868ebbb75319f2d5a",
+    "linear_link.json": "dbf2df0941194ebe664edf2289acbeedaf3849bd831bab70add0f7912bbe4b38",
+    "montecarlo_sweep.json": "fd30f54916f410bc375948f8bd89e879b6b7bd3e335e55cfc8e3857dc6c7d495",
+    "pattern_corner_sweep.json":
+        "f793fe8b9774bb078248613a35d1caeb62b5631c126e735c31cc2e6498a0dbb8",
+    "pattern_corner_sweep_batched.json":
+        "b2aa0b3b8a53738a4d2c0cb119fd736eeb819a5fca96a8523df24acf42827239",
+    "rbf_link.json": "05813f0731f8cf01f7ca09051ae89a7d46d52640e498a5460902a55959ec3be8",
+    "sparse_ladder.json": "79af5924367748b704aa1660e8165173a4715b23de002a91a3c620a4159056bd",
+    "validation_line_3d.json": "1ffad72a1397c9a0df10f9837fd955ea10e6d5077018a0c9be4e8c137adb5fd2",
+}
 
 
 def _subprocess_env() -> dict:
@@ -206,6 +223,10 @@ class TestSpecRoundTrip:
         assert a == b
 
 
+def _change_id(change: dict) -> str:
+    return ",".join(f"{key}={value}" for key, value in change.items())
+
+
 class TestContentHash:
     def test_hash_ignores_dict_ordering(self):
         spec = _make_spec("sweep")
@@ -234,6 +255,32 @@ class TestContentHash:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == spec.content_hash()
+
+    def test_every_fixture_is_pinned(self):
+        fixtures = sorted(name for name in os.listdir(JOBS_DIR) if name.endswith(".json"))
+        assert fixtures == sorted(PINNED_FIXTURE_HASHES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FIXTURE_HASHES))
+    def test_fixture_hash_is_pinned(self, name):
+        spec = load_spec(os.path.join(JOBS_DIR, name))
+        assert spec.content_hash() == PINNED_FIXTURE_HASHES[name]
+
+    @pytest.mark.parametrize("change", [
+        {"workers": 2}, {"workers": 1}, {"shards": 3}, {"workers": 4, "shards": 2},
+    ], ids=_change_id)
+    def test_scheduling_knobs_do_not_split_the_hash(self, change):
+        spec = _make_spec("sweep")
+        variant = dataclasses.replace(spec, engine=dataclasses.replace(spec.engine, **change))
+        assert variant != spec
+        assert variant.content_hash() == spec.content_hash()
+
+    @pytest.mark.parametrize("change", [
+        {"dt": 2e-11}, {"fast": False}, {"batch_prepare": True}, {"max_retries": 2},
+    ], ids=_change_id)
+    def test_result_options_split_the_hash(self, change):
+        spec = _make_spec("sweep")
+        variant = dataclasses.replace(spec, engine=dataclasses.replace(spec.engine, **change))
+        assert variant.content_hash() != spec.content_hash()
 
 
 class TestRegistry:
@@ -268,51 +315,14 @@ class TestRegistry:
             importlib.reload(engines_mod)
         assert get_engine("circuit").summary != "test shadow"
 
-    def test_formerly_reserved_options_have_registered_backends(self):
-        # PR 4 closed the two reserved ROADMAP items: both flags are now
-        # spec-addressable AND runnable (tests/test_backends.py pins the
-        # equivalence; here we only check the registry wiring).
-        from repro.api.engines import option_backend, supported_engine_options
-
-        supported = supported_engine_options()
-        assert set(supported) == {
-            "sparse_mna", "batch_prepare", "workers", "shards", "warm_start",
-        }
-        assert "SparseBackend" in option_backend("sparse_mna")
-        assert "BatchedPrepare" in option_backend("batch_prepare")
-        assert "run_sharded" in option_backend("workers")
-        assert "plan_shards" in option_backend("shards")
-        assert "PlanStore" in option_backend("warm_start")
-        import dataclasses
-
+    def test_backend_flags_round_trip(self):
+        # Both flags are plain spec options; tests/test_backends.py pins
+        # what they compute.
         spec = _make_spec("circuit")
         for flag in ("sparse_mna", "batch_prepare"):
             engine = dataclasses.replace(spec.engine, **{flag: True})
             requested = dataclasses.replace(spec, engine=engine)
             assert spec_from_dict(requested.to_dict()) == requested
-
-    def test_unregistered_backed_option_error_is_self_explanatory(self, monkeypatch):
-        # A build whose backend did not register (e.g. a future reserved
-        # flag) must explain itself: the flag, the backend that would
-        # implement it, and the options that ARE supported.
-        import dataclasses
-
-        import repro.api.engines as engines_mod
-
-        monkeypatch.setitem(engines_mod._OPTION_BACKENDS, "sparse_mna", None)
-        monkeypatch.delitem(engines_mod._OPTION_BACKENDS, "sparse_mna")
-        spec = _make_spec("circuit")
-        engine = dataclasses.replace(spec.engine, sparse_mna=True)
-        requested = dataclasses.replace(spec, engine=engine)
-        with pytest.raises(NotImplementedError) as excinfo:
-            run(requested)
-        message = str(excinfo.value)
-        assert "engine.sparse_mna" in message
-        # the hint names the implementing backend...
-        assert "SparseBackend" in message
-        # ...and the full set of still-supported options is listed.
-        assert "engine.batch_prepare" in message
-        assert "BatchedPrepare" in message
 
 
 class TestResultContainer:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro import cache
 from repro.experiments import devices as dev
+from repro.service.store import ResultStore, default_store_root
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
@@ -129,6 +132,52 @@ class TestIdentificationCacheRobustness:
             json.dump({"driver": {"wrong": "schema"}, "receiver": {}}, handle)
         assert dev._load_identified_from_disk(path, params) is None
         assert not os.path.exists(path)
+
+
+class TestCacheRoot:
+    @pytest.mark.parametrize("raw", ["0", "false", "off"])
+    def test_both_disk_stores_follow_one_switch(self, tmp_path, monkeypatch, params, raw):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+        assert cache.cache_root() == str(tmp_path)
+        assert dev.identification_cache_path(params, 10, 0).startswith(str(tmp_path))
+        assert default_store_root() == os.path.join(str(tmp_path), "results")
+        assert ResultStore().enabled
+
+        monkeypatch.setenv("REPRO_DISK_CACHE", raw)
+        assert not cache.disk_cache_enabled()
+        assert dev.identification_cache_path(params, 10, 0) is None
+        assert not ResultStore().enabled
+
+
+def _hammer_same_path(args):
+    path, document, rounds = args
+    from repro import cache as worker_cache
+
+    return [worker_cache.atomic_write_json(path, document) for _ in range(rounds)]
+
+
+class TestCacheContention:
+    def test_concurrent_same_key_writes_stay_valid(self, tmp_path):
+        """N processes x M same-key writes: the entry stays checksum-valid."""
+        path = str(tmp_path / "results" / "ab" / "abcdef.json")
+        document = {"waveforms": {"far": list(range(500))}}
+        reference_path = str(tmp_path / "reference.json")
+        assert cache.atomic_write_json(reference_path, document)
+
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        with ctx.Pool(4) as pool:
+            outcomes = pool.map(
+                _hammer_same_path, [(path, document, 10)] * 4
+            )
+        assert all(all(flags) for flags in outcomes)
+        assert cache.read_json(path) == document
+        # byte-identical to an uncontended write (atomic replace, no tears)
+        with open(path, "rb") as contended, open(reference_path, "rb") as clean:
+            assert contended.read() == clean.read()
 
 
 class TestCIPipeline:

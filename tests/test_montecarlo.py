@@ -4,7 +4,7 @@ The contract pinned here:
 
 1. **Determinism** — the same ``stats`` block regenerates a bit-identical
    scenario batch (and therefore bit-identical waveforms), and the seed
-   enters the spec ``content_hash`` but never the ``topology_hash``;
+   enters the spec ``content_hash``;
 2. **Composition** — a sampled sweep is an ordinary sweep once expanded:
    sharded execution is bit-identical to single-process, and corner
    draws are limited to ``corner_groups`` static-sharing groups;
@@ -79,12 +79,11 @@ class TestStatsSpecValidation:
         doc = json.loads(json.dumps(spec.to_dict()))
         assert spec_from_dict(doc) == spec
 
-    def test_stats_enters_content_hash_not_topology_hash(self):
+    def test_stats_enters_content_hash(self):
         spec = _mc_spec()
         reseeded = dataclasses.replace(
             spec, stats=dataclasses.replace(spec.stats, seed=43))
         assert reseeded.content_hash() != spec.content_hash()
-        assert reseeded.topology_hash() == spec.topology_hash()
 
     def test_pre_stats_specs_hash_unchanged(self):
         # the stats key is absent when unset, so every pre-existing job's

@@ -11,6 +11,7 @@ restarts.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import urllib.error
@@ -19,6 +20,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.api import EngineOptions
 from repro.api import engines as engines_mod
 from repro.resilience import faults
 from repro.service import JobServer, ResultStore
@@ -112,8 +114,39 @@ def test_healthz_and_engines(server):
     assert status == 200
     kinds = {entry["kind"] for entry in engines["engines"]}
     assert kinds == {"circuit", "fdtd1d", "fdtd3d", "sweep"}
-    assert "sparse_mna" in engines["engine_options"]
-    assert "batch_prepare" in engines["engine_options"]
+    assert engines["engine_options"] == sorted(
+        field.name for field in dataclasses.fields(EngineOptions)
+    )
+
+
+def test_stats_endpoint_reports_result_store(server):
+    status, payload = _get(server, "/stats")
+    assert status == 200
+    assert set(payload) == {"jobs", "result_store"}
+    store = payload["result_store"]
+    assert store["root"]
+    assert isinstance(store["enabled"], bool)
+    for counter in ("hits", "misses", "puts"):
+        assert isinstance(store[counter], int)
+
+
+def test_result_store_counters(tmp_path):
+    class _FakeResult:
+        def to_dict(self):
+            return {"waveforms": {"a": [1.0]}, "times": [0.0], "engine": "x"}
+
+        def save_npz(self, handle):
+            raise OSError("no artifact in this test")
+
+    store = ResultStore(root=str(tmp_path))
+    assert store.get("aa" + "0" * 62) is None
+    assert store.stats == {"hits": 0, "misses": 1, "puts": 0}
+    document = store.put("aa" + "0" * 62, _FakeResult())
+    assert document is not None
+    # the put's verification re-read is not counted as a hit
+    assert store.stats == {"hits": 0, "misses": 1, "puts": 1}
+    assert store.get("aa" + "0" * 62) is not None
+    assert store.stats == {"hits": 1, "misses": 1, "puts": 1}
 
 
 def test_invalid_requests(server):
@@ -293,6 +326,21 @@ def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine)
     npz1 = _get_bytes(server, f"/jobs/{first['job_id']}/waveforms")
     npz2 = _get_bytes(server, f"/jobs/{second['job_id']}/waveforms")
     assert npz1 == npz2
+
+
+def test_workers_only_variant_is_served_from_cache(server, counted_sweep_engine):
+    """engine.workers/shards are outside the hash: a rescheduled rerun hits."""
+    spec = _sweep_spec("scheduling knobs are not part of the job")
+    _, first = _post(server, "/jobs", spec)
+    _wait(server, first["job_id"])
+
+    variant = json.loads(json.dumps(spec))
+    variant["engine"].update(workers=2, shards=2)
+    status, second = _post(server, "/jobs", variant)
+    assert status == 200
+    assert second["cache_hit"] is True
+    assert second["spec_hash"] == first["spec_hash"]
+    assert len(counted_sweep_engine) == 1
 
 
 def test_cache_survives_daemon_restart(tmp_path, counted_sweep_engine):

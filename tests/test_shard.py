@@ -198,25 +198,6 @@ class TestWorkerCounts:
         with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS"):
             run(_corner_sweep(n_groups=1, per_group=1, duration=2e-10))
 
-    def test_workers_flag_routes_through_option_backend_gate(self, monkeypatch):
-        import repro.api.engines as engines_mod
-
-        monkeypatch.delitem(engines_mod._OPTION_BACKENDS, "workers")
-        spec = _corner_sweep(workers=2)
-        with pytest.raises(NotImplementedError) as excinfo:
-            run(spec)
-        message = str(excinfo.value)
-        assert "engine.workers" in message
-        assert "run_sharded" in message          # the hint names the backend
-        assert "engine.shards" in message        # ...and the supported options
-
-    def test_shards_flag_routes_through_option_backend_gate(self, monkeypatch):
-        import repro.api.engines as engines_mod
-
-        monkeypatch.delitem(engines_mod._OPTION_BACKENDS, "shards")
-        with pytest.raises(NotImplementedError, match="engine.shards"):
-            run(_corner_sweep(shards=2))
-
 
 # ---------------------------------------------------------------------------
 # bit-identical equivalence: sharded == single-process lockstep
