@@ -13,7 +13,11 @@ Workloads come from the parameterised netlist generators of
   1000 MNA unknowns;
 * ``mesh``   — a 2-D RC grid (fill-in-sensitive 2-D structure);
 * ``paper``  — the paper's validation link at its native size, where the
-  *dense* backend must stay the faster default.
+  *dense* backend must stay the faster default;
+* ``rbf-ladder`` — the RBF-terminated LC ladder from 20 to 130 sections,
+  a Newton transient that refactors its Jacobian on every iteration.  Its
+  dense/sparse crossover sets ``SPARSE_THRESHOLD``; linear ladders in the
+  same band check that the threshold does not slow purely linear runs.
 
 Gates: the sparse backend must beat the dense backend by at least
 ``--min-speedup`` (default 2.0) on every workload with >= 1000 unknowns,
@@ -24,14 +28,23 @@ dense the default (and the faster choice) at paper scale.  The element-bank
 gate (PR 5) additionally requires the bank-compacted transient to beat
 scalar stamping by >= ``--min-speedup`` at >= 2500 unknowns with identical
 waveforms — the per-step Python element loops were the ceiling once the
-sparse solve got cheap.
+sparse solve got cheap.  The crossover gate requires the automatic backend
+choice to be at most ``MAX_AUTO_SLOWDOWN`` (1.25) times slower than the
+other backend at every measured size, and sparse and dense waveforms of
+the RBF ladder to agree to <= 1e-12 relative.
+
+Dense and sparse runs of one circuit alternate and each backend keeps its
+best time, so a slow spell of the machine hits both alike.  Times are wall
+clock: process time would charge the next run for the CPU that OpenBLAS's
+helper threads keep spinning after a dense solve.
 
 Writes ``BENCH_sparse.json``.  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_sparse.py
 
 Use ``--quick`` for a CI-sized smoke run (smallest >= 1000-unknown sizes,
-shorter transients).
+fewer crossover sizes, none of them at the crossover itself, and shorter
+transients).
 """
 
 from __future__ import annotations
@@ -48,10 +61,17 @@ import numpy as np  # noqa: E402
 
 from repro.circuits.ladder import rc_grid_circuit, rc_ladder_circuit  # noqa: E402
 from repro.circuits.transient import TransientOptions, TransientSolver  # noqa: E402
-from repro.perf.backends import resolve_backend_name, sparse_available  # noqa: E402
+from repro.perf.backends import (  # noqa: E402
+    resolve_backend_name,
+    sparse_available,
+    sparse_threshold,
+)
 from repro.waveforms.signals import BitPattern  # noqa: E402
 
 REL_TOL = 1e-12
+#: the automatic backend choice may be at most this factor slower than the
+#: other backend at any measured size
+MAX_AUTO_SLOWDOWN = 1.25
 
 
 def _stimulus() -> BitPattern:
@@ -65,6 +85,12 @@ def _build(workload: str, size: int):
     if workload == "mesh":
         return rc_grid_circuit(size, size, waveform=_stimulus())
     raise ValueError(f"unknown workload {workload!r}")
+
+
+def _auto_slowdown(walls: dict, auto: str) -> float:
+    """Wall time of the automatic choice over that of the other backend."""
+    other = "sparse" if auto == "dense" else "dense"
+    return round(walls[auto] / walls[other], 3)
 
 
 def _run(circuit, probe: str, dt: float, duration: float, backend: str,
@@ -85,17 +111,14 @@ def bench_workload(
     """Dense vs sparse on one generated netlist (fresh circuit per run)."""
     n_unknowns = _build(workload, size)[0].compile().n_unknowns
     waves = {}
-    walls = {}
+    walls = {"dense": float("inf"), "sparse": float("inf")}
     stats = {}
-    for backend in ("dense", "sparse"):
-        best = None
-        for _ in range(trials):
+    for _ in range(trials):
+        for backend in ("dense", "sparse"):
             circuit, probe = _build(workload, size)
-            result, wall, perf_stats = _run(circuit, probe, dt, duration, backend)
-            best = wall if best is None else min(best, wall)
-        waves[backend] = result.voltage(probe)
-        walls[backend] = best
-        stats[backend] = perf_stats
+            result, wall, stats[backend] = _run(circuit, probe, dt, duration, backend)
+            walls[backend] = min(walls[backend], wall)
+            waves[backend] = result.voltage(probe)
     scale = max(float(np.max(np.abs(waves["dense"]))), 1e-30)
     rel_err = float(np.max(np.abs(waves["sparse"] - waves["dense"]))) / scale
     entry = {
@@ -112,6 +135,7 @@ def bench_workload(
         "dense_factorizations": stats["dense"]["factorizations"],
         "auto_backend": resolve_backend_name(None, n_unknowns),
     }
+    entry["auto_slowdown"] = _auto_slowdown(walls, entry["auto_backend"])
     print(
         f"{workload:7s} n={n_unknowns:5d}  dense {walls['dense']*1e3:8.1f} ms   "
         f"sparse {walls['sparse']*1e3:8.1f} ms   speedup {entry['sparse_speedup']:6.2f}x   "
@@ -181,6 +205,50 @@ def bench_banked(size: int, dt: float, duration: float, trials: int) -> dict:
     return entry
 
 
+def bench_rbf_ladder(sections: int, dt: float, duration: float, trials: int) -> dict:
+    """Dense vs sparse on the RBF-terminated LC ladder (a Newton transient)."""
+    from repro.circuits.testbenches import run_link_rbf
+    from repro.core.cosim import LinkDescription
+    from repro.experiments.devices import reference_macromodels
+
+    models, _ = reference_macromodels("library", n_centers=40)
+    link = LinkDescription(duration=duration, segments=sections)
+    walls = {"dense": float("inf"), "sparse": float("inf")}
+    waves = {}
+    for _ in range(trials):
+        for backend in ("dense", "sparse"):
+            t0 = time.perf_counter()
+            result = run_link_rbf(
+                link, models.driver, models.receiver, dt=dt, params=models.params,
+                options=TransientOptions(backend=backend),
+            )
+            walls[backend] = min(walls[backend], time.perf_counter() - t0)
+            waves[backend] = result.voltage("far_end")
+    n_unknowns = result.metadata["solver_stats"]["n_unknowns"]
+    scale = max(float(np.max(np.abs(waves["dense"]))), 1e-30)
+    auto = resolve_backend_name(None, n_unknowns)
+    entry = {
+        "workload": "rbf-ladder",
+        "size": sections,
+        "n_unknowns": int(n_unknowns),
+        "steps": int(round(duration / dt)),
+        "dense_s": round(walls["dense"], 5),
+        "sparse_s": round(walls["sparse"], 5),
+        "sparse_speedup": round(walls["dense"] / walls["sparse"], 3),
+        "rel_error_sparse_vs_dense": float(
+            np.max(np.abs(waves["sparse"] - waves["dense"]))
+        ) / scale,
+        "auto_backend": auto,
+        "auto_slowdown": _auto_slowdown(walls, auto),
+    }
+    print(
+        f"rbf     n={n_unknowns:5d}  dense {walls['dense']*1e3:8.1f} ms   "
+        f"sparse {walls['sparse']*1e3:8.1f} ms   speedup {entry['sparse_speedup']:6.2f}x   "
+        f"rel err {entry['rel_error_sparse_vs_dense']:.2e}   auto -> {auto}"
+    )
+    return entry
+
+
 def bench_paper_scale(dt: float, duration: float, trials: int) -> dict:
     """The paper's validation link: dense must stay the fast default."""
     from repro.circuits.testbenches import run_link_rbf
@@ -232,7 +300,7 @@ def bench_paper_scale(dt: float, duration: float, trials: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_sparse.json")
-    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--trials", type=int, default=5)
     parser.add_argument("--quick", action="store_true",
                         help="smallest >=1000-unknown sizes, shorter transients")
     parser.add_argument(
@@ -245,15 +313,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.quick:
-        cases = [("ladder", 1100), ("mesh", 33)]
+        cases = [("ladder", 150), ("ladder", 1100), ("mesh", 33)]
         dt, duration = 1e-11, 2e-9
-        trials = max(1, min(args.trials, 2))
+        trials = max(1, min(args.trials, 3))
         banked_duration = 1e-9
+        sections, rbf_duration = (20, 40, 60, 80, 130), 3e-9
     else:
-        cases = [("ladder", 1100), ("ladder", 2500), ("mesh", 40)]
+        cases = [("ladder", 110), ("ladder", 150), ("ladder", 250),
+                 ("ladder", 1100), ("ladder", 2500), ("mesh", 40)]
         dt, duration = 1e-11, 4e-9
         trials = args.trials
         banked_duration = duration
+        sections = (20, 30, 40, 45, 50, 55, 60, 70, 80, 90, 105, 120, 130)
+        rbf_duration = 6e-9
 
     entries = [
         bench_workload(workload, size, dt, duration, trials)
@@ -264,6 +336,7 @@ def main(argv=None) -> int:
     # the transient, not the netlist).
     banked = bench_banked(2500, dt, banked_duration, trials)
     paper = bench_paper_scale(5e-12, 4e-9, trials)
+    crossover = [bench_rbf_ladder(n, 1e-11, rbf_duration, trials) for n in sections]
 
     large = [e for e in entries if e["n_unknowns"] >= 1000]
     ok = (
@@ -280,6 +353,9 @@ def main(argv=None) -> int:
         and banked["rel_error_banked_vs_scalar"] <= REL_TOL
         and banked["rel_error_native_vs_scalar"] <= REL_TOL
         and banked["banked_elements"] > 0
+        and all(e["auto_slowdown"] <= MAX_AUTO_SLOWDOWN
+                for e in (*entries, *crossover))
+        and all(e["rel_error_sparse_vs_dense"] <= REL_TOL for e in crossover)
     )
 
     report = {
@@ -289,7 +365,12 @@ def main(argv=None) -> int:
         "workloads": entries,
         "banked": banked,
         "paper_scale": paper,
+        "crossover": {
+            "sparse_threshold": sparse_threshold(),
+            "rbf_ladder": crossover,
+        },
         "targets": {
+            "max_auto_slowdown": MAX_AUTO_SLOWDOWN,
             "sparse_speedup_at_1000_unknowns": args.min_speedup,
             "banked_speedup_at_2500_unknowns": args.min_speedup,
             "rel_error": REL_TOL,

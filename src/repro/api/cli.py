@@ -211,13 +211,17 @@ def _cmd_run(
         print(f"  {name}: min {wave.min():+.4g}  max {wave.max():+.4g}")
     interesting = (
         "shared_factorizations", "static_reuses", "batched_rbf_evals", "block_solves",
-        "backend", "factorizations", "sparse_factorizations",
+        "backend", "n_unknowns", "factorizations", "sparse_factorizations",
         "symbolic_factorizations", "pattern_reuses",
         "batched_prepare_folds", "batched_prepare_scenarios",
         "banked_elements", "accept_calls",
         "shards", "workers", "parallel_efficiency",
     )
     stats = {k: result.perf_stats[k] for k in interesting if k in result.perf_stats}
+    models = result.perf_stats.get("models")
+    if models:
+        reuse = "cached" if models["cached"] else "built"
+        stats["models"] = f"{models['source']}[{reuse} {models['resolve_s']:.4f}s]"
     if stats:
         print("perf:      " + ", ".join(f"{k}={v}" for k, v in stats.items()))
     health = result.perf_stats.get("health")

@@ -23,6 +23,7 @@ models from ``spec.devices`` instead).
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Callable
 
 from repro.api.result import Result
@@ -84,53 +85,36 @@ def list_engines() -> list[EngineInfo]:
 # device resolution
 # ---------------------------------------------------------------------------
 
-def resolve_models(spec: SimulationSpec):
-    """Build the :class:`ReferenceMacromodels` a spec's devices block asks for."""
-    from repro.experiments.devices import (
-        ReferenceMacromodels,
-        identified_reference_macromodels,
-    )
-    from repro.macromodel.library import (
-        ReferenceDeviceParameters,
-        make_reference_driver_macromodel,
-        make_reference_receiver_macromodel,
-    )
-    from repro.macromodel.serialization import macromodel_from_dict
+def resolve_models(spec: SimulationSpec, stats: dict | None = None):
+    """The :class:`ReferenceMacromodels` a spec's devices block asks for.
 
+    The models come from the process-wide memo of
+    :func:`repro.experiments.devices.reference_macromodels`, so only the
+    first job with a given devices block builds them.  When ``stats`` is
+    given, ``stats["models"]`` records ``{"source", "cached",
+    "resolve_s"}``: the models' provenance, whether the memo already held
+    them, and the wall time of this call.
+    """
+    from repro.experiments.devices import reference_macromodels
+    from repro.macromodel.library import ReferenceDeviceParameters
+
+    start = time.perf_counter()
     devices = spec.devices
-    params = dataclasses.replace(ReferenceDeviceParameters(), **dict(devices.params))
-    if devices.source == "identified":
-        n_centers = devices.n_centers if devices.n_centers is not None else 150
-        return identified_reference_macromodels(
-            params, n_centers=n_centers, seed=devices.seed, use_identification=True
-        )
-    if devices.source == "inline":
-        driver = macromodel_from_dict(dict(devices.driver)) if devices.driver else None
-        receiver = macromodel_from_dict(dict(devices.receiver)) if devices.receiver else None
-        if driver is None:
-            driver = make_reference_driver_macromodel(params, seed=devices.seed)
-        if receiver is None:
-            receiver = make_reference_receiver_macromodel(params, seed=devices.seed + 10)
-        return ReferenceMacromodels(
-            driver=driver, receiver=receiver, params=params, source="inline"
-        )
-    # library source: the analytic reference models.  With n_centers unset,
-    # each constructor keeps its own default (150 driver / 80 receiver); an
-    # explicit count pins the driver and gives the receiver half (min 30),
-    # mirroring the identified workflow's convention.
-    kwargs_d = {} if devices.n_centers is None else {"n_centers": devices.n_centers}
-    kwargs_r = (
-        {} if devices.n_centers is None
-        else {"n_centers": max(devices.n_centers // 2, 30)}
+    models, cached = reference_macromodels(
+        devices.source,
+        dataclasses.replace(ReferenceDeviceParameters(), **dict(devices.params)),
+        n_centers=devices.n_centers,
+        seed=devices.seed,
+        driver=devices.driver,
+        receiver=devices.receiver,
     )
-    return ReferenceMacromodels(
-        driver=make_reference_driver_macromodel(params, seed=devices.seed, **kwargs_d),
-        receiver=make_reference_receiver_macromodel(
-            params, seed=devices.seed + 10, **kwargs_r
-        ),
-        params=params,
-        source="library",
-    )
+    if stats is not None:
+        stats["models"] = {
+            "source": models.source,
+            "cached": cached,
+            "resolve_s": time.perf_counter() - start,
+        }
+    return models
 
 
 def _link_description(spec: SimulationSpec):
@@ -186,6 +170,7 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
     link = _link_description(spec)
     dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
     options = _transient_options(spec)
+    model_stats: dict = {}
     if spec.engine.variant == "transistor":
         from repro.macromodel.library import ReferenceDeviceParameters
 
@@ -194,12 +179,14 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
         )
         result = run_link_transistor(link, params, dt=dt, options=options)
     else:
-        models = models if models is not None else resolve_models(spec)
+        models = models if models is not None else resolve_models(spec, model_stats)
         result = run_link_rbf(
             link, models.driver, models.receiver, dt=dt, params=models.params,
             options=options,
         )
-    return Result.from_simulation_result(result, meta=_spec_meta(spec))
+    out = Result.from_simulation_result(result, meta=_spec_meta(spec))
+    out.perf_stats.update(model_stats)
+    return out
 
 
 @register_engine(
@@ -209,12 +196,15 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
 def _run_fdtd1d(spec: SimulationSpec, models=None) -> Result:
     from repro.experiments.fig4_rc_load import run_fdtd1d_link
 
-    models = models if models is not None else resolve_models(spec)
+    model_stats: dict = {}
+    models = models if models is not None else resolve_models(spec, model_stats)
     link = _link_description(spec)
     result = run_fdtd1d_link(
         models, link, z_c=spec.link.z0, t_d=spec.link.delay, n_cells=spec.engine.n_cells
     )
-    return Result.from_simulation_result(result, meta=_spec_meta(spec))
+    out = Result.from_simulation_result(result, meta=_spec_meta(spec))
+    out.perf_stats.update(model_stats)
+    return out
 
 
 @register_engine(
@@ -225,13 +215,16 @@ def _run_fdtd3d(spec: SimulationSpec, models=None) -> Result:
     from repro.experiments.fig4_rc_load import run_fdtd3d_link
     from repro.structures.validation_line import ValidationLineStructure
 
-    models = models if models is not None else resolve_models(spec)
+    model_stats: dict = {}
+    models = models if models is not None else resolve_models(spec, model_stats)
     structure = ValidationLineStructure.scaled(spec.structure.scale)
     link = _link_description(spec)
     result = run_fdtd3d_link(structure, models, link)
     meta = _spec_meta(spec)
     meta["structure_scale"] = spec.structure.scale
-    return Result.from_simulation_result(result, meta=meta)
+    out = Result.from_simulation_result(result, meta=meta)
+    out.perf_stats.update(model_stats)
+    return out
 
 
 def build_sweep(spec: SimulationSpec, models=None):
@@ -294,26 +287,27 @@ def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
     meta = _spec_meta(spec)
     meta["dt"] = dt
+    engine_label = (
+        "sweep-linear" if spec.engine.sweep_family == "linear" else "sweep-rbf"
+    )
+    workers = resolve_worker_count(spec.engine.workers)
+    sharded = workers > 1 or spec.engine.shards is not None
+    model_stats: dict = {}
+    if models is None and not sharded and spec.engine.sweep_family == "rbf":
+        # An in-process RBF sweep resolves its models once, here; shard
+        # workers resolve their own from the sub-spec.
+        models = resolve_models(spec, model_stats)
     if spec.stats is not None:
         # Monte Carlo statistical sweep: the stats block is expanded into
         # a generated scenario batch and executed through the same
         # (sharded) path below; the statistical summary rides in meta.
         from repro.sweep.montecarlo import run_montecarlo
 
-        engine_label = (
-            "sweep-linear" if spec.engine.sweep_family == "linear" else "sweep-rbf"
-        )
-        result, mc_summary = run_montecarlo(spec, models=models)
-        meta["montecarlo"] = mc_summary
-        return Result.from_sweep_result(result, engine=engine_label, meta=meta)
-    workers = resolve_worker_count(spec.engine.workers)
-    if workers > 1 or spec.engine.shards is not None:
-        engine_label = (
-            "sweep-linear" if spec.engine.sweep_family == "linear" else "sweep-rbf"
-        )
+        result, meta["montecarlo"] = run_montecarlo(spec, models=models)
+    elif sharded:
         result = run_sharded(spec, workers=workers, models=models)
     else:
-        sweep, engine_label = build_sweep(spec, models=models)
-        result = sweep.run()
-    return Result.from_sweep_result(result, engine=engine_label, meta=meta)
-
+        result = build_sweep(spec, models=models)[0].run()
+    out = Result.from_sweep_result(result, engine=engine_label, meta=meta)
+    out.perf_stats.update(model_stats)
+    return out

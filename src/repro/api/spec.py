@@ -828,9 +828,10 @@ class EngineOptions:
     sparse_mna:
         Route the circuit/sweep MNA solves through the sparse-CSC backend
         (:class:`repro.perf.backends.SparseBackend`): true sparse assembly
-        with a cached sparsity pattern and ``splu`` factorization reuse,
-        for netlists beyond a few hundred unknowns (see ``link.segments``).
-        ``false`` keeps the automatic choice (dense at paper scale).
+        with a cached sparsity pattern and ``splu`` factorization reuse
+        (see ``link.segments``).  ``false`` keeps the automatic choice:
+        dense at paper scale, sparse above ``REPRO_SPARSE_THRESHOLD``
+        (default 100) unknowns.
         Ignored by the field engines.
     batch_prepare:
         Fold the per-step RBF regressor preparation of all lockstep sweep

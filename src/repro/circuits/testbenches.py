@@ -51,17 +51,22 @@ def _add_far_end_load(
     dt: float,
     transistor_level: bool,
     params: ReferenceDeviceParameters,
+    v0: float = 0.0,
 ) -> None:
-    """Attach the far-end load requested by the link description."""
+    """Attach the far-end load requested by the link description.
+
+    ``v0`` is the line's initial level: the load capacitor starts charged
+    to it and the receiver macromodel's regressor history is filled with it.
+    """
     if link.load == "rc":
         circuit.add(Resistor("rload", far_node, GROUND, link.load_resistance))
-        circuit.add(Capacitor("cload", far_node, GROUND, link.load_capacitance))
+        circuit.add(Capacitor("cload", far_node, GROUND, link.load_capacitance, v0=v0))
     elif transistor_level:
         add_cmos_receiver(circuit, "rx", far_node, params)
     else:
         if receiver_model is None:
             raise ValueError("a receiver macromodel is required for load='receiver'")
-        circuit.add(MacromodelElement("rx", far_node, GROUND, receiver_model, dt))
+        circuit.add(MacromodelElement("rx", far_node, GROUND, receiver_model, dt, v0=v0))
 
 
 def _add_interconnect(
@@ -166,10 +171,16 @@ def run_link_rbf(
     circuit = Circuit("link-rbf")
     circuit.add(MacromodelElement("drv", "near", GROUND, bound_driver, dt, v0=v0))
     _add_interconnect(circuit, link, "near", "far", v_initial=v0)
-    _add_far_end_load(circuit, link, "far", receiver_model, dt, False, params)
+    _add_far_end_load(circuit, link, "far", receiver_model, dt, False, params, v0=v0)
 
+    # The whole link starts at the driver's initial level: a pattern that
+    # starts with '1' begins at Vdd, not at a 0 V guess the Newton solve of
+    # the first step cannot reach.
     solver = TransientSolver(circuit, dt, options=options)
-    result = solver.run(link.duration, record_nodes=["near", "far"])
+    result = solver.run(
+        link.duration, record_nodes=["near", "far"],
+        initial_voltages={"near": v0, "far": v0},
+    )
     return _link_result(
         result.times,
         result.voltage("near"),

@@ -15,8 +15,11 @@ workflow end-to-end with the substitute devices of
    beyond the rails → the two protection submodels (fitted to the residual
    left by the linear part).
 
-Identification costs a few seconds of circuit simulation, so the result is
-cached per parameter set within the process.
+Every model source — identification, the analytic library fits and
+models embedded in a job spec — is built through one bounded,
+process-wide memo (:func:`reference_macromodels`), so a process fits each
+distinct devices block once.  Identification costs a few seconds of
+circuit simulation, so its results are also kept on disk.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -51,13 +57,16 @@ from repro.macromodel.receiver import ReceiverMacromodel
 from repro.macromodel.serialization import macromodel_from_dict, macromodel_to_dict
 
 __all__ = [
+    "MODEL_MEMO_SIZE",
+    "ModelMemo",
     "ReferenceMacromodels",
+    "reference_macromodels",
     "identified_reference_macromodels",
     "identification_cache_path",
 ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ReferenceMacromodels:
     """The pair of macromodels used by every RBF-based engine."""
 
@@ -67,7 +76,74 @@ class ReferenceMacromodels:
     source: str = "identified"
 
 
-_CACHE: dict[tuple, ReferenceMacromodels] = {}
+#: distinct device-model builds one process keeps, least recently used
+#: out first
+MODEL_MEMO_SIZE = 16
+
+def _freeze_arrays(obj: Any) -> None:
+    """Mark every ndarray held by a model (a tree of dataclasses) read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _freeze_arrays(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # vars(), not fields(): derived caches such as centre norms too
+        for value in vars(obj).values():
+            _freeze_arrays(value)
+
+
+class ModelMemo:
+    """A bounded, thread-safe LRU of built :class:`ReferenceMacromodels`.
+
+    The first caller of a key builds it under a per-key lock; concurrent
+    callers of the same key wait on that lock and read the stored entry,
+    so one key is built once.  Every array of a stored model is marked
+    read-only: no job can change the models the next job reads.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._building: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _lookup(self, key):
+        with self._lock:
+            models = self._entries.get(key)
+            if models is not None:
+                self._entries.move_to_end(key)
+            return models
+
+    def get(
+        self, key, build: Callable[[], ReferenceMacromodels]
+    ) -> tuple[ReferenceMacromodels, bool]:
+        """``(models, cached)`` for ``key``; ``build()`` runs on a miss."""
+        models = self._lookup(key)
+        if models is not None:
+            return models, True
+        with self._lock:
+            key_lock = self._building.setdefault(key, threading.Lock())
+        with key_lock:
+            models = self._lookup(key)
+            if models is not None:
+                return models, True
+            try:
+                models = build()
+                _freeze_arrays(models)
+                with self._lock:
+                    self._entries[key] = models
+                    while len(self._entries) > MODEL_MEMO_SIZE:
+                        self._entries.popitem(last=False)
+            finally:
+                with self._lock:
+                    self._building.pop(key, None)
+        return models, False
+
+
+_MEMO = ModelMemo()
 
 #: bump when the identification procedure changes in a result-affecting way
 _DISK_CACHE_FORMAT = 1
@@ -233,6 +309,89 @@ def _identify_receiver(params: ReferenceDeviceParameters, n_centers: int, seed: 
     )
 
 
+def _identified_models(
+    params: ReferenceDeviceParameters, n_centers: int, seed: int
+) -> ReferenceMacromodels:
+    """Identify the model pair, or load it from the disk tier."""
+    disk_path = identification_cache_path(params, n_centers, seed)
+    if disk_path is not None and os.path.exists(disk_path):
+        models = _load_identified_from_disk(disk_path, params)
+        if models is not None:
+            return models
+    models = ReferenceMacromodels(
+        driver=_identify_driver(params, n_centers, seed),
+        receiver=_identify_receiver(params, max(n_centers // 2, 30), seed),
+        params=params,
+        source="identified",
+    )
+    if disk_path is not None:
+        _store_identified_to_disk(disk_path, models)
+    return models
+
+
+def reference_macromodels(
+    source: str = "library",
+    params: ReferenceDeviceParameters | None = None,
+    n_centers: int | None = None,
+    seed: int = 0,
+    driver: Mapping[str, Any] | None = None,
+    receiver: Mapping[str, Any] | None = None,
+) -> tuple[ReferenceMacromodels, bool]:
+    """The models of one devices block, built once per process.
+
+    Returns ``(models, cached)``, where ``cached`` says whether the
+    process-wide memo already held them.  The arguments mirror a job's
+    ``devices`` block (:class:`repro.api.spec.DeviceSpec`):
+
+    * ``"library"`` fits the analytic reference models; ``n_centers=None``
+      keeps each constructor's default count, an explicit count pins the
+      driver and gives the receiver half of it (min 30);
+    * ``"identified"`` runs the identification workflow (150 centres by
+      default, the receiver again half, min 30) behind a disk tier, see
+      :func:`identification_cache_path`;
+    * ``"inline"`` deserialises the embedded ``driver``/``receiver``
+      dictionaries; a missing one falls back to the library default and
+      ``n_centers`` is unused.
+
+    The memo key is the resolved build inputs: the source, every device
+    parameter, the centre count (``None`` for the constructors' defaults,
+    and always ``None`` for ``inline``), the seed and the embedded models.
+    Blocks that build the same models therefore share one entry, and
+    nothing else of a job enters the key.
+    """
+    if source not in ("library", "identified", "inline"):
+        raise ValueError(f"unknown device-model source {source!r}")
+    if source != "inline" and (driver or receiver):
+        raise ValueError("embedded driver/receiver models require source='inline'")
+    params = params or ReferenceDeviceParameters()
+    if source == "identified" and n_centers is None:
+        n_centers = 150
+    elif source == "inline":
+        n_centers = None
+    embedded = json.dumps([driver, receiver], sort_keys=True) if source == "inline" else None
+
+    def build() -> ReferenceMacromodels:
+        if source == "identified":
+            return _identified_models(params, n_centers, seed)
+        kwargs_d = {} if n_centers is None else {"n_centers": n_centers}
+        kwargs_r = {} if n_centers is None else {"n_centers": max(n_centers // 2, 30)}
+        return ReferenceMacromodels(
+            driver=(
+                macromodel_from_dict(dict(driver)) if driver
+                else make_reference_driver_macromodel(params, seed=seed, **kwargs_d)
+            ),
+            receiver=(
+                macromodel_from_dict(dict(receiver)) if receiver
+                else make_reference_receiver_macromodel(params, seed=seed + 10, **kwargs_r)
+            ),
+            params=params,
+            source=source,
+        )
+
+    key = (source, params, n_centers, seed, embedded)
+    return _MEMO.get(key, build)
+
+
 def identified_reference_macromodels(
     params: ReferenceDeviceParameters | None = None,
     n_centers: int = 150,
@@ -243,36 +402,13 @@ def identified_reference_macromodels(
 
     With ``use_identification=True`` (default) the models are identified
     from the transistor-level circuits exactly as in the paper's workflow;
-    with ``False`` the fast analytic library models are returned instead
-    (useful for unit tests).  Results are cached per parameter set, both in
-    process memory and on disk (see :func:`identification_cache_path`), so
-    benchmark and example runs stop re-running the identification on every
-    process start.
+    with ``False`` the fast analytic library models (default centre
+    counts) are returned instead (useful for unit tests).  Both go through
+    the process-wide memo of :func:`reference_macromodels`, and identified
+    models are also kept on disk (see :func:`identification_cache_path`),
+    so benchmark and example runs stop re-running the identification on
+    every process start.
     """
-    params = params or ReferenceDeviceParameters()
-    key = (params, n_centers, seed, use_identification)
-    if key in _CACHE:
-        return _CACHE[key]
     if use_identification:
-        disk_path = identification_cache_path(params, n_centers, seed)
-        models = None
-        if disk_path is not None and os.path.exists(disk_path):
-            models = _load_identified_from_disk(disk_path, params)
-        if models is None:
-            models = ReferenceMacromodels(
-                driver=_identify_driver(params, n_centers, seed),
-                receiver=_identify_receiver(params, max(n_centers // 2, 30), seed),
-                params=params,
-                source="identified",
-            )
-            if disk_path is not None:
-                _store_identified_to_disk(disk_path, models)
-    else:
-        models = ReferenceMacromodels(
-            driver=make_reference_driver_macromodel(params, seed=seed),
-            receiver=make_reference_receiver_macromodel(params, seed=seed + 10),
-            params=params,
-            source="library",
-        )
-    _CACHE[key] = models
-    return models
+        return reference_macromodels("identified", params, n_centers, seed)[0]
+    return reference_macromodels("library", params, None, seed)[0]

@@ -13,8 +13,9 @@ steppers.  This package concentrates the optimised kernels:
 * :mod:`repro.perf.backends` — pluggable linear-solver backends behind
   the assembler: the dense LAPACK path and a sparse-CSC path (COO-recorded
   stamps, cached sparsity pattern, ``splu``) selected automatically above
-  ``REPRO_SPARSE_THRESHOLD`` unknowns or pinned via
-  ``TransientOptions(backend=...)`` / the ``engine.sparse_mna`` job option.
+  ``REPRO_SPARSE_THRESHOLD`` unknowns (default 100, the measured crossover
+  of Newton transients) or pinned via ``TransientOptions(backend=...)`` /
+  the ``engine.sparse_mna`` job option.
 * :mod:`repro.perf.rbf_fast` — separable evaluation of the Gaussian RBF
   macromodels (paper Eqs. 3-4): within one time step's Newton solve only
   the present port voltage changes while the regressor states are frozen,

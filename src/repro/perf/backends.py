@@ -16,8 +16,8 @@ Two backends are provided:
   iteration, raw-LAPACK ``dgesv`` solves and a cached
   ``scipy.linalg.lu_factor`` for constant Jacobians.  The default (and the
   fastest) at paper-sized circuits.
-* :class:`SparseBackend` — true sparse assembly for netlists beyond a few
-  hundred unknowns.  Static stamps are recorded **once per run** as COO
+* :class:`SparseBackend` — true sparse assembly for netlists beyond about
+  a hundred unknowns.  Static stamps are recorded **once per run** as COO
   triplets (scalar elements through a recorder stand-in, element banks as
   one whole-triplet record per bank) and compressed to CSC; the first
   Newton iteration's dynamic stamps extend the pattern, after which the
@@ -33,8 +33,11 @@ Backend selection
 ``resolve_backend_name(None | "auto", n)`` picks ``"dense"`` at or below
 :func:`sparse_threshold` unknowns and ``"sparse"`` above it (falling back
 to dense when scipy is unavailable).  The threshold defaults to
-:data:`SPARSE_THRESHOLD` and can be overridden process-wide with the
-``REPRO_SPARSE_THRESHOLD`` environment variable (re-read on every call).
+:data:`SPARSE_THRESHOLD` (100, the measured crossover of Newton
+transients, which refactor on every iteration) and can be overridden
+process-wide with the ``REPRO_SPARSE_THRESHOLD`` environment variable
+(re-read on every call).  The assembler records its choice and the
+unknown count as ``stats["backend"]`` and ``stats["n_unknowns"]``.
 Explicit ``"dense"`` / ``"sparse"`` pin the backend; jobs request the
 sparse path declaratively via the ``engine.sparse_mna`` spec option.
 
@@ -84,8 +87,13 @@ __all__ = [
     "SparseBackend",
 ]
 
-#: default unknown count above which ``"auto"`` selects the sparse backend
-SPARSE_THRESHOLD = 256
+#: default unknown count above which ``"auto"`` selects the sparse backend:
+#: the measured dense/sparse crossover of a nonlinear (Newton) transient,
+#: which refactors its Jacobian every iteration — an RBF-terminated LC
+#: ladder breaks even near 50 sections (about 100 unknowns).  Purely
+#: linear circuits factor once per run and are no slower on sparse from
+#: there either (``benchmarks/bench_sparse.py`` records both)
+SPARSE_THRESHOLD = 100
 
 #: the backend names accepted by options/specs (``None`` means ``"auto"``)
 BACKEND_NAMES = ("auto", "dense", "sparse")

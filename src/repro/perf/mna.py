@@ -401,6 +401,7 @@ class FastPathAssembler:
         self._rhs = np.zeros(n)
         self.stats = {
             "mode": "fast",
+            "n_unknowns": n,
             "linear_only": self.linear_only,
             "factorizations": 0,
             "cached_solves": 0,

@@ -162,6 +162,16 @@ class RBFLinkSpec:
                 f"{scenario.device!r}; available: {sorted(map(str, self.devices))}"
             ) from exc
 
+    def initial_level(self, scenario: Scenario) -> float:
+        """The driver's initial level: Vdd when the pattern starts with '1'."""
+        pattern = scenario.bit_pattern or self.bit_pattern
+        return self.vdd if pattern[0] == "1" else 0.0
+
+    def initial_voltages(self, scenario: Scenario) -> Dict[str, float]:
+        """Initial node voltages of one scenario's run: the line's level."""
+        v0 = self.initial_level(scenario)
+        return {"near": v0, "far": v0}
+
     def build(self, scenario: Scenario, dt: float) -> Circuit:
         """The RBF link circuit for one scenario."""
         if scenario.drive_strength != 1.0:
@@ -172,9 +182,8 @@ class RBFLinkSpec:
             )
         driver, receiver = self.pair(scenario)
         pattern = scenario.bit_pattern or self.bit_pattern
-        stimulus = LogicStimulus.from_pattern(pattern, self.bit_time)
-        bound = driver.bound(stimulus)
-        v0 = self.vdd if stimulus.initial_state == 1 else 0.0
+        bound = driver.bound(LogicStimulus.from_pattern(pattern, self.bit_time))
+        v0 = self.initial_level(scenario)
         circuit = Circuit(f"rbf-link-{scenario.name}")
         circuit.add(MacromodelElement("drv", "near", GROUND, bound, dt, v0=v0))
         _add_sweep_interconnect(
@@ -189,10 +198,11 @@ class RBFLinkSpec:
                 Resistor("rload", "far", GROUND, scenario.corner_value("load_resistance", 500.0))
             )
             circuit.add(
-                Capacitor("cload", "far", GROUND, scenario.corner_value("load_capacitance", 1e-12))
+                Capacitor("cload", "far", GROUND,
+                          scenario.corner_value("load_capacitance", 1e-12), v0=v0)
             )
         else:
-            circuit.add(MacromodelElement("rx", "far", GROUND, receiver, dt))
+            circuit.add(MacromodelElement("rx", "far", GROUND, receiver, dt, v0=v0))
         return circuit
 
 
@@ -241,5 +251,6 @@ def rbf_link_sweep(
         record_nodes=["near", "far"],
         record_branches=[],
         options=options,
+        initial_voltages=spec.initial_voltages,
         batch_prepare=batch_prepare,
     )

@@ -271,8 +271,8 @@ class TestBatchedPrepare:
 
 
 class TestJobRouting:
-    def _sparse_spec(self, segments=100):
-        # ~200 unknowns: small enough that the sparse_mna=False comparison
+    def _sparse_spec(self, segments=40):
+        # 81 unknowns: small enough that the sparse_mna=False comparison
         # job auto-resolves to the dense backend.
         from repro.api import SimulationSpec
         from repro.api.spec import DeviceSpec, EngineOptions, LinkSpec

@@ -84,7 +84,7 @@ class TestIdentificationCacheRobustness:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        monkeypatch.setattr(dev, "_CACHE", {})
+        monkeypatch.setattr(dev, "_MEMO", dev.ModelMemo())
         calls = {"driver": 0, "receiver": 0}
 
         def fake_driver(p, n_centers, seed):
@@ -114,7 +114,7 @@ class TestIdentificationCacheRobustness:
         assert set(document["payload"]) == {"driver", "receiver"}
 
         # A fresh process (cleared memory cache) now loads it from disk.
-        monkeypatch.setattr(dev, "_CACHE", {})
+        monkeypatch.setattr(dev, "_MEMO", dev.ModelMemo())
         again = dev.identified_reference_macromodels(params, n_centers=10, seed=0)
         assert again.source == "identified (disk cache)"
         assert calls == {"driver": 1, "receiver": 1}
@@ -261,6 +261,17 @@ class TestCIPipeline:
             "-k resilience" in command and 'not slow' in command
             for command in commands
         )
+
+    def test_quick_tier_runs_model_memo_smoke(self, workflow):
+        # The model-memo suite plus an in-process double run of the RBF
+        # fixture: the second run must be a memo hit with equal waveforms.
+        test_job = workflow["jobs"]["test"]
+        commands = [
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        ]
+        memo = [command for command in commands if '-k "memo or start_high"' in command]
+        assert memo and 'not slow' in memo[0]
+        assert "rbf_link.json" in memo[0] and "(False, True)" in memo[0]
 
     def test_nightly_runs_resilience_fault_matrix(self, workflow):
         # The nightly tier drives the full resilience suite plus CLI-level

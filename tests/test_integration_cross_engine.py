@@ -123,6 +123,37 @@ class TestTransistorVersusMacromodel:
         assert rbf_far.max() > 2.0
 
 
+class TestStartHighPatterns:
+    """A pattern that starts with '1' starts the whole MNA link at Vdd:
+    driver, line, receiver port and the solver's initial node voltages.
+    It used to fail Newton on the first step."""
+
+    @pytest.mark.parametrize("pattern", ["1", "101", "110"])
+    @pytest.mark.parametrize("kind", ["circuit", "sweep"])
+    def test_start_high_pattern_converges_at_vdd(self, library_models, kind, pattern):
+        from repro.api import run, spec_from_dict
+
+        doc = {
+            "format_version": 1,
+            "kind": kind,
+            "duration": 2e-9,
+            "stimulus": {"bit_pattern": pattern},
+            "link": {"load": "receiver"},
+        }
+        if kind == "sweep":
+            doc["scenarios"] = [{"name": "s"}]
+            doc["engine"] = {"sweep_family": "rbf"}
+        result = run(spec_from_dict(doc), models=library_models)
+        prefix = "s/" if kind == "sweep" else ""
+        near = result.waveform(prefix + ("near" if kind == "sweep" else "near_end"))
+        far = result.waveform(prefix + ("far" if kind == "sweep" else "far_end"))
+        vdd = library_models.params.vdd
+        assert near[0] == far[0] == vdd
+        # the first bit holds the link high: no discharge towards 0 V
+        assert np.all(near > vdd - 0.1)
+        assert np.all(far > vdd - 0.1)
+
+
 class TestFigure7Disturbance:
     def test_incident_field_produces_disturbance(self, library_models):
         """On a reduced PCB the external field must visibly disturb the
