@@ -14,7 +14,9 @@ and fails CI on any mismatch:
    ``docs/job-spec.md``, and no documented option may be missing from
    the dataclass.
 3. **Spec blocks** — every field of every spec block dataclass must be
-   mentioned in ``docs/job-spec.md``.
+   mentioned in ``docs/job-spec.md``, and every default a block's
+   ``Type / default`` table documents (a backticked JSON value such as
+   ``2e-9``, ``"rbf"`` or ``null``) must equal the dataclass default.
 4. **Service routes** — every route in ``repro.service.ROUTES`` must be
    documented in ``docs/service.md``.
 5. **Links** — every relative markdown link in ``docs/*.md`` and
@@ -28,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import re
 import sys
@@ -115,6 +118,74 @@ def check_spec_docs() -> None:
     )
     for name in sorted(documented - engine_fields):
         fail(f"docs: engine option `engine.{name}` is documented but not a spec field")
+    check_spec_defaults(text, blocks)
+
+
+#: the heading of each block's ``Type / default`` table in docs/job-spec.md
+_SECTIONS = {
+    "Top level": "spec",
+    "`stimulus`": "stimulus",
+    "`devices`": "devices",
+    "`link`": "link",
+    "`structure`": "structure",
+    "`scenarios[]`": "scenario",
+    "`stats`": "stats",
+    "`engine`": "engine",
+}
+
+
+def check_spec_defaults(text: str, blocks: dict) -> None:
+    """Each documented default equals its field's default, in JSON form."""
+    section = None
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip()
+            section = next(
+                (block for title, block in _SECTIONS.items() if heading.startswith(title)),
+                None,
+            )
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_table = False
+        elif cells[:2] == ["Key", "Type / default"]:
+            in_table = section is not None
+        elif in_table and not set(cells[0]) <= {"-", " "}:
+            check_default_row(blocks[section], section, cells)
+
+
+def check_default_row(cls, block: str, cells: list) -> None:
+    names = re.findall(r"`([a-z][a-z0-9_]*)`", cells[0])
+    values = re.findall(r"`([^`]+)`", cells[1])
+    if not values:
+        return  # the row documents no default
+    if len(values) != len(names):
+        fail(f"docs/job-spec.md: {block} row {cells[0]} pairs {len(names)} keys "
+             f"with {len(values)} defaults")
+        return
+    fields = {field.name: field for field in dataclasses.fields(cls)}
+    for name, value in zip(names, values):
+        field = fields.get(name)
+        if field is None:
+            fail(f"docs/job-spec.md: {block} default for {name!r}, which is not a field")
+            continue
+        if field.default is not dataclasses.MISSING:
+            default = field.default
+        elif field.default_factory is not dataclasses.MISSING:
+            default = field.default_factory()
+        else:
+            fail(f"docs/job-spec.md: {block}.{name} is required but documents a default")
+            continue
+        try:
+            documented = json.loads(value)
+        except ValueError:
+            fail(f"docs/job-spec.md: {block}.{name} default `{value}` is not a JSON value")
+            continue
+        # compare JSON texts, so 0 vs 0.0 or false vs 0 counts as a mismatch
+        if json.dumps(documented) != json.dumps(default):
+            fail(f"docs/job-spec.md: {block}.{name} documents default `{value}`, "
+                 f"the code has {json.dumps(default)}")
 
 
 # -- 4. service routes -------------------------------------------------------

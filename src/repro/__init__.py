@@ -26,7 +26,7 @@ The package is organised by subsystem:
   static factorization per corner group, with eye/worst-corner reports.
 * :mod:`repro.api` — the unified job front door: declarative
   :class:`~repro.api.spec.SimulationSpec` jobs (JSON-serialisable,
-  content-hashed), the engine registry, the uniform
+  content-hashed), the engine adapters, the uniform
   :class:`~repro.api.result.Result`, and the ``python -m repro`` CLI.
 * :mod:`repro.resilience` — the failure taxonomy, per-run health
   telemetry, bounded retry policies and the fault-injection harness.

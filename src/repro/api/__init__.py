@@ -1,4 +1,4 @@
-"""Unified job API: declarative specs, an engine registry, uniform results.
+"""Unified job API: declarative specs, one engine table, uniform results.
 
 The paper's pitch is that RBF macromodels make link simulation cheap
 enough to run *at scale*.  This package is the scale-facing front door:
@@ -27,8 +27,8 @@ Layers
 ------
 * :mod:`repro.api.spec` — the frozen, strictly-validated spec dataclasses
   with JSON round-trip and a stable content hash;
-* :mod:`repro.api.engines` — the ``@register_engine`` registry mapping
-  spec kinds onto today's solvers (new backends plug in here);
+* :mod:`repro.api.engines` — the adapters mapping spec kinds onto
+  today's solvers, listed in its ``ENGINES`` table;
 * :mod:`repro.api.result` — the uniform :class:`~repro.api.result.Result`
   container every engine returns;
 * :mod:`repro.api.cli` — the ``python -m repro`` command-line front end.
@@ -38,13 +38,7 @@ from __future__ import annotations
 
 import contextlib
 
-from repro.api.engines import (
-    EngineInfo,
-    get_engine,
-    list_engines,
-    register_engine,
-    resolve_models,
-)
+from repro.api.engines import ENGINES, resolve_models
 from repro.api.result import Result
 from repro.api.spec import (
     ENGINE_KINDS,
@@ -77,17 +71,13 @@ __all__ = [
     "ENGINE_KINDS",
     "FORMAT_VERSION",
     "Result",
-    "EngineInfo",
-    "register_engine",
-    "get_engine",
-    "list_engines",
     "resolve_models",
     "run",
     "run_file",
 ]
 
 def run(spec, *, models=None) -> Result:
-    """Execute a simulation spec through its registered engine.
+    """Execute a simulation spec through its kind's engine adapter.
 
     This is the synchronous front door every consumer shares: the CLI
     (``python -m repro run``), the service daemon's workers
@@ -124,7 +114,7 @@ def run(spec, *, models=None) -> Result:
     """
     if not isinstance(spec, SimulationSpec):
         spec = spec_from_dict(spec)
-    engine = get_engine(spec.kind)
+    _, adapter = ENGINES[spec.kind]
     if spec.engine.fast is not None:
         from repro import perf
 
@@ -132,7 +122,7 @@ def run(spec, *, models=None) -> Result:
     else:
         fast_ctx = contextlib.nullcontext()
     with fast_ctx:
-        return engine.runner(spec, models=models)
+        return adapter(spec, models=models)
 
 
 def run_file(path: str, *, models=None) -> Result:

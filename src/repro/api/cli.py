@@ -6,7 +6,7 @@ Four subcommands make a JSON job file a first-class artefact:
   write the full result as JSON or NPZ with ``--output``);
 * ``describe job.json`` — validate only: normalised spec, content hash,
   engine summary, estimated step count;
-* ``list-engines``      — the registered engine kinds;
+* ``list-engines``      — the engine kinds;
 * ``serve``             — the long-running simulation service
   (:mod:`repro.service`): submit specs over HTTP, poll for results,
   identical jobs served from the content-addressed cache.
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_desc = sub.add_parser("describe", help="validate a job file and print its normalised form")
     p_desc.add_argument("job", help="path to the JSON job file")
 
-    sub.add_parser("list-engines", help="list the registered engine kinds")
+    sub.add_parser("list-engines", help="list the engine kinds")
 
     p_serve = sub.add_parser(
         "serve", help="run the simulation service daemon (see docs/service.md)"
@@ -109,21 +109,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list_engines() -> int:
-    from repro.api import list_engines
+    from repro.api.engines import ENGINES
 
-    for info in list_engines():
-        print(f"{info.kind:8s} — {info.summary}")
+    for kind, (summary, _) in ENGINES.items():
+        print(f"{kind:8s} — {summary}")
     return 0
 
 
 def _cmd_describe(path: str) -> int:
-    from repro.api import get_engine, load_spec
+    from repro.api import load_spec
+    from repro.api.engines import ENGINES
 
     spec = load_spec(path)
-    info = get_engine(spec.kind)
+    summary, _ = ENGINES[spec.kind]
     n_steps = int(round(spec.duration / spec.resolved_dt()))
     print(f"job:          {path}")
-    print(f"kind:         {spec.kind} — {info.summary}")
+    print(f"kind:         {spec.kind} — {summary}")
     if spec.label:
         print(f"label:        {spec.label}")
     print(f"content hash: {spec.content_hash()}")

@@ -1,18 +1,12 @@
-"""Engine registry: spec kinds → adapters over today's solvers.
+"""Engine adapters: spec kinds → today's solvers.
 
 Each adapter translates a validated :class:`~repro.api.spec.SimulationSpec`
 into the existing engine entry points (``run_link_rbf``/``run_link_transistor``,
 ``run_fdtd1d_link``, ``run_fdtd3d_link``, the sweep builders of
 :mod:`repro.sweep.links`) — so a job run through the front door produces
-the *same arithmetic* as the direct call, and new backends (numba/JAX
-kernels, remote workers) plug in by registering a new adapter instead of
-touching call sites.
-
-Registering an engine::
-
-    @register_engine("circuit", summary="MNA transient of the validation link")
-    def _run_circuit(spec: SimulationSpec, models=None) -> Result:
-        ...
+the *same arithmetic* as the direct call.  :data:`ENGINES` maps every
+kind of :data:`~repro.api.spec.ENGINE_KINDS` to its summary line and
+adapter; :func:`repro.api.run`, the CLI and ``GET /engines`` read it.
 
 Adapters take the spec plus an optional pre-built
 :class:`~repro.experiments.devices.ReferenceMacromodels` override (used by
@@ -24,61 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
 
 from repro.api.result import Result
 from repro.api.spec import DEFAULT_DT, SimulationSpec
 
 __all__ = [
-    "register_engine",
-    "get_engine",
-    "list_engines",
-    "EngineInfo",
+    "ENGINES",
     "resolve_models",
     "build_sweep",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class EngineInfo:
-    """One registry entry: the spec ``kind`` it serves and a summary line."""
-
-    kind: str
-    summary: str
-    runner: Callable[..., Result]
-
-
-_REGISTRY: dict[str, EngineInfo] = {}
-
-
-def register_engine(kind: str, summary: str = ""):
-    """Class/function decorator registering an adapter for a spec kind.
-
-    The adapter must be callable as ``adapter(spec, models=None) -> Result``.
-    Re-registering a kind replaces the previous adapter (this is how an
-    accelerated backend can shadow the stock one process-wide).
-    """
-
-    def decorator(runner: Callable[..., Result]):
-        _REGISTRY[kind] = EngineInfo(kind=kind, summary=summary, runner=runner)
-        return runner
-
-    return decorator
-
-
-def get_engine(kind: str) -> EngineInfo:
-    """The registered adapter of a spec kind."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise KeyError(
-            f"no engine registered for kind {kind!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def list_engines() -> list[EngineInfo]:
-    """Every registered engine, sorted by kind."""
-    return [_REGISTRY[kind] for kind in sorted(_REGISTRY)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +104,9 @@ def _spec_meta(spec: SimulationSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the four stock adapters
+# the four adapters
 # ---------------------------------------------------------------------------
 
-@register_engine(
-    "circuit",
-    summary="SPICE-class MNA transient of the link (variant: rbf macromodels "
-            "or transistor-level reference)",
-)
 def _run_circuit(spec: SimulationSpec, models=None) -> Result:
     from repro.circuits.testbenches import run_link_rbf, run_link_transistor
 
@@ -189,10 +132,6 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
     return out
 
 
-@register_engine(
-    "fdtd1d",
-    summary="1-D FDTD hybrid of the terminated line (dt = delay / n_cells)",
-)
 def _run_fdtd1d(spec: SimulationSpec, models=None) -> Result:
     from repro.experiments.fig4_rc_load import run_fdtd1d_link
 
@@ -207,10 +146,6 @@ def _run_fdtd1d(spec: SimulationSpec, models=None) -> Result:
     return out
 
 
-@register_engine(
-    "fdtd3d",
-    summary="3-D Yee FDTD hybrid of the discretised validation-line structure",
-)
 def _run_fdtd3d(spec: SimulationSpec, models=None) -> Result:
     from repro.experiments.fig4_rc_load import run_fdtd3d_link
     from repro.structures.validation_line import ValidationLineStructure
@@ -275,12 +210,6 @@ def build_sweep(spec: SimulationSpec, models=None):
     return sweep, engine_label
 
 
-@register_engine(
-    "sweep",
-    summary="batched lockstep scenario sweep of the link (family: linear "
-            "shared-LU or rbf batched-Gaussian), sharded over a process "
-            "pool when engine.workers > 1",
-)
 def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     from repro.sweep.shard import resolve_worker_count, run_sharded
 
@@ -311,3 +240,28 @@ def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     out = Result.from_sweep_result(result, engine=engine_label, meta=meta)
     out.perf_stats.update(model_stats)
     return out
+
+
+#: kind -> (summary line, adapter); the adapter is called as
+#: ``adapter(spec, models=None) -> Result``
+ENGINES = {
+    "circuit": (
+        "SPICE-class MNA transient of the link (variant: rbf macromodels "
+        "or transistor-level reference)",
+        _run_circuit,
+    ),
+    "fdtd1d": (
+        "1-D FDTD hybrid of the terminated line (dt = delay / n_cells)",
+        _run_fdtd1d,
+    ),
+    "fdtd3d": (
+        "3-D Yee FDTD hybrid of the discretised validation-line structure",
+        _run_fdtd3d,
+    ),
+    "sweep": (
+        "batched lockstep scenario sweep of the link (family: linear "
+        "shared-LU or rbf batched-Gaussian), sharded over a process "
+        "pool when engine.workers > 1",
+        _run_sweep,
+    ),
+}

@@ -48,7 +48,7 @@ def _jsonable(value: Any) -> Any:
 
 
 class Result:
-    """Uniform view over the output of any registered engine.
+    """Uniform view over the output of any engine.
 
     The two export forms are the service's wire formats: :meth:`to_dict`
     is the document ``GET /jobs/<id>/result`` serves (and the

@@ -1,18 +1,26 @@
 """Declarative simulation specs: jobs that exist as *data*.
 
-The ROADMAP north star — serve heavy traffic, shard/queue/cache work
-across backends — requires a run to be describable without holding any
-live solver object: a :class:`SimulationSpec` is a frozen, validated,
-JSON-serialisable description of one job (which engine kind, which link,
-which devices, which stimulus or scenario batch, which engine options)
-that can be hashed for result caching, shipped to a worker process, and
-replayed bit-identically.
+A :class:`SimulationSpec` is a frozen, validated, JSON-serialisable
+description of one job (which engine kind, which link, which devices,
+which stimulus or scenario batch, which engine options) that can be
+hashed for result caching, shipped to a worker process, and replayed
+bit-identically.
 
 The spec layer deliberately reuses the existing on-disk contracts instead
 of inventing new ones: embedded device models use the JSON schema of
 :mod:`repro.macromodel.serialization`, sweep scenarios mirror
 :class:`repro.sweep.scenario.Scenario`, and the link block mirrors
 :class:`repro.core.cosim.LinkDescription`.
+
+One codec
+---------
+Each field of each block is declared once, by :func:`_field`: its
+default, its type conversion and its range check together.  One codec,
+read from ``dataclasses.fields``, coerces every field at construction
+(so a block built in Python and one decoded from JSON pass the same
+checks), encodes ``to_dict`` and decodes ``from_dict``.  A block adds by
+hand only its cross-field rules (``_check``) and, where the hash depends
+on it, its own encoding.
 
 Round-trip contract
 -------------------
@@ -23,17 +31,21 @@ the canonical JSON encoding, less the process-count knobs
 ``engine.workers``/``engine.shards`` — equal across processes, machines
 and dict orderings, so it can key a shared result cache.
 
-``from_dict`` validates *strictly*: unknown keys, unknown kinds and
-malformed blocks raise ``ValueError`` with the offending path, in the
-spirit of versioned, normalised request contracts.
+``from_dict`` validates *strictly*: unknown keys, unknown kinds,
+malformed blocks and non-finite numbers raise ``ValueError`` with the
+offending path, in the spirit of versioned, normalised request contracts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Mapping, Optional, Tuple
+import math
+import typing
+from collections.abc import Mapping
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "FORMAT_VERSION",
@@ -74,7 +86,7 @@ DEFAULT_DT = 5e-12
 
 
 # ---------------------------------------------------------------------------
-# strict-dict helpers
+# conversions: (value, path) -> canonical value, or ValueError naming the path
 # ---------------------------------------------------------------------------
 
 def _require_mapping(data: Any, where: str) -> Mapping[str, Any]:
@@ -83,47 +95,247 @@ def _require_mapping(data: Any, where: str) -> Mapping[str, Any]:
     return data
 
 
-def _reject_unknown(data: Mapping[str, Any], allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(
-            f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}"
-        )
+def _number(value: Any, where: str) -> float:
+    """Strict finite float: malformed values raise ValueError, not TypeError.
 
-
-def _as_float(value: Any, where: str) -> float:
-    """Strict numeric conversion: malformed values raise ValueError, not TypeError."""
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; neither is a valid
+    value of any spec field, and a NaN would run to a non-finite result.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
-def _as_int(value: Any, where: str) -> int:
+def _integer(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-def _as_str(value: Any, where: str) -> str:
+def _string(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{where}: expected a string, got {value!r}")
     return value
 
 
-def _opt_str(value: Any, where: str) -> Optional[str]:
-    return None if value is None else _as_str(value, where)
-
-
-def _opt_float(value: Any, where: str) -> Optional[float]:
-    return None if value is None else _as_float(value, where)
-
-
-def _opt_bool(value: Any, where: str) -> Optional[bool]:
-    if value is None:
-        return None
+def _flag(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"{where}: expected true/false/null, got {value!r}")
+        raise ValueError(f"{where}: expected true/false, got {value!r}")
     return value
+
+
+def _pattern(value: Any, where: str) -> str:
+    if not isinstance(value, str) or not value or set(value) - {"0", "1"}:
+        raise ValueError(f"{where}: expected a non-empty 0/1 string, got {value!r}")
+    return value
+
+
+def _unchecked(value: Any, where: str) -> Any:
+    return value
+
+
+def _one_of(*choices: str):
+    def convert(value: Any, where: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"{where} must be one of {list(choices)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _tuple_of(item):
+    """A JSON array, each entry converted by ``item``."""
+
+    def convert(value: Any, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected a JSON array, got {value!r}")
+        return tuple(item(entry, f"{where}[{k}]") for k, entry in enumerate(value))
+
+    return convert
+
+
+def _mapping_of(item):
+    """A JSON object, each value converted by ``item``, stored in key order.
+
+    Sorting makes equal specs encode to identical JSON text, not just to
+    the same hash (which sorts keys anyway).
+    """
+
+    def convert(value: Any, where: str) -> dict:
+        entries = {str(key): entry for key, entry in _require_mapping(value, where).items()}
+        return {key: item(entries[key], f"{where}[{key!r}]") for key in sorted(entries)}
+
+    return convert
+
+
+def _block(cls):
+    """A nested block: an instance, or its JSON form decoded by the same codec."""
+
+    def convert(value: Any, where: str):
+        return value if isinstance(value, cls) else cls.from_dict(value, where)
+
+    return convert
+
+
+def _json_object(value: Any, where: str) -> dict:
+    """An embedded JSON object (a serialised macromodel), normalised through JSON."""
+    if not isinstance(value, Mapping):
+        raise ValueError(
+            f"{where}: expected a serialised macromodel object, got {type(value).__name__}"
+        )
+    try:
+        return json.loads(json.dumps(value, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: not JSON-serialisable: {exc}") from exc
+
+
+@functools.cache
+def _device_param_types() -> dict:
+    from repro.macromodel.library import ReferenceDeviceParameters
+
+    hints = typing.get_type_hints(ReferenceDeviceParameters)
+    return {f.name: hints[f.name] for f in dataclasses.fields(ReferenceDeviceParameters)}
+
+
+def _device_params(value: Any, where: str) -> dict:
+    """Overrides of ``ReferenceDeviceParameters`` fields, typed like the fields."""
+    types = _device_param_types()
+    params = _mapping_of(_unchecked)(value, where)
+    for key, entry in params.items():
+        if key not in types:
+            raise ValueError(
+                f"{where}: unknown device parameter {key!r}; known: {sorted(types)}"
+            )
+        convert = _integer if types[key] is int else _number
+        params[key] = convert(entry, f"{where}[{key!r}]")
+    return params
+
+
+# ---------------------------------------------------------------------------
+# range rules: (test, phrase) checked after conversion
+# ---------------------------------------------------------------------------
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_NON_EMPTY = (lambda v: len(v) > 0, "must not be empty")
+
+
+def _at_least(bound: int):
+    return (lambda v: v >= bound, f"must be at least {bound}")
+
+
+_REQUIRED = dataclasses.MISSING
+
+
+def _field(default, convert, rule=None):
+    """Declare one spec field: its default, conversion and range rule.
+
+    ``convert(value, path)`` returns the canonical value or raises
+    ``ValueError`` naming the path; ``rule`` is a ``(test, phrase)`` pair
+    checked on the converted value.  A ``None`` default makes ``None`` a
+    valid value; a class as ``default`` (``dict`` or a spec block) gives
+    every instance a fresh default; ``_REQUIRED`` makes the field mandatory.
+    """
+    optional = default is None
+
+    def coerce(value: Any, where: str) -> Any:
+        if value is None and optional:
+            return None
+        value = convert(value, where)
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"{where} {rule[1]}, got {value!r}")
+        return value
+
+    metadata = {"coerce": coerce if optional or rule is not None else convert}
+    if isinstance(default, type):
+        return dataclasses.field(default_factory=default, metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """Each field of a block by name, in declaration order, with its coercion."""
+    return {f.name: (f, f.metadata["coerce"]) for f in dataclasses.fields(cls)}
+
+
+#: the JSON scalar types, which encode as themselves
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, _Block):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(entry) for entry in value]
+    if isinstance(value, dict):
+        return {key: _encode(entry) for key, entry in value.items()}
+    return value
+
+
+class _Block:
+    """The codec every spec block shares.
+
+    Construction coerces each field through its declaration and then runs
+    the block's cross-field rules, so a block built in Python and one
+    decoded from JSON go through one validation path, and errors name the
+    field by its place in the document (``scenarios[2].corner['z0']``).
+    """
+
+    #: the block's path in a spec document, used when none is given
+    _PATH = ""
+
+    def __post_init__(self):
+        self._validate(self._PATH)
+
+    def _validate(self, where: str) -> None:
+        prefix = f"{where}." if where else ""
+        for name, (_, coerce) in _fields(type(self)).items():
+            object.__setattr__(self, name, coerce(getattr(self, name), prefix + name))
+        self._check(where)
+
+    def _check(self, where: str) -> None:
+        """Cross-field rules, run once every field is coerced."""
+
+    def to_dict(self) -> dict:
+        """The block's JSON form (``from_dict`` inverts it)."""
+        doc = {}
+        for name in _fields(type(self)):
+            value = getattr(self, name)
+            doc[name] = value if type(value) in _SCALARS else _encode(value)
+        return doc
+
+    @classmethod
+    def from_dict(cls, data: Any, where: Optional[str] = None):
+        """Decode the block's JSON form strictly: unknown keys raise ``ValueError``."""
+        where = cls._PATH if where is None else where
+        label = where or "spec"
+        data = _require_mapping(data, label)
+        fields = _fields(cls)
+        unknown = sorted(str(key) for key in data if key not in fields)
+        if unknown:
+            raise ValueError(f"{label}: unknown key(s) {unknown}; allowed: {sorted(fields)}")
+        # Fill the fields as ``__init__`` would, then validate once under
+        # this block's path rather than its default one.
+        block = object.__new__(cls)
+        for name, (field, _) in fields.items():
+            if name in data:
+                value = data[name]
+            elif field.default is not dataclasses.MISSING:
+                value = field.default
+            elif field.default_factory is not dataclasses.MISSING:
+                value = field.default_factory()
+            else:
+                raise ValueError(f"{label}: missing required key {name!r}")
+            object.__setattr__(block, name, value)
+        block._validate(where)
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +343,7 @@ def _opt_bool(value: Any, where: str) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class StimulusSpec:
+class StimulusSpec(_Block):
     """The logic stimulus driven into the link.
 
     Attributes
@@ -146,41 +358,15 @@ class StimulusSpec:
         (RBF drivers take their edges from the identified model).
     """
 
-    bit_pattern: str = "010"
-    bit_time: float = 2e-9
-    edge_time: float = 1e-10
+    _PATH = "stimulus"
 
-    def __post_init__(self):
-        if not isinstance(self.bit_pattern, str) or not self.bit_pattern \
-                or set(self.bit_pattern) - {"0", "1"}:
-            raise ValueError(f"bit_pattern must be a non-empty 0/1 string, got {self.bit_pattern!r}")
-        object.__setattr__(self, "bit_time", _as_float(self.bit_time, "stimulus.bit_time"))
-        object.__setattr__(self, "edge_time", _as_float(self.edge_time, "stimulus.edge_time"))
-        if self.bit_time <= 0 or self.edge_time <= 0:
-            raise ValueError("bit_time and edge_time must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "bit_pattern": self.bit_pattern,
-            "bit_time": self.bit_time,
-            "edge_time": self.edge_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "stimulus") -> "StimulusSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(data, {"bit_pattern", "bit_time", "edge_time"}, where)
-        return cls(**{k: data[k] for k in ("bit_pattern", "bit_time", "edge_time") if k in data})
-
-
-def _device_param_fields() -> dict:
-    from repro.macromodel.library import ReferenceDeviceParameters
-
-    return {f.name: f.type for f in dataclasses.fields(ReferenceDeviceParameters)}
+    bit_pattern: str = _field("010", _pattern)
+    bit_time: float = _field(2e-9, _number, _POSITIVE)
+    edge_time: float = _field(1e-10, _number, _POSITIVE)
 
 
 @dataclasses.dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(_Block):
     """Where the driver/receiver macromodels of a job come from.
 
     Attributes
@@ -203,90 +389,31 @@ class DeviceSpec:
         library source, matching the library defaults at ``seed=0``).
     params:
         Overrides of :class:`~repro.macromodel.library.ReferenceDeviceParameters`
-        fields (e.g. ``{"vdd": 2.5}``); keys are validated.
+        fields (e.g. ``{"vdd": 2.5}``); keys are validated, and each value
+        takes its field's type (``dynamic_order`` is an integer).
     driver, receiver:
         Embedded macromodel dictionaries (``source="inline"`` only).
     """
 
-    source: str = "library"
-    n_centers: Optional[int] = None
-    seed: int = 0
-    params: Mapping[str, float] = dataclasses.field(default_factory=dict)
-    driver: Optional[Mapping[str, Any]] = None
-    receiver: Optional[Mapping[str, Any]] = None
+    _PATH = "devices"
 
-    def __post_init__(self):
-        if self.source not in ("library", "identified", "inline"):
-            raise ValueError(
-                f"devices.source must be 'library', 'identified' or 'inline', got {self.source!r}"
-            )
-        if self.n_centers is not None:
-            object.__setattr__(self, "n_centers", _as_int(self.n_centers, "devices.n_centers"))
-            if self.n_centers < 1:
-                raise ValueError("devices.n_centers must be positive")
-        object.__setattr__(self, "seed", _as_int(self.seed, "devices.seed"))
-        known = _device_param_fields()
-        params = {}
-        for key, value in dict(self.params).items():
-            if key not in known:
-                raise ValueError(
-                    f"devices.params: unknown device parameter {key!r}; "
-                    f"known: {sorted(known)}"
-                )
-            where = f"devices.params.{key}"
-            params[key] = (
-                _as_int(value, where) if key == "dynamic_order" else _as_float(value, where)
-            )
-        object.__setattr__(self, "params", params)
-        if self.source == "inline":
-            if self.driver is None and self.receiver is None:
-                raise ValueError("devices.source='inline' needs a driver and/or receiver model")
-            for label, model in (("driver", self.driver), ("receiver", self.receiver)):
-                if model is not None and not isinstance(model, Mapping):
-                    raise ValueError(f"devices.{label} must be a serialised macromodel object")
-        elif self.driver is not None or self.receiver is not None:
-            raise ValueError("embedded driver/receiver models require devices.source='inline'")
-        if self.driver is not None:
-            object.__setattr__(self, "driver", _freeze_json(self.driver, "devices.driver"))
-        if self.receiver is not None:
-            object.__setattr__(self, "receiver", _freeze_json(self.receiver, "devices.receiver"))
+    source: str = _field("library", _one_of("library", "identified", "inline"))
+    n_centers: Optional[int] = _field(None, _integer, _POSITIVE)
+    seed: int = _field(0, _integer)
+    params: Mapping[str, float] = _field(dict, _device_params)
+    driver: Optional[Mapping[str, Any]] = _field(None, _json_object)
+    receiver: Optional[Mapping[str, Any]] = _field(None, _json_object)
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "n_centers": self.n_centers,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "driver": self.driver,
-            "receiver": self.receiver,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "devices") -> "DeviceSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(
-            data, {"source", "n_centers", "seed", "params", "driver", "receiver"}, where
-        )
-        return cls(
-            source=data.get("source", "library"),
-            n_centers=data.get("n_centers"),
-            seed=data.get("seed", 0),
-            params=_require_mapping(data.get("params", {}), f"{where}.params"),
-            driver=data.get("driver"),
-            receiver=data.get("receiver"),
-        )
-
-
-def _freeze_json(data: Any, where: str) -> Any:
-    """Normalise an embedded JSON blob (and verify it *is* JSON)."""
-    try:
-        return json.loads(json.dumps(data))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: not JSON-serialisable: {exc}") from exc
+    def _check(self, where: str) -> None:
+        embedded = self.driver is not None or self.receiver is not None
+        if self.source == "inline" and not embedded:
+            raise ValueError(f"{where}.source='inline' needs a driver and/or receiver model")
+        if self.source != "inline" and embedded:
+            raise ValueError(f"embedded driver/receiver models require {where}.source='inline'")
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(_Block):
     """The driver → interconnect → load validation link.
 
     Mirrors :class:`repro.core.cosim.LinkDescription` (the stimulus and
@@ -298,52 +425,19 @@ class LinkSpec:
     the system-scale workload of ``engine.sparse_mna``).
     """
 
-    z0: float = 131.0
-    delay: float = 0.4e-9
-    load: str = "rc"
-    load_resistance: float = 500.0
-    load_capacitance: float = 1e-12
-    source_resistance: float = 50.0
-    segments: int = 0
+    _PATH = "link"
 
-    def __post_init__(self):
-        if self.load not in ("rc", "receiver"):
-            raise ValueError(f"link.load must be 'rc' or 'receiver', got {self.load!r}")
-        for name in ("z0", "delay", "load_resistance", "load_capacitance", "source_resistance"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), f"link.{name}"))
-        for name in ("z0", "delay", "load_resistance", "source_resistance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"link.{name} must be positive")
-        if self.load_capacitance < 0:
-            raise ValueError("link.load_capacitance must be non-negative")
-        object.__setattr__(self, "segments", _as_int(self.segments, "link.segments"))
-        if self.segments < 0:
-            raise ValueError("link.segments must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "z0": self.z0,
-            "delay": self.delay,
-            "load": self.load,
-            "load_resistance": self.load_resistance,
-            "load_capacitance": self.load_capacitance,
-            "source_resistance": self.source_resistance,
-            "segments": self.segments,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "link") -> "LinkSpec":
-        data = _require_mapping(data, where)
-        allowed = {
-            "z0", "delay", "load", "load_resistance", "load_capacitance",
-            "source_resistance", "segments",
-        }
-        _reject_unknown(data, allowed, where)
-        return cls(**dict(data))
+    z0: float = _field(131.0, _number, _POSITIVE)
+    delay: float = _field(0.4e-9, _number, _POSITIVE)
+    load: str = _field("rc", _one_of("rc", "receiver"))
+    load_resistance: float = _field(500.0, _number, _POSITIVE)
+    load_capacitance: float = _field(1e-12, _number, _NON_NEGATIVE)
+    source_resistance: float = _field(50.0, _number, _POSITIVE)
+    segments: int = _field(0, _integer, _NON_NEGATIVE)
 
 
 @dataclasses.dataclass(frozen=True)
-class StructureSpec:
+class StructureSpec(_Block):
     """The discretised 3-D structure of an ``fdtd3d`` job.
 
     Attributes
@@ -356,61 +450,24 @@ class StructureSpec:
         (same cross-section, shorter delay when scaled down).
     """
 
-    name: str = "validation_line"
-    scale: float = 1.0
+    _PATH = "structure"
 
-    def __post_init__(self):
-        if self.name != "validation_line":
-            raise ValueError(
-                f"structure.name must be 'validation_line', got {self.name!r}"
-            )
-        object.__setattr__(self, "scale", _as_float(self.scale, "structure.scale"))
-        if not 0 < self.scale <= 1:
-            raise ValueError("structure.scale must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "structure") -> "StructureSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(data, {"name", "scale"}, where)
-        return cls(name=data.get("name", "validation_line"), scale=data.get("scale", 1.0))
+    name: str = _field("validation_line", _one_of("validation_line"))
+    scale: float = _field(1.0, _number, _UNIT_INTERVAL)
 
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Block):
     """One scenario of a ``sweep`` job (mirrors :class:`repro.sweep.scenario.Scenario`)."""
 
-    name: str
-    bit_pattern: Optional[str] = None
-    drive_strength: float = 1.0
-    corner: Mapping[str, float] = dataclasses.field(default_factory=dict)
-    device: Optional[str] = None
-    static_group: Optional[str] = None
+    _PATH = "scenario"
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
-        if self.bit_pattern is not None and (
-            not isinstance(self.bit_pattern, str) or not self.bit_pattern
-            or set(self.bit_pattern) - {"0", "1"}
-        ):
-            raise ValueError(
-                f"scenario {self.name!r}: bit_pattern must be a 0/1 string or null"
-            )
-        where = f"scenario {self.name!r}"
-        object.__setattr__(
-            self, "drive_strength", _as_float(self.drive_strength, f"{where}.drive_strength")
-        )
-        object.__setattr__(
-            self,
-            "corner",
-            {
-                str(k): _as_float(v, f"{where}.corner[{k!r}]")
-                for k, v in dict(self.corner).items()
-            },
-        )
+    name: str = _field(_REQUIRED, _string, _NON_EMPTY)
+    bit_pattern: Optional[str] = _field(None, _pattern)
+    drive_strength: float = _field(1.0, _number)
+    corner: Mapping[str, float] = _field(dict, _mapping_of(_number))
+    device: Optional[str] = _field(None, _string)
+    static_group: Optional[str] = _field(None, _string)
 
     def to_scenario(self):
         """The runtime :class:`~repro.sweep.scenario.Scenario` of this block."""
@@ -425,35 +482,9 @@ class ScenarioSpec:
             static_group=self.static_group,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bit_pattern": self.bit_pattern,
-            "drive_strength": self.drive_strength,
-            "corner": dict(self.corner),
-            "device": self.device,
-            "static_group": self.static_group,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "scenario") -> "ScenarioSpec":
-        data = _require_mapping(data, where)
-        allowed = {"name", "bit_pattern", "drive_strength", "corner", "device", "static_group"}
-        _reject_unknown(data, allowed, where)
-        if "name" not in data:
-            raise ValueError(f"{where}: a scenario needs a name")
-        return cls(
-            name=data["name"],
-            bit_pattern=data.get("bit_pattern"),
-            drive_strength=data.get("drive_strength", 1.0),
-            corner=_require_mapping(data.get("corner", {}), f"{where}.corner"),
-            device=_opt_str(data.get("device"), f"{where}.device"),
-            static_group=_opt_str(data.get("static_group"), f"{where}.static_group"),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_Block):
     """One sampled parameter distribution of a ``stats`` block.
 
     The distribution grammar of Monte Carlo statistical SI
@@ -481,79 +512,59 @@ class DistributionSpec:
         Length of a random ``pattern`` draw (>= 1).
     """
 
-    kind: str
-    low: Optional[float] = None
-    high: Optional[float] = None
-    mean: Optional[float] = None
-    std: Optional[float] = None
-    values: Tuple[Any, ...] = ()
-    weights: Tuple[float, ...] = ()
-    bits: Optional[int] = None
+    _PATH = "distribution"
 
-    def __post_init__(self):
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise ValueError(
-                f"distribution kind must be one of {DISTRIBUTION_KINDS}, got {self.kind!r}"
-            )
-        object.__setattr__(self, "low", _opt_float(self.low, "distribution.low"))
-        object.__setattr__(self, "high", _opt_float(self.high, "distribution.high"))
-        object.__setattr__(self, "mean", _opt_float(self.mean, "distribution.mean"))
-        object.__setattr__(self, "std", _opt_float(self.std, "distribution.std"))
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(_as_float(w, "distribution.weights") for w in self.weights),
-        )
+    kind: str = _field(_REQUIRED, _one_of(*DISTRIBUTION_KINDS))
+    low: Optional[float] = _field(None, _number)
+    high: Optional[float] = _field(None, _number)
+    mean: Optional[float] = _field(None, _number)
+    std: Optional[float] = _field(None, _number)
+    # The types of ``values`` and ``bits`` depend on the kind: ``_check``
+    # converts them for the kinds that use them.
+    values: Tuple[Any, ...] = _field((), _tuple_of(_unchecked))
+    weights: Tuple[float, ...] = _field((), _tuple_of(_number))
+    bits: Optional[int] = _field(None, _unchecked)
+
+    def _check(self, where: str) -> None:
         if self.kind == "uniform":
             if self.low is None or self.high is None:
-                raise ValueError("uniform distribution needs low and high")
+                raise ValueError(f"{where}: uniform distribution needs low and high")
             if not self.low < self.high:
                 raise ValueError(
-                    f"uniform distribution needs low < high, got [{self.low}, {self.high}]"
+                    f"{where}: uniform distribution needs low < high, "
+                    f"got [{self.low}, {self.high}]"
                 )
         elif self.kind == "normal":
             if self.mean is None or self.std is None:
-                raise ValueError("normal distribution needs mean and std")
+                raise ValueError(f"{where}: normal distribution needs mean and std")
             if self.std <= 0:
-                raise ValueError("normal distribution needs std > 0")
+                raise ValueError(f"{where}: normal distribution needs std > 0")
             if self.low is not None and self.high is not None \
                     and not self.low < self.high:
-                raise ValueError("normal clip bounds need low < high")
+                raise ValueError(f"{where}: normal clip bounds need low < high")
         elif self.kind == "choice":
             if not self.values:
-                raise ValueError("choice distribution needs a non-empty values list")
-            numeric = [
-                not isinstance(v, bool) and isinstance(v, (int, float))
-                for v in self.values
-            ]
-            stringy = [
-                isinstance(v, str) and v != "" and not set(v) - {"0", "1"}
-                for v in self.values
-            ]
-            if all(numeric):
-                object.__setattr__(
-                    self, "values", tuple(float(v) for v in self.values)
-                )
-            elif not all(stringy):
-                raise ValueError(
-                    "choice values must be all numbers or all 0/1 pattern strings, "
-                    f"got {list(self.values)!r}"
-                )
+                raise ValueError(f"{where}: choice distribution needs a non-empty values list")
+            # all numbers (numeric targets), else all 0/1 strings (bit_pattern)
+            numeric = all(
+                not isinstance(v, bool) and isinstance(v, (int, float)) for v in self.values
+            )
+            convert = _tuple_of(_number if numeric else _pattern)
+            object.__setattr__(self, "values", convert(self.values, f"{where}.values"))
             if self.weights:
                 if len(self.weights) != len(self.values):
                     raise ValueError(
-                        f"choice weights ({len(self.weights)}) must match values "
+                        f"{where}: choice weights ({len(self.weights)}) must match values "
                         f"({len(self.values)})"
                     )
                 if any(w <= 0 for w in self.weights):
-                    raise ValueError("choice weights must be positive")
+                    raise ValueError(f"{where}: choice weights must be positive")
         else:  # pattern
             if self.bits is None:
-                raise ValueError("pattern distribution needs bits")
-            object.__setattr__(self, "bits", _as_int(self.bits, "distribution.bits"))
-            if self.bits < 1:
-                raise ValueError("pattern distribution needs bits >= 1")
+                raise ValueError(f"{where}: pattern distribution needs bits")
+            bits = _integer(self.bits, f"{where}.bits")
+            if bits < 1:
+                raise ValueError(f"{where}: pattern distribution needs bits >= 1")
 
     @property
     def is_numeric(self) -> bool:
@@ -565,48 +576,12 @@ class DistributionSpec:
         return True
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.low is not None:
-            doc["low"] = self.low
-        if self.high is not None:
-            doc["high"] = self.high
-        if self.mean is not None:
-            doc["mean"] = self.mean
-        if self.std is not None:
-            doc["std"] = self.std
-        if self.values:
-            doc["values"] = list(self.values)
-        if self.weights:
-            doc["weights"] = list(self.weights)
-        if self.bits is not None:
-            doc["bits"] = self.bits
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "distribution") -> "DistributionSpec":
-        data = _require_mapping(data, where)
-        allowed = {"kind", "low", "high", "mean", "std", "values", "weights", "bits"}
-        _reject_unknown(data, allowed, where)
-        if "kind" not in data:
-            raise ValueError(f"{where}: a distribution needs a kind")
-        values = data.get("values", ())
-        weights = data.get("weights", ())
-        for name, seq in (("values", values), ("weights", weights)):
-            if not isinstance(seq, (list, tuple)):
-                raise ValueError(f"{where}.{name}: expected a JSON array")
-        try:
-            return cls(
-                kind=data["kind"],
-                low=data.get("low"),
-                high=data.get("high"),
-                mean=data.get("mean"),
-                std=data.get("std"),
-                values=tuple(values),
-                weights=tuple(weights),
-                bits=data.get("bits"),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        # Only the fields a kind sets are written, so each kind's document
+        # (and hash) holds its own fields alone.
+        return {
+            key: value for key, value in super().to_dict().items()
+            if value is not None and value != []
+        }
 
 
 #: the scenario dimensions a stats distribution may target besides
@@ -615,7 +590,7 @@ _STATS_DIRECT_TARGETS = ("bit_pattern", "drive_strength")
 
 
 @dataclasses.dataclass(frozen=True)
-class StatsSpec:
+class StatsSpec(_Block):
     """Monte Carlo statistical-exploration block of a ``sweep`` job.
 
     Instead of enumerating scenarios by hand, a ``stats`` block *samples*
@@ -666,85 +641,46 @@ class StatsSpec:
         Multiplicative width shrink per refinement round, in ``(0, 1]``.
     """
 
-    samples: int
-    seed: int = 0
-    distributions: Mapping[str, DistributionSpec] = dataclasses.field(default_factory=dict)
-    corner_groups: Optional[int] = None
-    node: str = "far"
-    low: float = 0.0
-    high: float = 1.8
-    t_start: float = 0.0
-    bins: int = 20
-    refine_rounds: int = 0
-    refine_samples: int = 16
-    refine_shrink: float = 0.5
+    _PATH = "stats"
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_int(self.samples, "stats.samples"))
-        if self.samples < 1:
-            raise ValueError("stats.samples must be at least 1")
-        object.__setattr__(self, "seed", _as_int(self.seed, "stats.seed"))
-        if not isinstance(self.distributions, Mapping) or not self.distributions:
-            raise ValueError("stats.distributions must be a non-empty object")
-        dists = {}
-        for target, dist in dict(self.distributions).items():
-            where = f"stats.distributions[{target!r}]"
-            if not isinstance(dist, DistributionSpec):
-                dist = DistributionSpec.from_dict(dist, where)
+    samples: int = _field(_REQUIRED, _integer, _at_least(1))
+    seed: int = _field(0, _integer)
+    distributions: Mapping[str, DistributionSpec] = _field(
+        dict, _mapping_of(_block(DistributionSpec)), _NON_EMPTY
+    )
+    corner_groups: Optional[int] = _field(None, _integer, _at_least(1))
+    node: str = _field("far", _string, _NON_EMPTY)
+    low: float = _field(0.0, _number)
+    high: float = _field(1.8, _number)
+    t_start: float = _field(0.0, _number, _NON_NEGATIVE)
+    bins: int = _field(20, _integer, _at_least(2))
+    refine_rounds: int = _field(0, _integer, _NON_NEGATIVE)
+    refine_samples: int = _field(16, _integer, _at_least(1))
+    refine_shrink: float = _field(0.5, _number, _UNIT_INTERVAL)
+
+    def _check(self, where: str) -> None:
+        for target, dist in self.distributions.items():
+            at = f"{where}.distributions[{target!r}]"
             if target == "bit_pattern":
                 if dist.is_numeric:
                     raise ValueError(
-                        f"{where}: bit_pattern needs a 'pattern' kind or a choice "
+                        f"{at}: bit_pattern needs a 'pattern' kind or a choice "
                         f"of 0/1 strings, got numeric {dist.kind!r}"
                     )
             elif target == "drive_strength" or target.startswith("corner."):
                 if not dist.is_numeric:
                     raise ValueError(
-                        f"{where}: {target} needs a numeric distribution, "
-                        f"got {dist.kind!r}"
+                        f"{at}: {target} needs a numeric distribution, got {dist.kind!r}"
                     )
-                if target.startswith("corner.") and not target[len("corner."):]:
-                    raise ValueError(f"{where}: empty corner parameter name")
+                if target == "corner.":
+                    raise ValueError(f"{at}: empty corner parameter name")
             else:
                 raise ValueError(
-                    f"stats.distributions: unknown target {target!r}; expected "
+                    f"{where}.distributions: unknown target {target!r}; expected "
                     f"'corner.<parameter>' or one of {list(_STATS_DIRECT_TARGETS)}"
                 )
-            dists[str(target)] = dist
-        object.__setattr__(self, "distributions", dists)
-        if self.corner_groups is not None:
-            object.__setattr__(
-                self, "corner_groups", _as_int(self.corner_groups, "stats.corner_groups")
-            )
-            if self.corner_groups < 1:
-                raise ValueError("stats.corner_groups must be at least 1 (or null)")
-        if not isinstance(self.node, str) or not self.node:
-            raise ValueError(f"stats.node must be a non-empty string, got {self.node!r}")
-        object.__setattr__(self, "low", _as_float(self.low, "stats.low"))
-        object.__setattr__(self, "high", _as_float(self.high, "stats.high"))
         if not self.low < self.high:
-            raise ValueError("stats logic thresholds need low < high")
-        object.__setattr__(self, "t_start", _as_float(self.t_start, "stats.t_start"))
-        if self.t_start < 0:
-            raise ValueError("stats.t_start must be non-negative")
-        object.__setattr__(self, "bins", _as_int(self.bins, "stats.bins"))
-        if self.bins < 2:
-            raise ValueError("stats.bins must be at least 2")
-        object.__setattr__(
-            self, "refine_rounds", _as_int(self.refine_rounds, "stats.refine_rounds")
-        )
-        if self.refine_rounds < 0:
-            raise ValueError("stats.refine_rounds must be non-negative")
-        object.__setattr__(
-            self, "refine_samples", _as_int(self.refine_samples, "stats.refine_samples")
-        )
-        if self.refine_samples < 1:
-            raise ValueError("stats.refine_samples must be at least 1")
-        object.__setattr__(
-            self, "refine_shrink", _as_float(self.refine_shrink, "stats.refine_shrink")
-        )
-        if not 0 < self.refine_shrink <= 1:
-            raise ValueError("stats.refine_shrink must lie in (0, 1]")
+            raise ValueError(f"{where} logic thresholds need low < high")
 
     def corner_targets(self) -> dict:
         """The ``corner.<name>`` distributions, keyed by bare parameter name."""
@@ -754,56 +690,9 @@ class StatsSpec:
             if target.startswith("corner.")
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "distributions": {
-                target: dist.to_dict()
-                for target, dist in sorted(self.distributions.items())
-            },
-            "corner_groups": self.corner_groups,
-            "node": self.node,
-            "low": self.low,
-            "high": self.high,
-            "t_start": self.t_start,
-            "bins": self.bins,
-            "refine_rounds": self.refine_rounds,
-            "refine_samples": self.refine_samples,
-            "refine_shrink": self.refine_shrink,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "stats") -> "StatsSpec":
-        data = _require_mapping(data, where)
-        allowed = {
-            "samples", "seed", "distributions", "corner_groups", "node", "low",
-            "high", "t_start", "bins", "refine_rounds", "refine_samples",
-            "refine_shrink",
-        }
-        _reject_unknown(data, allowed, where)
-        if "samples" not in data:
-            raise ValueError(f"{where}: a stats block needs a sample count")
-        return cls(
-            samples=data["samples"],
-            seed=data.get("seed", 0),
-            distributions=_require_mapping(
-                data.get("distributions", {}), f"{where}.distributions"
-            ),
-            corner_groups=data.get("corner_groups"),
-            node=data.get("node", "far"),
-            low=data.get("low", 0.0),
-            high=data.get("high", 1.8),
-            t_start=data.get("t_start", 0.0),
-            bins=data.get("bins", 20),
-            refine_rounds=data.get("refine_rounds", 0),
-            refine_samples=data.get("refine_samples", 16),
-            refine_shrink=data.get("refine_shrink", 0.5),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class EngineOptions:
+class EngineOptions(_Block):
     """Engine tuning knobs shared by every kind (irrelevant ones are ignored).
 
     Attributes
@@ -869,92 +758,19 @@ class EngineOptions:
     left out of :meth:`SimulationSpec.content_hash`.
     """
 
-    dt: Optional[float] = None
-    fast: Optional[bool] = None
-    n_cells: int = 100
-    variant: str = "rbf"
-    sweep_family: str = "rbf"
-    sparse_mna: bool = False
-    batch_prepare: bool = False
-    max_retries: int = 0
-    on_nonconvergence: str = "raise"
-    workers: Optional[int] = None
-    shards: Optional[int] = None
+    _PATH = "engine"
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", _opt_float(self.dt, "engine.dt"))
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("engine.dt must be positive (or null)")
-        object.__setattr__(self, "n_cells", _as_int(self.n_cells, "engine.n_cells"))
-        if self.n_cells < 4:
-            raise ValueError("engine.n_cells must be at least 4")
-        if self.variant not in ("rbf", "transistor"):
-            raise ValueError(
-                f"engine.variant must be 'rbf' or 'transistor', got {self.variant!r}"
-            )
-        if self.sweep_family not in ("linear", "rbf"):
-            raise ValueError(
-                f"engine.sweep_family must be 'linear' or 'rbf', got {self.sweep_family!r}"
-            )
-        _opt_bool(self.fast, "engine.fast")
-        for flag in ("sparse_mna", "batch_prepare"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ValueError(f"engine.{flag} must be true/false")
-        object.__setattr__(
-            self, "max_retries", _as_int(self.max_retries, "engine.max_retries")
-        )
-        if self.max_retries < 0:
-            raise ValueError("engine.max_retries must be non-negative")
-        if self.on_nonconvergence not in ("raise", "warn", "ignore"):
-            raise ValueError(
-                f"engine.on_nonconvergence must be 'raise', 'warn' or 'ignore', "
-                f"got {self.on_nonconvergence!r}"
-            )
-        for name in ("workers", "shards"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_int(value, f"engine.{name}"))
-                if getattr(self, name) < 1:
-                    raise ValueError(
-                        f"engine.{name} must be at least 1 (or null), got {value}"
-                    )
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "fast": self.fast,
-            "n_cells": self.n_cells,
-            "variant": self.variant,
-            "sweep_family": self.sweep_family,
-            "sparse_mna": self.sparse_mna,
-            "batch_prepare": self.batch_prepare,
-            "max_retries": self.max_retries,
-            "on_nonconvergence": self.on_nonconvergence,
-            "workers": self.workers,
-            "shards": self.shards,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, where: str = "engine") -> "EngineOptions":
-        data = _require_mapping(data, where)
-        allowed = {
-            "dt", "fast", "n_cells", "variant", "sweep_family", "sparse_mna", "batch_prepare",
-            "max_retries", "on_nonconvergence", "workers", "shards",
-        }
-        _reject_unknown(data, allowed, where)
-        return cls(
-            dt=data.get("dt"),
-            fast=data.get("fast"),
-            n_cells=data.get("n_cells", 100),
-            variant=data.get("variant", "rbf"),
-            sweep_family=data.get("sweep_family", "rbf"),
-            sparse_mna=data.get("sparse_mna", False),
-            batch_prepare=data.get("batch_prepare", False),
-            max_retries=data.get("max_retries", 0),
-            on_nonconvergence=data.get("on_nonconvergence", "raise"),
-            workers=data.get("workers"),
-            shards=data.get("shards"),
-        )
+    dt: Optional[float] = _field(None, _number, _POSITIVE)
+    fast: Optional[bool] = _field(None, _flag)
+    n_cells: int = _field(100, _integer, _at_least(4))
+    variant: str = _field("rbf", _one_of("rbf", "transistor"))
+    sweep_family: str = _field("rbf", _one_of("linear", "rbf"))
+    sparse_mna: bool = _field(False, _flag)
+    batch_prepare: bool = _field(False, _flag)
+    max_retries: int = _field(0, _integer, _NON_NEGATIVE)
+    on_nonconvergence: str = _field("raise", _one_of("raise", "warn", "ignore"))
+    workers: Optional[int] = _field(None, _integer, _at_least(1))
+    shards: Optional[int] = _field(None, _integer, _at_least(1))
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +778,7 @@ class EngineOptions:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_Block):
     """A complete, serialisable description of one simulation job.
 
     A spec is *data*: frozen, strictly validated at construction, exact
@@ -972,11 +788,17 @@ class SimulationSpec:
     clients and restarts.  ``docs/job-spec.md`` documents every block and
     field; ``examples/jobs/`` holds runnable fixtures for all four kinds.
 
+    Every block field also accepts the block's JSON form (a dict, or a
+    list of dicts for ``scenarios``), decoded exactly as ``spec_from_dict``
+    decodes it.
+
     Attributes
     ----------
     kind:
         Engine kind: ``"circuit"``, ``"fdtd1d"``, ``"fdtd3d"`` or
-        ``"sweep"`` (see :func:`repro.api.engines.list_engines`).
+        ``"sweep"`` (see :data:`repro.api.engines.ENGINES`).
+    label:
+        Free-form human label (part of the content hash).
     duration:
         Simulated time span (seconds).
     stimulus, devices, link, structure, engine:
@@ -992,32 +814,20 @@ class SimulationSpec:
         written out.  Mutually exclusive with ``scenarios``.  Part of
         :meth:`content_hash`: a different seed or sample count is a
         different job.
-    label:
-        Free-form human label (part of the content hash).
     """
 
-    kind: str
-    duration: float = 5e-9
-    stimulus: StimulusSpec = dataclasses.field(default_factory=StimulusSpec)
-    devices: DeviceSpec = dataclasses.field(default_factory=DeviceSpec)
-    link: LinkSpec = dataclasses.field(default_factory=LinkSpec)
-    structure: StructureSpec = dataclasses.field(default_factory=StructureSpec)
-    scenarios: Tuple[ScenarioSpec, ...] = ()
-    engine: EngineOptions = dataclasses.field(default_factory=EngineOptions)
-    stats: Optional[StatsSpec] = None
-    label: str = ""
+    kind: str = _field(_REQUIRED, _one_of(*ENGINE_KINDS))
+    label: str = _field("", _string)
+    duration: float = _field(5e-9, _number, _POSITIVE)
+    stimulus: StimulusSpec = _field(StimulusSpec, _block(StimulusSpec))
+    devices: DeviceSpec = _field(DeviceSpec, _block(DeviceSpec))
+    link: LinkSpec = _field(LinkSpec, _block(LinkSpec))
+    structure: StructureSpec = _field(StructureSpec, _block(StructureSpec))
+    scenarios: Tuple[ScenarioSpec, ...] = _field((), _tuple_of(_block(ScenarioSpec)))
+    engine: EngineOptions = _field(EngineOptions, _block(EngineOptions))
+    stats: Optional[StatsSpec] = _field(None, _block(StatsSpec))
 
-    def __post_init__(self):
-        if self.kind not in ENGINE_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {ENGINE_KINDS}")
-        object.__setattr__(self, "duration", _as_float(self.duration, "duration"))
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not isinstance(self.label, str):
-            raise ValueError(f"label: expected a string, got {self.label!r}")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if self.stats is not None and not isinstance(self.stats, StatsSpec):
-            raise ValueError("stats must be a StatsSpec block (or null)")
+    def _check(self, where: str) -> None:
         if self.kind == "sweep":
             if self.stats is not None:
                 if self.scenarios:
@@ -1064,20 +874,9 @@ class SimulationSpec:
         content hashes (and cached results) of pre-existing non-statistical
         jobs are unchanged by the Monte Carlo layer.
         """
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "label": self.label,
-            "duration": self.duration,
-            "stimulus": self.stimulus.to_dict(),
-            "devices": self.devices.to_dict(),
-            "link": self.link.to_dict(),
-            "structure": self.structure.to_dict(),
-            "scenarios": [sc.to_dict() for sc in self.scenarios],
-            "engine": self.engine.to_dict(),
-        }
-        if self.stats is not None:
-            doc["stats"] = self.stats.to_dict()
+        doc = {"format_version": FORMAT_VERSION, **super().to_dict()}
+        if self.stats is None:
+            del doc["stats"]
         return doc
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -1147,40 +946,13 @@ class SimulationSpec:
 
 def spec_from_dict(data: Any) -> SimulationSpec:
     """Rebuild a :class:`SimulationSpec` from its ``to_dict`` form (strict)."""
-    data = _require_mapping(data, "spec")
-    allowed = {
-        "format_version", "kind", "label", "duration", "stimulus", "devices",
-        "link", "structure", "scenarios", "engine", "stats",
-    }
-    _reject_unknown(data, allowed, "spec")
-    version = data.get("format_version")
+    data = dict(_require_mapping(data, "spec"))
+    version = data.pop("format_version", None)
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported spec format_version {version!r} (this build reads {FORMAT_VERSION})"
         )
-    if "kind" not in data:
-        raise ValueError("spec: missing 'kind'")
-    scenarios_data = data.get("scenarios", [])
-    if not isinstance(scenarios_data, (list, tuple)):
-        raise ValueError("spec.scenarios: expected a JSON array")
-    return SimulationSpec(
-        kind=data["kind"],
-        duration=data.get("duration", 5e-9),
-        stimulus=StimulusSpec.from_dict(data.get("stimulus", {})),
-        devices=DeviceSpec.from_dict(data.get("devices", {})),
-        link=LinkSpec.from_dict(data.get("link", {})),
-        structure=StructureSpec.from_dict(data.get("structure", {})),
-        scenarios=tuple(
-            ScenarioSpec.from_dict(sc, where=f"scenarios[{k}]")
-            for k, sc in enumerate(scenarios_data)
-        ),
-        engine=EngineOptions.from_dict(data.get("engine", {})),
-        stats=(
-            StatsSpec.from_dict(data["stats"])
-            if data.get("stats") is not None else None
-        ),
-        label=data.get("label", ""),
-    )
+    return SimulationSpec.from_dict(data)
 
 
 def load_spec(path: str) -> SimulationSpec:

@@ -36,8 +36,7 @@ Endpoints
     Liveness + daemon-lifetime counters (submitted, solves, cache_hits,
     completed, failed, queued, workers).
 ``GET /engines``
-    The registered engine kinds and the ``engine`` option names a spec
-    may set.
+    The engine kinds and the ``engine`` option names a spec may set.
 ``GET /stats``
     Cache-layer counters since daemon start: the job counters plus
     hit/miss/put counts of the content-addressed result store.
@@ -188,11 +187,12 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_engines(self) -> None:
-        from repro.api import EngineOptions, list_engines
+        from repro.api import EngineOptions
+        from repro.api.engines import ENGINES
 
         self._send_json(200, {
             "engines": [
-                {"kind": info.kind, "summary": info.summary} for info in list_engines()
+                {"kind": kind, "summary": summary} for kind, (summary, _) in ENGINES.items()
             ],
             "engine_options": sorted(
                 field.name for field in dataclasses.fields(EngineOptions)

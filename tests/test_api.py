@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,21 +14,21 @@ import pytest
 
 from repro.api import (
     DeviceSpec,
+    DistributionSpec,
     EngineOptions,
     LinkSpec,
     Result,
     ScenarioSpec,
     SimulationSpec,
+    StatsSpec,
     StimulusSpec,
     StructureSpec,
-    get_engine,
-    list_engines,
     load_spec,
-    register_engine,
     run,
     spec_from_dict,
 )
-from repro.api.engines import EngineInfo, _REGISTRY
+from repro.api.engines import ENGINES
+from repro.api.spec import ENGINE_KINDS
 from repro.experiments.devices import ReferenceMacromodels
 from repro.macromodel.serialization import macromodel_to_dict
 
@@ -48,6 +49,114 @@ PINNED_FIXTURE_HASHES = {
     "rbf_link.json": "05813f0731f8cf01f7ca09051ae89a7d46d52640e498a5460902a55959ec3be8",
     "sparse_ladder.json": "79af5924367748b704aa1660e8165173a4715b23de002a91a3c620a4159056bd",
     "validation_line_3d.json": "1ffad72a1397c9a0df10f9837fd955ea10e6d5077018a0c9be4e8c137adb5fd2",
+}
+
+
+#: A small literal stand-in for an embedded macromodel: the spec layer only
+#: requires a JSON object, and a fitted model would vary with the BLAS
+#: thread count.
+_LITERAL_MODEL = {
+    "kind": "driver",
+    "vdd": 1.8,
+    "order": 2,
+    "centers": [[0.0, 0.5], [1.25, -3e-3]],
+    "note": None,
+    "linear": {"a": [1, 2.5], "tag": "literal"},
+}
+
+
+def _all_field_specs() -> dict:
+    """Hand-built specs that together set every multi-valued spec field.
+
+    Each field takes a non-default value in at least one spec: the sources,
+    variants, families and policies, the embedded models, an int
+    ``dynamic_order`` beside float device parameters, int values where the
+    canonical form is a float (``z0: 131`` hashes as ``131.0``), and every
+    distribution kind (a weighted numeric ``choice``, a 0/1-string
+    ``choice``, a clipped ``normal``).
+    """
+    stimulus = StimulusSpec(bit_pattern="0110", bit_time=1.5e-9, edge_time=2e-10)
+    return {
+        "circuit_inline": SimulationSpec(
+            kind="circuit",
+            label="all fields: inline circuit",
+            duration=3e-9,
+            stimulus=stimulus,
+            devices=DeviceSpec(
+                source="inline", driver=_LITERAL_MODEL,
+                receiver={**_LITERAL_MODEL, "kind": "receiver"},
+            ),
+            link=LinkSpec(z0=131, delay=0.3e-9, load="receiver", load_resistance=350,
+                          load_capacitance=0, source_resistance=40, segments=3),
+            engine=EngineOptions(dt=1e-11, fast=True, sparse_mna=True, max_retries=2,
+                                 on_nonconvergence="warn"),
+        ),
+        "circuit_transistor": SimulationSpec(
+            kind="circuit",
+            devices=DeviceSpec(source="identified", n_centers=40, seed=5,
+                               params={"vdd": 2, "dynamic_order": 3, "kn": 0.07}),
+            engine=EngineOptions(variant="transistor", fast=False,
+                                 on_nonconvergence="ignore"),
+        ),
+        "fdtd3d_scaled": SimulationSpec(
+            kind="fdtd3d",
+            duration=1e-9,
+            structure=StructureSpec(name="validation_line", scale=0.5),
+            engine=EngineOptions(n_cells=32),
+        ),
+        "sweep_scenarios": SimulationSpec(
+            kind="sweep",
+            stimulus=stimulus,
+            link=LinkSpec(z0=95),
+            scenarios=(
+                ScenarioSpec(name="a", bit_pattern="011", drive_strength=1.2,
+                             corner={"z0": 100, "load_resistance": 350.0},
+                             device="devA", static_group="g1"),
+                ScenarioSpec(name="b"),
+            ),
+            engine=EngineOptions(sweep_family="linear", batch_prepare=True,
+                                 workers=2, shards=2),
+        ),
+        "stats_pattern": SimulationSpec(
+            kind="sweep",
+            duration=8e-9,
+            stats=StatsSpec(
+                samples=12, seed=7, corner_groups=3, node="near", low=0.2, high=1.6,
+                t_start=1e-9, bins=10, refine_rounds=2, refine_samples=4,
+                refine_shrink=0.25,
+                distributions={
+                    "bit_pattern": DistributionSpec(kind="pattern", bits=5),
+                    "drive_strength": DistributionSpec(kind="uniform", low=0.8, high=1.2),
+                    "corner.z0": DistributionSpec(kind="normal", mean=131, std=5,
+                                                  low=120, high=140),
+                },
+            ),
+            engine=EngineOptions(sweep_family="linear"),
+        ),
+        "stats_choice": SimulationSpec(
+            kind="sweep",
+            stats=StatsSpec(
+                samples=4,
+                distributions={
+                    "bit_pattern": {"kind": "choice", "values": ["0110", "1001"]},
+                    "corner.load_resistance": {"kind": "choice", "values": [300, 450.5],
+                                               "weights": [1, 3]},
+                    "corner.delay": {"kind": "normal", "mean": 4e-10, "std": 2e-11},
+                },
+            ),
+        ),
+    }
+
+
+#: ``content_hash()`` of every :func:`_all_field_specs` spec, pinned so a
+#: codec change that moves the canonical form of any field is caught.
+PINNED_ALL_FIELD_HASHES = {
+    "circuit_inline": "14f4ba3adf5980d5d68d81ac80a8f3b0e462cec6864903da433bf2a650022f58",
+    "circuit_transistor": "ffd2f8154ce617642606dbeffa1105eb60617795ea57a0d4201d7d065ad9dabe",
+    "fdtd3d_scaled": "d8fd509070019be19ac79ca00f3f6acd3dbeca04d01ca77f670cb75a383fa45a",
+    "sweep_scenarios": "db2f6f41779bd87f98e13325154a51a722554f8a831da994e59ad04f3ee31761",
+    "stats_pattern": "a2121a91d7456cbd1f52a619118d497a45d3d5f702b0181b51cf4cff67679789",
+    "stats_choice": "d924d05a17265502ec1af1728167d4ef45d3005b623240274048b1724d1ea5fd",
 }
 
 
@@ -217,6 +326,43 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="corner"):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["device", "static_group"])
+    def test_scenario_labels_must_be_strings(self, field):
+        # shard workers re-read scenarios from JSON, so the constructor must
+        # reject what the JSON decoder rejects
+        with pytest.raises(ValueError, match=rf"scenario\.{field}"):
+            ScenarioSpec(name="a", **{field: 7})
+
+    def test_block_fields_accept_their_json_form(self):
+        spec = SimulationSpec(kind="circuit", stimulus={"bit_pattern": "0110"},
+                              link={"z0": 120})
+        assert spec.stimulus == StimulusSpec(bit_pattern="0110")
+        assert spec.link == LinkSpec(z0=120.0)
+        assert spec_from_dict(spec.to_dict()) == spec
+
+    def test_scenarios_accept_their_json_form(self):
+        spec = SimulationSpec(kind="sweep", scenarios=[{"name": "a", "corner": {"z0": 90}}])
+        assert spec.scenarios == (ScenarioSpec(name="a", corner={"z0": 90.0}),)
+        with pytest.raises(ValueError, match=r"scenarios\[1\]: unknown key"):
+            SimulationSpec(kind="sweep", scenarios=[{"name": "a"}, {"nmae": "b"}])
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("duration",), math.inf, "duration"),
+        (("link", "z0"), math.nan, r"link\.z0"),
+        (("devices", "params", "vdd"), math.nan, r"devices\.params\['vdd'\]"),
+        (("scenarios", 1, "corner", "z0"), -math.inf, r"scenarios\[1\]\.corner\['z0'\]"),
+    ], ids=["top-level", "nested", "device-param", "scenario-corner"])
+    def test_non_finite_numbers_rejected(self, path, value, where):
+        # json.loads reads NaN and Infinity, so the codec must refuse them
+        data = _make_spec("sweep").to_dict()
+        data["devices"]["params"] = {"vdd": 1.8}
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=where + ": expected a finite number"):
+            spec_from_dict(data)
+
     def test_int_corner_values_normalised_to_float(self):
         a = ScenarioSpec(name="a", corner={"z0": 100})
         b = ScenarioSpec(name="a", corner={"z0": 100.0})
@@ -265,6 +411,44 @@ class TestContentHash:
         spec = load_spec(os.path.join(JOBS_DIR, name))
         assert spec.content_hash() == PINNED_FIXTURE_HASHES[name]
 
+    @pytest.mark.parametrize("name", sorted(PINNED_ALL_FIELD_HASHES))
+    def test_all_field_hash_is_pinned(self, name):
+        spec = _all_field_specs()[name]
+        assert spec.content_hash() == PINNED_ALL_FIELD_HASHES[name]
+        rebuilt = spec_from_dict(json.loads(spec.to_json()))
+        assert rebuilt == spec
+        assert rebuilt.content_hash() == PINNED_ALL_FIELD_HASHES[name]
+
+    def test_all_field_pins_cover_every_field(self):
+        seen: set = set()
+
+        def visit(block):
+            for field in dataclasses.fields(block):
+                value = getattr(block, field.name)
+                default = (
+                    field.default_factory()
+                    if field.default_factory is not dataclasses.MISSING
+                    else field.default
+                )
+                if value != default:
+                    seen.add(f"{type(block).__name__}.{field.name}")
+                items = value.values() if isinstance(value, dict) else (
+                    value if isinstance(value, tuple) else (value,))
+                for item in items:
+                    if dataclasses.is_dataclass(item):
+                        visit(item)
+
+        for spec in _all_field_specs().values():
+            visit(spec)
+        every = {
+            f"{cls.__name__}.{field.name}"
+            for cls in (SimulationSpec, StimulusSpec, DeviceSpec, LinkSpec, StructureSpec,
+                        ScenarioSpec, StatsSpec, DistributionSpec, EngineOptions)
+            for field in dataclasses.fields(cls)
+        }
+        # the only structure family there is
+        assert every - seen == {"StructureSpec.name"}
+
     @pytest.mark.parametrize("change", [
         {"workers": 2}, {"workers": 1}, {"shards": 3}, {"workers": 4, "shards": 2},
     ], ids=_change_id)
@@ -285,35 +469,7 @@ class TestContentHash:
 
 class TestRegistry:
     def test_all_four_kinds_registered(self):
-        kinds = [info.kind for info in list_engines()]
-        assert kinds == ["circuit", "fdtd1d", "fdtd3d", "sweep"]
-
-    def test_unknown_kind_lookup(self):
-        with pytest.raises(KeyError, match="available"):
-            get_engine("warp-drive")
-
-    def test_register_and_restore(self):
-        calls = []
-
-        @register_engine("circuit", summary="test shadow")
-        def shadow(spec, models=None):
-            calls.append(spec.kind)
-            return Result(times=np.zeros(1), waveforms={}, engine="shadow")
-
-        try:
-            info = get_engine("circuit")
-            assert isinstance(info, EngineInfo) and info.summary == "test shadow"
-            result = run(_make_spec("circuit"))
-            assert result.engine == "shadow" and calls == ["circuit"]
-        finally:
-            # restore the stock adapter
-            import importlib
-
-            import repro.api.engines as engines_mod
-
-            _REGISTRY.pop("circuit", None)
-            importlib.reload(engines_mod)
-        assert get_engine("circuit").summary != "test shadow"
+        assert tuple(ENGINES) == ENGINE_KINDS == ("circuit", "fdtd1d", "fdtd3d", "sweep")
 
     def test_backend_flags_round_trip(self):
         # Both flags are plain spec options; tests/test_backends.py pins
@@ -548,9 +704,9 @@ class TestGoldenJobs:
         for path in paths:
             spec = load_spec(path)
             kinds.add(spec.kind)
-            # every stored job is in normalised form already
+            # every stored job is in normalised form already, key order too
             with open(path) as handle:
-                assert spec.to_dict() == json.load(handle)
+                assert handle.read() == spec.to_json() + "\n"
         assert kinds == {"circuit", "fdtd1d", "fdtd3d", "sweep"}
 
     def test_linear_link_job_end_to_end(self):

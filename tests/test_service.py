@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -24,6 +25,9 @@ from repro.api import EngineOptions
 from repro.api import engines as engines_mod
 from repro.resilience import faults
 from repro.service import JobServer, ResultStore
+
+JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples", "jobs")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +178,21 @@ def test_invalid_requests(server):
     assert health["jobs"]["submitted"] == 0
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("link", "z0", float("nan")), ("", "duration", float("inf")),
+], ids=["link.z0-nan", "duration-inf"])
+def test_non_finite_spec_is_rejected(server, block, key, value):
+    # json.loads reads NaN/Infinity; a job holding one must not be queued
+    with open(os.path.join(JOBS_DIR, "fdtd1d_link.json")) as handle:
+        spec = json.load(handle)
+    (spec[block] if block else spec)[key] = value
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/jobs", spec)
+    assert err.value.code == 400
+    assert "finite" in json.loads(err.value.read())["error"]
+    assert server.manager.jobs() == []
+
+
 # ---------------------------------------------------------------------------
 # end-to-end submit -> poll -> fetch
 # ---------------------------------------------------------------------------
@@ -273,20 +292,17 @@ def test_sharded_sweep_job_surfaces_shard_telemetry(server):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
-def counted_sweep_engine():
+def counted_sweep_engine(monkeypatch):
     """Wrap the sweep adapter so every *actual* solve is counted."""
-    info = engines_mod.get_engine("sweep")
+    summary, adapter = engines_mod.ENGINES["sweep"]
     calls: list[str] = []
 
     def counting_runner(spec, models=None):
         calls.append(spec.content_hash())
-        return info.runner(spec, models=models)
+        return adapter(spec, models=models)
 
-    engines_mod.register_engine(info.kind, summary=info.summary)(counting_runner)
-    try:
-        yield calls
-    finally:
-        engines_mod.register_engine(info.kind, summary=info.summary)(info.runner)
+    monkeypatch.setitem(engines_mod.ENGINES, "sweep", (summary, counting_runner))
+    return calls
 
 
 def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine):
