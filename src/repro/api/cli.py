@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="solver worker threads draining the job queue (default 2)",
+        help="solver processes running the queued jobs, forked at start (default 2)",
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",

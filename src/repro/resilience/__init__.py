@@ -144,6 +144,11 @@ class SolverError(RuntimeError):
         super().__init__(failure.describe())
         self.failure = failure
 
+    def __reduce__(self):
+        # ``args`` holds only the message; rebuild from the record, so the
+        # typed error crosses a process-pool boundary intact.
+        return type(self), (self.failure,)
+
 
 class NonConvergenceError(SolverError):
     """A step's Newton loop hit the iteration cap (strict policy)."""

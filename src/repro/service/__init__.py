@@ -15,8 +15,9 @@ Layers
   the content-addressed result/artifact store built on the hardened
   atomic cache helpers of :mod:`repro.cache`;
 * :mod:`repro.service.jobs` — :class:`~repro.service.jobs.Job` and
-  :class:`~repro.service.jobs.JobManager`: the queue, the worker pool,
-  single-flight dedup and the failure-taxonomy job states;
+  :class:`~repro.service.jobs.JobManager`: the queue, the worker threads
+  and the solver processes they feed, single-flight dedup and the
+  failure-taxonomy job states;
 * :mod:`repro.service.daemon` — the stdlib ``http.server`` endpoint
   layer (:class:`~repro.service.daemon.JobServer` and the blocking
   :func:`~repro.service.daemon.serve` the CLI calls).

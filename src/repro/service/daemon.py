@@ -26,12 +26,13 @@ Endpoints
     failure records of a failed job.
 ``GET /jobs/<id>/result``
     The full result JSON (``Result.to_dict()``: times, waveforms,
-    perf_stats, meta).  ``409`` while the job is queued/running; for a
-    failed job the partial result is served when one exists (partial
-    sweeps), else ``409`` with the failure records.
+    perf_stats, meta), read back from the result store.  ``409`` while
+    the job is queued/running; for a failed job the partial result is
+    served when one exists (partial sweeps), else ``409`` with the
+    failure records; ``410`` once a done job's result has left the store.
 ``GET /jobs/<id>/waveforms``
     The compressed NPZ artifact (``Result.save_npz`` layout: ``times``,
-    one ``w:<name>`` array per waveform, ``meta_json``).
+    one ``w:<name>`` array per waveform, ``meta_json``), likewise.
 ``GET /healthz``
     Liveness + daemon-lifetime counters (submitted, solves, cache_hits,
     completed, failed, queued, workers).
@@ -48,8 +49,8 @@ Failures never surface as ``500``: a solver failure is a *job* state
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -83,6 +84,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-smc03-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on, the
+    # second waits for the client's delayed ACK (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     @property
@@ -251,19 +255,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200 if job.state == "done" else 202, payload)
 
     def _get_result(self, job) -> None:
-        if job.state in ("queued", "running"):
-            return self._send_json(
-                409, {"error": "job not finished", "state": job.state, "job_id": job.job_id}
-            )
-        if job.result_doc is None:
-            return self._send_json(409, {
-                "error": "job failed with no result",
-                "state": job.state,
-                "job_id": job.job_id,
-                "failures": list(job.failures),
-                "detail": job.error,
-            })
-        body = json.dumps(job.result_doc).encode("utf-8")
+        body = self._artifact(job, npz=False)
+        if body is None:
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -272,55 +266,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _get_waveforms(self, job) -> None:
+        body = self._artifact(job, npz=True)
+        if body is not None:
+            self._send_bytes(body, "application/octet-stream", f"{job.spec_hash}.npz")
+
+    def _artifact(self, job, npz: bool) -> Optional[bytes]:
+        """A finished job's result bytes, or ``None`` after answering why not."""
         if job.state in ("queued", "running"):
-            return self._send_json(
+            self._send_json(
                 409, {"error": "job not finished", "state": job.state, "job_id": job.job_id}
             )
-        body = self._npz_bytes(job)
-        if body is None:
-            return self._send_json(409, {
-                "error": "no waveform artifact for this job",
+            return None
+        body = self.manager.artifact(job, npz=npz)
+        if body is None and job.state == "failed":
+            self._send_json(409, {
+                "error": "job failed with no result",
                 "state": job.state,
                 "job_id": job.job_id,
                 "failures": list(job.failures),
+                "detail": job.error,
             })
-        self._send_bytes(body, "application/octet-stream", f"{job.spec_hash}.npz")
-
-    def _npz_bytes(self, job) -> Optional[bytes]:
-        """The NPZ artifact: the stored file, else rebuilt from the result."""
-        path = self.manager.store.npz_path(job.spec_hash)
-        if path is not None:
-            try:
-                with open(path, "rb") as handle:
-                    return handle.read()
-            except OSError:
-                pass
-        if job.result_obj is not None:
-            buffer = io.BytesIO()
-            job.result_obj.save_npz(buffer)
-            return buffer.getvalue()
-        if job.result_doc is not None:
-            return _npz_from_document(job.result_doc)
-        return None
-
-
-def _npz_from_document(document: dict) -> Optional[bytes]:
-    """Rebuild the NPZ artifact from a stored result document."""
-    import numpy as np
-
-    times = document.get("times")
-    waveforms = document.get("waveforms")
-    if times is None or not isinstance(waveforms, dict):
-        return None
-    payload = {"times": np.asarray(times, dtype=float)}
-    for name, wave in waveforms.items():
-        payload[f"w:{name}"] = np.asarray(wave, dtype=float)
-    meta = {k: document.get(k) for k in ("engine", "n_samples", "dt", "meta", "perf_stats")}
-    meta["waveforms"] = sorted(waveforms)
-    payload["meta_json"] = np.array(json.dumps(meta))
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **payload)
-    return buffer.getvalue()
+        elif body is None:
+            self._send_json(410, {
+                "error": "the stored result of this job is gone; resubmit the spec",
+                "state": job.state,
+                "job_id": job.job_id,
+                "spec_hash": job.spec_hash,
+            })
+        return body
 
 
 class JobServer:
@@ -338,7 +311,7 @@ class JobServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` — what the tests do).
     workers:
-        Solver worker threads (see :class:`~repro.service.jobs.JobManager`).
+        Solver processes (see :class:`~repro.service.jobs.JobManager`).
     store:
         Result store override; ``None`` builds the default
         (``$REPRO_CACHE_DIR/results``).
@@ -404,6 +377,10 @@ class JobServer:
         self.manager.close()
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
@@ -413,17 +390,23 @@ def serve(
 ) -> int:
     """Run the daemon until interrupted (the ``python -m repro serve`` body).
 
-    ``cache_dir`` overrides the result-store root (default
-    ``$REPRO_CACHE_DIR/results``); returns the process exit code.
+    SIGTERM, what supervisors send, shuts down like Ctrl-C.  ``cache_dir``
+    overrides the result-store root (default ``$REPRO_CACHE_DIR/results``);
+    returns the process exit code.
     """
     store = ResultStore(root=cache_dir) if cache_dir is not None else None
     server = JobServer(host=host, port=port, workers=workers, store=store, verbose=verbose)
     print(f"repro-smc03 service listening on {server.url} "
-          f"({workers} worker(s), result store: {server.manager.store.root})", flush=True)
+          f"({workers} solver process(es), result store: {server.manager.store.root})", flush=True)
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
         server.close()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0

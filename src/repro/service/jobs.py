@@ -6,6 +6,12 @@ through ``queued → running → done`` (or ``failed``).  The
 
 * a bounded pool of worker threads drains one in-process FIFO queue —
   submissions never block on solver work;
+* each worker thread hands its job to a pool of *solver processes*, which
+  run it end to end: :func:`repro.api.run`, result encoding, the
+  scenario-failure check and the store write.  The solves therefore never
+  compete with the HTTP threads (or each other) for the daemon's GIL, and
+  the daemon holds no result: a job keeps its hash and a small status
+  summary, and ``/result`` / ``/waveforms`` are read back from the store;
 * every job is content-addressed by ``spec.content_hash()``: a hash whose
   clean result is already known (in the :class:`~repro.service.store.ResultStore`
   on disk, or in this process's memory when the disk store is disabled)
@@ -19,24 +25,72 @@ through ``queued → running → done`` (or ``failed``).  The
   scenarios) marks the job ``failed`` and attaches the structured
   :class:`~repro.resilience.SolveFailure` records; failed and partial
   results are **never** cached, so a retry after a transient fault gets a
-  fresh solve.
+  fresh solve.  A solver process that dies (killed, crashed) breaks the
+  pool: the jobs then in flight fail, and the next job gets a new pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
+import importlib
+import io
+import json
+import os
 import queue
+import signal
+import sys
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.service.store import ResultStore
 
-__all__ = ["Job", "JobManager", "JOB_STATES"]
+__all__ = ["Job", "JobManager", "JOB_STATES", "result_summary"]
 
 #: the lifecycle states a job moves through
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: imported before the solver processes fork, so they share these pages
+_ENGINE_MODULES = (
+    "repro.api",
+    "repro.circuits.testbenches",
+    "repro.experiments.devices",
+    "repro.experiments.fig4_rc_load",
+    "repro.structures.validation_line",
+    "repro.sweep.links",
+    "repro.sweep.montecarlo",
+    "repro.sweep.shard",
+)
+
+
+def result_summary(document: dict) -> dict:
+    """The fields a result adds to its job's status document.
+
+    ``document`` is a ``Result.to_dict()`` document (with or without its
+    waveforms): the engine, ``n_samples``, the ``RunHealth`` summary, the
+    shard telemetry of a sharded sweep and the Monte Carlo headline.
+    """
+    summary = {"engine": document.get("engine"), "n_samples": document.get("n_samples")}
+    perf = document.get("perf_stats") or {}
+    if perf.get("health") is not None:
+        summary["health"] = perf["health"]
+    # A sharded sweep (engine.workers > 1) carries its fan-out telemetry.
+    if "shards" in perf:
+        summary["shards"] = perf["shards"]
+        summary["parallel_efficiency"] = perf.get("parallel_efficiency")
+    # A Monte Carlo sweep (stats block) carries its statistical summary in
+    # meta; keep the headline numbers.
+    mc = (document.get("meta") or {}).get("montecarlo")
+    if mc is not None:
+        summary["montecarlo"] = {
+            key: mc.get(key) for key in ("samples", "seed", "generated", "completed", "worst")
+        }
+    return summary
 
 
 @dataclasses.dataclass
@@ -56,14 +110,17 @@ class Job:
     cache_hit:
         The result was served from the content-addressed store instead of
         being solved.
-    result_doc:
-        The ``Result.to_dict()`` document (present when ``done``, and for
-        partial sweeps that ``failed`` with some scenarios completed).
+    summary:
+        :func:`result_summary` of the result (present when ``done``, and
+        for partial sweeps that ``failed`` with some scenarios completed).
     failures:
         Structured :meth:`~repro.resilience.SolveFailure.to_dict` records
         of a ``failed`` job.
     error:
         Human-readable failure summary (``failed`` only).
+    partial:
+        The result JSON and NPZ bytes of a partial sweep, which the store
+        never keeps.
     """
 
     job_id: str
@@ -74,10 +131,10 @@ class Job:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    result_doc: Optional[dict] = None
-    result_obj: Any = None
+    summary: Optional[dict] = None
     failures: List[dict] = dataclasses.field(default_factory=list)
     error: Optional[str] = None
+    partial: Optional[Tuple[bytes, bytes]] = None
 
     def status_dict(self) -> dict:
         """The JSON document of ``GET /jobs/<id>`` (no waveforms)."""
@@ -92,38 +149,154 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
-        if self.result_doc is not None:
-            doc["engine"] = self.result_doc.get("engine")
-            doc["n_samples"] = self.result_doc.get("n_samples")
-            perf = self.result_doc.get("perf_stats") or {}
-            health = perf.get("health")
-            if health is not None:
-                doc["health"] = health
-            # A sharded sweep (engine.workers > 1) carries its fan-out
-            # telemetry; surface the headline numbers in the status.
-            if "shards" in perf:
-                doc["shards"] = perf["shards"]
-                doc["parallel_efficiency"] = perf.get("parallel_efficiency")
-            # A Monte Carlo sweep (stats block) carries its statistical
-            # summary in meta; surface the headline numbers.
-            mc = (self.result_doc.get("meta") or {}).get("montecarlo")
-            if mc is not None:
-                doc["montecarlo"] = {
-                    "samples": mc.get("samples"),
-                    "seed": mc.get("seed"),
-                    "generated": mc.get("generated"),
-                    "completed": mc.get("completed"),
-                    "worst": mc.get("worst"),
-                }
+        if self.summary is not None:
+            doc.update(self.summary)
         if self.state == "failed":
             doc["error"] = self.error
             doc["failures"] = list(self.failures)
-            doc["partial_result"] = self.result_doc is not None
+            doc["partial_result"] = self.partial is not None
         return doc
 
 
+# ---------------------------------------------------------------------------
+# solver-process side
+# ---------------------------------------------------------------------------
+
+class _Outcome(NamedTuple):
+    """What a solver process returns for one job."""
+
+    summary: Optional[dict] = None
+    #: failure records of a partial sweep's failed scenarios
+    failures: Tuple[dict, ...] = ()
+    #: result JSON and NPZ bytes when the store did not keep them
+    artifacts: Optional[Tuple[bytes, bytes]] = None
+    #: an untyped error, as text (any exception need not survive pickling)
+    error: Optional[str] = None
+
+
+def _init_solver(parent_pid: int) -> None:
+    """Solver-process initializer: Ctrl-C is the daemon's, SIGTERM ends it."""
+    from repro.sweep.shard import _die_with_parent
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _die_with_parent(parent_pid)
+
+
+def _release_heap() -> None:
+    """Hand the heap a finished job freed back to the OS (glibc only).
+
+    Otherwise a solver process keeps its high-water heap for life: about
+    5 MB more per process after a model fit, measured with
+    ``smaps_rollup``.  The call takes about 0.1 ms.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):  # not glibc
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
+def _solve_job(spec, spec_hash: str, store: ResultStore, fault_list) -> _Outcome:
+    """Run one job in a solver process, then hand its freed heap back."""
+    try:
+        return _run_job(spec, spec_hash, store, fault_list)
+    finally:
+        _release_heap()
+
+
+def _run_job(spec, spec_hash: str, store: ResultStore, fault_list) -> _Outcome:
+    """Solve, encode, check and store one job.
+
+    ``fault_list`` is the fault plan active in the daemon at dispatch
+    (``None`` for none); it is installed for this job only.  A typed
+    :class:`~repro.resilience.SolverError` propagates to the daemon with
+    its record.
+    """
+    from repro.api import run
+    from repro.resilience import SolverError, faults
+
+    if fault_list is None:
+        faults.clear_plan()
+        plan = contextlib.nullcontext()
+    else:
+        plan = faults.injected(*fault_list)
+    try:
+        with plan:
+            result = run(spec)
+    except SolverError:
+        raise
+    except Exception as exc:
+        return _Outcome(error=f"{type(exc).__name__}: {exc}")
+    head = result.to_dict(include_waveforms=False)
+    outcome = _Outcome(summary=result_summary(head), failures=tuple(_scenario_failures(head)))
+    # Only a clean result is cached; a partial sweep, or a result the store
+    # did not keep, travels back as bytes.
+    if not outcome.failures and store.put(spec_hash, result) is not None:
+        return outcome
+    buffer = io.BytesIO()
+    result.save_npz(buffer)
+    body = json.dumps(result.to_dict()).encode("utf-8")
+    return outcome._replace(artifacts=(body, buffer.getvalue()))
+
+
+def _scenario_failures(document: dict) -> List[dict]:
+    """Failure records of a partial sweep's failed scenarios."""
+    meta = document.get("meta") or {}
+    status = meta.get("scenario_status") or {}
+    failed = sorted(name for name, st in status.items() if st == "failed")
+    if not failed:
+        return []
+    records = meta.get("failures") or {}
+    out = []
+    for name in failed:
+        record = dict(records.get(name) or {})
+        record.setdefault("scenario", name)
+        record.setdefault("kind", "unknown")
+        out.append(record)
+    return out
+
+
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` solver processes.
+
+    Forked when this process is single-threaded (``sweep.shard``'s rule),
+    else spawned.  The engine modules are imported and every live object
+    frozen out of the garbage collector first, so a forked solver's
+    collections do not write to — and so unshare — the daemon's pages.
+    """
+    from repro.sweep.shard import _mp_context
+
+    for name in _ENGINE_MODULES:
+        importlib.import_module(name)
+    gc.freeze()
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=_mp_context(),
+        initializer=_init_solver, initargs=(os.getpid(),),
+    )
+
+
+def _stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut a pool down without waiting for the solves it is running."""
+    # Before Python 3.14 (terminate_workers) the executor has no public
+    # handle on a busy worker.
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
+# the daemon side
+# ---------------------------------------------------------------------------
+
 class JobManager:
-    """Bounded worker pool + content-addressed dedup over the job queue.
+    """Worker threads + solver processes + content-addressed dedup.
 
     Parameters
     ----------
@@ -131,7 +304,13 @@ class JobManager:
         The :class:`~repro.service.store.ResultStore` results persist to
         (``None`` builds the default store).
     workers:
-        Worker-thread count (at least 1); the queue itself is unbounded.
+        Solver-process count (at least 1), with one worker thread each;
+        the queue itself is unbounded.
+
+    The solver processes start here, before the worker threads (forked
+    when this process is single-threaded, else spawned), and die with the
+    thread that built the manager (``PR_SET_PDEATHSIG`` on Linux), so
+    build it on a thread that outlives it.
     """
 
     def __init__(self, store: Optional[ResultStore] = None, workers: int = 2):
@@ -142,15 +321,18 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
-        #: clean results solved by *this* process (serves duplicates even
-        #: when the disk store is disabled)
-        self._memory: Dict[str, dict] = {}
+        #: clean results the store did not keep (it is disabled, or its
+        #: write failed): hash -> (summary, result JSON, NPZ)
+        self._memory: Dict[str, Tuple[dict, bytes, bytes]] = {}
         self._inflight: Dict[str, threading.Event] = {}
         self._stats = {
             "submitted": 0, "solves": 0, "cache_hits": 0,
             "completed": 0, "failed": 0,
         }
         self._closed = False
+        self._pool_lock = threading.Lock()
+        self._pool = _start_pool(workers)
+        self._pool.submit(os.getpid).result()  # a fork pool forks all its workers now
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"repro-worker-{k}", daemon=True)
             for k in range(workers)
@@ -198,6 +380,26 @@ class JobManager:
         stats["workers"] = len(self._workers)
         return stats
 
+    def artifact(self, job: Job, npz: bool = False) -> Optional[bytes]:
+        """A finished job's result JSON (or NPZ) bytes, or ``None``.
+
+        Read from the store, unless the daemon holds them: a partial sweep,
+        or a clean result the store did not keep.  ``None`` for a failed
+        job without a result, and for a result gone from the store.
+        """
+        index = 1 if npz else 0
+        if job.partial is not None:
+            return job.partial[index]
+        if job.state != "done":
+            return None
+        with self._lock:
+            held = self._memory.get(job.spec_hash)
+        if held is not None:
+            return held[1 + index]
+        if npz:
+            return self.store.npz(job.spec_hash)
+        return self.store.body(job.spec_hash)
+
     def wait(self, job_id: str, timeout: float = 60.0, poll: float = 0.02) -> Job:
         """Block until a job leaves the queued/running states (test helper)."""
         deadline = time.monotonic() + timeout
@@ -212,26 +414,35 @@ class JobManager:
             time.sleep(poll)
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop the workers (queued jobs still waiting are abandoned)."""
+        """Stop the workers, then the solver processes.
+
+        Queued jobs not yet started are abandoned; running solves get
+        ``timeout`` seconds to finish before their processes are stopped.
+        """
         if self._closed:
             return
         self._closed = True
         for _ in self._workers:
             self._queue.put(None)
+        deadline = time.monotonic() + timeout
         for thread in self._workers:
-            thread.join(timeout=timeout)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        with self._pool_lock:
+            _stop_pool(self._pool)
 
     # -- cache handling ----------------------------------------------------
     def _lookup_cached(self, spec_hash: str) -> Optional[dict]:
+        """The status summary of a hash whose clean result is known."""
         document = self.store.get(spec_hash)
         if document is not None:
-            return document
+            return result_summary(document)
         with self._lock:
-            return self._memory.get(spec_hash)
+            held = self._memory.get(spec_hash)
+        return None if held is None else held[0]
 
-    def _complete_from_cache(self, job: Job, document: dict) -> None:
+    def _complete_from_cache(self, job: Job, summary: dict) -> None:
         # caller holds self._lock
-        job.result_doc = document
+        job.summary = summary
         job.cache_hit = True
         job.state = "done"
         job.started_at = job.finished_at = time.time()
@@ -242,7 +453,7 @@ class JobManager:
     def _worker_loop(self) -> None:
         while True:
             job = self._queue.get()
-            if job is None:
+            if job is None or self._closed:
                 return
             try:
                 self._process(job)
@@ -279,43 +490,59 @@ class JobManager:
             if event is not None:
                 event.set()
 
-    def _solve(self, job: Job) -> None:
-        from repro.api import run as api_run
-        from repro.resilience import SolverError
+    def _dispatch(self, *args):
+        """Submit a call to the solver pool, replacing a broken pool first."""
+        with self._pool_lock:
+            try:
+                return self._pool.submit(*args)
+            except BrokenProcessPool:
+                self._pool = _start_pool(len(self._workers))
+                return self._pool.submit(*args)
 
+    def _solve(self, job: Job) -> None:
+        from repro.resilience import SolverError, faults
+
+        plan = faults.PLAN
         with self._lock:
             job.state = "running"
             job.started_at = time.time()
             self._stats["solves"] += 1
+        store = ResultStore(root=self.store.root, enabled=self.store.enabled)
         try:
-            result = api_run(job.spec)
+            outcome = self._dispatch(
+                _solve_job, job.spec, job.spec_hash, store,
+                None if plan is None else list(plan.faults),
+            ).result()
         except SolverError as exc:
             self._fail(job, [exc.failure.to_dict()], exc.failure.describe())
             return
-        except Exception as exc:
-            self._fail(job, [], f"{type(exc).__name__}: {exc}")
+        except BrokenProcessPool:
+            reason = "the daemon shut down" if self._closed else "the solver process died"
+            self._fail(job, [], f"{reason} during the job")
             return
-        document = result.to_dict()
-        failures = self._scenario_failures(document)
-        if failures:
+        if outcome.error is not None:
+            self._fail(job, [], outcome.error)
+            return
+        if outcome.failures:
             # A partial sweep: the result is retrievable but the job is
             # failed (mirrors the CLI's exit-code-3 contract) — and it is
             # never cached, so a resubmission re-attempts the solve.
             with self._lock:
-                job.result_obj = result
-                job.result_doc = document
+                job.summary = outcome.summary
+                job.partial = outcome.artifacts
             self._fail(
-                job, failures,
-                f"{len(failures)} scenario(s) failed: "
-                + ", ".join(sorted(f.get("scenario") or "?" for f in failures)),
+                job, list(outcome.failures),
+                f"{len(outcome.failures)} scenario(s) failed: "
+                + ", ".join(sorted(f.get("scenario") or "?" for f in outcome.failures)),
             )
             return
-        stored = self.store.put(job.spec_hash, result)
-        document = stored if stored is not None else document
         with self._lock:
-            self._memory[job.spec_hash] = document
-            job.result_obj = result
-            job.result_doc = document
+            if outcome.artifacts is None:
+                # the put ran in the solver process, on its copy of the store
+                self.store.stats["puts"] += 1
+            else:
+                self._memory[job.spec_hash] = (outcome.summary, *outcome.artifacts)
+            job.summary = outcome.summary
             job.state = "done"
             job.finished_at = time.time()
             self._stats["completed"] += 1
@@ -327,20 +554,3 @@ class JobManager:
             job.state = "failed"
             job.finished_at = time.time()
             self._stats["failed"] += 1
-
-    @staticmethod
-    def _scenario_failures(document: dict) -> List[dict]:
-        """Failure records of a partial sweep's failed scenarios."""
-        meta = document.get("meta") or {}
-        status = meta.get("scenario_status") or {}
-        failed = sorted(name for name, st in status.items() if st == "failed")
-        if not failed:
-            return []
-        records = meta.get("failures") or {}
-        out = []
-        for name in failed:
-            record = dict(records.get(name) or {})
-            record.setdefault("scenario", name)
-            record.setdefault("kind", "unknown")
-            out.append(record)
-        return out

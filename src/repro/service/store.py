@@ -29,6 +29,7 @@ cached, so a retry after a transient fault gets a fresh solve.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from typing import Any, Optional
@@ -120,14 +121,34 @@ class ResultStore:
             return None
         return payload
 
+    def body(self, spec_hash: str) -> Optional[bytes]:
+        """The stored document of a hash as the JSON bytes ``/result`` serves.
+
+        Uncounted, like :meth:`npz`: serving a finished job's result is not
+        a cache lookup.  ``None`` when absent, corrupt or disabled.
+        """
+        payload = self._read(spec_hash)
+        return None if payload is None else json.dumps(payload).encode("utf-8")
+
+    def npz(self, spec_hash: str) -> Optional[bytes]:
+        """The stored NPZ artifact of a hash, or ``None``."""
+        path = self.npz_path(spec_hash)
+        if path is None:
+            return None
+        try:
+            with open(path, "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
     def put(self, spec_hash: str, result: Any) -> Optional[dict]:
         """Persist a finished :class:`repro.api.result.Result` under a hash.
 
         Writes the JSON document and the NPZ artifact atomically (best
         effort — a read-only store drops the write without failing the
-        job).  Returns the document as re-read from the store when the
-        write landed, so the caller can serve exactly the stored bytes,
-        or ``None`` when the store did not keep it.
+        job).  Returns the document written, or ``None`` when the store
+        did not keep it.  Readers get the stored bytes back through
+        :meth:`body`, which validates them.
         """
         if not self.enabled:
             return None
@@ -136,9 +157,7 @@ class ResultStore:
             return None
         self.stats["puts"] += 1
         self._write_npz(spec_hash, result)
-        # Re-read through the uncounted path: a put's own verification
-        # round-trip is not a cache hit.
-        return self._read(spec_hash)
+        return document
 
     def _write_npz(self, spec_hash: str, result: Any) -> None:
         path = self._entry_path(spec_hash, ".npz")

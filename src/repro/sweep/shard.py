@@ -48,6 +48,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
+import sys
 import threading
 import time as _time
 from typing import Dict, List, Optional, Sequence
@@ -179,10 +181,10 @@ def _solve_shard(payload: str) -> SweepResult:
 def _mp_context():
     """Fork when it is safe (single-threaded process), else spawn.
 
-    The service daemon fans sweeps out from worker *threads*; forking a
-    multi-threaded process can deadlock on locks held by other threads,
-    so those callers get the spawn context.  CLI/test processes are
-    single-threaded and keep fork's fast start.
+    Forking a multi-threaded process can deadlock on locks held by other
+    threads, so those callers get the spawn context.  CLI/test processes
+    and the service's solver processes are single-threaded and keep
+    fork's fast start.
     """
     import multiprocessing as mp
 
@@ -190,6 +192,34 @@ def _mp_context():
     if "fork" in methods and threading.active_count() == 1:
         return mp.get_context("fork")
     return mp.get_context("spawn")
+
+
+#: ``prctl`` option naming the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: end this process when its parent dies.
+
+    A pool worker blocked on its call queue never sees EOF once its parent
+    is gone, because its siblings still hold the pipe, so it would outlive
+    a killed parent.  On Linux ``prctl(PR_SET_PDEATHSIG)`` sends SIGKILL
+    when the thread that started the worker exits; elsewhere this is a
+    no-op.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:  # the parent died before prctl took effect
+        os._exit(1)
 
 
 def _run_pool(payloads: Sequence[str], workers: int) -> List[SweepResult]:
@@ -202,7 +232,10 @@ def _run_pool(payloads: Sequence[str], workers: int) -> List[SweepResult]:
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
     results: List[Optional[SweepResult]] = [None] * len(payloads)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_mp_context(),
+        initializer=_die_with_parent, initargs=(os.getpid(),),
+    ) as pool:
         futures = {
             pool.submit(_solve_shard, payload): index
             for index, payload in enumerate(payloads)

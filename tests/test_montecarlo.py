@@ -379,12 +379,12 @@ class TestPlumbing:
         assert "sampled from 3 distributions, seed 42" in capsys.readouterr().out
 
     def test_service_status_surfaces_montecarlo(self):
-        from repro.service.jobs import Job
+        from repro.service.jobs import Job, result_summary
 
         spec = _mc_spec(_stats(samples=4, corner_groups=2))
         result = run(spec)
         job = Job(job_id="j1", spec=spec, spec_hash=spec.content_hash(),
-                  state="done", result_doc=result.to_dict())
+                  state="done", summary=result_summary(result.to_dict()))
         doc = job.status_dict()
         assert doc["montecarlo"]["samples"] == 4
         assert doc["montecarlo"]["completed"] == 4

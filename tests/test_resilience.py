@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def _no_leftover_plan():
     faults.clear_plan()
     yield
     faults.clear_plan()
+
+
+def _raise_nan_inf(step):
+    """Pool-worker entry point that fails with a typed error."""
+    raise NanInfError(SolveFailure(NAN_INF, step=step))
 
 
 def _rc_circuit():
@@ -132,6 +138,26 @@ class TestTaxonomy:
             err = error_for(SolveFailure(kind))
             assert isinstance(err, expected[kind])
             assert err.failure.kind == kind
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_typed_errors_survive_pickling(self, kind):
+        failure = SolveFailure(kind, step=3, scenario="s1", residual=0.5,
+                               message="lost", context={"site": "test"})
+        err = pickle.loads(pickle.dumps(error_for(failure)))
+        assert type(err) is type(error_for(failure))
+        assert err.failure == failure
+        assert str(err) == failure.describe()
+
+    def test_typed_error_crosses_a_process_pool(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.sweep.shard import _mp_context
+
+        with ProcessPoolExecutor(max_workers=1, mp_context=_mp_context()) as pool:
+            future = pool.submit(_raise_nan_inf, 3)
+            with pytest.raises(NanInfError) as excinfo:
+                future.result(timeout=60)
+        assert excinfo.value.failure == SolveFailure(NAN_INF, step=3)
 
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,19 @@ restarts.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import io
 import json
+import multiprocessing
 import os
+import re
+import signal
+import statistics
+import subprocess
+import sys
+import threading
+import time
+import types
 import urllib.error
 import urllib.request
 
@@ -26,8 +36,11 @@ from repro.api import engines as engines_mod
 from repro.resilience import faults
 from repro.service import JobServer, ResultStore
 
-JOBS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "examples", "jobs")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+JOBS_DIR = os.path.join(REPO, "examples", "jobs")
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads the process tree from /proc")
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +107,23 @@ def _circuit_spec(label: str = "service circuit") -> dict:
     }
 
 
+def _daemon(root, workers: int = 2) -> JobServer:
+    """A live daemon whose solver processes fork from this process.
+
+    HTTP handler threads of an earlier daemon may still be winding down;
+    while one is alive the pool would be spawned, not forked, and would
+    not see state the test patched into this process.
+    """
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return JobServer(port=0, workers=workers, store=ResultStore(root=str(root))).start()
+
+
 @pytest.fixture()
 def server(tmp_path):
     """A live daemon on an ephemeral port with a test-local result store."""
-    srv = JobServer(port=0, workers=2, store=ResultStore(root=str(tmp_path / "results")))
-    srv.start()
+    srv = _daemon(tmp_path / "results")
     yield srv
     srv.close()
 
@@ -291,21 +316,46 @@ def test_sharded_sweep_job_surfaces_shard_telemetry(server):
 # the content-addressed cache contract
 # ---------------------------------------------------------------------------
 
+class _CallLog:
+    """Engine calls appended to a file, so solver processes add to it too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def record(self, spec_hash: str) -> None:
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(f"{spec_hash} {os.getpid()}\n")
+
+    def entries(self) -> list:
+        """``(spec_hash, pid)`` of every call so far."""
+        if not os.path.exists(self.path):
+            return []
+        with open(self.path, encoding="utf-8") as handle:
+            return [tuple(line.split()) for line in handle]
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
+
 @pytest.fixture()
-def counted_sweep_engine(monkeypatch):
-    """Wrap the sweep adapter so every *actual* solve is counted."""
+def counted_sweep_engine(monkeypatch, tmp_path):
+    """Wrap the sweep adapter so every *actual* solve is counted.
+
+    Request it before ``server``: the solver processes fork with the
+    wrapped adapter and record their calls in a file under ``tmp_path``.
+    """
     summary, adapter = engines_mod.ENGINES["sweep"]
-    calls: list[str] = []
+    calls = _CallLog(str(tmp_path / "engine-calls.txt"))
 
     def counting_runner(spec, models=None):
-        calls.append(spec.content_hash())
+        calls.record(spec.content_hash())
         return adapter(spec, models=models)
 
     monkeypatch.setitem(engines_mod.ENGINES, "sweep", (summary, counting_runner))
     return calls
 
 
-def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine):
+def test_duplicate_submission_is_served_from_cache(counted_sweep_engine, server):
     spec = _sweep_spec("cache-hit contract")
 
     status1, first = _post(server, "/jobs", spec)
@@ -344,7 +394,7 @@ def test_duplicate_submission_is_served_from_cache(server, counted_sweep_engine)
     assert npz1 == npz2
 
 
-def test_workers_only_variant_is_served_from_cache(server, counted_sweep_engine):
+def test_workers_only_variant_is_served_from_cache(counted_sweep_engine, server):
     """engine.workers/shards are outside the hash: a rescheduled rerun hits."""
     spec = _sweep_spec("scheduling knobs are not part of the job")
     _, first = _post(server, "/jobs", spec)
@@ -363,7 +413,7 @@ def test_cache_survives_daemon_restart(tmp_path, counted_sweep_engine):
     root = str(tmp_path / "results")
     spec = _sweep_spec("restart contract")
 
-    first_daemon = JobServer(port=0, workers=1, store=ResultStore(root=root)).start()
+    first_daemon = _daemon(root, workers=1)
     try:
         _, first = _post(first_daemon, "/jobs", spec)
         _wait(first_daemon, first["job_id"])
@@ -372,7 +422,7 @@ def test_cache_survives_daemon_restart(tmp_path, counted_sweep_engine):
         first_daemon.close()
 
     # a fresh daemon process-equivalent: new manager, same store directory
-    second_daemon = JobServer(port=0, workers=1, store=ResultStore(root=root)).start()
+    second_daemon = _daemon(root, workers=1)
     try:
         status, second = _post(second_daemon, "/jobs", spec)
         assert status == 200
@@ -387,7 +437,7 @@ def test_cache_survives_daemon_restart(tmp_path, counted_sweep_engine):
     assert len(counted_sweep_engine) == 1  # one solve across both daemons
 
 
-def test_failed_jobs_are_not_cached(server, counted_sweep_engine):
+def test_failed_jobs_are_not_cached(counted_sweep_engine, server):
     spec = _sweep_spec("failure is not cached")
     with faults.injected(faults.Fault("nan", count=None)):
         _, failed = _post(server, "/jobs", spec)
@@ -421,3 +471,168 @@ def test_fault_plan_job_reports_taxonomy(server):
     stats = server.manager.stats()
     assert stats["failed"] == 1
     assert stats["completed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# solver processes and the daemon's memory
+# ---------------------------------------------------------------------------
+
+def test_keep_alive_requests_do_not_stall(server):
+    """Replies on one connection are not held back by Nagle's algorithm."""
+    conn = http.client.HTTPConnection(*server.address, timeout=30)
+    latencies = []
+    try:
+        for _ in range(25):
+            start = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.015, latencies
+
+
+def test_distinct_misses_solve_in_distinct_solver_processes(counted_sweep_engine, server):
+    ids = []
+    for label in ("solver a", "solver b"):
+        spec = _sweep_spec(label)
+        spec["duration"] = 5e-9
+        ids.append(_post(server, "/jobs", spec)[1]["job_id"])
+    for job_id in ids:
+        assert _wait(server, job_id)["state"] == "done"
+    pids = {pid for _, pid in counted_sweep_engine.entries()}
+    assert len(counted_sweep_engine) == 2
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+
+
+def test_sharded_sweep_forks_its_pool_in_the_solver_process(counted_sweep_engine, server):
+    """A solver process is single-threaded, so its shard pool forks from it
+    (a spawned shard worker would not see the counting adapter)."""
+    spec = _sweep_spec("sharded inside a solver")
+    spec["duration"] = 5e-9
+    spec["engine"]["workers"] = 2
+    _, submitted = _post(server, "/jobs", spec)
+    assert _wait(server, submitted["job_id"])["state"] == "done"
+    pids = [pid for _, pid in counted_sweep_engine.entries()]
+    assert len(pids) == 3 and len(set(pids)) == 3  # the solver, then one per shard
+
+
+def test_daemon_holds_no_result(server):
+    """A job keeps its hash and a small summary; results stay in the store."""
+    from repro.api import Result
+
+    ids = []
+    for k in range(4):
+        spec = _sweep_spec(f"held {k}")
+        spec["duration"] = 5e-9
+        ids.append(_post(server, "/jobs", spec)[1]["job_id"])
+    ids.append(_post(server, "/jobs", spec)[1]["job_id"])  # a duplicate of the last
+    for job_id in ids:
+        assert _wait(server, job_id)["state"] == "done"
+    for job in server.manager.jobs():
+        assert job.summary["n_samples"] >= 500
+        held = {name: value for name, value in vars(job).items() if name != "spec"}
+        assert not any(isinstance(value, Result) for value in held.values())
+        # one 500-sample waveform would not fit in this
+        text = json.dumps(held)
+        assert len(text) < 4096 and '"waveforms"' not in text
+    assert server.manager._memory == {}
+
+
+@linux_only
+def test_killed_solver_process_fails_its_job(counted_sweep_engine, tmp_path):
+    before = {child.pid for child in multiprocessing.active_children()}
+    server = _daemon(tmp_path / "results", workers=1)
+    try:
+        solvers = [child.pid for child in multiprocessing.active_children()
+                   if child.pid not in before]
+        assert len(solvers) == 1
+        spec = _sweep_spec("killed mid-job")
+        spec["duration"] = 2e-8
+        _, submitted = _post(server, "/jobs", spec)
+        deadline = time.monotonic() + 60.0
+        while not len(counted_sweep_engine) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        os.kill(solvers[0], signal.SIGKILL)  # inside the engine call
+        doc = _wait(server, submitted["job_id"])
+        assert doc["state"] == "failed"
+        assert "solver process died" in doc["error"]
+        assert doc["failures"] == [] and doc["partial_result"] is False
+
+        # nothing was cached, and a new pool solves the resubmission
+        _, retry = _post(server, "/jobs", spec)
+        doc = _wait(server, retry["job_id"])
+        assert doc["state"] == "done" and doc["cache_hit"] is False
+    finally:
+        server.close()
+
+
+def _process_tree(pid: int) -> list:
+    """``pid`` and its descendants, from ``/proc``."""
+    tree, todo = [], [pid]
+    while todo:
+        current = todo.pop()
+        tree.append(current)
+        try:
+            tasks = os.listdir(f"/proc/{current}/task")
+        except OSError:
+            continue
+        for task in tasks:
+            try:
+                with open(f"/proc/{current}/task/{task}/children", encoding="ascii") as handle:
+                    todo.extend(int(child) for child in handle.read().split())
+            except OSError:
+                pass
+    return tree
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@linux_only
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"])
+def test_no_process_outlives_the_daemon(tmp_path, sig):
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if path
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2", "--quiet"],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    tree = [proc.pid]
+    try:
+        found = re.search(r"http://[0-9.]+:[0-9]+/", proc.stdout.readline())
+        assert found, "the daemon did not announce its address"
+        daemon = types.SimpleNamespace(url=found.group(0))
+        _, submitted = _post(daemon, "/jobs", _sweep_spec("outlived"))
+        deadline = time.monotonic() + 120.0
+        while _get(daemon, f"/jobs/{submitted['job_id']}")[1]["state"] != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        tree = _process_tree(proc.pid)
+        assert len(tree) == 3  # the daemon and its two solver processes
+
+        proc.send_signal(sig)
+        proc.wait(timeout=30)
+        if sig == signal.SIGTERM:
+            assert proc.returncode == 0  # the Ctrl-C shutdown path
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in tree) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in tree if _alive(pid)] == []
+    finally:
+        for pid in tree:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
