@@ -61,11 +61,7 @@ import numpy as np  # noqa: E402
 
 from repro.circuits.ladder import rc_grid_circuit, rc_ladder_circuit  # noqa: E402
 from repro.circuits.transient import TransientOptions, TransientSolver  # noqa: E402
-from repro.perf.backends import (  # noqa: E402
-    resolve_backend_name,
-    sparse_available,
-    sparse_threshold,
-)
+from repro.perf.backends import SPARSE_THRESHOLD, resolve_backend_name  # noqa: E402
 from repro.waveforms.signals import BitPattern  # noqa: E402
 
 REL_TOL = 1e-12
@@ -94,7 +90,7 @@ def _auto_slowdown(walls: dict, auto: str) -> float:
 
 
 def _run(circuit, probe: str, dt: float, duration: float, backend: str,
-         compact_banks: bool | None = None):
+         compact_banks: bool = True):
     solver = TransientSolver(
         circuit, dt,
         options=TransientOptions(backend=backend, compact_banks=compact_banks),
@@ -159,7 +155,7 @@ def bench_banked(size: int, dt: float, duration: float, trials: int) -> dict:
     modes = {
         "scalar": dict(banked=False, compact_banks=False),
         "banked": dict(banked=False, compact_banks=True),
-        "native": dict(banked=True, compact_banks=None),
+        "native": dict(banked=True, compact_banks=True),
     }
     for mode, cfg in modes.items():
         best = None
@@ -308,9 +304,6 @@ def main(argv=None) -> int:
         help="gate: sparse must beat dense by this factor at >= 1000 unknowns",
     )
     args = parser.parse_args(argv)
-    if not sparse_available():
-        print("scipy.sparse unavailable — sparse backend benchmark skipped")
-        return 0
 
     if args.quick:
         cases = [("ladder", 150), ("ladder", 1100), ("mesh", 33)]
@@ -366,7 +359,7 @@ def main(argv=None) -> int:
         "banked": banked,
         "paper_scale": paper,
         "crossover": {
-            "sparse_threshold": sparse_threshold(),
+            "sparse_threshold": SPARSE_THRESHOLD,
             "rbf_ladder": crossover,
         },
         "targets": {

@@ -2,8 +2,8 @@
 
 Measures the serving story of :mod:`repro.sweep`: how much cheaper one
 scenario becomes when it runs inside a batch that shares the static MNA
-assembly, the LU factorization and the RBF basis evaluations, compared to
-a cold standalone fast-path run.  Two workloads:
+assembly and the LU factorization, compared to a cold standalone
+fast-path run.  Two workloads:
 
 * ``linear`` — a >= 8-scenario bit-pattern/drive-strength sweep of the
   linear validation link.  The whole batch is advanced by one multi-RHS
@@ -11,11 +11,10 @@ a cold standalone fast-path run.  Two workloads:
   acceptance gate asserts the amortised per-scenario wall time is at
   least 2x below the cold single run and the batched waveforms match
   per-scenario sequential runs to <= 1e-12 relative.
-* ``rbf`` — a macromodel-link pattern sweep whose Gaussian basis
-  evaluations are batched across scenarios (reported, not gated: at the
-  paper-sized expansions the vectorised exp roughly offsets the batching
-  overhead on CPU, so expect ~parity here; the equivalence check — the
-  batch must be waveform-identical to sequential runs — is the contract).
+* ``rbf`` — a macromodel-link pattern sweep whose scenarios run their
+  Newton iterations in lockstep, each port on its own separable evaluator
+  (the speedup is reported, not gated; the equivalence check — the batch
+  must be waveform-identical to sequential runs — is the contract).
 
 Writes ``BENCH_sweep.json``.  Run as a script:
 
@@ -146,7 +145,6 @@ def bench_rbf(models, n_scenarios: int, duration: float, dt: float, trials: int)
         "sequential_total_s": round(sequential.wall_time, 5),
         "speedup_vs_sequential": round(sequential.wall_time / batched.wall_time, 3),
         "rel_error_vs_sequential": err,
-        "batched_rbf_evals": batched.perf_stats["batched_rbf_evals"],
         "worst_eye_height_scenario": report.worst_height.scenario,
         "worst_eye_height_V": round(report.worst_height.eye_height, 4),
     }

@@ -211,10 +211,9 @@ def _cmd_run(
         wave = result.waveform(name)
         print(f"  {name}: min {wave.min():+.4g}  max {wave.max():+.4g}")
     interesting = (
-        "shared_factorizations", "static_reuses", "batched_rbf_evals", "block_solves",
+        "shared_factorizations", "static_reuses", "block_solves",
         "backend", "n_unknowns", "factorizations", "sparse_factorizations",
         "symbolic_factorizations", "pattern_reuses",
-        "batched_prepare_folds", "batched_prepare_scenarios",
         "banked_elements", "accept_calls",
         "shards", "workers", "parallel_efficiency",
     )

@@ -85,18 +85,15 @@ def _link_description(spec: SimulationSpec):
 def _transient_options(spec: SimulationSpec):
     """The :class:`TransientOptions` a spec's engine block selects, or None."""
     eng = spec.engine
-    if not eng.sparse_mna and eng.max_retries == 0 and eng.on_nonconvergence == "raise":
+    if eng.max_retries == 0 and eng.on_nonconvergence == "raise":
         return None
     from repro.circuits.transient import TransientOptions
     from repro.resilience import RetryPolicy
 
-    kwargs: dict = {}
-    if eng.sparse_mna:
-        kwargs["backend"] = "sparse"
-    if eng.max_retries > 0:
-        kwargs["retry_policy"] = RetryPolicy(max_retries=eng.max_retries)
-    kwargs["on_nonconvergence"] = eng.on_nonconvergence
-    return TransientOptions(**kwargs)
+    retry_policy = RetryPolicy(max_retries=eng.max_retries) if eng.max_retries > 0 else None
+    return TransientOptions(
+        on_nonconvergence=eng.on_nonconvergence, retry_policy=retry_policy
+    )
 
 
 def _spec_meta(spec: SimulationSpec) -> dict:
@@ -192,7 +189,6 @@ def build_sweep(spec: SimulationSpec, models=None):
             duration=spec.duration,
             spec=LinearLinkSpec.from_job_spec(spec),
             options=options,
-            batch_prepare=spec.engine.batch_prepare,
         )
         engine_label = "sweep-linear"
     else:
@@ -204,7 +200,6 @@ def build_sweep(spec: SimulationSpec, models=None):
             duration=spec.duration,
             spec=RBFLinkSpec.from_job_spec(spec),
             options=options,
-            batch_prepare=spec.engine.batch_prepare,
         )
         engine_label = "sweep-rbf"
     return sweep, engine_label
@@ -260,7 +255,7 @@ ENGINES = {
     ),
     "sweep": (
         "batched lockstep scenario sweep of the link (family: linear "
-        "shared-LU or rbf batched-Gaussian), sharded over a process "
+        "shared-LU or rbf lockstep-Newton), sharded over a process "
         "pool when engine.workers > 1",
         _run_sweep,
     ),

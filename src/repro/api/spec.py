@@ -421,8 +421,8 @@ class LinkSpec(_Block):
     used by the linear sweep family only; the 3-D FDTD engine takes its
     interconnect from the structure block and ignores ``z0``/``delay``.
     ``segments`` discretises the circuit-engine interconnect into an
-    LC ladder (0 keeps the ideal line; ``N > 0`` adds ~2N MNA unknowns —
-    the system-scale workload of ``engine.sparse_mna``).
+    LC ladder (0 keeps the ideal line; ``N > 0`` adds ~2N MNA unknowns,
+    which run on the sparse backend above 100 unknowns).
     """
 
     _PATH = "link"
@@ -466,7 +466,6 @@ class ScenarioSpec(_Block):
     bit_pattern: Optional[str] = _field(None, _pattern)
     drive_strength: float = _field(1.0, _number)
     corner: Mapping[str, float] = _field(dict, _mapping_of(_number))
-    device: Optional[str] = _field(None, _string)
     static_group: Optional[str] = _field(None, _string)
 
     def to_scenario(self):
@@ -478,7 +477,6 @@ class ScenarioSpec(_Block):
             bit_pattern=self.bit_pattern,
             drive_strength=self.drive_strength,
             corner=dict(self.corner),
-            device=self.device,
             static_group=self.static_group,
         )
 
@@ -713,20 +711,7 @@ class EngineOptions(_Block):
     sweep_family:
         Sweep-kind testbench family: ``"linear"`` (Thevenin driver + RC
         load, shared-LU block-solve path) or ``"rbf"`` (macromodel link,
-        batched Gaussian path).
-    sparse_mna:
-        Route the circuit/sweep MNA solves through the sparse-CSC backend
-        (:class:`repro.perf.backends.SparseBackend`): true sparse assembly
-        with a cached sparsity pattern and ``splu`` factorization reuse
-        (see ``link.segments``).  ``false`` keeps the automatic choice:
-        dense at paper scale, sparse above ``REPRO_SPARSE_THRESHOLD``
-        (default 100) unknowns.
-        Ignored by the field engines.
-    batch_prepare:
-        Fold the per-step RBF regressor preparation of all lockstep sweep
-        scenarios in one stacked pass per step
-        (:class:`repro.perf.rbf_fast.BatchedPrepare`).  Sweep kind only;
-        ignored elsewhere.
+        lockstep Newton path).
     max_retries:
         Step retries of the SPICE-class engines' resilience layer
         (:class:`repro.resilience.RetryPolicy`): a failing time step is
@@ -765,8 +750,6 @@ class EngineOptions(_Block):
     n_cells: int = _field(100, _integer, _at_least(4))
     variant: str = _field("rbf", _one_of("rbf", "transistor"))
     sweep_family: str = _field("rbf", _one_of("linear", "rbf"))
-    sparse_mna: bool = _field(False, _flag)
-    batch_prepare: bool = _field(False, _flag)
     max_retries: int = _field(0, _integer, _NON_NEGATIVE)
     on_nonconvergence: str = _field("raise", _one_of("raise", "warn", "ignore"))
     workers: Optional[int] = _field(None, _integer, _at_least(1))

@@ -23,7 +23,8 @@ capacitors of a ladder land in one :class:`InductorBank` / one
 per-step Python element loops do not mask the solve costs.  ``banked=False``
 emits the equivalent scalar elements instead (the differential-test and
 benchmark baseline; the run-start compaction pass of
-:mod:`repro.perf.mna` re-banks them unless ``REPRO_BANK_COMPACTION=0``).
+:mod:`repro.perf.mna` re-banks them unless
+``TransientOptions(compact_banks=False)``).
 Every return value is an ordinary :class:`~repro.circuits.netlist.Circuit`,
 so all solver paths (naive reference, dense fast, sparse fast) run them
 unchanged.

@@ -80,15 +80,14 @@ class TransientOptions:
         Linear-solver backend of the fast path (see
         :mod:`repro.perf.backends`): ``"dense"``, ``"sparse"``, or
         ``None``/``"auto"`` to pick dense at paper scale and sparse above
-        :func:`~repro.perf.backends.sparse_threshold` unknowns.  Ignored
+        :data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns.  Ignored
         by the reference path.
     compact_banks:
         Group homogeneous scalar elements (R, C, L, V, I) into vectorised
         element banks at run start, so per-step stamping and accepts cost
-        one Python call per bank instead of one per element.  ``None``
-        (default) follows the ``REPRO_BANK_COMPACTION`` environment switch
-        (on unless set to ``0``); ``False`` opts this run out.  Ignored by
-        the reference path, which always stamps element by element.
+        one Python call per bank instead of one per element (default
+        ``True``); ``False`` opts this run out.  Ignored by the reference
+        path, which always stamps element by element.
     on_nonconvergence:
         What to do when a step exhausts its Newton iterations (after any
         configured retries): ``"raise"`` (default) raises a typed
@@ -112,7 +111,7 @@ class TransientOptions:
     max_delta_v: float = 1.0
     fast: bool | None = None
     backend: str | None = None
-    compact_banks: bool | None = None
+    compact_banks: bool = True
     on_nonconvergence: str = "raise"
     retry_policy: RetryPolicy | None = None
 
@@ -123,6 +122,8 @@ class TransientOptions:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES} (or None), got {self.backend!r}"
             )
+        if not isinstance(self.compact_banks, bool):
+            raise ValueError(f"compact_banks must be True or False, got {self.compact_banks!r}")
         if self.on_nonconvergence not in NONCONVERGENCE_POLICIES:
             raise ValueError(
                 f"on_nonconvergence must be one of {NONCONVERGENCE_POLICIES}, "

@@ -20,19 +20,15 @@ used (three iterations typically suffice, as reported in the paper).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
-
-import numpy as np
 
 from repro.core.newton import (
     NewtonOptions,
     NewtonStats,
     newton_solve_scalar_fused,
 )
-from repro.core.ports import LumpedTermination, MacromodelTermination
-from repro.perf.rbf_fast import batch_key, prewarm_ports
+from repro.core.ports import LumpedTermination
 
-__all__ = ["HybridCellUpdate", "BatchedCellGroup", "CellCoefficients", "batched_port"]
+__all__ = ["HybridCellUpdate", "CellCoefficients"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,124 +152,3 @@ class HybridCellUpdate:
         i_new = self.termination.commit(v_new, t)
         return float(v_new), float(i_new)
 
-
-def batched_port(termination: LumpedTermination):
-    """``(port, sign, key)`` of a batch-eligible termination, else ``None``.
-
-    Eligible terminations wrap a :class:`~repro.core.resampling.ResampledPortModel`
-    with a built fast evaluator, possibly behind an orientation adapter
-    (``FlippedTermination``, detected by its ``inner`` attribute); ``sign``
-    maps the host-side candidate voltage onto the port's own voltage, and
-    ``key`` groups ports whose models share submodels
-    (:func:`repro.perf.rbf_fast.batch_key`).
-    """
-    sign = 1.0
-    inner = getattr(termination, "inner", None)
-    if inner is not None:
-        termination, sign = inner, -1.0
-    if not isinstance(termination, MacromodelTermination):
-        return None
-    port = termination.port
-    if getattr(port, "_fast", None) is None:
-        return None
-    key = batch_key(port.model)
-    if key is None:
-        return None
-    return port, sign, key
-
-
-class BatchedCellGroup:
-    """Lockstep Newton over several hybrid cell updates sharing one model.
-
-    The per-port scalar iteration is *identical* to
-    :func:`~repro.core.newton.newton_solve_scalar_fused` — same initial
-    evaluation, damping, derivative clamping and convergence test — but the
-    RBF basis evaluations of all ports in an iteration are performed in one
-    vectorised pass (:func:`repro.perf.rbf_fast.prewarm_ports`) before the
-    scalar bookkeeping runs.  This is the ROADMAP item "batch multiple
-    macromodel ports per Newton solve" for the 3-D solver.
-    """
-
-    def __init__(self, updates: Sequence[HybridCellUpdate]):
-        if len(updates) < 2:
-            raise ValueError("a batched group needs at least two ports")
-        self.updates = list(updates)
-        self.ports = []
-        self.signs = []
-        keys = set()
-        for update in self.updates:
-            if not update.termination.nonlinear:
-                raise ValueError("batched groups hold nonlinear terminations only")
-            info = batched_port(update.termination)
-            if info is None:
-                raise ValueError("termination is not batch-eligible")
-            port, sign, key = info
-            self.ports.append(port)
-            self.signs.append(sign)
-            keys.add(key)
-        if len(keys) != 1:
-            raise ValueError("all ports of a batched group must share one model family")
-        self.options: NewtonOptions = self.updates[0].newton_options
-
-    def _evaluate(self, active, v, f, dfdx, a, b, c, i_prev, t: float) -> None:
-        if len(active) >= 2:
-            # A single straggler port is cheaper through the scalar memoized
-            # evaluator it would hit anyway than through a width-1 batch.
-            prewarm_ports(
-                [self.ports[k] for k in active],
-                [self.signs[k] * v[k] for k in active],
-                t,
-            )
-        for k in active:
-            i, g = self.updates[k].termination.current_and_dcurrent(v[k], t)
-            f[k] = a[k] * v[k] - b[k] - c[k] * (i + i_prev[k])
-            dfdx[k] = a[k] - c[k] * g
-
-    def solve(self, a, b, c, v_guess, t: float) -> list[tuple[float, float]]:
-        """Advance every port of the group by one time step.
-
-        Parameters mirror :meth:`HybridCellUpdate.solve`, vectorised over
-        the group (sequences of per-port coefficients).  Returns the list
-        of committed ``(v_new, i_new)`` pairs in group order.
-        """
-        opts = self.options
-        m = len(self.updates)
-        a = [float(v) for v in a]
-        b = [float(v) for v in b]
-        c = [float(v) for v in c]
-        v = [float(x) for x in v_guess]
-        i_prev = [update.termination.last_current for update in self.updates]
-        f = [0.0] * m
-        dfdx = [0.0] * m
-        iterations = [0] * m
-
-        active = list(range(m))
-        self._evaluate(active, v, f, dfdx, a, b, c, i_prev, t)
-        active = [k for k in active if not abs(f[k]) < opts.tolerance]
-        while active:
-            for k in active:
-                d = dfdx[k]
-                # Same clamp as newton_solve_scalar_fused, including its NaN
-                # propagation (np.sign(nan) is nan): batch on/off must follow
-                # identical trajectories even for pathological derivatives.
-                if not np.isfinite(d) or abs(d) < opts.min_derivative:
-                    d = np.sign(d) * opts.min_derivative if d != 0 else opts.min_derivative
-                step = -f[k] / d
-                if opts.max_step is not None and abs(step) > opts.max_step:
-                    step = opts.max_step if step > 0 else -opts.max_step
-                v[k] = v[k] + step
-                iterations[k] += 1
-            self._evaluate(active, v, f, dfdx, a, b, c, i_prev, t)
-            active = [
-                k
-                for k in active
-                if not abs(f[k]) < opts.tolerance and iterations[k] < opts.max_iterations
-            ]
-
-        out = []
-        for k, update in enumerate(self.updates):
-            converged = abs(f[k]) < opts.tolerance
-            update.stats.record(iterations[k], converged)
-            i_new = update.termination.commit(v[k], t)
-            out.append((float(v[k]), float(i_new)))
-        return out

@@ -83,8 +83,7 @@ def run_sweep_study(
         f"\n{sweep.n_scenarios} scenarios in {sweep.wall_time:.2f} s "
         f"({sweep.amortised_wall_time()*1e3:.1f} ms/scenario amortised); "
         f"{stats['static_groups']} static groups, "
-        f"{stats['static_reuses']} static reuses, "
-        f"{stats['batched_rbf_evals']} batched RBF evaluations"
+        f"{stats['static_reuses']} static reuses"
     )
 
 

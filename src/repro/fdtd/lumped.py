@@ -209,47 +209,6 @@ class LumpedElementSite:
             )
         )
 
-    def gather(
-        self,
-        hx: np.ndarray,
-        hy: np.ndarray,
-        hz: np.ndarray,
-        t_new: float,
-        de_inc: float | None = None,
-    ) -> tuple[float, float, float, float]:
-        """The ``(a, b, c, v_guess)`` of this step's cell update (Eq. 8).
-
-        Collects the field-side contributions (curl of H, incident-field
-        derivative) without solving, so a host can batch the Newton solves
-        of several sites (see :class:`repro.core.lumped_rbf.BatchedCellGroup`).
-        """
-        if not self._bound:
-            raise RuntimeError("bind() must be called before stepping the element")
-        curl = self._curl_h(hx, hy, hz)
-        if de_inc is None:
-            de_inc = self._incident_derivative(t_new - 0.5 * self.dt)
-        b = self._a * self._v_prev + self.length * curl + EPS0 * self.length * de_inc
-        return self._a, b, self._c, self._v_prev
-
-    def write_back(
-        self,
-        e_component: np.ndarray,
-        v_new: float,
-        i_new: float,
-        t_new: float,
-        e_inc: float | None = None,
-    ) -> None:
-        """Record a solved step and write the scattered field into the mesh."""
-        # E_s = E_total - E_inc at the element edge.
-        if e_inc is None:
-            e_inc = self._incident_field(t_new)
-        i, j, k = self.node
-        e_component[i, j, k] = v_new / self.length - e_inc
-
-        self._v_prev = v_new
-        self.voltage_history.append(v_new)
-        self.current_history.append(i_new)
-
     def step(
         self,
         e_component: np.ndarray,
@@ -269,9 +228,24 @@ class LumpedElementSite:
         half step) precomputed in one batch over all sites; when omitted
         they are evaluated here.
         """
-        a, b, c, v_guess = self.gather(hx, hy, hz, t_new, de_inc=de_inc)
-        v_new, i_new = self.update.solve(a, b, c, v_guess, t_new)
-        self.write_back(e_component, v_new, i_new, t_new, e_inc=e_inc)
+        if not self._bound:
+            raise RuntimeError("bind() must be called before stepping the element")
+        # The (a, b, c) of this step's cell update (Eq. 8).
+        curl = self._curl_h(hx, hy, hz)
+        if de_inc is None:
+            de_inc = self._incident_derivative(t_new - 0.5 * self.dt)
+        b = self._a * self._v_prev + self.length * curl + EPS0 * self.length * de_inc
+        v_new, i_new = self.update.solve(self._a, b, self._c, self._v_prev, t_new)
+
+        # E_s = E_total - E_inc at the element edge.
+        if e_inc is None:
+            e_inc = self._incident_field(t_new)
+        i, j, k = self.node
+        e_component[i, j, k] = v_new / self.length - e_inc
+
+        self._v_prev = v_new
+        self.voltage_history.append(v_new)
+        self.current_history.append(i_new)
 
     # -- results ---------------------------------------------------------------
     @property

@@ -21,13 +21,11 @@ identical, so the same update code serves both cases).
 from __future__ import annotations
 
 import time as _time
-from collections import defaultdict
 from typing import Optional
 
 import numpy as np
 
 from repro import perf
-from repro.core.lumped_rbf import BatchedCellGroup, batched_port
 from repro.core.newton import NewtonOptions, NewtonStats
 from repro.fdtd.boundaries import MurBoundary
 from repro.fdtd.constants import EPS0, MU0
@@ -61,11 +59,6 @@ class FDTD3DSolver:
         application.  ``None`` (default) follows
         :func:`repro.perf.fastpath_default`; ``False`` runs the naive
         reference updates.
-    batch_ports:
-        Solve the Newton updates of macromodel ports that share a device
-        model in lockstep, with one vectorised RBF basis evaluation per
-        iteration across the group (:class:`~repro.core.lumped_rbf.BatchedCellGroup`).
-        ``None`` (default) follows ``fast``.
     """
 
     def __init__(
@@ -75,7 +68,6 @@ class FDTD3DSolver:
         courant_safety: float = 0.99,
         newton_options: NewtonOptions | None = None,
         fast: bool | None = None,
-        batch_ports: bool | None = None,
     ):
         self.grid = grid
         self.dt = dt if dt is not None else courant_time_step(
@@ -91,7 +83,6 @@ class FDTD3DSolver:
         self.newton_options = newton_options or NewtonOptions()
         self.newton_stats = NewtonStats()
         self.fast = perf.resolve_fast(fast)
-        self.batch_ports = self.fast if batch_ports is None else bool(batch_ports)
 
         self.sites: list[LumpedElementSite] = []
         self.voltage_probes: list[EdgeVoltageProbe] = []
@@ -246,26 +237,6 @@ class FDTD3DSolver:
                 [self.plane_wave.component(site.axis) for site in self.sites]
             )
             self._site_incident = (delays, scale)
-        # Macromodel ports sharing a device model are solved in lockstep
-        # with batched basis evaluation; everything else steps solo.
-        self._site_groups: list[tuple[list[LumpedElementSite], BatchedCellGroup]] = []
-        self._solo_sites: list[LumpedElementSite] = list(self.sites)
-        self._site_order = {id(site): k for k, site in enumerate(self.sites)}
-        if self.batch_ports:
-            grouped = defaultdict(list)
-            for site in self.sites:
-                if not site.termination.nonlinear:
-                    continue
-                info = batched_port(site.termination)
-                if info is not None:
-                    grouped[info[2]].append(site)
-            for sites in grouped.values():
-                if len(sites) >= 2:
-                    self._site_groups.append(
-                        (sites, BatchedCellGroup([site.update for site in sites]))
-                    )
-            in_group = {id(site) for sites, _ in self._site_groups for site in sites}
-            self._solo_sites = [site for site in self.sites if id(site) not in in_group]
 
         for probe in self.voltage_probes + self.field_probes:
             probe.bind(self.grid, self.plane_wave)
@@ -397,34 +368,12 @@ class FDTD3DSolver:
                 de_inc = scale * (g_plus - g_minus) / (2.0 * h)
             else:
                 e_inc = de_inc = None
-            order = self._site_order
-            for site in self._solo_sites:
-                k = order[id(site)]
+            for k, site in enumerate(self.sites):
                 site.step(
                     e_fields[site.axis], self.hx, self.hy, self.hz, t_new,
                     e_inc=None if e_inc is None else e_inc[k],
                     de_inc=None if de_inc is None else de_inc[k],
                 )
-            for sites, group in self._site_groups:
-                coeffs = [
-                    site.gather(
-                        self.hx, self.hy, self.hz, t_new,
-                        de_inc=None if de_inc is None else de_inc[order[id(site)]],
-                    )
-                    for site in sites
-                ]
-                solved = group.solve(
-                    [cf[0] for cf in coeffs],
-                    [cf[1] for cf in coeffs],
-                    [cf[2] for cf in coeffs],
-                    [cf[3] for cf in coeffs],
-                    t_new,
-                )
-                for site, (v_new, i_new) in zip(sites, solved):
-                    site.write_back(
-                        e_fields[site.axis], v_new, i_new, t_new,
-                        e_inc=None if e_inc is None else e_inc[order[id(site)]],
-                    )
             for probe in self.voltage_probes:
                 probe.record(e_fields[probe.axis], t_new)
             for probe in self.field_probes:

@@ -31,43 +31,22 @@ Two backends are provided:
 Backend selection
 -----------------
 ``resolve_backend_name(None | "auto", n)`` picks ``"dense"`` at or below
-:func:`sparse_threshold` unknowns and ``"sparse"`` above it (falling back
-to dense when scipy is unavailable).  The threshold defaults to
-:data:`SPARSE_THRESHOLD` (100, the measured crossover of Newton
-transients, which refactor on every iteration) and can be overridden
-process-wide with the ``REPRO_SPARSE_THRESHOLD`` environment variable
-(re-read on every call).  The assembler records its choice and the
-unknown count as ``stats["backend"]`` and ``stats["n_unknowns"]``.
-Explicit ``"dense"`` / ``"sparse"`` pin the backend; jobs request the
-sparse path declaratively via the ``engine.sparse_mna`` spec option.
-
-Without scipy both backends degrade gracefully: the dense backend falls
-back to a per-iteration ``numpy`` dense solve (still correct, no cached
-factorization) and ``"sparse"`` resolves to that same dense fallback.
+:data:`SPARSE_THRESHOLD` unknowns (100, the measured crossover of Newton
+transients, which refactor on every iteration) and ``"sparse"`` above
+it.  The assembler records its choice and the unknown count as
+``stats["backend"]`` and ``stats["n_unknowns"]``.  Explicit ``"dense"``
+/ ``"sparse"`` (``TransientOptions.backend``) pin the backend.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-try:  # scipy is optional: the fast path degrades gracefully without it
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
-    from scipy.linalg.lapack import dgesv as _dgesv
-except ImportError:  # pragma: no cover - exercised via tests/test_backends.py
-    _lu_factor = None
-    _lu_solve = None
-    _dgesv = None
-
-try:
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover - exercised via tests/test_backends.py
-    _csc_matrix = None
-    _splu = None
+from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+from scipy.linalg.lapack import dgesv as _dgesv
+from scipy.sparse import csc_matrix as _csc_matrix
+from scipy.sparse.linalg import splu as _splu
 
 from repro.resilience import SINGULAR_MATRIX, SolveFailure
 from repro.resilience import faults as _faults
@@ -77,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SPARSE_THRESHOLD",
-    "sparse_threshold",
-    "sparse_available",
     "resolve_backend_name",
     "make_backend",
     "BACKEND_NAMES",
@@ -87,7 +64,7 @@ __all__ = [
     "SparseBackend",
 ]
 
-#: default unknown count above which ``"auto"`` selects the sparse backend:
+#: unknown count above which ``"auto"`` selects the sparse backend:
 #: the measured dense/sparse crossover of a nonlinear (Newton) transient,
 #: which refactors its Jacobian every iteration — an RBF-terminated LC
 #: ladder breaks even near 50 sections (about 100 unknowns).  Purely
@@ -99,47 +76,18 @@ SPARSE_THRESHOLD = 100
 BACKEND_NAMES = ("auto", "dense", "sparse")
 
 
-def sparse_threshold() -> int:
-    """The auto-selection threshold (``REPRO_SPARSE_THRESHOLD`` overrides)."""
-    raw = os.environ.get("REPRO_SPARSE_THRESHOLD", "").strip()
-    if not raw:
-        return SPARSE_THRESHOLD
-    try:
-        return int(raw)
-    except ValueError:
-        return SPARSE_THRESHOLD
-
-
-def sparse_available() -> bool:
-    """Whether the sparse backend can run (scipy.sparse importable)."""
-    return _csc_matrix is not None and _splu is not None
-
-
 def resolve_backend_name(backend: str | None, n_unknowns: int) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    ``None`` / ``"auto"`` pick dense at or below :func:`sparse_threshold`
-    unknowns and sparse above it.  Without scipy, sparse resolves to dense
-    (the run stays correct; ``stats["backend"]`` records the substitution)
-    — silently for auto selection, with a :class:`RuntimeWarning` when the
-    caller asked for sparse explicitly.
+    ``None`` / ``"auto"`` pick dense at or below :data:`SPARSE_THRESHOLD`
+    unknowns and sparse above it.
     """
-    explicit = backend == "sparse"
     if backend is None or backend == "auto":
-        backend = "sparse" if n_unknowns > sparse_threshold() else "dense"
+        backend = "sparse" if n_unknowns > SPARSE_THRESHOLD else "dense"
     if backend not in ("dense", "sparse"):
         raise ValueError(
             f"unknown linear-solver backend {backend!r}; expected one of {BACKEND_NAMES}"
         )
-    if backend == "sparse" and not sparse_available():
-        if explicit:
-            warnings.warn(
-                "sparse linear-solver backend requested but scipy is "
-                "unavailable; falling back to the dense numpy path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "dense"
     return backend
 
 
@@ -230,8 +178,7 @@ class DenseBackend(LinearSolverBackend):
     (``stats["cached_solves"]``).  Nonlinear circuits re-stamp only the
     dynamic elements on an ``np.copyto`` of the static parts and solve
     with raw LAPACK ``gesv`` (bit-identical to ``np.linalg.solve`` minus
-    the wrapper overhead).  Without scipy the backend degrades to a dense
-    ``numpy`` solve per iteration, which is still correct.
+    the wrapper overhead).
     """
 
     name = "dense"
@@ -284,7 +231,7 @@ class DenseBackend(LinearSolverBackend):
         asm = self.assembler
         shared = asm._shared
         injected_singular = _faults.PLAN is not None and self._check_injected_faults()
-        if asm.linear_only and _lu_factor is not None:
+        if asm.linear_only:
             if injected_singular:
                 # Treat exactly like a factorization that came back
                 # singular: drop the cached factors and divert to the dense
@@ -336,33 +283,25 @@ class DenseBackend(LinearSolverBackend):
         self.stats["dense_solves"] += 1
         if not asm.linear_only:
             self.stats["factorizations"] += 1
-        if _dgesv is not None and not (injected_singular and not asm.linear_only):
-            # Raw LAPACK gesv: same factorization as np.linalg.solve (the
-            # results are bit-identical) without the wrapper overhead, which
-            # is significant at typical circuit sizes.  ``A`` stays intact
-            # for the singular-case fallback below.
-            np.copyto(self._A_solve, A)
-            _, _, x, info = _dgesv(self._A_solve, rhs, overwrite_a=1, overwrite_b=0)
-            if info == 0:
-                return x
-            self._note_singular_fallback(
-                f"dgesv reported singular factor (info={int(info)}); "
-                "least-squares fallback",
-            )
-            return np.linalg.lstsq(A, rhs, rcond=None)[0]
         if injected_singular and not asm.linear_only:
             self._note_singular_fallback(
                 "injected singular solve; least-squares fallback",
                 injected=True,
             )
             return np.linalg.lstsq(A, rhs, rcond=None)[0]
-        try:
-            return np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            self._note_singular_fallback(
-                "dense solve singular; least-squares fallback",
-            )
-            return np.linalg.lstsq(A, rhs, rcond=None)[0]
+        # Raw LAPACK gesv: same factorization as np.linalg.solve (the
+        # results are bit-identical) without the wrapper overhead, which
+        # is significant at typical circuit sizes.  ``A`` stays intact
+        # for the singular-case fallback below.
+        np.copyto(self._A_solve, A)
+        _, _, x, info = _dgesv(self._A_solve, rhs, overwrite_a=1, overwrite_b=0)
+        if info == 0:
+            return x
+        self._note_singular_fallback(
+            f"dgesv reported singular factor (info={int(info)}); "
+            "least-squares fallback",
+        )
+        return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
 class _StampRecorder:

@@ -25,17 +25,14 @@ LAPACK backend (preallocated ``(n, n)`` arrays, ``dgesv``, cached
 ``lu_factor`` — purely linear circuits factor exactly once per transient)
 or the sparse-CSC backend (COO-recorded stamps, cached sparsity pattern,
 ``splu``) selected automatically above
-:func:`~repro.perf.backends.sparse_threshold` unknowns or explicitly via
-``TransientOptions.backend`` / the ``engine.sparse_mna`` job option.
-Without scipy the assembler falls back to a dense solve per iteration,
-which is still correct.  :attr:`FastPathAssembler.stats` counts
+:data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns or explicitly via
+``TransientOptions.backend``.  :attr:`FastPathAssembler.stats` counts
 factorizations, cached solves, sparse pattern reuses and symbolic
 factorizations so tests can assert the caches are actually hit.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,7 +54,6 @@ from repro.circuits.elements import (
 from repro.perf.backends import (
     SPARSE_THRESHOLD,
     make_backend,
-    sparse_threshold,
     _lu_factor,
     _lu_solve,
     _splu,
@@ -73,7 +69,6 @@ __all__ = [
     "FastPathAssembler",
     "SharedStaticContext",
     "SPARSE_THRESHOLD",
-    "bank_compaction_default",
     "compact_elements",
 ]
 
@@ -84,17 +79,6 @@ __all__ = [
 
 #: a group needs at least this many members before compaction pays for itself
 COMPACTION_MIN_GROUP = 2
-
-
-def bank_compaction_default() -> bool:
-    """Whether bank compaction is enabled (``REPRO_BANK_COMPACTION=0`` opts out)."""
-    raw = os.environ.get("REPRO_BANK_COMPACTION", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-def resolve_bank_compaction(flag: bool | None) -> bool:
-    """Resolve ``TransientOptions.compact_banks`` against the env default."""
-    return bank_compaction_default() if flag is None else bool(flag)
 
 
 def _bank_from_group(kind, members, tag: int):
@@ -267,9 +251,7 @@ class SharedStaticContext:
                 # the dense lstsq fallback below handle the solves.
                 self._note_singular(str(exc) or "static splu factorization failed")
                 return
-        elif _lu_factor is None:
-            return  # scipy-less fallback: solve_block uses dense solves
-        elif self.A_static.shape[0] > sparse_threshold() and _splu is not None:
+        elif self.A_static.shape[0] > SPARSE_THRESHOLD:
             self.sparse_lu = _splu(_csc_matrix(self.A_static))
         else:
             self.lu = _lu_factor(self.A_static, check_finite=False)
@@ -340,14 +322,13 @@ class FastPathAssembler:
     backend:
         Linear-solver backend: ``"dense"``, ``"sparse"`` or ``None``/
         ``"auto"`` (dense at paper scale, sparse above
-        :func:`~repro.perf.backends.sparse_threshold` unknowns).
+        :data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns).
     compact_banks:
         Group homogeneous scalar elements into vectorised
         :class:`~repro.circuits.elements.ElementBank` instances for this
-        run (``None`` follows :func:`bank_compaction_default`, i.e. the
-        ``REPRO_BANK_COMPACTION`` environment switch).  Compaction changes
-        neither the unknown numbering nor the stamped values — only how
-        many Python calls each step costs.
+        run (default ``True``).  Compaction changes neither the unknown
+        numbering nor the stamped values — only how many Python calls
+        each step costs.
     health:
         Optional :class:`~repro.resilience.RunHealth` accumulator the
         backends record degraded solves (singular fallbacks) into; the
@@ -365,7 +346,7 @@ class FastPathAssembler:
         gmin: float,
         shared: SharedStaticContext | None = None,
         backend: str | None = None,
-        compact_banks: bool | None = None,
+        compact_banks: bool = True,
         health: RunHealth | None = None,
     ):
         self.circuit = circuit
@@ -375,7 +356,7 @@ class FastPathAssembler:
         self.gmin = float(gmin)
         self._shared = shared
         self.health = health if health is not None else RunHealth()
-        self.compact_banks = resolve_bank_compaction(compact_banks)
+        self.compact_banks = compact_banks
 
         elements = list(circuit.elements)
         compacted = 0

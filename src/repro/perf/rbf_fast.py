@@ -44,10 +44,6 @@ __all__ = [
     "FastDriverEvaluator",
     "FastReceiverEvaluator",
     "build_fast_port_evaluator",
-    "batched_value_and_slope",
-    "batch_key",
-    "prewarm_ports",
-    "BatchedPrepare",
 ]
 
 
@@ -283,219 +279,3 @@ def build_fast_port_evaluator(model):
         return FastReceiverEvaluator(model)
     return None
 
-
-# -- batched evaluation across ports/scenarios -----------------------------
-#
-# A scenario sweep runs N transients in lockstep, and a 3-D solver may carry
-# several macromodel ports; at every Newton iteration each of those ports
-# evaluates the *same* Gaussian expansion at its own candidate voltage.  The
-# helpers below batch those evaluations: one (M, L) vectorised pass replaces
-# M separate (L,) passes, and the per-evaluator memo caches are pre-filled so
-# the subsequent scalar calls from the stamping/Newton code are cache hits.
-
-def batched_value_and_slope(blocks, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate M structurally identical :class:`SeparableBlocks` at once.
-
-    ``blocks[k]`` is evaluated at voltage ``vs[k]``; all blocks must wrap the
-    same submodels (same centres, width and scales) and differ only in their
-    per-step folded weights ``_w_eff``.  Returns ``(values, slopes)`` arrays
-    matching the scalar :meth:`SeparableBlocks.value_and_slope` row by row.
-    """
-    first = blocks[0]
-    w = np.stack([b._w_eff for b in blocks])
-    d = np.subtract.outer(np.asarray(vs, dtype=float) / first.v_scale, first.c0)
-    tw = d * d
-    tw *= first.neg_inv_two_beta_sq
-    np.exp(tw, out=tw)
-    tw *= w
-    values = first.out_scale * tw.sum(axis=1)
-    # Per-row BLAS dot, matching the scalar path's ``tw @ d`` bit for bit;
-    # a fused einsum is marginally faster but rounds differently, and the
-    # Jacobian jitter amplifies through long Newton trajectories.
-    slopes = np.empty(len(blocks))
-    for k in range(len(blocks)):
-        slopes[k] = np.dot(tw[k], d[k])
-    slopes *= first.slope_scale
-    return values, slopes
-
-
-def batch_key(model):
-    """Grouping key for batched evaluation, or ``None`` when not batchable.
-
-    Ports whose models share the identical submodel objects can be evaluated
-    in one vectorised pass: driver variants bound to different stimuli share
-    their up/down submodels, and receiver instances built from one
-    identification share their linear/protection parts.
-    """
-    if isinstance(model, DriverMacromodel):
-        return ("driver", id(model.submodel_up), id(model.submodel_down))
-    if isinstance(model, ReceiverMacromodel):
-        return ("receiver", id(model.linear), id(model.protection_up), id(model.protection_down))
-    return None
-
-
-def _prepare_if_needed(port, evaluator, t: float) -> None:
-    key = (port._state_version, t)
-    if key != evaluator._prep_key:
-        evaluator._prepare_state(port.x_v, port.x_i, t)
-        evaluator._prep_key = key
-        evaluator._last_v = None
-
-
-class BatchedPrepare:
-    """Cross-scenario batching of :meth:`SeparableBlocks.prepare`.
-
-    The per-step regressor folding is the dominant per-step cost of batched
-    RBF sweeps: every scenario's evaluator folds the frozen-regressor
-    Gaussian factor into its weights once per time step, and the ``(L, D)``
-    distance computation behind that fold does not vectorise across
-    scenarios on the scalar path.  A ``BatchedPrepare`` lifts the fold of
-    all lockstep scenarios that share a device variant into one stacked
-    pass per step: the ``M`` scenario states become one ``(M, D)`` matrix,
-    the squared distances one ``cs @ S.T`` GEMM plus an einsum of the state
-    norms, and one ``exp`` over the ``(L, M)`` block replaces ``M``
-    separate ``(L,)`` passes.
-
-    The fold is arithmetically the scalar :meth:`SeparableBlocks.prepare`
-    re-associated (GEMM versus GEMV accumulation order), so batched and
-    sequential waveforms agree to well below 1e-12 relative —
-    ``tests/test_backends.py`` pins this.  Enabled per sweep via
-    ``CircuitSweep(batch_prepare=True)`` / the ``engine.batch_prepare`` job
-    option and consumed by :func:`prewarm_ports`.
-    """
-
-    def __init__(self):
-        self.stats = {"batched_folds": 0, "folded_scenarios": 0}
-
-    def prepare_group(self, stale, t: float) -> bool:
-        """Fold all stale ``(port, evaluator)`` pairs of one batch group.
-
-        Returns ``False`` (leaving the scalar path to do the work) when the
-        group's evaluators have no batched form.  On success the evaluators'
-        memo keys are marked prepared, exactly as the scalar path would.
-        """
-        evaluators = [evaluator for _, evaluator in stale]
-        first = evaluators[0]
-        if isinstance(first, FastDriverEvaluator):
-            for evaluator in evaluators:
-                evaluator._w_u, evaluator._w_d = evaluator.model.weights_at(t)
-            # Blocks with zero switching weight keep their stale folded
-            # weights (their contribution is multiplied by exactly 0.0 at
-            # evaluation time), matching the scalar path's skip.
-            up = [(ev.up, port) for port, ev in stale if ev._w_u != 0.0]
-            down = [(ev.down, port) for port, ev in stale if ev._w_d != 0.0]
-            for group in (up, down):
-                if len(group) >= 2:
-                    self._fold(group)
-                elif group:
-                    block, port = group[0]
-                    block.prepare(port.x_v, port.x_i)
-        elif isinstance(first, FastReceiverEvaluator):
-            if any(ev._fused is None for ev in evaluators):
-                return False
-            for port, evaluator in stale:
-                linear = evaluator.model.linear
-                evaluator._lin_const = float(
-                    linear.b_past @ port.x_v + linear.a_past @ port.x_i
-                )
-            self._fold([(ev._fused, port) for port, ev in stale])
-        else:
-            return False
-        for port, evaluator in stale:
-            evaluator._prep_key = (port._state_version, t)
-            evaluator._last_v = None
-        self.stats["batched_folds"] += 1
-        self.stats["folded_scenarios"] += len(stale)
-        return True
-
-    @staticmethod
-    def _fold(pairs) -> None:
-        """One stacked fold of M structurally identical blocks.
-
-        ``pairs`` is ``[(SeparableBlocks, port), ...]``; all blocks wrap
-        the same submodels (guaranteed by :func:`batch_key` grouping) and
-        differ only in their scenarios' frozen regressor states.
-        """
-        first = pairs[0][0]
-        m = len(pairs)
-        for bi, ref_block in enumerate(first._blocks):
-            r = ref_block["r"]
-            states = np.empty((m, 2 * r))
-            for k, (_, port) in enumerate(pairs):
-                np.divide(port.x_v, first.v_scale, out=states[k, :r])
-                np.divide(port.x_i, ref_block["i_scale"], out=states[k, r:])
-            sq = ref_block["cs"] @ states.T
-            sq *= -2.0
-            sq += ref_block["cs_sq"][:, None]
-            sq += np.einsum("md,md->m", states, states)[None, :]
-            np.maximum(sq, 0.0, out=sq)
-            sq *= first.neg_inv_two_beta_sq
-            np.exp(sq, out=sq)
-            for k, (blocks, _) in enumerate(pairs):
-                block = blocks._blocks[bi]
-                np.multiply(block["w_base"], sq[:, k], out=blocks._w_eff[block["slice"]])
-
-
-def prewarm_ports(ports, vs, t: float, batch_prepare: BatchedPrepare | None = None) -> bool:
-    """Batch-evaluate a group of ports and pre-fill their memo caches.
-
-    Parameters
-    ----------
-    ports:
-        :class:`~repro.core.resampling.ResampledPortModel` instances whose
-        models share one :func:`batch_key` and whose fast evaluators are
-        built (``port._fast is not None``).
-    vs:
-        Candidate port voltages, one per port.
-    t:
-        The (common) evaluation time of the Newton iteration.
-    batch_prepare:
-        Optional :class:`BatchedPrepare` carrier: when given, the per-step
-        regressor folds of all ports needing fresh preparation run as one
-        stacked pass instead of one scalar fold per port (the scalar path
-        remains the fallback for unbatchable groups).
-
-    After this call, ``port.current_and_dcurrent(vs[k], t)`` is a cache hit
-    for every port in the group.  Returns ``False`` (leaving the scalar path
-    to do the work) when the group is not batchable after all.
-    """
-    evaluators = [port._fast for port in ports]
-    first = evaluators[0]
-    vs = np.asarray(vs, dtype=float)
-    if batch_prepare is not None:
-        stale = [
-            (port, evaluator)
-            for port, evaluator in zip(ports, evaluators)
-            if (port._state_version, t) != evaluator._prep_key
-        ]
-        if len(stale) >= 2:
-            batch_prepare.prepare_group(stale, t)
-    # Scalar fallback: a no-op for every port the batched fold prepared.
-    for port, evaluator in zip(ports, evaluators):
-        _prepare_if_needed(port, evaluator, t)
-
-    if isinstance(first, FastDriverEvaluator):
-        w_u = np.array([ev._w_u for ev in evaluators])
-        w_d = np.array([ev._w_d for ev in evaluators])
-        # Blocks with zero switching weight hold stale (finite) folded
-        # weights; their contribution is multiplied by exactly 0.0 below,
-        # matching the scalar path's skip.
-        up_v, up_s = batched_value_and_slope([ev.up for ev in evaluators], vs)
-        dn_v, dn_s = batched_value_and_slope([ev.down for ev in evaluators], vs)
-        values = w_u * up_v + w_d * dn_v
-        slopes = w_u * up_s + w_d * dn_s
-    elif isinstance(first, FastReceiverEvaluator):
-        if any(ev._fused is None for ev in evaluators):
-            return False
-        b0 = first.model.linear.b0
-        lin_const = np.array([ev._lin_const for ev in evaluators])
-        fused_v, fused_s = batched_value_and_slope([ev._fused for ev in evaluators], vs)
-        values = b0 * vs + lin_const + fused_v
-        slopes = b0 + fused_s
-    else:
-        return False
-
-    for k, evaluator in enumerate(evaluators):
-        evaluator._last_v = float(vs[k])
-        evaluator._last_eval = (float(values[k]), float(slopes[k]))
-    return True

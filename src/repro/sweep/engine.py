@@ -9,11 +9,7 @@ together, which is what unlocks the sharing:
   LU-factored exactly once for the whole batch;
 * **linear block solves** — all linear scenarios of a static group are
   advanced with one multi-right-hand-side ``LU x = B`` solve per time step
-  instead of one Newton loop with per-scenario solves each;
-* **batched RBF evaluation** — the macromodel ports of all scenarios that
-  share a device variant are evaluated in one vectorised Gaussian pass per
-  Newton iteration (:func:`repro.perf.rbf_fast.prewarm_ports`), so the
-  per-scenario stamping code hits a warm cache.
+  instead of one Newton loop with per-scenario solves each.
 
 Each nonlinear scenario still executes exactly the Newton iterations it
 would run standalone — the batch changes where the arithmetic happens, not
@@ -39,7 +35,6 @@ from repro import perf
 from repro.circuits.netlist import Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
 from repro.perf.mna import SharedStaticContext
-from repro.perf.rbf_fast import BatchedPrepare, batch_key, prewarm_ports
 from repro.resilience import (
     BACKEND_ERROR,
     NAN_INF,
@@ -54,14 +49,6 @@ from repro.sweep.result import SweepResult
 from repro.sweep.scenario import Scenario
 
 __all__ = ["CircuitSweep"]
-
-
-def _port_voltage(x: np.ndarray, fast_idx) -> float:
-    """Candidate port voltage, computed exactly like the element stamp."""
-    i_node, i_ref = fast_idx
-    vn = x.item(i_node) if i_node is not None else 0.0
-    vr = x.item(i_ref) if i_ref is not None else 0.0
-    return vn - vr
 
 
 class CircuitSweep:
@@ -85,11 +72,6 @@ class CircuitSweep:
         linear-solver ``backend`` of the fast MNA path).
     initial_voltages:
         Optional ``initial_voltages(scenario) -> dict | None`` hook.
-    batch_prepare:
-        Fold the per-step RBF regressor preparation of all lockstep
-        scenarios in one stacked pass per step
-        (:class:`repro.perf.rbf_fast.BatchedPrepare`); spec-addressable as
-        the ``engine.batch_prepare`` job option.  Fast path only.
     """
 
     def __init__(
@@ -102,7 +84,6 @@ class CircuitSweep:
         record_branches: Optional[Sequence[tuple[str, int]]] = None,
         options: TransientOptions | None = None,
         initial_voltages: Optional[Callable[[Scenario], Optional[Dict[str, float]]]] = None,
-        batch_prepare: bool = False,
     ):
         scenarios = list(scenarios)
         if not scenarios:
@@ -118,7 +99,6 @@ class CircuitSweep:
         self.record_branches = list(record_branches) if record_branches is not None else None
         self.options = options or TransientOptions()
         self.initial_voltages = initial_voltages
-        self.batch_prepare = bool(batch_prepare)
 
     # -- sequential oracle -------------------------------------------------
     def _solo_run(self, scenario: Scenario):
@@ -231,24 +211,6 @@ class CircuitSweep:
             direct_set = {i for _, idxs in direct for i in idxs}
             newton_indices = [i for i in range(len(runs)) if i not in direct_set]
 
-        # Macromodel ports grouped across scenarios by device variant; each
-        # group of >= 2 live ports gets one vectorised basis evaluation per
-        # lockstep Newton iteration.
-        port_groups: list[list[tuple[int, object]]] = []
-        if fast:
-            grouped = defaultdict(list)
-            for idx in newton_indices:
-                for element in solvers[idx].circuit.elements:
-                    port = getattr(element, "port", None)
-                    evaluator = getattr(port, "_fast", None)
-                    fast_idx = getattr(element, "_fast_idx", None)
-                    if port is None or evaluator is None or fast_idx is None:
-                        continue
-                    key = batch_key(port.model)
-                    if key is not None:
-                        grouped[key].append((idx, element))
-            port_groups = [group for group in grouped.values() if len(group) >= 2]
-
         # Every counter is present in both modes (zeroed on the reference
         # path) so reports can read them unconditionally.
         stats = {
@@ -258,16 +220,11 @@ class CircuitSweep:
             "direct_linear_scenarios": sorted(
                 self.scenarios[i].name for _, idxs in direct for i in idxs
             ),
-            "batched_port_groups": len(port_groups),
-            "batched_rbf_evals": 0,
-            "batched_prepare_folds": 0,
-            "batched_prepare_scenarios": 0,
             "shared_factorizations": 0,
             "static_reuses": 0,
             "block_solves": 0,
             "symbolic_factorizations": 0,
         }
-        prepare_batcher = BatchedPrepare() if (fast and self.batch_prepare) else None
 
         cap = self.options.max_newton_iterations
         rhs_blocks = [
@@ -370,16 +327,6 @@ class CircuitSweep:
                                     self.scenarios[i].name):
                         forced.add(i)
             while active:
-                for group in port_groups:
-                    live = [(idx, el) for idx, el in group if idx in active]
-                    if len(live) < 2:
-                        continue
-                    ports = [el.port for _, el in live]
-                    vs = [_port_voltage(runs[idx].x, el._fast_idx) for idx, el in live]
-                    if prewarm_ports(
-                        ports, vs, runs[live[0][0]].t, batch_prepare=prepare_batcher
-                    ):
-                        stats["batched_rbf_evals"] += len(live)
                 for i in tuple(active):
                     solver, run = solvers[i], runs[i]
                     try:
@@ -446,11 +393,6 @@ class CircuitSweep:
             stats["block_solves"] = sum(
                 ctx.stats["block_solves"] for ctx in contexts.values()
             )
-            if prepare_batcher is not None:
-                stats["batched_prepare_folds"] = prepare_batcher.stats["batched_folds"]
-                stats["batched_prepare_scenarios"] = (
-                    prepare_batcher.stats["folded_scenarios"]
-                )
             # Symbolic setups summed over every solver that ran, including
             # solo retries (their cold re-runs pay real setup).
             stats["symbolic_factorizations"] = sum(

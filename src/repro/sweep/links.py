@@ -13,8 +13,8 @@ sweep dimensions of :class:`~repro.sweep.scenario.Scenario`:
 
 Two families are provided: a purely linear link (Thevenin driver, RC
 load) whose sweeps exercise the shared-LU block-solve path, and an RBF
-link (driver/receiver macromodels) whose sweeps exercise the batched
-Gaussian evaluation.
+link (driver/receiver macromodels) whose scenarios run their Newton
+iterations in lockstep on shared static stamps.
 """
 
 from __future__ import annotations
@@ -121,9 +121,7 @@ class RBFLinkSpec:
 
     ``devices`` maps device-variant labels (matched against
     ``scenario.device``) to ``(driver, receiver)`` macromodel pairs; the
-    ``None`` key provides the default pair.  All variants' submodels may be
-    shared objects — sharing is what makes cross-scenario batching of the
-    Gaussian evaluation possible.
+    ``None`` key provides the default pair.
     """
 
     devices: Mapping[Optional[str], Tuple[DriverMacromodel, ReceiverMacromodel]] = None
@@ -212,13 +210,8 @@ def linear_link_sweep(
     duration: float = 6e-9,
     spec: LinearLinkSpec | None = None,
     options: TransientOptions | None = None,
-    batch_prepare: bool = False,
 ) -> CircuitSweep:
-    """A sweep over the linear link (shared-LU block-solve path).
-
-    ``batch_prepare`` is accepted for job-spec uniformity; the linear link
-    has no RBF ports, so the batched regressor fold is a no-op here.
-    """
+    """A sweep over the linear link (shared-LU block-solve path)."""
     spec = spec or LinearLinkSpec()
     return CircuitSweep(
         spec.build,
@@ -228,7 +221,6 @@ def linear_link_sweep(
         record_nodes=["near", "far"],
         record_branches=[],
         options=options,
-        batch_prepare=batch_prepare,
     )
 
 
@@ -239,9 +231,8 @@ def rbf_link_sweep(
     duration: float = 6e-9,
     spec: RBFLinkSpec | None = None,
     options: TransientOptions | None = None,
-    batch_prepare: bool = False,
 ) -> CircuitSweep:
-    """A sweep over the RBF macromodel link (batched Gaussian evaluation)."""
+    """A sweep over the RBF macromodel link (lockstep Newton scenarios)."""
     spec = dataclasses.replace(spec or RBFLinkSpec(), devices=devices)
     return CircuitSweep(
         lambda scenario: spec.build(scenario, dt),
@@ -252,5 +243,4 @@ def rbf_link_sweep(
         record_branches=[],
         options=options,
         initial_voltages=spec.initial_voltages,
-        batch_prepare=batch_prepare,
     )

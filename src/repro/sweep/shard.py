@@ -258,10 +258,6 @@ def _run_pool(payloads: Sequence[str], workers: int) -> List[SweepResult]:
 #: engine counters summed across shards (disjoint scenario sets)
 _SUM_KEYS = (
     "static_groups",
-    "batched_port_groups",
-    "batched_rbf_evals",
-    "batched_prepare_folds",
-    "batched_prepare_scenarios",
     "shared_factorizations",
     "static_reuses",
     "block_solves",

@@ -39,16 +39,14 @@ JOBS_DIR = os.path.join(REPO_ROOT, "examples", "jobs")
 #: these, so a change to the spec codec that moves one orphans every
 #: stored result of that job: such a change must be deliberate.
 PINNED_FIXTURE_HASHES = {
-    "fdtd1d_link.json": "f9e25403803a86663fb2d9eb7becc6527ddce71ae696b6e868ebbb75319f2d5a",
-    "linear_link.json": "dbf2df0941194ebe664edf2289acbeedaf3849bd831bab70add0f7912bbe4b38",
-    "montecarlo_sweep.json": "fd30f54916f410bc375948f8bd89e879b6b7bd3e335e55cfc8e3857dc6c7d495",
+    "fdtd1d_link.json": "17291fece53d7925c5bc24d5d77dca27c392de072c3cc613b112867e379deb6f",
+    "linear_link.json": "0d75b573791d336c96a1ce0cd4f1615ffea186fc442b085442a039f9eafed8f1",
+    "montecarlo_sweep.json": "af63e08089aeceb2ffa69a8b3a49710904fe95fd540e03f7f662c4529ed1b6f6",
     "pattern_corner_sweep.json":
-        "f793fe8b9774bb078248613a35d1caeb62b5631c126e735c31cc2e6498a0dbb8",
-    "pattern_corner_sweep_batched.json":
-        "b2aa0b3b8a53738a4d2c0cb119fd736eeb819a5fca96a8523df24acf42827239",
-    "rbf_link.json": "05813f0731f8cf01f7ca09051ae89a7d46d52640e498a5460902a55959ec3be8",
-    "sparse_ladder.json": "79af5924367748b704aa1660e8165173a4715b23de002a91a3c620a4159056bd",
-    "validation_line_3d.json": "1ffad72a1397c9a0df10f9837fd955ea10e6d5077018a0c9be4e8c137adb5fd2",
+        "2ba2a0046d39f8ae9cfc7f04108cad8033154b4f60850cf0865de1f4332a9425",
+    "rbf_link.json": "a354f6aae605bd5e741d1df67041b527e7de4aa8d562d4cee3994d29df471e27",
+    "sparse_ladder.json": "2cf472dcaa5575180db45f21816c71ee3e87a9ef1d980959483cfeaca88172cb",
+    "validation_line_3d.json": "ef02852b48e2f284aecbe6afc5da6670cbc5e266e8fd49ed8472fa184e759185",
 }
 
 
@@ -88,7 +86,7 @@ def _all_field_specs() -> dict:
             ),
             link=LinkSpec(z0=131, delay=0.3e-9, load="receiver", load_resistance=350,
                           load_capacitance=0, source_resistance=40, segments=3),
-            engine=EngineOptions(dt=1e-11, fast=True, sparse_mna=True, max_retries=2,
+            engine=EngineOptions(dt=1e-11, fast=True, max_retries=2,
                                  on_nonconvergence="warn"),
         ),
         "circuit_transistor": SimulationSpec(
@@ -111,11 +109,10 @@ def _all_field_specs() -> dict:
             scenarios=(
                 ScenarioSpec(name="a", bit_pattern="011", drive_strength=1.2,
                              corner={"z0": 100, "load_resistance": 350.0},
-                             device="devA", static_group="g1"),
+                             static_group="g1"),
                 ScenarioSpec(name="b"),
             ),
-            engine=EngineOptions(sweep_family="linear", batch_prepare=True,
-                                 workers=2, shards=2),
+            engine=EngineOptions(sweep_family="linear", workers=2, shards=2),
         ),
         "stats_pattern": SimulationSpec(
             kind="sweep",
@@ -151,12 +148,12 @@ def _all_field_specs() -> dict:
 #: ``content_hash()`` of every :func:`_all_field_specs` spec, pinned so a
 #: codec change that moves the canonical form of any field is caught.
 PINNED_ALL_FIELD_HASHES = {
-    "circuit_inline": "14f4ba3adf5980d5d68d81ac80a8f3b0e462cec6864903da433bf2a650022f58",
-    "circuit_transistor": "ffd2f8154ce617642606dbeffa1105eb60617795ea57a0d4201d7d065ad9dabe",
-    "fdtd3d_scaled": "d8fd509070019be19ac79ca00f3f6acd3dbeca04d01ca77f670cb75a383fa45a",
-    "sweep_scenarios": "db2f6f41779bd87f98e13325154a51a722554f8a831da994e59ad04f3ee31761",
-    "stats_pattern": "a2121a91d7456cbd1f52a619118d497a45d3d5f702b0181b51cf4cff67679789",
-    "stats_choice": "d924d05a17265502ec1af1728167d4ef45d3005b623240274048b1724d1ea5fd",
+    "circuit_inline": "00af6bdac8b36d4dbb51e8e3843228946e687f6cb0337b985610a2fc5bb7c5d4",
+    "circuit_transistor": "13d93eefb9ab20d46eb56859c0bd66fffbd46c819eb3782ed4402917d2062fc5",
+    "fdtd3d_scaled": "548e2a20e248ca05ffdf81353c2dcc494a355e18d7db7fc2e60dc4f7ce372ff7",
+    "sweep_scenarios": "4fa05376e46893be40282ce459b68a8f990dc293f4d2fbb22bed619eb0f29190",
+    "stats_pattern": "08cda611e0f826b524d9dbf71c0c213b932245551c1bd71a775802c51afba51f",
+    "stats_choice": "337f34d65d0a40a748172e5b7925b1798f3b2a6619191141217f0e4133670117",
 }
 
 
@@ -326,12 +323,28 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="corner"):
             spec_from_dict(data)
 
-    @pytest.mark.parametrize("field", ["device", "static_group"])
+    @pytest.mark.parametrize("field", ["static_group"])
     def test_scenario_labels_must_be_strings(self, field):
         # shard workers re-read scenarios from JSON, so the constructor must
         # reject what the JSON decoder rejects
         with pytest.raises(ValueError, match=rf"scenario\.{field}"):
             ScenarioSpec(name="a", **{field: 7})
+
+    @pytest.mark.parametrize("path, value, where", [
+        (("engine", "batch_prepare"), True, "engine"),
+        (("engine", "sparse_mna"), True, "engine"),
+        (("scenarios", 0, "device"), "fast_corner", r"scenarios\[0\]"),
+    ], ids=["engine.batch_prepare", "engine.sparse_mna", "scenarios.device"])
+    def test_removed_keys_are_rejected(self, path, value, where):
+        # These keys left the spec; a job file still carrying one names the
+        # key and its path instead of running.
+        data = _make_spec("sweep").to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"{where}: unknown key\(s\) \['{path[-1]}'\]"):
+            spec_from_dict(data)
 
     def test_block_fields_accept_their_json_form(self):
         spec = SimulationSpec(kind="circuit", stimulus={"bit_pattern": "0110"},
@@ -459,7 +472,7 @@ class TestContentHash:
         assert variant.content_hash() == spec.content_hash()
 
     @pytest.mark.parametrize("change", [
-        {"dt": 2e-11}, {"fast": False}, {"batch_prepare": True}, {"max_retries": 2},
+        {"dt": 2e-11}, {"fast": False}, {"max_retries": 2},
     ], ids=_change_id)
     def test_result_options_split_the_hash(self, change):
         spec = _make_spec("sweep")
@@ -470,15 +483,6 @@ class TestContentHash:
 class TestRegistry:
     def test_all_four_kinds_registered(self):
         assert tuple(ENGINES) == ENGINE_KINDS == ("circuit", "fdtd1d", "fdtd3d", "sweep")
-
-    def test_backend_flags_round_trip(self):
-        # Both flags are plain spec options; tests/test_backends.py pins
-        # what they compute.
-        spec = _make_spec("circuit")
-        for flag in ("sparse_mna", "batch_prepare"):
-            engine = dataclasses.replace(spec.engine, **{flag: True})
-            requested = dataclasses.replace(spec, engine=engine)
-            assert spec_from_dict(requested.to_dict()) == requested
 
 
 class TestResultContainer:

@@ -7,18 +7,11 @@ Pins the contracts of :mod:`repro.perf.backends`:
 * a purely linear sparse transient performs exactly one symbolic and one
   numeric factorization; nonlinear transients reuse the cached sparsity
   pattern;
-* backend auto-selection (``REPRO_SPARSE_THRESHOLD`` override included)
-  and the ``engine.sparse_mna`` / ``engine.batch_prepare`` job routing;
-* cross-scenario ``BatchedPrepare`` folding matches sequential runs;
-* the scipy-less degradation path (import-hook monkeypatch) still matches
-  the reference solver.
+* backend auto-selection at ``SPARSE_THRESHOLD`` unknowns, including a
+  job just past it.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -32,8 +25,7 @@ from repro.circuits.ladder import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.perf import backends as backends_mod
-from repro.perf.backends import resolve_backend_name, sparse_threshold
+from repro.perf.backends import SPARSE_THRESHOLD, resolve_backend_name
 from repro.waveforms.signals import BitPattern
 
 REL_TOL = 1e-12
@@ -173,8 +165,8 @@ class TestNonlinearEquivalence:
 class TestBackendResolution:
     def test_auto_threshold(self):
         assert resolve_backend_name(None, 8) == "dense"
-        assert resolve_backend_name("auto", sparse_threshold()) == "dense"
-        assert resolve_backend_name(None, sparse_threshold() + 1) == "sparse"
+        assert resolve_backend_name("auto", SPARSE_THRESHOLD) == "dense"
+        assert resolve_backend_name(None, SPARSE_THRESHOLD + 1) == "sparse"
         assert resolve_backend_name("dense", 100000) == "dense"
         assert resolve_backend_name("sparse", 4) == "sparse"
 
@@ -184,17 +176,11 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="backend must be one of"):
             TransientOptions(backend="cholesky")
 
-    def test_env_threshold_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "10")
-        assert sparse_threshold() == 10
-        assert resolve_backend_name(None, 11) == "sparse"
-        monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "not-a-number")
-        assert sparse_threshold() == backends_mod.SPARSE_THRESHOLD
-
-    def test_auto_selects_sparse_above_env_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "16")
-        factory = lambda: rc_ladder_circuit(40, waveform=_stimulus())[0]  # noqa: E731
+    def test_auto_selects_sparse_above_threshold(self):
+        # 120 sections: 122 unknowns, past the threshold with no option set
+        factory = lambda: rc_ladder_circuit(120, waveform=_stimulus())[0]  # noqa: E731
         _, stats = _run(factory, "n20", duration=0.5e-9)
+        assert stats["n_unknowns"] > SPARSE_THRESHOLD
         assert stats["backend"] == "sparse"
 
 
@@ -231,95 +217,34 @@ class TestSweepBackends:
         assert batched.perf_stats["block_solves"] > 0
 
 
-class TestBatchedPrepare:
-    def test_rbf_sweep_batch_prepare_matches_sequential(self, driver_model, receiver_model):
-        from repro.sweep.links import rbf_link_sweep
-        from repro.sweep.scenario import Scenario
-
-        scenarios = [
-            Scenario(name=f"s{k}", bit_pattern=pattern)
-            for k, pattern in enumerate(["010", "011", "0110"])
-        ]
-        devices = {None: (driver_model, receiver_model)}
-        batched = rbf_link_sweep(
-            scenarios, devices, dt=1e-11, duration=3e-9, batch_prepare=True
-        ).run()
-        sequential = rbf_link_sweep(
-            scenarios, devices, dt=1e-11, duration=3e-9
-        ).run_sequential()
-        for scenario in scenarios:
-            for node in ("near", "far"):
-                err = _rel_err(
-                    batched.results[scenario.name].voltage(node),
-                    sequential.results[scenario.name].voltage(node),
-                )
-                assert err <= REL_TOL
-        assert batched.perf_stats["batched_prepare_folds"] > 0
-        assert batched.perf_stats["batched_prepare_scenarios"] >= (
-            3 * batched.perf_stats["batched_prepare_folds"] // 2
-        )
-
-    def test_flag_off_keeps_scalar_prepare(self, driver_model, receiver_model):
-        from repro.sweep.links import rbf_link_sweep
-        from repro.sweep.scenario import Scenario
-
-        scenarios = [Scenario(name="x", bit_pattern="010"), Scenario(name="y", bit_pattern="011")]
-        result = rbf_link_sweep(
-            scenarios, {None: (driver_model, receiver_model)}, dt=1e-11, duration=1e-9
-        ).run()
-        assert result.perf_stats["batched_prepare_folds"] == 0
-
-
 class TestJobRouting:
-    def _sparse_spec(self, segments=40):
-        # 81 unknowns: small enough that the sparse_mna=False comparison
-        # job auto-resolves to the dense backend.
-        from repro.api import SimulationSpec
+    def test_sparse_mna_job_runs_on_sparse_backend(self):
+        # 60 sections: 121 MNA unknowns, just past the threshold, so the
+        # job runs sparse with no option asking for it.
+        from repro.api import SimulationSpec, run
+        from repro.api.engines import _link_description, resolve_models
         from repro.api.spec import DeviceSpec, EngineOptions, LinkSpec
+        from repro.circuits.testbenches import run_link_rbf
 
-        return SimulationSpec(
+        spec = SimulationSpec(
             kind="circuit",
             duration=1.5e-9,
             devices=DeviceSpec(source="library", n_centers=20),
-            link=LinkSpec(segments=segments),
-            engine=EngineOptions(dt=1e-11, sparse_mna=True),
+            link=LinkSpec(segments=60),
+            engine=EngineOptions(dt=1e-11),
         )
-
-    def test_sparse_mna_job_runs_on_sparse_backend(self):
-        from repro.api import run
-
-        spec = self._sparse_spec()
         result = run(spec)
+        assert result.perf_stats["n_unknowns"] == 121
         assert result.perf_stats["backend"] == "sparse"
         assert result.perf_stats["symbolic_factorizations"] == 1
-        dense = run(dataclasses.replace(
-            spec, engine=dataclasses.replace(spec.engine, sparse_mna=False)
-        ))
-        assert dense.perf_stats["backend"] == "dense"
-        err = _rel_err(result.waveform("far_end"), dense.waveform("far_end"))
+        models = resolve_models(spec)
+        dense = run_link_rbf(
+            _link_description(spec), models.driver, models.receiver, dt=1e-11,
+            params=models.params, options=TransientOptions(backend="dense"),
+        )
+        assert dense.metadata["solver_stats"]["backend"] == "dense"
+        err = _rel_err(result.waveform("far_end"), dense.voltage("far_end"))
         assert err <= REL_TOL
-
-    def test_batch_prepare_job_runs_and_folds(self, driver_model, receiver_model):
-        from repro.api import SimulationSpec, run
-        from repro.api.spec import EngineOptions, ScenarioSpec
-        from repro.experiments.devices import ReferenceMacromodels
-        from repro.macromodel.library import ReferenceDeviceParameters
-
-        spec = SimulationSpec(
-            kind="sweep",
-            duration=1.5e-9,
-            scenarios=(
-                ScenarioSpec(name="a", bit_pattern="010"),
-                ScenarioSpec(name="b", bit_pattern="011"),
-            ),
-            engine=EngineOptions(dt=1e-11, sweep_family="rbf", batch_prepare=True),
-        )
-        models = ReferenceMacromodels(
-            driver=driver_model, receiver=receiver_model,
-            params=ReferenceDeviceParameters(), source="library",
-        )
-        result = run(spec, models=models)
-        assert result.perf_stats["batched_prepare_folds"] > 0
 
     def test_golden_sparse_ladder_fixture_is_valid(self):
         import os
@@ -332,21 +257,7 @@ class TestJobRouting:
         )
         spec = load_spec(path)
         assert spec.kind == "circuit"
-        assert spec.engine.sparse_mna is True
         assert spec.link.segments >= 200  # well past the sparse threshold
-
-    def test_golden_batched_sweep_fixture_is_valid(self):
-        import os
-
-        from repro.api import load_spec
-
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "examples", "jobs", "pattern_corner_sweep_batched.json",
-        )
-        spec = load_spec(path)
-        assert spec.kind == "sweep"
-        assert spec.engine.batch_prepare is True
 
 
 class TestSingularRobustness:
@@ -424,63 +335,3 @@ class TestSweepSegments:
         for name in result.names():
             assert np.all(np.isfinite(result.waveform(name)))
 
-
-class _ScipyBlocker:
-    """Meta-path finder that refuses every scipy import."""
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} blocked by test")
-        return None
-
-
-class TestScipylessDegradation:
-    @pytest.fixture()
-    def no_scipy(self):
-        """Reload the backend layer with scipy imports blocked."""
-        import repro.perf.mna as mna_mod
-
-        blocker = _ScipyBlocker()
-        saved = {
-            name: sys.modules.pop(name)
-            for name in list(sys.modules)
-            if name == "scipy" or name.startswith("scipy.")
-        }
-        sys.meta_path.insert(0, blocker)
-        try:
-            importlib.reload(backends_mod)
-            importlib.reload(mna_mod)
-            assert backends_mod._lu_factor is None
-            assert backends_mod._splu is None
-            yield
-        finally:
-            sys.meta_path.remove(blocker)
-            sys.modules.update(saved)
-            importlib.reload(backends_mod)
-            importlib.reload(mna_mod)
-            assert backends_mod._lu_factor is not None
-
-    def test_dense_fallback_matches_reference(self, no_scipy):
-        factory = lambda: rc_ladder_circuit(25, waveform=_stimulus())[0]  # noqa: E731
-        ref, _ = _run(factory, "n15", fast=False)
-        wave, stats = _run(factory, "n15")
-        assert np.max(np.abs(ref)) > 0.5
-        assert _rel_err(wave, ref) <= REL_TOL
-        # no scipy: no cached LU, a dense numpy solve per iteration instead
-        assert stats["backend"] == "dense"
-        assert stats["dense_solves"] > 0
-        assert stats["cached_solves"] == 0
-        assert stats["factorizations"] == 0
-
-    def test_sparse_request_degrades_to_dense_with_warning(self, no_scipy):
-        assert backends_mod.sparse_available() is False
-        # auto selection degrades silently; an explicit request warns
-        assert backends_mod.resolve_backend_name("auto", 10000) == "dense"
-        with pytest.warns(RuntimeWarning, match="scipy is unavailable"):
-            assert backends_mod.resolve_backend_name("sparse", 10000) == "dense"
-        factory = lambda: rc_ladder_circuit(25, waveform=_stimulus())[0]  # noqa: E731
-        ref, _ = _run(factory, "n15", fast=False)
-        with pytest.warns(RuntimeWarning, match="falling back to the dense"):
-            wave, stats = _run(factory, "n15", backend="sparse", duration=1e-9)
-        assert stats["backend"] == "dense"
-        assert _rel_err(wave, ref[: wave.size]) <= REL_TOL

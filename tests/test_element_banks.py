@@ -9,9 +9,8 @@ Pins the contracts of the vectorised element banks
   linear and nonlinear (RBF receiver) cases, with compaction forced on
   and off;
 * the compaction pass groups homogeneous scalar elements without edits to
-  the netlist, honours ``TransientOptions(compact_banks=False)`` and
-  ``REPRO_BANK_COMPACTION=0``, and reports ``banked_elements`` /
-  ``accept_calls`` through ``perf_stats``;
+  the netlist, honours ``TransientOptions(compact_banks=False)``, and
+  reports ``banked_elements`` / ``accept_calls`` through ``perf_stats``;
 * the per-step accept list is built from the explicit ``needs_accept``
   flag (regression: the old bound-method comparison silently skipped
   accepts not defined directly on the leaf class);
@@ -48,11 +47,7 @@ from repro.circuits.ladder import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.perf.mna import (
-    FastPathAssembler,
-    bank_compaction_default,
-    compact_elements,
-)
+from repro.perf.mna import FastPathAssembler, compact_elements
 from repro.waveforms.signals import BitPattern
 
 REL_TOL = 1e-12
@@ -69,7 +64,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-30)
 
 
-def _run(circuit_factory, probe, backend=None, fast=None, compact=None,
+def _run(circuit_factory, probe, backend=None, fast=None, compact=True,
          duration=1.2e-9, dt=1e-11, record_branches=[]):
     solver = TransientSolver(
         circuit_factory(), dt,
@@ -381,15 +376,6 @@ class TestCompactionPass:
         assert stats["bank_compaction"] is False
         assert stats["compacted_elements"] == 0
         assert stats["banked_elements"] == 0
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BANK_COMPACTION", "0")
-        assert bank_compaction_default() is False
-        _, stats = _run(_rc_ladder(False), "n20", backend="dense")
-        assert stats["bank_compaction"] is False
-        assert stats["banked_elements"] == 0
-        monkeypatch.setenv("REPRO_BANK_COMPACTION", "1")
-        assert bank_compaction_default() is True
 
     def test_subclasses_pass_through_uncompacted(self):
         class SenseResistor(Resistor):

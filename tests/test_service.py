@@ -218,6 +218,19 @@ def test_non_finite_spec_is_rejected(server, block, key, value):
     assert server.manager.jobs() == []
 
 
+def test_scenario_device_label_is_rejected(server):
+    # The job API never resolved device variants: a rbf sweep naming one
+    # used to pass validation, queue, and fail at run with a KeyError.
+    spec = _sweep_spec()
+    spec["engine"]["sweep_family"] = "rbf"
+    spec["scenarios"][0]["device"] = "fast_corner"
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/jobs", spec)
+    assert err.value.code == 400
+    assert "scenarios[0]: unknown key(s) ['device']" in json.loads(err.value.read())["error"]
+    assert server.manager.jobs() == []
+
+
 # ---------------------------------------------------------------------------
 # end-to-end submit -> poll -> fetch
 # ---------------------------------------------------------------------------

@@ -221,8 +221,7 @@ class TestShardedEquivalence:
         assert 0.0 < perf["parallel_efficiency"] <= 1.0
 
     def test_rbf_sweep_bit_identical(self):
-        spec = _corner_sweep(n_groups=2, per_group=2, family="rbf",
-                             duration=1e-9, batch_prepare=True)
+        spec = _corner_sweep(n_groups=2, per_group=2, family="rbf", duration=1e-9)
         base = run(spec)
         sharded = run(dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, workers=2)))

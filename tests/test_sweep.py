@@ -94,9 +94,7 @@ class TestLinearSweep:
 
 
 class TestRBFSweep:
-    def test_matches_sequential_with_batched_basis_evals(
-        self, params, driver_model, receiver_model
-    ):
+    def test_matches_sequential(self, params, driver_model, receiver_model):
         scenarios = [
             Scenario(name=f"r{k}", bit_pattern=pattern)
             for k, pattern in enumerate(["010", "0110", "0101", "0011"])
@@ -108,10 +106,7 @@ class TestRBFSweep:
         sequential = sweep.run_sequential()
 
         _assert_sweeps_match(batched, sequential)
-        stats = batched.perf_stats
-        assert stats["batched_port_groups"] == 2  # driver group + receiver group
-        assert stats["batched_rbf_evals"] > 0
-        assert stats["static_reuses"] == 3
+        assert batched.perf_stats["static_reuses"] == 3
 
     def test_device_variants_batch_within_their_group(
         self, params, driver_model, receiver_model
@@ -132,8 +127,6 @@ class TestRBFSweep:
         sequential = sweep.run_sequential()
 
         _assert_sweeps_match(batched, sequential)
-        # Two driver families + one shared receiver family.
-        assert batched.perf_stats["batched_port_groups"] == 3
         # The variant device actually changes the waveform (it approximates
         # the same physical driver, so the difference is small but real).
         a = batched.voltage("a0", "near")
@@ -278,11 +271,17 @@ class TestSweepResultAndReport:
         assert eye.bit_time == pytest.approx(2e-9, rel=1e-9)
 
 
-class TestBatchedFDTD3DPorts:
-    """Port batching in the 3-D solver (same lockstep machinery, field side)."""
+class TestFDTD3DMultiPort:
+    """Four lumped ports on one 3-D grid, fast path against the reference.
+
+    Two receiver ports share one model and one of them is flipped, so the
+    fast evaluator's sign handling behind ``FlippedTermination`` is
+    checked against the naive evaluation.
+    """
 
     @staticmethod
-    def _run(batch_ports, driver_model, receiver_model):
+    def _run(fast, driver_model, receiver_model):
+        from repro import perf
         from repro.core.ports import MacromodelTermination, ResistiveSourceTermination
         from repro.fdtd.grid import YeeGrid
         from repro.fdtd.lumped import LumpedElementSite
@@ -290,49 +289,43 @@ class TestBatchedFDTD3DPorts:
         from repro.macromodel.driver import LogicStimulus
         from repro.waveforms.signals import TrapezoidalPulse
 
-        grid = YeeGrid(nx=10, ny=10, nz=8, dx=1e-3, dy=1e-3, dz=1e-3)
-        solver = FDTD3DSolver(grid, batch_ports=batch_ports)
-        dt = solver.dt
-        bound = driver_model.bound(LogicStimulus.from_pattern("01", 1e-9))
-        source = TrapezoidalPulse(
-            low=0.0, high=1.5, t_start=50 * dt, rise_time=100 * dt,
-            width=300 * dt, fall_time=100 * dt,
-        )
-        solver.add_lumped_element(
-            LumpedElementSite("src", "z", (3, 3, 3), ResistiveSourceTermination(50.0, source))
-        )
-        solver.add_lumped_element(
-            LumpedElementSite("rx1", "z", (6, 3, 3), MacromodelTermination.from_model(receiver_model, dt))
-        )
-        solver.add_lumped_element(
-            LumpedElementSite(
-                "rx2", "z", (6, 6, 3), MacromodelTermination.from_model(receiver_model, dt),
-                flip=True,
+        with perf.use_fastpath(fast):
+            grid = YeeGrid(nx=10, ny=10, nz=8, dx=1e-3, dy=1e-3, dz=1e-3)
+            solver = FDTD3DSolver(grid, fast=fast)
+            dt = solver.dt
+            bound = driver_model.bound(LogicStimulus.from_pattern("01", 1e-9))
+            source = TrapezoidalPulse(
+                low=0.0, high=1.5, t_start=50 * dt, rise_time=100 * dt,
+                width=300 * dt, fall_time=100 * dt,
             )
-        )
-        solver.add_lumped_element(
-            LumpedElementSite("drv", "z", (3, 6, 3), MacromodelTermination.from_model(bound, dt))
-        )
-        solver.run(n_steps=200)
+
+            def port(model):
+                return MacromodelTermination.from_model(model, dt, fast=fast)
+
+            solver.add_lumped_element(
+                LumpedElementSite("src", "z", (3, 3, 3), ResistiveSourceTermination(50.0, source))
+            )
+            solver.add_lumped_element(LumpedElementSite("rx1", "z", (6, 3, 3), port(receiver_model)))
+            solver.add_lumped_element(
+                LumpedElementSite("rx2", "z", (6, 6, 3), port(receiver_model), flip=True)
+            )
+            solver.add_lumped_element(LumpedElementSite("drv", "z", (3, 6, 3), port(bound)))
+            solver.run(n_steps=200)
         return solver
 
-    def test_batched_ports_match_sequential(self, driver_model, receiver_model):
-        batched = self._run(True, driver_model, receiver_model)
-        solo = self._run(False, driver_model, receiver_model)
+    def test_fast_ports_match_reference(self, driver_model, receiver_model):
+        fast = self._run(True, driver_model, receiver_model)
+        reference = self._run(False, driver_model, receiver_model)
 
-        # The two receiver ports share a model (one flipped): one group.
-        assert len(batched._site_groups) == 1
-        assert len(batched._site_groups[0][0]) == 2
-        assert len(solo._site_groups) == 0
-
-        for site_b, site_s in zip(batched.sites, solo.sites):
-            scale = max(np.max(np.abs(site_s.voltages)), 1e-30)
-            err = np.max(np.abs(site_b.voltages - site_s.voltages)) / scale
-            assert err <= REL_TOL, f"site {site_b.name}: rel err {err:.3e}"
-            err_i = np.max(np.abs(site_b.currents - site_s.currents)) / max(
-                np.max(np.abs(site_s.currents)), 1e-30
-            )
-            assert err_i <= REL_TOL, f"site {site_b.name} current: rel err {err_i:.3e}"
+        # The fast-path oracle bound of tests/test_perf_fastpath.py: 1e-12
+        # of max(1, |reference|), since the fast Yee kernels fold the cell
+        # divisions into their coefficients and so differ at ulp level.
+        for site_f, site_r in zip(fast.sites, reference.sites):
+            for label in ("voltages", "currents"):
+                got, want = getattr(site_f, label), getattr(site_r, label)
+                err = np.max(np.abs(got - want))
+                bound = REL_TOL * max(1.0, np.max(np.abs(want)))
+                assert err <= bound, f"site {site_f.name} {label}: |diff| {err:.3e}"
         assert (
-            batched.newton_stats.total_iterations == solo.newton_stats.total_iterations
+            fast.newton_stats.total_iterations == reference.newton_stats.total_iterations
         )
