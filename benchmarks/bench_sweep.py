@@ -6,11 +6,11 @@ assembly and the LU factorization, compared to a cold standalone
 fast-path run.  Two workloads:
 
 * ``linear`` — a >= 8-scenario bit-pattern/drive-strength sweep of the
-  linear validation link.  The whole batch is advanced by one multi-RHS
-  block solve per time step on a single shared factorization; the
-  acceptance gate asserts the amortised per-scenario wall time is at
-  least 2x below the cold single run and the batched waveforms match
-  per-scenario sequential runs to <= 1e-12 relative.
+  linear validation link.  The whole batch steps as one lane set and is
+  advanced by one multi-RHS block solve per time step on a single shared
+  factorization; the acceptance gate asserts the amortised per-scenario
+  wall time is at least 2x below the cold single run and the batched
+  waveforms match per-scenario sequential runs to <= 1e-12 relative.
 * ``rbf`` — a macromodel-link pattern sweep whose scenarios run their
   Newton iterations in lockstep, each port on its own separable evaluator
   (the speedup is reported, not gated; the equivalence check — the batch

@@ -1,10 +1,15 @@
-"""cProfile helper for the hot paths of the three engines.
+"""cProfile helper for the hot paths of the engines.
 
 Profiles one (or all) of the benchmark workloads and prints the top
 functions by cumulative and internal time, optionally with the fast-path
-kernels disabled so the naive reference paths can be inspected:
+kernels disabled so the naive reference paths can be inspected.  The
+targets are the transistor-level link (``mna``), the RBF link (``rbf``),
+the 1-D and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``) and one Monte Carlo
+sweep job of the linear link in perfbench's ``mc_sweep`` shape, run in
+process at ``workers=1`` (``sweep``):
 
     PYTHONPATH=src python scripts/profile_hotpaths.py mna
+    PYTHONPATH=src python scripts/profile_hotpaths.py sweep -n 30
     PYTHONPATH=src python scripts/profile_hotpaths.py fdtd3d --reference
     PYTHONPATH=src python scripts/profile_hotpaths.py all -n 30 -o prof.pstats
 """
@@ -17,14 +22,25 @@ import os
 import pstats
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro import perf  # noqa: E402
 
-TARGETS = ("mna", "rbf", "fdtd1d", "fdtd3d")
+TARGETS = ("mna", "rbf", "fdtd1d", "fdtd3d", "sweep")
 
 
 def _workload(target: str):
+    if target == "sweep":
+        # No device models: the Monte Carlo job sweeps the linear link.
+        sys.path.insert(0, ROOT)
+        from perfbench.specs import montecarlo_sweep
+        from repro.api import run, spec_from_dict
+
+        spec = spec_from_dict(montecarlo_sweep(11, workers=1))
+        run(spec)  # warm-up: lazy imports and first calls stay out of the profile
+        return lambda: run(spec)
+
     from repro.circuits.testbenches import run_link_rbf, run_link_transistor
     from repro.core.cosim import LinkDescription
     from repro.core.ports import MacromodelTermination

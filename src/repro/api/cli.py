@@ -211,7 +211,7 @@ def _cmd_run(
         wave = result.waveform(name)
         print(f"  {name}: min {wave.min():+.4g}  max {wave.max():+.4g}")
     interesting = (
-        "shared_factorizations", "static_reuses", "block_solves",
+        "lane_sets", "shared_factorizations", "static_reuses", "block_solves",
         "backend", "n_unknowns", "factorizations", "sparse_factorizations",
         "symbolic_factorizations", "pattern_reuses",
         "banked_elements", "accept_calls",

@@ -186,11 +186,13 @@ class TransientRun:
     """Mutable state of one transient run (see :meth:`TransientSolver.begin`).
 
     A run is normally driven to completion by :meth:`TransientSolver.run`,
-    but the scenario-sweep engine (:mod:`repro.sweep`) drives several runs
-    in lockstep — one :meth:`TransientSolver.begin_step` /
+    but the scenario-sweep engine (:mod:`repro.sweep`) drives the runs of
+    its Newton scenarios in lockstep — one :meth:`TransientSolver.begin_step` /
     :meth:`~TransientSolver.newton_iteration` / :meth:`~TransientSolver.end_step`
     cycle per time step per scenario — so the whole stepping state lives
-    here rather than in local variables of a monolithic loop.
+    here rather than in local variables of a monolithic loop.  (Its purely
+    linear scenarios step together as lane sets, :mod:`repro.sweep.lanes`,
+    and only hand their samples back to :meth:`TransientSolver.finish`.)
     """
 
     __slots__ = (
@@ -267,8 +269,7 @@ class TransientSolver:
     # A run decomposes into begin() -> [begin_step -> newton_iteration* ->
     # end_step]* -> finish().  run() drives one circuit to completion; the
     # sweep engine (repro.sweep) interleaves these calls across many runs so
-    # that static assembly/factorization and RBF basis evaluations can be
-    # shared within every time step.
+    # that static assembly and factorizations can be shared.
 
     def begin(
         self,

@@ -14,8 +14,8 @@ Two backends are provided:
 * :class:`DenseBackend` — today's tuned dense path: a preallocated
   ``(n, n)`` static matrix, ``np.copyto`` + in-place dynamic stamps per
   iteration, raw-LAPACK ``dgesv`` solves and a cached
-  ``scipy.linalg.lu_factor`` for constant Jacobians.  The default (and the
-  fastest) at paper-sized circuits.
+  ``scipy.linalg.lu_factor``, solved by raw ``dgetrs``, for constant
+  Jacobians.  The default (and the fastest) at paper-sized circuits.
 * :class:`SparseBackend` — true sparse assembly for netlists beyond about
   a hundred unknowns.  Static stamps are recorded **once per run** as COO
   triplets (scalar elements through a recorder stand-in, element banks as
@@ -43,8 +43,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
-from scipy.linalg.lapack import dgesv as _dgesv
+from scipy.linalg import lu_factor as _lu_factor
+from scipy.linalg.lapack import dgesv as _dgesv, dgetrs as _dgetrs
 from scipy.sparse import csc_matrix as _csc_matrix
 from scipy.sparse.linalg import splu as _splu
 
@@ -74,6 +74,18 @@ SPARSE_THRESHOLD = 100
 
 #: the backend names accepted by options/specs (``None`` means ``"auto"``)
 BACKEND_NAMES = ("auto", "dense", "sparse")
+
+
+def _lu_solve(lu_and_piv, rhs: np.ndarray) -> np.ndarray:
+    """Solve with ``lu_factor``'s factors through raw LAPACK ``getrs``.
+
+    The routine ``scipy.linalg.lu_solve`` calls, so the bits are the same,
+    without its wrapper, which costs more than the solve at circuit sizes.
+    """
+    x, info = _dgetrs(*lu_and_piv, rhs)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def resolve_backend_name(backend: str | None, n_unknowns: int) -> str:
@@ -267,7 +279,7 @@ class DenseBackend(LinearSolverBackend):
                             shared.stats["factorizations"] += 1
                     else:
                         self.stats["cached_solves"] += 1
-                    x = _lu_solve(self._lu, rhs, check_finite=False)
+                    x = _lu_solve(self._lu, rhs)
                 if np.all(np.isfinite(x)):
                     return x
                 # Singular / ill-posed system: fall through to the robust path.

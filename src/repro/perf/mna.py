@@ -280,7 +280,7 @@ class SharedStaticContext:
         if self.sparse_lu is not None:
             x = self.sparse_lu.solve(rhs_block)
         elif self.lu is not None:
-            x = _lu_solve(self.lu, rhs_block, check_finite=False)
+            x = _lu_solve(self.lu, rhs_block)
         else:
             try:
                 x = np.linalg.solve(self._dense_static(), rhs_block)
@@ -288,7 +288,7 @@ class SharedStaticContext:
                 x = np.full_like(rhs_block, np.nan)
         if _faults.PLAN is not None and _faults.take("singular"):
             x = np.full_like(x, np.nan)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             # Singular/ill-posed system: per-column robust fallback, counted
             # through the same taxonomy as every other singular-solve event.
             self.health.note_backend_fallback(SolveFailure(
@@ -439,11 +439,6 @@ class FastPathAssembler:
         for element in self.static_elements:
             element.stamp_rhs(rhs, ctx)
         return ctx
-
-    @property
-    def rhs_static(self) -> np.ndarray:
-        """The per-step x-independent RHS assembled by :meth:`begin_step`."""
-        return self._rhs_static
 
     def iterate(self, x: np.ndarray, ctx: StampContext) -> tuple[object, np.ndarray]:
         """Assemble the full system for one Newton iteration around ``x``.

@@ -9,7 +9,9 @@ done once:
 * :mod:`repro.sweep.scenario` — scenario descriptions (patterns, corners,
   device variants) and their static-sharing keys;
 * :mod:`repro.sweep.engine` — the lockstep batched runner (shared static
-  MNA + LU, multi-RHS linear block solves, batched RBF evaluation);
+  MNA + LU, multi-RHS linear block solves);
+* :mod:`repro.sweep.lanes` — the array state that steps a sweep's linear
+  scenarios together, one lane per scenario;
 * :mod:`repro.sweep.links` — canned linear and RBF link testbenches;
 * :mod:`repro.sweep.result` — the :class:`SweepResult` container;
 * :mod:`repro.sweep.report` — eye-diagram / worst-case-corner reports,

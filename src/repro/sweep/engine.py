@@ -9,7 +9,13 @@ together, which is what unlocks the sharing:
   LU-factored exactly once for the whole batch;
 * **linear block solves** — all linear scenarios of a static group are
   advanced with one multi-right-hand-side ``LU x = B`` solve per time step
-  instead of one Newton loop with per-scenario solves each.
+  instead of one Newton loop with per-scenario solves each;
+* **lane sets** — those *direct* scenarios (members of a corner group
+  whose circuits are all linear) step as one array state per circuit
+  topology (:class:`~repro.sweep.lanes.LaneSet`), across corner groups:
+  per step one vectorised RHS build, one block solve per corner group over
+  its live columns, and one vectorised accept, instead of a
+  ``begin_step``/``end_step`` pair per scenario.
 
 Each nonlinear scenario still executes exactly the Newton iterations it
 would run standalone — the batch changes where the arithmetic happens, not
@@ -19,7 +25,8 @@ advanced by one exact block solve per step: their waveforms are likewise
 equivalent, but their recorded ``newton_iterations`` is 1 per step, not
 the damped-update/confirming-re-solve count a standalone run reports —
 iteration counts are solver bookkeeping, and the waveforms are the
-contract.
+contract.  A quarantined scenario leaves its group's block solves from the
+failing step on and gets one solo retry after the batch.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from repro.resilience import (
     SolverError,
 )
 from repro.resilience import faults as _faults
+from repro.sweep.lanes import LaneSet, topology_key
 from repro.sweep.result import SweepResult
 from repro.sweep.scenario import Scenario
 
@@ -197,19 +205,34 @@ class CircuitSweep:
         if any(run.n_steps != n_steps for run in runs):
             raise ValueError("lockstep sweep requires an equal step count per scenario")
 
-        # Scenarios advanced by one block solve per step: the members of a
-        # shared static context that are all purely linear.
-        direct: list[tuple[SharedStaticContext, list[int]]] = []
+        # Direct groups: shared static contexts whose members are all purely
+        # linear and of one topology, advanced by one block solve per step.
+        # Their scenarios step as the lanes of one LaneSet per topology; a
+        # group's lanes are contiguous, in scenario order.
+        #: (context, scenario indices, lane set, first lane) per direct group
+        direct: list[tuple[SharedStaticContext, list[int], LaneSet, int]] = []
+        lane_sets: list[LaneSet] = []
+        #: direct scenario index -> (its lane set, its lane)
+        lane_of: Dict[int, tuple[LaneSet, int]] = {}
         newton_indices = list(range(len(runs)))
         if fast:
             members: Dict[SharedStaticContext, list[int]] = defaultdict(list)
             for idx, run in enumerate(runs):
                 members[run.assembler._shared].append(idx)
+            groups = []
+            lanes_order: Dict[tuple, list[int]] = defaultdict(list)
             for ctx, idxs in members.items():
-                if all(runs[i].assembler.linear_only for i in idxs):
-                    direct.append((ctx, idxs))
-            direct_set = {i for _, idxs in direct for i in idxs}
-            newton_indices = [i for i in range(len(runs)) if i not in direct_set]
+                if not all(runs[i].assembler.linear_only for i in idxs):
+                    continue
+                keys = {topology_key(runs[i]) for i in idxs}
+                if len(keys) == 1:
+                    groups.append((ctx, idxs))
+                    lanes_order[keys.pop()].extend(idxs)
+            for order in lanes_order.values():
+                lane_sets.append(LaneSet([runs[i] for i in order]))
+                lane_of.update((i, (lane_sets[-1], col)) for col, i in enumerate(order))
+            direct = [(ctx, idxs, *lane_of[idxs[0]]) for ctx, idxs in groups]
+            newton_indices = [i for i in range(len(runs)) if i not in lane_of]
 
         # Every counter is present in both modes (zeroed on the reference
         # path) so reports can read them unconditionally.
@@ -217,9 +240,8 @@ class CircuitSweep:
             "mode": "fast" if fast else "reference",
             "n_scenarios": len(self.scenarios),
             "static_groups": len(contexts) if fast else 0,
-            "direct_linear_scenarios": sorted(
-                self.scenarios[i].name for _, idxs in direct for i in idxs
-            ),
+            "direct_linear_scenarios": sorted(self.scenarios[i].name for i in lane_of),
+            "lane_sets": len(lane_sets),
             "shared_factorizations": 0,
             "static_reuses": 0,
             "block_solves": 0,
@@ -227,18 +249,16 @@ class CircuitSweep:
         }
 
         cap = self.options.max_newton_iterations
-        rhs_blocks = [
-            np.empty((runs[idxs[0]].x.size, len(idxs))) for _, idxs in direct
-        ]
         #: quarantined scenario index -> failure that evicted it from the batch
         failed: Dict[int, SolveFailure] = {}
 
-        def quarantine(i: int, kind: str, message: str, **context) -> None:
+        def quarantine(i: int, step: int, kind: str, message: str, **context) -> None:
             run = runs[i]
+            run.step = step  # lanes do not advance their runs' step counters
             run.step_converged = False
             failed[i] = solvers[i]._record_failure(run, kind, message, **context)
 
-        def handle_nonconverged(i: int, injected: bool) -> None:
+        def handle_nonconverged(i: int, step: int, injected: bool) -> None:
             # An exhausted (or fault-forced) Newton loop follows the same
             # on_nonconvergence policy as a standalone run: strict default
             # quarantines the scenario, warn/ignore commit with telemetry.
@@ -246,15 +266,15 @@ class CircuitSweep:
             if self.options.on_nonconvergence == "raise":
                 context = {"injected": True} if injected else {"iterations": run.newton_count}
                 quarantine(
-                    i, NON_CONVERGENCE,
+                    i, step, NON_CONVERGENCE,
                     "injected non-convergence" if injected
                     else f"Newton cap of {cap} iterations hit",
                     **context,
                 )
                 return
-            solver, run = solvers[i], runs[i]
+            solver = solvers[i]
             solver.health.record(SolveFailure(
-                NON_CONVERGENCE, step=run.step, scenario=self.scenarios[i].name,
+                NON_CONVERGENCE, step=step, scenario=self.scenarios[i].name,
                 residual=run.last_residual,
                 message="injected non-convergence" if injected
                 else f"Newton cap of {cap} iterations hit",
@@ -264,58 +284,61 @@ class CircuitSweep:
             if self.options.on_nonconvergence == "warn":
                 warnings.warn(
                     f"sweep scenario {self.scenarios[i].name!r} committed "
-                    f"step {run.step} without convergence",
+                    f"step {step} without convergence",
                     RuntimeWarning,
                     stacklevel=3,
                 )
 
-        for step in range(n_steps):
-            for i, (solver, run) in enumerate(zip(solvers, runs)):
+        for step in range(1, n_steps + 1):
+            for lanes in lane_sets:
+                lanes.begin_step(step)
+            for i in newton_indices:
                 if i not in failed:
-                    solver.begin_step(run)
+                    solvers[i].begin_step(runs[i])
 
-            for (ctx, idxs), rhs_block in zip(direct, rhs_blocks):
-                live = [i for i in idxs if i not in failed]
+            for ctx, idxs, lanes, first in direct:
+                # A group solves exactly its live lanes, in scenario order.
+                live = [i for i in idxs if i not in failed] if failed else idxs
                 if not live:
                     continue
-                block = rhs_block[:, : len(live)]
-                for col, i in enumerate(live):
-                    block[:, col] = runs[i].assembler.rhs_static
+                cols = (slice(first, first + len(idxs)) if len(live) == len(idxs)
+                        else [lane_of[i][1] for i in live])
                 try:
-                    solution = ctx.solve_block(block)
+                    solution = ctx.solve_block(lanes.rhs[:, cols])
                 except np.linalg.LinAlgError as exc:
                     for i in live:
-                        quarantine(i, SINGULAR_MATRIX,
+                        quarantine(i, step, SINGULAR_MATRIX,
                                    str(exc) or "singular block solve",
                                    site="solve_block")
                     continue
                 except RuntimeError as exc:
                     for i in live:
-                        quarantine(i, BACKEND_ERROR,
+                        quarantine(i, step, BACKEND_ERROR,
                                    str(exc) or type(exc).__name__,
                                    site="solve_block",
                                    exception=type(exc).__name__)
                     continue
+                if _faults.PLAN is None and np.isfinite(solution).all():
+                    lanes.x[:, cols] = solution
+                    continue
+                finite = np.isfinite(solution).all(axis=0)
+                kept = []
                 for col, i in enumerate(live):
-                    run = runs[i]
                     name = self.scenarios[i].name
-                    column = solution[:, col]
-                    if _faults.PLAN is not None and _faults.take("nan", run.step, name):
-                        column = np.full_like(column, np.nan)
-                    if not np.all(np.isfinite(column)):
-                        quarantine(i, NAN_INF,
+                    if (_faults.PLAN is not None and _faults.take("nan", step, name)) \
+                            or not finite[col]:
+                        quarantine(i, step, NAN_INF,
                                    "non-finite block-solve solution",
                                    site="solve_block")
                         continue
                     if _faults.PLAN is not None and _faults.take(
-                        "nonconvergence", run.step, name
+                        "nonconvergence", step, name
                     ):
-                        handle_nonconverged(i, injected=True)
+                        handle_nonconverged(i, step, injected=True)
                         if i in failed:
                             continue
-                    run.x = np.ascontiguousarray(column)
-                    run.newton_count = 1
-                    run.step_converged = True
+                    kept.append(col)
+                lanes.x[:, [lane_of[live[col]][1] for col in kept]] = solution[:, kept]
 
             active = {i for i in newton_indices if i not in failed}
             # Forced non-convergence faults are consumed once per step
@@ -323,8 +346,7 @@ class CircuitSweep:
             forced: set[int] = set()
             if _faults.PLAN is not None:
                 for i in tuple(active):
-                    if _faults.take("nonconvergence", runs[i].step,
-                                    self.scenarios[i].name):
+                    if _faults.take("nonconvergence", step, self.scenarios[i].name):
                         forced.add(i)
             while active:
                 for i in tuple(active):
@@ -333,13 +355,13 @@ class CircuitSweep:
                         solver.newton_iteration(run)
                     except np.linalg.LinAlgError as exc:
                         active.discard(i)
-                        quarantine(i, SINGULAR_MATRIX,
+                        quarantine(i, step, SINGULAR_MATRIX,
                                    str(exc) or "singular matrix",
                                    site="newton_iteration")
                         continue
                     except RuntimeError as exc:
                         active.discard(i)
-                        quarantine(i, BACKEND_ERROR,
+                        quarantine(i, step, BACKEND_ERROR,
                                    str(exc) or type(exc).__name__,
                                    site="newton_iteration",
                                    exception=type(exc).__name__)
@@ -352,11 +374,13 @@ class CircuitSweep:
                     if run.step_converged or run.newton_count >= cap:
                         active.discard(i)
                         if i in forced or not run.step_converged:
-                            handle_nonconverged(i, injected=i in forced)
+                            handle_nonconverged(i, step, injected=i in forced)
 
-            for i, (solver, run) in enumerate(zip(solvers, runs)):
+            for lanes in lane_sets:
+                lanes.end_step(step)
+            for i in newton_indices:
                 if i not in failed:
-                    solver.end_step(run)
+                    solvers[i].end_step(runs[i])
 
         results: Dict[str, object] = {}
         status: Dict[str, str] = {}
@@ -365,6 +389,9 @@ class CircuitSweep:
             if i in failed:
                 solver._sync_health()  # failed runs never reach finish()
                 continue
+            if i in lane_of:
+                lanes, col = lane_of[i]
+                lanes.finish(col, run)
             results[scenario.name] = solver.finish(run)
             status[scenario.name] = "ok"
 

@@ -263,6 +263,7 @@ _SUM_KEYS = (
     "block_solves",
     "solo_retries",
     "symbolic_factorizations",
+    "lane_sets",
 )
 
 #: sorted-name lists unioned across shards

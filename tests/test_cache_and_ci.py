@@ -262,6 +262,22 @@ class TestCIPipeline:
             for command in commands
         )
 
+    def test_quick_tier_runs_sweep_lanes_smoke(self, workflow):
+        # The sweep suites run as their own named quick-tier step, and the
+        # CLI smoke asserts that the linear fixture's four direct scenarios
+        # step as one lane set.
+        test_job = workflow["jobs"]["test"]
+        commands = [
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        ]
+        assert any(
+            '-k "lanes or sweep"' in command and 'not slow' in command
+            for command in commands
+        )
+        cli = next(command for command in commands if "linear_link.result.json" in command)
+        assert "['lane_sets'] == 1" in cli
+        assert "len(p['direct_linear_scenarios']) == 4" in cli
+
     def test_quick_tier_runs_model_memo_smoke(self, workflow):
         # The model-memo suite plus an in-process double run of the RBF
         # fixture: the second run must be a memo hit with equal waveforms.

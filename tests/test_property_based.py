@@ -367,6 +367,36 @@ class TestWaveformProperties:
         assert np.all(out <= 1.8 + 1e-12)
 
     @given(
+        pattern=st.text(alphabet="01", min_size=1, max_size=10),
+        bit_time=st.floats(min_value=1e-10, max_value=4e-9),
+        edge=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(min_value=1e-6, max_value=1.0)
+        ),
+        low=st.sampled_from([0.0, -0.0, 0.1, -0.2]),
+        vdd=st.floats(min_value=0.5, max_value=3.3),
+        strength=st.floats(min_value=0.8, max_value=1.2),
+        per_bit=st.integers(min_value=2, max_value=200),
+        skew=st.sampled_from([1.0, 0.7317, 1.2913]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_pattern_array_branch_matches_scalar_on_step_grid(
+        self, pattern, bit_time, edge, low, vdd, strength, per_bit, skew
+    ):
+        """The precomputed sweep stimulus equals per-step evaluation bit for bit.
+
+        Lane sets evaluate a source's ``BitPattern`` once on the whole
+        ``dt * arange`` grid; the solver adds each value into a zeroed RHS
+        entry, hence the ``0.0 +``.
+        """
+        wave = BitPattern(pattern=pattern, bit_time=bit_time, low=low,
+                          high=vdd * strength, edge_time=edge * bit_time)
+        dt = bit_time / per_bit * skew
+        times = dt * np.arange(int(len(pattern) * per_bit * 1.1) + 2)
+        vectorised = 0.0 + wave(times)
+        stepped = np.array([0.0 + wave(float(t)) for t in times])
+        assert vectorised.tobytes() == stepped.tobytes()
+
+    @given(
         t_eval=st.floats(min_value=-1e-9, max_value=6e-9),
         rise=st.floats(min_value=1e-12, max_value=5e-10),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits.elements import Capacitor
 from repro.circuits.transient import TransientOptions
 from repro.macromodel.library import make_reference_driver_macromodel
 from repro.sweep import (
@@ -32,6 +33,14 @@ def _assert_sweeps_match(batched, sequential, nodes=("near", "far")):
             scale = max(np.max(np.abs(b)), 1e-30)
             err = np.max(np.abs(a - b)) / scale
             assert err <= REL_TOL, f"{scenario.name}/{node}: rel err {err:.3e}"
+
+
+def _assert_bit_identical(batched, sequential, name, nodes=("near", "far")):
+    # A one-scenario corner group solves one column, as a standalone run
+    # does, so there a lane must hold exactly the scalar element code's bits.
+    for node in nodes:
+        got = batched.voltage(name, node)
+        assert got.tobytes() == sequential.voltage(name, node).tobytes(), f"{name}/{node}"
 
 
 def _pattern_scenarios(n=8):
@@ -193,6 +202,146 @@ class TestMixedStaticGroup:
         assert linear_factorizations == 1
         assert per_scenario["lin0"]["linear_only"] is True
         assert per_scenario["clamp"]["linear_only"] is False
+
+
+class _TaggedCapacitor(Capacitor):
+    """A capacitor subclass: no lane form, so it steps through its own hooks."""
+
+    accepts = 0
+
+    def accept(self, x, ctx):
+        type(self).accepts += 1
+        super().accept(x, ctx)
+
+
+class TestLaneSets:
+    """Direct scenarios step as lanes of one array state per topology."""
+
+    def test_one_lane_set_spans_uneven_corner_groups(self):
+        corners = [
+            {},
+            {"z0": 100.0},
+            {"delay": 0.3e-9},
+            {"load_resistance": 300.0, "load_capacitance": 2e-12},
+        ]
+        widths = [3, 1, 2, 4]
+        scenarios = [
+            Scenario(
+                name=f"g{g}s{k}", bit_pattern=format((g + k) % 8, "03b"),
+                drive_strength=1.0 + 0.04 * k, corner=corner,
+            )
+            for g, (corner, width) in enumerate(zip(corners, widths))
+            for k in range(width)
+        ]
+        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=3e-9)
+        batched = sweep.run()
+        sequential = sweep.run_sequential()
+        _assert_sweeps_match(batched, sequential)
+        _assert_bit_identical(batched, sequential, "g1s0")
+        stats = batched.perf_stats
+        assert stats["lane_sets"] == 1
+        assert stats["static_groups"] == 4
+        assert len(stats["direct_linear_scenarios"]) == sum(widths)
+        assert stats["block_solves"] == 4 * (batched.times.size - 1)
+        # Lane scenarios make no per-element accept calls of their own.
+        assert all(s["accept_calls"] == 0 for s in stats["per_scenario"].values())
+
+    def test_nan_fault_leaves_the_other_group_bit_identical(self):
+        from repro.resilience import faults
+
+        scenarios = [
+            Scenario(name="a0", bit_pattern="010"),
+            Scenario(name="a1", bit_pattern="011"),
+            Scenario(name="a2", bit_pattern="001"),
+            Scenario(name="b0", bit_pattern="010", corner={"z0": 90.0}),
+            Scenario(name="b1", bit_pattern="110", corner={"z0": 90.0}),
+        ]
+        clean = linear_link_sweep(scenarios, dt=1e-11, duration=2e-9).run()
+        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=2e-9)
+        with faults.injected(faults.Fault("nan", step=5, scenario="a1")):
+            result = sweep.run()
+        assert result.status_of("a1") == "recovered"
+        assert result.perf_stats["quarantined_scenarios"] == ["a1"]
+        assert result.perf_stats["solo_retries"] == 1
+        [event] = result.perf_stats["health"]["events"]
+        assert (event["kind"], event["step"], event["scenario"]) == ("nan_inf", 5, "a1")
+        _assert_sweeps_match(result, clean)
+        for name in ("b0", "b1"):
+            for node in ("near", "far"):
+                got = result.voltage(name, node)
+                assert got.tobytes() == clean.voltage(name, node).tobytes()
+
+    def test_ladder_above_sparse_threshold_steps_bank_lanes(self):
+        from repro.perf.backends import SPARSE_THRESHOLD
+        from repro.sweep.links import LinearLinkSpec
+
+        scenarios = _pattern_scenarios(3) + [
+            Scenario(name="slow", bit_pattern="011", corner={"delay": 0.5e-9}),
+        ]
+        sweep = linear_link_sweep(
+            scenarios, dt=1e-11, duration=2e-9, spec=LinearLinkSpec(segments=60)
+        )
+        batched = sweep.run()
+        sequential = sweep.run_sequential()
+        _assert_sweeps_match(batched, sequential)
+        _assert_bit_identical(batched, sequential, "slow")
+        stats = batched.perf_stats
+        assert stats["lane_sets"] == 1
+        per_scenario = stats["per_scenario"]["p0"]
+        assert per_scenario["backend"] == "sparse"
+        assert per_scenario["n_unknowns"] > SPARSE_THRESHOLD
+        assert per_scenario["banked_elements"] > 0
+        assert stats["block_solves"] == 2 * (batched.times.size - 1)
+
+    def test_custom_static_element_steps_through_its_hooks(self):
+        from repro.circuits.elements import CurrentSource
+        from repro.sweep.engine import CircuitSweep
+        from repro.sweep.links import LinearLinkSpec
+        from repro.waveforms.signals import BitPattern
+
+        spec = LinearLinkSpec()
+
+        def build(scenario):
+            circuit = spec.build(scenario)
+            circuit.add(_TaggedCapacitor("ctag", "near", "0", 0.3e-12))
+            circuit.add(CurrentSource(
+                "iinj", "far", "0",
+                BitPattern(pattern="01", bit_time=1e-9, low=0.0, high=1e-3),
+            ))
+            return circuit
+
+        scenarios = _pattern_scenarios(3) + [
+            Scenario(name="heavy", bit_pattern="010", corner={"load_resistance": 200.0}),
+        ]
+        sweep = CircuitSweep(build, scenarios, dt=1e-11, duration=2e-9,
+                             record_nodes=["near", "far"], record_branches=[])
+        _TaggedCapacitor.accepts = 0
+        batched = sweep.run()
+        n_steps = batched.times.size - 1
+        assert _TaggedCapacitor.accepts == len(scenarios) * n_steps
+        sequential = sweep.run_sequential()
+        _assert_sweeps_match(batched, sequential)
+        _assert_bit_identical(batched, sequential, "heavy")
+        assert batched.perf_stats["lane_sets"] == 1
+        assert len(batched.perf_stats["direct_linear_scenarios"]) == 4
+
+    def test_backward_euler_lanes_match_sequential(self):
+        from repro.sweep.links import LinearLinkSpec
+
+        options = TransientOptions(method="backward_euler")
+        scenarios = _pattern_scenarios(3) + [
+            Scenario(name="solo", bit_pattern="011", corner={"z0": 110.0}),
+        ]
+        for segments in (0, 8):
+            sweep = linear_link_sweep(
+                scenarios, dt=1e-11, duration=2e-9,
+                spec=LinearLinkSpec(segments=segments), options=options,
+            )
+            batched = sweep.run()
+            sequential = sweep.run_sequential()
+            _assert_sweeps_match(batched, sequential)
+            _assert_bit_identical(batched, sequential, "solo")
+            assert batched.perf_stats["lane_sets"] == 1
 
 
 class TestSweepResultAndReport:
