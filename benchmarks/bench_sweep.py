@@ -11,10 +11,11 @@ fast-path run.  Two workloads:
   factorization; the acceptance gate asserts the amortised per-scenario
   wall time is at least 2x below the cold single run and the batched
   waveforms match per-scenario sequential runs to <= 1e-12 relative.
-* ``rbf`` — a macromodel-link pattern sweep whose scenarios run their
-  Newton iterations in lockstep, each port on its own separable evaluator
-  (the speedup is reported, not gated; the equivalence check — the batch
-  must be waveform-identical to sequential runs — is the contract).
+* ``rbf`` — a macromodel-link pattern sweep whose scenarios each run
+  their own Newton solve on the shared static stamps, each port on its
+  own separable evaluator (the speedup is reported, not gated; the
+  equivalence check — the batch must be waveform-identical to sequential
+  runs — is the contract).
 
 Writes ``BENCH_sweep.json``.  Run as a script:
 

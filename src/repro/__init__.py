@@ -22,7 +22,7 @@ The package is organised by subsystem:
   paper's curves and comparison metrics.
 * :mod:`repro.perf` — fast-path kernels and the pluggable
   ``LinearSolverBackend`` seam (tuned dense, cached LU, sparse CSC).
-* :mod:`repro.sweep` — batched lockstep scenario sweeps sharing one
+* :mod:`repro.sweep` — batched scenario sweeps sharing one
   static factorization per corner group, with eye/worst-corner reports.
 * :mod:`repro.api` — the unified job front door: declarative
   :class:`~repro.api.spec.SimulationSpec` jobs (JSON-serialisable,

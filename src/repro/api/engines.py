@@ -160,7 +160,7 @@ def _run_fdtd3d(spec: SimulationSpec, models=None) -> Result:
 
 
 def build_sweep(spec: SimulationSpec, models=None):
-    """The single-process lockstep sweep a spec describes.
+    """The single-process batched sweep a spec describes.
 
     Returns ``(sweep, engine_label)`` where ``sweep`` is the ready-to-run
     :class:`~repro.sweep.engine.CircuitSweep`.  Shared by the sweep
@@ -254,9 +254,9 @@ ENGINES = {
         _run_fdtd3d,
     ),
     "sweep": (
-        "batched lockstep scenario sweep of the link (family: linear "
-        "shared-LU or rbf lockstep-Newton), sharded over a process "
-        "pool when engine.workers > 1",
+        "batched scenario sweep of the link (family: linear lane sets "
+        "over shared LUs, or rbf Newton runs on shared static stamps), "
+        "sharded over a process pool when engine.workers > 1",
         _run_sweep,
     ),
 }

@@ -710,8 +710,9 @@ class EngineOptions(_Block):
         transistor-level reference engine).
     sweep_family:
         Sweep-kind testbench family: ``"linear"`` (Thevenin driver + RC
-        load, shared-LU block-solve path) or ``"rbf"`` (macromodel link,
-        lockstep Newton path).
+        load, lane sets with shared-LU block solves) or ``"rbf"``
+        (macromodel link, one Newton run per scenario on shared static
+        stamps).
     max_retries:
         Step retries of the SPICE-class engines' resilience layer
         (:class:`repro.resilience.RetryPolicy`): a failing time step is

@@ -185,14 +185,14 @@ class CircuitResult:
 class TransientRun:
     """Mutable state of one transient run (see :meth:`TransientSolver.begin`).
 
-    A run is normally driven to completion by :meth:`TransientSolver.run`,
-    but the scenario-sweep engine (:mod:`repro.sweep`) drives the runs of
-    its Newton scenarios in lockstep — one :meth:`TransientSolver.begin_step` /
-    :meth:`~TransientSolver.newton_iteration` / :meth:`~TransientSolver.end_step`
-    cycle per time step per scenario — so the whole stepping state lives
-    here rather than in local variables of a monolithic loop.  (Its purely
-    linear scenarios step together as lane sets, :mod:`repro.sweep.lanes`,
-    and only hand their samples back to :meth:`TransientSolver.finish`.)
+    A run advances one time step per :meth:`TransientSolver.step_once`
+    call, so the whole stepping state lives here rather than in local
+    variables of a monolithic loop.  :meth:`TransientSolver.run` begins
+    one run and steps it to its end; the scenario-sweep engine
+    (:mod:`repro.sweep`) begins every scenario's run before stepping any,
+    so that corner groups share their static assembly.  (Its purely linear
+    scenarios step together as lane sets, :mod:`repro.sweep.lanes`, and
+    only hand their samples back to :meth:`TransientSolver.finish`.)
     """
 
     __slots__ = (
@@ -266,10 +266,10 @@ class TransientSolver:
         return A, rhs, ctx
 
     # -- session API ------------------------------------------------------
-    # A run decomposes into begin() -> [begin_step -> newton_iteration* ->
-    # end_step]* -> finish().  run() drives one circuit to completion; the
-    # sweep engine (repro.sweep) interleaves these calls across many runs so
-    # that static assembly and factorizations can be shared.
+    # A run decomposes into begin() -> step_once()* -> finish(), and a step
+    # into begin_step -> newton_iteration* -> end_step.  run() drives one
+    # circuit to completion; the sweep engine (repro.sweep) begins many runs
+    # on shared static contexts and then steps each of them to its end.
 
     def begin(
         self,

@@ -43,9 +43,8 @@ Global switch
 is left at ``None``.  It defaults to ``True`` and can be overridden
 process-wide with the ``REPRO_FASTPATH`` environment variable (``0`` /
 ``false`` / ``off`` disable it; the variable is re-read on every call, so
-it may be set at any time) or programmatically with
-:func:`set_fastpath_default` / :func:`use_fastpath`, which take precedence
-over the environment.
+it may be set at any time) or temporarily with the :func:`use_fastpath`
+context manager, which takes precedence over the environment.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-__all__ = ["fastpath_default", "set_fastpath_default", "use_fastpath", "resolve_fast"]
+__all__ = ["fastpath_default", "use_fastpath", "resolve_fast"]
 
 
 def _env_default() -> bool:
@@ -65,7 +64,7 @@ def _env_default() -> bool:
     )
 
 
-#: programmatic override; ``None`` means "follow the environment"
+#: :func:`use_fastpath` override; ``None`` means "follow the environment"
 _FASTPATH_OVERRIDE: bool | None = None
 
 
@@ -74,12 +73,6 @@ def fastpath_default() -> bool:
     if _FASTPATH_OVERRIDE is not None:
         return _FASTPATH_OVERRIDE
     return _env_default()
-
-
-def set_fastpath_default(enabled: bool | None) -> None:
-    """Set the process-wide fast-path default (``None``: follow the env)."""
-    global _FASTPATH_OVERRIDE
-    _FASTPATH_OVERRIDE = None if enabled is None else bool(enabled)
 
 
 @contextlib.contextmanager

@@ -202,7 +202,6 @@ class DenseBackend(LinearSolverBackend):
         self._A = np.zeros((n, n))
         self._A_solve = np.zeros((n, n))  # scratch clobbered by in-place LAPACK
         self._lu = None
-        self._sparse_lu = None  # picked up from a shared context's block path
 
     # -- static assembly ---------------------------------------------------
     def adopt_shared(self, shared) -> bool:
@@ -210,7 +209,6 @@ class DenseBackend(LinearSolverBackend):
             return False
         self._A_static = shared.A_static
         self._lu = shared.lu
-        self._sparse_lu = shared.sparse_lu
         return True
 
     def assemble_static(self, ctx, shared) -> None:
@@ -224,7 +222,6 @@ class DenseBackend(LinearSolverBackend):
         diag = asm.compiled.node_diagonal
         A[diag, diag] += asm.gmin
         self._lu = None
-        self._sparse_lu = None
         if shared is not None:
             shared.A_static = A
 
@@ -251,43 +248,34 @@ class DenseBackend(LinearSolverBackend):
                 # same factorization ``lu_factor``/``lu_solve`` performs —
                 # so the recovered step is bit-identical to the cached path.
                 self._lu = None
-                self._sparse_lu = None
                 if shared is not None:
                     shared.lu = None
-                    shared.sparse_lu = None
                 self._note_singular_fallback(
                     "injected singular factorization; dense re-solve",
                     injected=True,
                 )
             else:
-                if self._lu is None and self._sparse_lu is None and shared is not None:
+                if self._lu is None and shared is not None:
                     # A sharing run may have factored after our begin_run (e.g.
                     # the linear members of a mixed linear/nonlinear group, or
                     # the sweep engine's block-solve path): pick the factors up
                     # lazily instead of refactoring.
                     self._lu = shared.lu
-                    self._sparse_lu = shared.sparse_lu
-                if self._sparse_lu is not None:
-                    self.stats["cached_solves"] += 1
-                    x = self._sparse_lu.solve(rhs)
+                if self._lu is None:
+                    self._lu = _lu_factor(A, check_finite=False)
+                    self.stats["factorizations"] += 1
+                    if shared is not None:
+                        shared.lu = self._lu
+                        shared.stats["factorizations"] += 1
                 else:
-                    if self._lu is None:
-                        self._lu = _lu_factor(A, check_finite=False)
-                        self.stats["factorizations"] += 1
-                        if shared is not None:
-                            shared.lu = self._lu
-                            shared.stats["factorizations"] += 1
-                    else:
-                        self.stats["cached_solves"] += 1
-                    x = _lu_solve(self._lu, rhs)
+                    self.stats["cached_solves"] += 1
+                x = _lu_solve(self._lu, rhs)
                 if np.all(np.isfinite(x)):
                     return x
                 # Singular / ill-posed system: fall through to the robust path.
                 self._lu = None
-                self._sparse_lu = None
                 if shared is not None:
                     shared.lu = None
-                    shared.sparse_lu = None
                 self._note_singular_fallback(
                     "cached factorization produced non-finite solution; "
                     "dense re-solve",

@@ -57,7 +57,6 @@ from repro.perf.backends import (
     _lu_factor,
     _lu_solve,
     _splu,
-    _csc_matrix,
 )
 from repro.resilience import SINGULAR_MATRIX, RunHealth, SolveFailure
 from repro.resilience import faults as _faults
@@ -251,8 +250,6 @@ class SharedStaticContext:
                 # the dense lstsq fallback below handle the solves.
                 self._note_singular(str(exc) or "static splu factorization failed")
                 return
-        elif self.A_static.shape[0] > SPARSE_THRESHOLD:
-            self.sparse_lu = _splu(_csc_matrix(self.A_static))
         else:
             self.lu = _lu_factor(self.A_static, check_finite=False)
         self.stats["factorizations"] += 1

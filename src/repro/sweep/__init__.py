@@ -3,13 +3,13 @@
 The paper's macromodels pay off at scale — eye diagrams, corner analyses
 and pattern sweeps run the same link hundreds of times with only the
 stimulus or a few element values changed.  This package runs such batches
-in lockstep so the engine work that does not change across scenarios is
-done once:
+so the engine work that does not change across scenarios is done once:
 
 * :mod:`repro.sweep.scenario` — scenario descriptions (patterns, corners,
   device variants) and their static-sharing keys;
-* :mod:`repro.sweep.engine` — the lockstep batched runner (shared static
-  MNA + LU, multi-RHS linear block solves);
+* :mod:`repro.sweep.engine` — the batched runner (static MNA + LU shared
+  per corner group, multi-RHS linear block solves, a standalone Newton
+  run for every other scenario);
 * :mod:`repro.sweep.lanes` — the array state that steps a sweep's linear
   scenarios together, one lane per scenario;
 * :mod:`repro.sweep.links` — canned linear and RBF link testbenches;

@@ -1,36 +1,37 @@
-"""Lockstep batched execution of transient scenario sweeps.
+"""Batched execution of transient scenario sweeps.
 
-The engine advances every scenario of a sweep through the *same* time step
-together, which is what unlocks the sharing:
+Scenarios with equal corner values share one
+:class:`~repro.perf.mna.SharedStaticContext`: the static matrix is stamped
+once per corner group and, for purely linear circuits, LU-factored exactly
+once for the whole group.  On that sharing the engine runs two kinds of
+scenario:
 
-* **static MNA assembly and LU factorization** — scenarios with equal
-  corner values share one :class:`~repro.perf.mna.SharedStaticContext`;
-  the static matrix is stamped once and, for purely linear circuits,
-  LU-factored exactly once for the whole batch;
-* **linear block solves** — all linear scenarios of a static group are
-  advanced with one multi-right-hand-side ``LU x = B`` solve per time step
-  instead of one Newton loop with per-scenario solves each;
-* **lane sets** — those *direct* scenarios (members of a corner group
-  whose circuits are all linear) step as one array state per circuit
-  topology (:class:`~repro.sweep.lanes.LaneSet`), across corner groups:
-  per step one vectorised RHS build, one block solve per corner group over
-  its live columns, and one vectorised accept, instead of a
-  ``begin_step``/``end_step`` pair per scenario.
+* **lane sets** — the *direct* scenarios (members of a corner group whose
+  circuits are all linear and of one topology) step together as one array
+  state per circuit topology (:class:`~repro.sweep.lanes.LaneSet`), across
+  corner groups: per step one vectorised RHS build, one
+  multi-right-hand-side ``LU x = B`` block solve per corner group over its
+  live columns, and one vectorised accept;
+* **standalone runs** — every other scenario (RBF links, the linear
+  members of a mixed corner group, everything on the ``fast=False``
+  reference path) then steps to its end through its own solver's
+  :meth:`~repro.circuits.transient.TransientSolver.step_once`, on its
+  corner group's shared context, exactly as a standalone run would.
 
-Each nonlinear scenario still executes exactly the Newton iterations it
-would run standalone — the batch changes where the arithmetic happens, not
-what is computed — so batched and sequential waveforms agree to ~1e-12
-relative (``tests/test_sweep.py`` pins this).  Purely linear scenarios are
-advanced by one exact block solve per step: their waveforms are likewise
-equivalent, but their recorded ``newton_iterations`` is 1 per step, not
-the damped-update/confirming-re-solve count a standalone run reports —
+Batched and sequential waveforms therefore agree to ~1e-12 relative
+(``tests/test_sweep.py`` pins this).  A lane is advanced by one exact
+block solve per step, so its recorded ``newton_iterations`` is 1 per step,
+not the damped-update/confirming-re-solve count a standalone run reports —
 iteration counts are solver bookkeeping, and the waveforms are the
-contract.  A quarantined scenario leaves its group's block solves from the
-failing step on and gets one solo retry after the batch.
+contract.  A scenario that fails in the batch is quarantined (a lane
+leaves its group's block solves from the failing step on) and gets one
+cold solo retry after the batch; only that retry runs the options'
+``retry_policy``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time as _time
 import warnings
 from collections import defaultdict
@@ -71,8 +72,8 @@ class CircuitSweep:
     scenarios:
         The scenarios to run (unique names).
     dt, duration:
-        Common time step and span; lockstep batching requires them equal
-        across the batch.
+        Time step and span shared by every scenario (lane sets step their
+        scenarios together, and the result has one time axis).
     record_nodes, record_branches:
         Forwarded to :meth:`repro.circuits.transient.TransientSolver.begin`.
     options:
@@ -171,11 +172,14 @@ class CircuitSweep:
             failures=failures,
         )
 
-    # -- batched lockstep run ----------------------------------------------
+    # -- batched run -------------------------------------------------------
     def run(self) -> SweepResult:
         """Run the whole batch through one shared engine context."""
         start = _time.perf_counter()
         fast = perf.resolve_fast(self.options.fast)
+        # A failure in the batch quarantines its scenario: the retry ladder
+        # runs only in the solo retry, which keeps the full options.
+        options = dataclasses.replace(self.options, retry_policy=None)
 
         contexts: Dict[object, SharedStaticContext] = {}
         solvers: list[TransientSolver] = []
@@ -185,7 +189,7 @@ class CircuitSweep:
                 shared = contexts.setdefault(scenario.static_key(), SharedStaticContext())
             solvers.append(
                 TransientSolver(
-                    self.builder(scenario), self.dt, options=self.options,
+                    self.builder(scenario), self.dt, options=options,
                     shared_static=shared, label=scenario.name,
                 )
             )
@@ -202,8 +206,6 @@ class CircuitSweep:
                 )
             )
         n_steps = runs[0].n_steps
-        if any(run.n_steps != n_steps for run in runs):
-            raise ValueError("lockstep sweep requires an equal step count per scenario")
 
         # Direct groups: shared static contexts whose members are all purely
         # linear and of one topology, advanced by one block solve per step.
@@ -214,7 +216,6 @@ class CircuitSweep:
         lane_sets: list[LaneSet] = []
         #: direct scenario index -> (its lane set, its lane)
         lane_of: Dict[int, tuple[LaneSet, int]] = {}
-        newton_indices = list(range(len(runs)))
         if fast:
             members: Dict[SharedStaticContext, list[int]] = defaultdict(list)
             for idx, run in enumerate(runs):
@@ -232,7 +233,6 @@ class CircuitSweep:
                 lane_sets.append(LaneSet([runs[i] for i in order]))
                 lane_of.update((i, (lane_sets[-1], col)) for col, i in enumerate(order))
             direct = [(ctx, idxs, *lane_of[idxs[0]]) for ctx, idxs in groups]
-            newton_indices = [i for i in range(len(runs)) if i not in lane_of]
 
         # Every counter is present in both modes (zeroed on the reference
         # path) so reports can read them unconditionally.
@@ -248,39 +248,28 @@ class CircuitSweep:
             "symbolic_factorizations": 0,
         }
 
-        cap = self.options.max_newton_iterations
         #: quarantined scenario index -> failure that evicted it from the batch
         failed: Dict[int, SolveFailure] = {}
 
         def quarantine(i: int, step: int, kind: str, message: str, **context) -> None:
             run = runs[i]
             run.step = step  # lanes do not advance their runs' step counters
-            run.step_converged = False
             failed[i] = solvers[i]._record_failure(run, kind, message, **context)
 
-        def handle_nonconverged(i: int, step: int, injected: bool) -> None:
-            # An exhausted (or fault-forced) Newton loop follows the same
-            # on_nonconvergence policy as a standalone run: strict default
-            # quarantines the scenario, warn/ignore commit with telemetry.
-            run = runs[i]
+        def handle_nonconverged(i: int, step: int) -> None:
+            # An injected non-convergence follows the same on_nonconvergence
+            # policy as a standalone run: strict default quarantines the
+            # lane, warn/ignore commit with telemetry.
             if self.options.on_nonconvergence == "raise":
-                context = {"injected": True} if injected else {"iterations": run.newton_count}
-                quarantine(
-                    i, step, NON_CONVERGENCE,
-                    "injected non-convergence" if injected
-                    else f"Newton cap of {cap} iterations hit",
-                    **context,
-                )
+                quarantine(i, step, NON_CONVERGENCE, "injected non-convergence",
+                           injected=True)
                 return
             solver = solvers[i]
             solver.health.record(SolveFailure(
                 NON_CONVERGENCE, step=step, scenario=self.scenarios[i].name,
-                residual=run.last_residual,
-                message="injected non-convergence" if injected
-                else f"Newton cap of {cap} iterations hit",
+                message="injected non-convergence",
             ))
             solver.health.nonconverged_commits += 1
-            run.step_converged = True  # commit per policy
             if self.options.on_nonconvergence == "warn":
                 warnings.warn(
                     f"sweep scenario {self.scenarios[i].name!r} committed "
@@ -292,10 +281,6 @@ class CircuitSweep:
         for step in range(1, n_steps + 1):
             for lanes in lane_sets:
                 lanes.begin_step(step)
-            for i in newton_indices:
-                if i not in failed:
-                    solvers[i].begin_step(runs[i])
-
             for ctx, idxs, lanes, first in direct:
                 # A group solves exactly its live lanes, in scenario order.
                 live = [i for i in idxs if i not in failed] if failed else idxs
@@ -334,53 +319,25 @@ class CircuitSweep:
                     if _faults.PLAN is not None and _faults.take(
                         "nonconvergence", step, name
                     ):
-                        handle_nonconverged(i, step, injected=True)
+                        handle_nonconverged(i, step)
                         if i in failed:
                             continue
                     kept.append(col)
                 lanes.x[:, [lane_of[live[col]][1] for col in kept]] = solution[:, kept]
 
-            active = {i for i in newton_indices if i not in failed}
-            # Forced non-convergence faults are consumed once per step
-            # attempt, matching the standalone solver's semantics.
-            forced: set[int] = set()
-            if _faults.PLAN is not None:
-                for i in tuple(active):
-                    if _faults.take("nonconvergence", step, self.scenarios[i].name):
-                        forced.add(i)
-            while active:
-                for i in tuple(active):
-                    solver, run = solvers[i], runs[i]
-                    try:
-                        solver.newton_iteration(run)
-                    except np.linalg.LinAlgError as exc:
-                        active.discard(i)
-                        quarantine(i, step, SINGULAR_MATRIX,
-                                   str(exc) or "singular matrix",
-                                   site="newton_iteration")
-                        continue
-                    except RuntimeError as exc:
-                        active.discard(i)
-                        quarantine(i, step, BACKEND_ERROR,
-                                   str(exc) or type(exc).__name__,
-                                   site="newton_iteration",
-                                   exception=type(exc).__name__)
-                        continue
-                    if run.failure is not None:
-                        # newton_iteration already recorded it (NaN guard)
-                        active.discard(i)
-                        failed[i] = run.failure
-                        continue
-                    if run.step_converged or run.newton_count >= cap:
-                        active.discard(i)
-                        if i in forced or not run.step_converged:
-                            handle_nonconverged(i, step, injected=i in forced)
-
             for lanes in lane_sets:
                 lanes.end_step(step)
-            for i in newton_indices:
-                if i not in failed:
-                    solvers[i].end_step(runs[i])
+
+        # Every other scenario steps to its end as a standalone run would,
+        # on its corner group's shared static context.
+        for i, (solver, run) in enumerate(zip(solvers, runs)):
+            if i in lane_of:
+                continue
+            try:
+                for _ in range(n_steps):
+                    solver.step_once(run)
+            except SolverError as exc:
+                failed[i] = exc.failure
 
         results: Dict[str, object] = {}
         status: Dict[str, str] = {}
@@ -395,10 +352,10 @@ class CircuitSweep:
             results[scenario.name] = solver.finish(run)
             status[scenario.name] = "ok"
 
-        # Quarantined scenarios get one solo retry outside the lockstep
-        # batch: a transient fault (consumed injection, poisoned shared
-        # state) completes cleanly; a persistent one yields its structured
-        # failure in the partial result.
+        # Quarantined scenarios get one solo retry outside the batch, with
+        # the full options: a transient fault (consumed injection, poisoned
+        # shared state) completes cleanly; a persistent one yields its
+        # structured failure in the partial result.
         solo_solvers: list[TransientSolver] = []
         for i in sorted(failed):
             scenario = self.scenarios[i]

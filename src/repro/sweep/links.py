@@ -12,9 +12,10 @@ sweep dimensions of :class:`~repro.sweep.scenario.Scenario`:
   sweeps only).
 
 Two families are provided: a purely linear link (Thevenin driver, RC
-load) whose sweeps exercise the shared-LU block-solve path, and an RBF
-link (driver/receiver macromodels) whose scenarios run their Newton
-iterations in lockstep on shared static stamps.
+load) whose scenarios step together as lane sets with one shared-LU block
+solve per corner group and step, and an RBF link (driver/receiver
+macromodels) whose scenarios each run their own Newton solve on their
+corner group's shared static stamps.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def rbf_link_sweep(
     spec: RBFLinkSpec | None = None,
     options: TransientOptions | None = None,
 ) -> CircuitSweep:
-    """A sweep over the RBF macromodel link (lockstep Newton scenarios)."""
+    """A sweep over the RBF macromodel link (one Newton run per scenario)."""
     spec = dataclasses.replace(spec or RBFLinkSpec(), devices=devices)
     return CircuitSweep(
         lambda scenario: spec.build(scenario, dt),

@@ -41,9 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.spec import DistributionSpec, ScenarioSpec, SimulationSpec, StatsSpec
-from repro.resilience import RunHealth
 from repro.sweep.report import bathtub_curve, metric_distribution
 from repro.sweep.result import SweepResult
+from repro.sweep.shard import _merge_parts
 
 __all__ = ["generate_scenarios", "run_montecarlo", "merge_sweep_results"]
 
@@ -145,7 +145,7 @@ def _execute(spec: SimulationSpec, models=None) -> SweepResult:
     """Run an expanded (scenarios materialised, ``stats=None``) sweep spec.
 
     Mirrors the sweep adapter's routing: sharded when the spec asks for
-    workers or an explicit shard count, the in-process lockstep engine
+    workers or an explicit shard count, the in-process sweep engine
     otherwise — so a sampled sweep behaves exactly like the hand-written
     sweep it expanded into.
     """
@@ -170,55 +170,11 @@ def merge_sweep_results(parts: Sequence[SweepResult]) -> SweepResult:
         raise ValueError("nothing to merge")
     if len(parts) == 1:
         return parts[0]
-    from repro.sweep.shard import _LIST_KEYS, _SUM_KEYS
-
-    scenarios: list = []
-    results: dict = {}
-    status: Dict[str, str] = {}
-    failures: Dict[str, dict] = {}
-    for part in parts:
-        for sc in part.scenarios:
-            scenarios.append(sc)
-            status[sc.name] = part.status_of(sc.name)
-        results.update(part.results)
-        failures.update(part.failures)
-
-    stats: dict = {
-        "mode": parts[0].perf_stats.get("mode", "fast"),
-        "n_scenarios": len(scenarios),
-    }
-    for key in _SUM_KEYS:
-        stats[key] = sum(int(part.perf_stats.get(key, 0)) for part in parts)
-    for key in _LIST_KEYS:
-        merged: List[str] = []
-        for part in parts:
-            merged.extend(part.perf_stats.get(key, []))
-        stats[key] = sorted(merged)
-    per_scenario: dict = {}
-    for part in parts:
-        per_scenario.update(part.perf_stats.get("per_scenario", {}))
-    if per_scenario:
-        stats["per_scenario"] = per_scenario
-    for key in ("workers", "shards", "parallel_efficiency"):
-        if key in parts[0].perf_stats:
-            stats[key] = parts[0].perf_stats[key]
-
-    health = RunHealth()
-    for part in parts:
-        part_health = part.perf_stats.get("health")
-        if part_health:
-            health.merge(RunHealth.from_dict(part_health))
-    stats["health"] = health.to_dict()
-
-    times = next((part.times for part in parts if part.times is not None), None)
-    return SweepResult(
-        times=times,
-        scenarios=scenarios,
-        results=results,
-        perf_stats=stats,
+    return _merge_parts(
+        [(scenario, part) for part in parts for scenario in part.scenarios],
+        parts,
         wall_time=sum(part.wall_time for part in parts),
-        status=status,
-        failures=failures,
+        carry=("workers", "shards", "parallel_efficiency"),
     )
 
 

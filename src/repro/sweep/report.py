@@ -206,7 +206,7 @@ def bathtub_curve(
     in the eye centre.
 
     All eyes must share one phase axis (they do when folded from one
-    lockstep sweep); a mismatched axis raises instead of silently
+    sweep); a mismatched axis raises instead of silently
     resampling.
     """
     if not eyes:

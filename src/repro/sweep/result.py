@@ -29,20 +29,20 @@ class SweepResult:
     Attributes
     ----------
     times:
-        Common time axis of every scenario (lockstep sweeps share it).
+        Common time axis of every scenario (a sweep shares one).
     scenarios:
         The swept scenarios, in run order.
     results:
         Mapping scenario name -> :class:`CircuitResult`.
     perf_stats:
         Aggregated engine counters: shared factorizations, static reuses,
-        block solves, batched RBF evaluations, and the per-scenario
-        assembler stats.
+        block solves, lane sets, quarantines and solo retries, health
+        telemetry, and the per-scenario assembler stats.
     wall_time:
         Wall-clock duration of the whole sweep in seconds.
     status:
         Per-scenario outcome: ``"ok"`` (clean), ``"recovered"`` (failed in
-        the lockstep batch but completed on its solo retry — its waveforms
+        the batch but completed on its solo retry — its waveforms
         are present and valid), or ``"failed"`` (no result; see
         :attr:`failures`).  A sweep predating fault isolation may leave
         this empty, in which case every scenario with a result is ``"ok"``.

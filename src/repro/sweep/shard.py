@@ -1,9 +1,9 @@
 """Horizontal sweep sharding: corner-group-aware multi-process execution.
 
-The lockstep engine (:mod:`repro.sweep.engine`) batches every scenario of
+The sweep engine (:mod:`repro.sweep.engine`) batches every scenario of
 a sweep in one process.  This module is the distribution layer above it:
 a scenario batch is partitioned into *shards*, each shard runs the
-ordinary single-process lockstep engine in a worker process, and the
+ordinary single-process sweep engine in a worker process, and the
 per-shard :class:`~repro.sweep.result.SweepResult`\\ s are merged back —
 deterministically, in input scenario order — into one result that is
 waveform-bit-identical to the unsharded run.
@@ -270,6 +270,71 @@ _SUM_KEYS = (
 _LIST_KEYS = ("direct_linear_scenarios", "quarantined_scenarios")
 
 
+def _merge_parts(
+    owned: Sequence[tuple],
+    parts: Sequence[SweepResult],
+    wall_time: float,
+    carry: Sequence[str] = (),
+) -> SweepResult:
+    """One :class:`SweepResult` from the results of disjoint scenario batches.
+
+    ``owned`` lists ``(scenario, part)`` pairs in output order, ``part``
+    being the one of ``parts`` that ran the scenario.  Per-scenario
+    ``results`` / ``status`` / ``failures`` are reassembled in that order,
+    engine counters are summed, the name lists unioned and sorted, health
+    telemetry re-merged through :class:`~repro.resilience.RunHealth`, and
+    the first time axis kept.  ``carry`` names stats copied from the first
+    part.
+    """
+    results: Dict[str, object] = {}
+    status: Dict[str, str] = {}
+    failures: Dict[str, dict] = {}
+    for scenario, part in owned:
+        name = scenario.name
+        if name in part.results:
+            results[name] = part.results[name]
+        status[name] = part.status_of(name)
+        if name in part.failures:
+            failures[name] = part.failures[name]
+
+    stats: dict = {
+        "mode": parts[0].perf_stats.get("mode", "fast"),
+        "n_scenarios": len(owned),
+    }
+    for key in _SUM_KEYS:
+        stats[key] = sum(int(part.perf_stats.get(key, 0)) for part in parts)
+    for key in _LIST_KEYS:
+        merged: List[str] = []
+        for part in parts:
+            merged.extend(part.perf_stats.get(key, []))
+        stats[key] = sorted(merged)
+    per_scenario: dict = {}
+    for part in parts:
+        per_scenario.update(part.perf_stats.get("per_scenario", {}))
+    if per_scenario:
+        stats["per_scenario"] = per_scenario
+    for key in carry:
+        if key in parts[0].perf_stats:
+            stats[key] = parts[0].perf_stats[key]
+
+    health = RunHealth()
+    for part in parts:
+        part_health = part.perf_stats.get("health")
+        if part_health:
+            health.merge(RunHealth.from_dict(part_health))
+    stats["health"] = health.to_dict()
+
+    return SweepResult(
+        times=next((part.times for part in parts if part.times is not None), None),
+        scenarios=[scenario for scenario, _ in owned],
+        results=results,
+        perf_stats=stats,
+        wall_time=wall_time,
+        status=status,
+        failures=failures,
+    )
+
+
 def merge_shard_results(
     scenarios: Sequence,
     plan: ShardPlan,
@@ -293,41 +358,13 @@ def merge_shard_results(
             f"expected {plan.n_shards} shard results, got {len(shard_results)}"
         )
     owner = plan.owner_of()
-    results: Dict[str, object] = {}
-    status: Dict[str, str] = {}
-    failures: Dict[str, dict] = {}
-    for index, scenario in enumerate(scenarios):
-        part = shard_results[owner[index]]
-        name = scenario.name
-        if name in part.results:
-            results[name] = part.results[name]
-        status[name] = part.status_of(name)
-        if name in part.failures:
-            failures[name] = part.failures[name]
-
-    stats: dict = {
-        "mode": shard_results[0].perf_stats.get("mode", "fast"),
-        "n_scenarios": len(scenarios),
-    }
-    for key in _SUM_KEYS:
-        stats[key] = sum(int(part.perf_stats.get(key, 0)) for part in shard_results)
-    for key in _LIST_KEYS:
-        merged: List[str] = []
-        for part in shard_results:
-            merged.extend(part.perf_stats.get(key, []))
-        stats[key] = sorted(merged)
-    per_scenario: dict = {}
-    for part in shard_results:
-        per_scenario.update(part.perf_stats.get("per_scenario", {}))
-    if per_scenario:
-        stats["per_scenario"] = per_scenario
-
-    health = RunHealth()
-    for part in shard_results:
-        shard_health = part.perf_stats.get("health")
-        if shard_health:
-            health.merge(RunHealth.from_dict(shard_health))
-    stats["health"] = health.to_dict()
+    busy = sum(part.wall_time for part in shard_results)
+    merged = _merge_parts(
+        [(scenario, shard_results[owner[index]])
+         for index, scenario in enumerate(scenarios)],
+        shard_results,
+        wall_time=elapsed if elapsed > 0 else busy,
+    )
 
     # Pool utilisation relative to the parallelism actually available:
     # per-shard wall times summed, over the elapsed span times the number
@@ -335,8 +372,8 @@ def merge_shard_results(
     # 8-worker pool on a 2-core box has 2 lanes, not 8).  Capped at 1.0
     # because a shard's wall time includes CPU-wait when the box is
     # oversubscribed.
-    busy = sum(part.wall_time for part in shard_results)
     effective = max(1, min(workers, plan.n_shards, os.cpu_count() or 1))
+    stats = merged.perf_stats
     stats["shards"] = plan.n_shards
     stats["workers"] = workers
     stats["corner_groups"] = plan.n_groups
@@ -357,18 +394,7 @@ def merge_shard_results(
     stats["parallel_efficiency"] = (
         round(min(1.0, busy / (effective * elapsed)), 4) if elapsed > 0 else None
     )
-    times = next(
-        (part.times for part in shard_results if part.times is not None), None
-    )
-    return SweepResult(
-        times=times,
-        scenarios=list(scenarios),
-        results=results,
-        perf_stats=stats,
-        wall_time=elapsed if elapsed > 0 else busy,
-        status=status,
-        failures=failures,
-    )
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +443,7 @@ def run_sharded(
     Returns
     -------
     SweepResult
-        Waveform-bit-identical to the single-process lockstep engine,
+        Waveform-bit-identical to the single-process sweep engine,
         with shard telemetry in ``perf_stats`` (``shards``, ``workers``,
         ``shard_stats``, ``parallel_efficiency``).
     """
@@ -436,7 +462,7 @@ def run_sharded(
     start = _time.perf_counter()
     if plan.n_shards == 1:
         # Nothing to distribute (single corner group or shards=1): run the
-        # lockstep engine in-process, but keep the shard telemetry shape.
+        # sweep engine in-process, but keep the shard telemetry shape.
         from repro.api.engines import build_sweep
 
         shard_results = [build_sweep(_sub_spec(spec, plan.shards[0]), models=models)[0].run()]

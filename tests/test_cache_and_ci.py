@@ -301,6 +301,22 @@ class TestCIPipeline:
         assert "REPRO_FAULT_PLAN=" in commands
         assert "-eq 3" in commands
 
+    def test_nightly_fault_matrix_covers_the_rbf_sweep(self, workflow):
+        # The RBF sweep's Newton scenarios quarantine and solo-retry through
+        # a different path than the linear sweep's lanes: the nightly plans
+        # drive both, a recovering fault and a poisoned scenario each.
+        nightly = workflow["jobs"]["nightly-full"]
+        commands = " ".join(
+            step.get("run", "") for step in nightly["steps"] if isinstance(step, dict)
+        )
+        rbf = [
+            line.strip() for line in commands.splitlines()
+            if "pattern_corner_sweep.json" in line and "REPRO_FAULT_PLAN=" in line
+        ]
+        assert any(line.startswith('REPRO_FAULT_PLAN="nan@5:') for line in rbf), rbf
+        assert any("nan@*x*" in line and line.endswith("-eq 3") for line in rbf), rbf
+        assert "'recovered'" in commands
+
     def test_coverage_job_gates_and_uploads(self, workflow):
         # The coverage job measures the quick tier over the installed
         # package, fails below the pinned floor and uploads the XML report.

@@ -554,6 +554,33 @@ class TestRBFSweepFaults:
         assert result.perf_stats["health"]["backend_fallbacks"] >= 1
         _assert_sweep_matches(result, clean, tol=1e-9)
 
+    def test_retry_policy_runs_only_in_the_solo_retry(self):
+        # In the batch a failure quarantines its scenario without a retry;
+        # the one cold solo retry keeps the job's retry policy.
+        import dataclasses
+
+        from repro.api import load_spec, run
+
+        spec = load_spec(os.path.join(
+            os.path.dirname(__file__), "..", "examples", "jobs",
+            "pattern_corner_sweep.json",
+        )).quickened()
+        spec = dataclasses.replace(
+            spec, engine=dataclasses.replace(spec.engine, max_retries=2)
+        )
+        clean = run(spec)
+        with faults.injected(faults.Fault("nan", step=5, scenario="01011010/z100")):
+            result = run(spec)
+        assert result.meta["scenario_status"]["01011010/z100"] == "recovered"
+        stats = result.perf_stats
+        assert stats["quarantined_scenarios"] == ["01011010/z100"]
+        assert stats["solo_retries"] == 1
+        assert stats["health"]["retries"] == 0
+        assert result.names() == clean.names()
+        assert result.times.tobytes() == clean.times.tobytes()
+        for name in clean.names():
+            assert result.waveform(name).tobytes() == clean.waveform(name).tobytes(), name
+
 
 # ---------------------------------------------------------------------------
 # scalar Newton NaN guard

@@ -114,7 +114,8 @@ class TestRBFSweep:
         batched = sweep.run()
         sequential = sweep.run_sequential()
 
-        _assert_sweeps_match(batched, sequential)
+        for scenario in scenarios:
+            _assert_bit_identical(batched, sequential, scenario.name)
         assert batched.perf_stats["static_reuses"] == 3
 
     def test_device_variants_batch_within_their_group(
@@ -292,6 +293,28 @@ class TestLaneSets:
         assert per_scenario["n_unknowns"] > SPARSE_THRESHOLD
         assert per_scenario["banked_elements"] > 0
         assert stats["block_solves"] == 2 * (batched.times.size - 1)
+
+    def test_pinned_dense_ladder_above_sparse_threshold_factors_dense(self):
+        # A pinned dense backend LU-factors at any size, in the shared block
+        # solve as in a standalone run.
+        from repro.perf.backends import SPARSE_THRESHOLD
+        from repro.sweep.links import LinearLinkSpec
+
+        scenarios = _pattern_scenarios(3) + [
+            Scenario(name="slow", bit_pattern="011", corner={"delay": 0.5e-9}),
+        ]
+        sweep = linear_link_sweep(
+            scenarios, dt=1e-11, duration=2e-9, spec=LinearLinkSpec(segments=60),
+            options=TransientOptions(backend="dense"),
+        )
+        batched = sweep.run()
+        sequential = sweep.run_sequential()
+        _assert_sweeps_match(batched, sequential)
+        _assert_bit_identical(batched, sequential, "slow")
+        per_scenario = batched.perf_stats["per_scenario"]["slow"]
+        assert per_scenario["backend"] == "dense"
+        assert per_scenario["n_unknowns"] > SPARSE_THRESHOLD
+        assert batched.perf_stats["lane_sets"] == 1
 
     def test_custom_static_element_steps_through_its_hooks(self):
         from repro.circuits.elements import CurrentSource
