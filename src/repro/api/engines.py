@@ -217,9 +217,10 @@ def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     workers = resolve_worker_count(spec.engine.workers)
     sharded = workers > 1 or spec.engine.shards is not None
     model_stats: dict = {}
-    if models is None and not sharded and spec.engine.sweep_family == "rbf":
-        # An in-process RBF sweep resolves its models once, here; shard
-        # workers resolve their own from the sub-spec.
+    if models is None and spec.engine.sweep_family == "rbf":
+        # An RBF sweep resolves its models once, here, before any pool
+        # starts: forked shard workers resolve theirs from the sub-spec
+        # through the process memo, which they inherit warm.
         models = resolve_models(spec, model_stats)
     if spec.stats is not None:
         # Monte Carlo statistical sweep: the stats block is expanded into

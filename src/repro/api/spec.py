@@ -825,6 +825,14 @@ class SimulationSpec(_Block):
                         "rbf sweep stats cannot sample drive_strength (the "
                         "identified driver fixes the drive)"
                     )
+                try:
+                    self._fold_start()
+                except ValueError as exc:
+                    raise ValueError(
+                        f"duration: {self.duration:g} s leaves no "
+                        f"stimulus.bit_time ({self.stimulus.bit_time:g} s) eye "
+                        f"to fold after stats.t_start ({self.stats.t_start:g} s): {exc}"
+                    ) from None
             elif not self.scenarios:
                 raise ValueError("a sweep spec needs at least one scenario (or a stats block)")
             names = [sc.name for sc in self.scenarios]
@@ -892,6 +900,20 @@ class SimulationSpec(_Block):
             handle.write(self.to_json() + "\n")
 
     # -- derived -----------------------------------------------------------
+    def _fold_start(self) -> tuple:
+        """:func:`~repro.waveforms.eye.fold_start` of a Monte Carlo spec's eye.
+
+        Applied to the time grid the sweep samples, with the fold's
+        ``bit_time`` and ``t_start``.
+        """
+        import numpy as np
+
+        from repro.waveforms.eye import fold_start
+
+        dt = self.resolved_dt()
+        times = dt * np.arange(int(round(self.duration / dt)) + 1)
+        return fold_start(times, self.stimulus.bit_time, self.stats.t_start)
+
     def resolved_dt(self) -> float:
         """The time step the engine will actually use (best effort for FDTD)."""
         if self.kind == "fdtd1d":
@@ -908,7 +930,8 @@ class SimulationSpec(_Block):
     def quickened(self) -> "SimulationSpec":
         """A cheap smoke-run variant of this spec (the CLI's ``--quick``).
 
-        Caps the simulated span at two bit times (at least 50 steps) and
+        Caps the simulated span at two bit times (at least 50 steps, and
+        for a Monte Carlo spec at least the span its eye fold needs) and
         shrinks a 3-D structure to the smallest supported scale.  Meant
         for CI smoke tests — the waveforms are shorter, not different.
         """
@@ -918,7 +941,10 @@ class SimulationSpec(_Block):
         if self.kind == "fdtd3d" and self.structure.scale > 0.125:
             changes["structure"] = dataclasses.replace(self.structure, scale=0.125)
         if self.stats is not None:
-            # A Monte Carlo smoke keeps the generator but caps the batch.
+            # A Monte Carlo smoke keeps the generator and the span of one
+            # eye fold, but caps the batch.
+            start, n_phase, _ = self._fold_start()
+            changes["duration"] = max(duration, (start + n_phase - 1) * self.resolved_dt())
             changes["stats"] = dataclasses.replace(
                 self.stats,
                 samples=min(self.stats.samples, 8),

@@ -9,9 +9,11 @@ scenario:
 * **lane sets** — the *direct* scenarios (members of a corner group whose
   circuits are all linear and of one topology) step together as one array
   state per circuit topology (:class:`~repro.sweep.lanes.LaneSet`), across
-  corner groups: per step one vectorised RHS build, one
-  multi-right-hand-side ``LU x = B`` block solve per corner group over its
-  live columns, and one vectorised accept;
+  corner groups, in blocks of steps bounded by the shortest line delay:
+  per block one vectorised pass writes the source values and line
+  histories, and another the lines' waves; per step the companion lanes
+  stamp, each corner group makes one multi-right-hand-side ``LU x = B``
+  block solve over its live columns, and the companion lanes accept;
 * **standalone runs** — every other scenario (RBF links, the linear
   members of a mixed corner group, everything on the ``fast=False``
   reference path) then steps to its end through its own solver's
@@ -278,9 +280,7 @@ class CircuitSweep:
                     stacklevel=3,
                 )
 
-        for step in range(1, n_steps + 1):
-            for lanes in lane_sets:
-                lanes.begin_step(step)
+        def solve_groups(step: int) -> None:
             for ctx, idxs, lanes, first in direct:
                 # A group solves exactly its live lanes, in scenario order.
                 live = [i for i in idxs if i not in failed] if failed else idxs
@@ -303,7 +303,9 @@ class CircuitSweep:
                                    site="solve_block",
                                    exception=type(exc).__name__)
                     continue
-                if _faults.PLAN is None and np.isfinite(solution).all():
+                # solve_block has checked its solution finite, unless its
+                # least-squares fallback produced it.
+                if _faults.PLAN is None and not ctx.fell_back:
                     lanes.x[:, cols] = solution
                     continue
                 finite = np.isfinite(solution).all(axis=0)
@@ -325,8 +327,26 @@ class CircuitSweep:
                     kept.append(col)
                 lanes.x[:, [lane_of[live[col]][1] for col in kept]] = solution[:, kept]
 
-            for lanes in lane_sets:
-                lanes.end_step(step)
+        # Lane sets step in blocks: a block ends before its first step that
+        # reads a line wave accepted inside it (last_read never decreases),
+        # so the sources and line histories of a whole block are written
+        # before its steps, and the lines' waves after them.
+        if lane_sets:
+            last_read = np.max([lanes.last_read for lanes in lane_sets], axis=0)
+            block_start = 1
+            while block_start <= n_steps:
+                block_stop = int(np.searchsorted(last_read, block_start))
+                for lanes in lane_sets:
+                    lanes.begin_block(block_start, block_stop)
+                for step in range(block_start, block_stop):
+                    for lanes in lane_sets:
+                        lanes.stamp(step)
+                    solve_groups(step)
+                    for lanes in lane_sets:
+                        lanes.accept(step)
+                for lanes in lane_sets:
+                    lanes.end_block(block_start, block_stop)
+                block_start = block_stop
 
         # Every other scenario steps to its end as a standalone run would,
         # on its corner group's shared static context.

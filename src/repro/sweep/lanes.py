@@ -12,19 +12,34 @@ scenario:
 * source values for every step, computed once at the start;
 * capacitor and inductor companion states (a bank's as members x lanes);
 * the ideal line's two incident-wave histories, as steps x lanes;
-* the recorded samples, as steps x signals x lanes.
+* the solution rows read after a step (the recorded signals and the
+  line's ports), as steps x rows x lanes.
 
 Element values that differ between corners (C, L, ``z0``, ``delay``) are
-per-lane arrays.  A step is one vectorised RHS build, the engine's block
-solve per corner group, and one vectorised accept.
+per-lane arrays.
+
+A lane set steps in *blocks* of consecutive steps.  An ideal line's
+history sources replay the waves launched one delay earlier, so a step
+never reads the waves of the steps just before it, and the position of
+every step's ``t - Td`` on the time grid is known before the run starts.
+A block ends before its first step that reads a wave accepted inside
+the block (:attr:`LaneSet.last_read`).  So per block, :meth:`begin_block`
+writes the source values and the line's history sources of all its steps
+into the branch rows they own, and :meth:`end_block` writes the line's
+waves from the rows copied out per step.  Per step only what feeds the
+next step runs: :meth:`stamp` adds the companion stamps (capacitors,
+inductors, hook lanes, sources with per-step callables), the engine
+solves each corner group, and :meth:`accept` accepts the companion lanes
+and copies out the rows :meth:`end_block` and the recording read.
 
 Every array operation repeats the arithmetic of the scalar element code
 (:mod:`repro.circuits.elements`, :mod:`repro.circuits.tline`)
-elementwise and in the same order, so each lane holds the bits its
-scenario would compute stepped on its own.  An element with no lane form
-here (a subclass, an element with instance-level hooks, a source bank,
-any other static kind) keeps its own ``stamp_rhs`` / ``accept``, called
-once per lane on column views of the lane set's arrays.
+elementwise and in the same order, and each row of the RHS receives its
+additions in the same order, so each lane holds the bits its scenario
+would compute stepped on its own.  An element with no lane form here (a
+subclass, an element with instance-level hooks, a source bank, any other
+static kind) keeps its own ``stamp_rhs`` / ``accept``, called once per
+lane per step on column views of the lane set's arrays.
 """
 
 from __future__ import annotations
@@ -119,15 +134,14 @@ class _SourceLane:
     A :class:`~repro.waveforms.signals.BitPattern` is evaluated once on the
     whole time grid.  On a ``dt * arange`` grid its array branch equals its
     scalar branch bit for bit once the RHS's ``0.0 + v`` is applied, and a
-    source's branch row holds nothing else.  Any other callable is called
-    once per step, in step order.
+    source's branch row holds nothing else, so a block's values are written
+    into it in one pass.  Any other callable is called once per step, in
+    step order, and added to its lane's row on top of that pass's 0.0.
     """
 
-    needs_accept = False
-
     def __init__(self, elements, compiled, times):
-        self.row = compiled.branch_index(elements[0].name)
-        self.values = np.empty((times.size, len(elements)))
+        self.rows = [compiled.branch_index(elements[0].name)]
+        self.values = np.zeros((times.size, len(elements)))
         self.calls = []
         for col, el in enumerate(elements):
             if el._const_value is not None:
@@ -136,32 +150,38 @@ class _SourceLane:
                 self.values[:, col] = el.waveform(times)
             else:
                 self.calls.append((col, el.waveform))
+        self.needs_stamp = bool(self.calls)
+        self.needs_accept = False
+
+    def block_rhs(self, start: int, stop: int) -> tuple:
+        """The values of steps ``start .. stop - 1`` for each row in ``rows``."""
+        return (self.values[start:stop],)
 
     def stamp_rhs(self, rhs, step, t, ctxs) -> None:
-        values = self.values[step]
+        row = rhs[self.rows[0]]
         for col, waveform in self.calls:
-            values[col] = float(waveform(t))
-        rhs[self.row] += values
+            row[col] += float(waveform(t))
 
 
 class _CapacitorLane:
     """Companion state of a capacitor, or of a capacitor bank."""
 
-    needs_accept = True
+    needs_stamp = needs_accept = True
 
     def __init__(self, elements, compiled, method, dt):
         self.ports = _Ports(elements[0], compiled)
         self.trapezoidal = method == "trapezoidal"
         capacitance = _lanes([el.capacitance for el in elements])
         self.geq = (2.0 if self.trapezoidal else 1.0) * capacitance / dt
+        self.neg_geq = -self.geq  # the scalar code's -geq * v, negation first
         self.v_prev = _lanes([el._v_prev for el in elements])
         self.i_prev = _lanes([el._i_prev for el in elements])
 
     def stamp_rhs(self, rhs, step, t, ctxs) -> None:
         if self.trapezoidal:
-            i_hist = -self.geq * self.v_prev - self.i_prev
+            i_hist = self.neg_geq * self.v_prev - self.i_prev
         else:
-            i_hist = -self.geq * self.v_prev
+            i_hist = self.neg_geq * self.v_prev
         self.ports.add_current(rhs, i_hist)
 
     def accept(self, x, step, ctxs) -> None:
@@ -176,7 +196,7 @@ class _CapacitorLane:
 class _InductorLane:
     """Companion state of an inductor, or of an inductor bank."""
 
-    needs_accept = True
+    needs_stamp = needs_accept = True
 
     def __init__(self, elements, compiled, method, dt):
         el = elements[0]
@@ -205,65 +225,93 @@ class _LineLane:
     """The ideal line's two incident-wave histories, as steps x lanes.
 
     Row ``s`` of a history holds the wave accepted at step ``s``.  Lanes
-    share one time grid, so the interpolation index and offset of
-    ``t - Td`` are found once per step for each distinct delay.  The
-    arithmetic is ``IdealTransmissionLine._history``'s: ``v_initial`` at
-    or before the first sample, the last sample at or after it, the stored
-    sample on an exact hit, and otherwise ``np.interp``'s
-    ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j]) + fp[j]``.
+    share one time grid, so for each distinct delay the position of every
+    step's ``t - Td`` on it is planned once, with the float operations of
+    ``IdealTransmissionLine._history``: ``v_initial`` at or before the
+    first sample, the last sample at or after it, the stored sample on an
+    exact hit, and otherwise ``np.interp``'s
+    ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j]) + fp[j]`` with
+    ``j = k``, ``span = xp[k+1] - xp[k]`` and ``offset = x - xp[k]``.
     """
 
-    needs_accept = True
+    needs_stamp = needs_accept = False
 
-    def __init__(self, elements, compiled, times):
+    def __init__(self, elements, compiled, times, read_pos):
         el = elements[0]
-        self.nodes = [compiled.index_of(node) for node in el.nodes]
-        self.j1 = compiled.branch_index(el.name, 0)
-        self.j2 = compiled.branch_index(el.name, 1)
+        self.rows = [compiled.branch_index(el.name, 0), compiled.branch_index(el.name, 1)]
+        #: positions of the four port nodes (None: ground) and the two
+        #: branch currents among the rows copied out per step
+        nodes = [compiled.index_of(node) for node in el.nodes]
+        self.ports = [None if idx is None else read_pos(idx) for idx in nodes]
+        self.currents = [read_pos(row) for row in self.rows]
         self.z0 = np.array([e.z0 for e in elements])
         self.v_initial = np.array([e.v_initial for e in elements])
-        self.times = times
         self.wave1 = np.zeros((times.size, len(elements)))  # v1 + z0 i1
         self.wave2 = np.zeros((times.size, len(elements)))  # v2 + z0 i2
         delays = [e.delay for e in elements]
         distinct = list(dict.fromkeys(delays))
         if len(distinct) == 1:
-            self.delays = [(distinct[0], slice(None))]
+            groups = [(distinct[0], slice(None))]
         else:
-            self.delays = [
-                (d, np.flatnonzero(np.asarray(delays) == d)) for d in distinct
-            ]
+            groups = [(d, np.flatnonzero(np.asarray(delays) == d)) for d in distinct]
+        self.plans = [(cols, _plan(times, delay)) for delay, cols in groups]
+        self.last_read = np.max([plan[-1] for _, plan in self.plans], axis=0)
 
-    def stamp_rhs(self, rhs, step, t, ctxs) -> None:
-        times = self.times
-        for delay, cols in self.delays:
-            t_d = t - delay
-            if step == 1 or t_d <= times[1]:  # no sample at or before t_d
-                e1 = e2 = self.v_initial[cols]
-            else:
-                if t_d >= times[step - 1]:
-                    k, hit = step - 1, True
-                else:
-                    k = int(np.searchsorted(times, t_d, side="right")) - 1
-                    hit = times[k] == t_d
-                e1, e2 = self.wave2[k, cols], self.wave1[k, cols]
-                if not hit:
-                    span, offset = times[k + 1] - times[k], t_d - times[k]
-                    e1 = (self.wave2[k + 1, cols] - e1) / span * offset + e1
-                    e2 = (self.wave1[k + 1, cols] - e2) / span * offset + e2
-            rhs[self.j1, cols] += e1
-            rhs[self.j2, cols] += e2
+    def block_rhs(self, start: int, stop: int) -> tuple:
+        """The history sources ``E1``, ``E2`` of steps ``start .. stop - 1``."""
+        return self._incident(self.wave2, start, stop), self._incident(self.wave1, start, stop)
 
-    def accept(self, x, step, ctxs) -> None:
-        p1p, p1m, p2p, p2m = self.nodes
-        v1 = _node(x, p1p) - _node(x, p1m)
-        v2 = _node(x, p2p) - _node(x, p2m)
-        self.wave1[step] = v1 + self.z0 * x[self.j1]
-        self.wave2[step] = v2 + self.z0 * x[self.j2]
+    def _incident(self, wave: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """One history interpolated at ``t - Td`` for steps ``start .. stop - 1``."""
+        incident = np.empty((stop - start, self.z0.size))
+        for cols, (initial, k, interp, span, offset, _) in self.plans:
+            initial, k, interp = initial[start:stop], k[start:stop], interp[start:stop]
+            e = wave[k][:, cols]
+            if interp.any():
+                lo, hi = e[interp], wave[k[interp] + 1][:, cols]
+                span_i = span[start:stop][interp, None]
+                offset_i = offset[start:stop][interp, None]
+                e[interp] = (hi - lo) / span_i * offset_i + lo
+            e[initial] = self.v_initial[cols]
+            incident[:, cols] = e
+        return incident
+
+    def end_block(self, reads: np.ndarray, start: int, stop: int) -> None:
+        """Accept the waves of steps ``start .. stop - 1`` from their ``reads``."""
+        rows = reads[start:stop]
+        p1p, p1m, p2p, p2m = (0.0 if pos is None else rows[:, pos] for pos in self.ports)
+        j1, j2 = (rows[:, pos] for pos in self.currents)
+        self.wave1[start:stop] = (p1p - p1m) + self.z0 * j1
+        self.wave2[start:stop] = (p2p - p2m) + self.z0 * j2
+
+
+def _plan(times: np.ndarray, delay: float):
+    """Where every step's ``t - delay`` falls on ``times``.
+
+    Arrays over steps (row 0 unused): ``initial`` (no sample at or before
+    it), the sample index ``k``, ``interp`` (between ``k`` and ``k + 1``,
+    else an exact hit on ``k``), ``span`` and ``offset``, and the last
+    history row the step reads (-1: none).  A step reads rows before its
+    own only, and the last row read never decreases.
+    """
+    n = times.size - 1
+    steps = np.arange(n + 1)
+    t_d = times - delay
+    initial = (steps <= 1) | (t_d <= times[min(1, n)])
+    last = t_d >= times[np.maximum(steps - 1, 0)]  # at or after the last sample
+    k = np.where(last, steps - 1, np.searchsorted(times, t_d, side="right") - 1)
+    k[initial] = 0
+    interp = ~(initial | last | (times[k] == t_d))
+    span = times[np.minimum(k + 1, n)] - times[k]
+    offset = t_d - times[k]
+    last_read = np.where(initial, -1, k + interp)
+    return initial, k, interp, span, offset, last_read
 
 
 class _HookLane:
     """Any other static element: its own hooks, called once per lane."""
+
+    needs_stamp = True
 
     def __init__(self, elements):
         self.elements = elements
@@ -279,7 +327,7 @@ class _HookLane:
                 el.accept(x[:, col], ctx)
 
 
-def _lane(elements, compiled, times, method, dt):
+def _lane(elements, compiled, times, method, dt, read_pos):
     """The lane form of one element position (``None``: nothing per step)."""
     kind = type(elements[0])
     if not all(_is_plain(el) for el in elements):
@@ -293,18 +341,20 @@ def _lane(elements, compiled, times, method, dt):
     if kind in (Inductor, InductorBank):
         return _InductorLane(elements, compiled, method, dt)
     if kind is IdealTransmissionLine:
-        return _LineLane(elements, compiled, times)
+        return _LineLane(elements, compiled, times, read_pos)
     return _HookLane(elements)
 
 
 class LaneSet:
     """Begun direct runs of one topology (``runs``, in lane order) as arrays.
 
-    ``rhs`` and ``x`` are ``(unknowns, lanes)`` arrays.  Each step,
-    :meth:`begin_step` builds every lane's RHS, the engine solves each
-    corner group's columns of ``rhs`` into ``x``, and :meth:`end_step`
-    accepts and records every lane.  A quarantined lane keeps being
-    stepped on its last good solution; nothing reads it again.
+    ``rhs`` and ``x`` are ``(unknowns, lanes)`` arrays.  The engine steps a
+    lane set in blocks ``[start, stop)`` in which no step reads a line wave
+    accepted inside the block (:attr:`last_read`): :meth:`begin_block`,
+    then for each step :meth:`stamp`, a solve of each corner group's
+    columns of ``rhs`` into ``x`` and :meth:`accept`, then
+    :meth:`end_block`.  A quarantined lane keeps being stepped on its last
+    good solution; nothing reads it again.
     """
 
     def __init__(self, runs: Sequence):
@@ -312,44 +362,91 @@ class LaneSet:
         asm = first.assembler
         self.times = first.times
         self.dt, self.method = asm.dt, asm.method
-        self.x = np.stack([run.x for run in runs], axis=1)
+        # Column-major, so that a corner group's columns are one contiguous
+        # block for its LAPACK solve.
+        self.x = np.asfortranarray(np.stack([run.x for run in runs], axis=1))
         self.rhs = np.zeros_like(self.x)
-        self.rec_idx = first.rec_idx
-        self.recorded = np.empty((self.times.size, self.rec_idx.size, len(runs)))
-        self.recorded[0] = self.x[self.rec_idx]
+        #: solution rows copied out after every step: the recorded signals,
+        #: then what the lines' waves read
+        read_rows = list(first.rec_idx)
+
+        def read_pos(row: int) -> int:
+            if row not in read_rows:
+                read_rows.append(row)
+            return read_rows.index(row)
+
         self.lanes = []
         for elements in zip(*(run.assembler.elements for run in runs)):
-            lane = _lane(list(elements), asm.compiled, self.times, self.method, self.dt)
+            lane = _lane(list(elements), asm.compiled, self.times, self.method,
+                         self.dt, read_pos)
             if lane is not None:
                 self.lanes.append(lane)
+        self.n_recorded = first.rec_idx.size
+        self.read_rows = np.array(read_rows, dtype=np.intp)
+        self.reads = np.empty((self.times.size, self.read_rows.size, len(runs)))
+        self.x.take(self.read_rows, axis=0, out=self.reads[0])
+        #: lanes whose rows are written once per block, and the span of
+        #: rows a block holds (zero in the rows between theirs)
+        self._blocked = [
+            lane for lane in self.lanes if isinstance(lane, (_SourceLane, _LineLane))
+        ]
+        rows = [row for lane in self._blocked for row in lane.rows]
+        self.block_rows = slice(min(rows), max(rows) + 1) if rows else slice(0, 0)
+        self._stamping = [lane for lane in self.lanes if lane.needs_stamp]
         self._accepting = [lane for lane in self.lanes if lane.needs_accept]
+        self._lines = [lane for lane in self.lanes if isinstance(lane, _LineLane)]
+        #: the last line-history row each step reads (-1: none)
+        self.last_read = np.max(
+            [line.last_read for line in self._lines]
+            or [np.full(self.times.size, -1)],
+            axis=0,
+        )
         #: per-lane compiled circuits, for the step contexts of hook lanes
         self._compiled = (
             [run.assembler.compiled for run in runs]
             if any(isinstance(lane, _HookLane) for lane in self.lanes) else None
         )
         self._ctxs = None
+        self._block = None
+        self._start = 0
 
-    def begin_step(self, step: int) -> None:
+    def begin_block(self, start: int, stop: int) -> None:
+        """Write the block-written rows of steps ``start .. stop - 1``."""
+        self._start = start
+        span = self.block_rows
+        self._block = np.zeros((stop - start, span.stop - span.start, self.x.shape[1]))
+        for lane in self._blocked:
+            for row, values in zip(lane.rows, lane.block_rhs(start, stop)):
+                self._block[:, row - span.start] += values
+
+    def stamp(self, step: int) -> None:
         """Build every lane's right-hand side of ``step`` into ``rhs``."""
+        rhs = self.rhs
+        rhs.fill(0.0)
+        rhs[self.block_rows] = self._block[step - self._start]
+        if not self._stamping:
+            return
         t = float(self.times[step])
         if self._compiled is not None:
             self._ctxs = [
                 StampContext(compiled, self.dt, t, self.method)
                 for compiled in self._compiled
             ]
-        rhs = self.rhs
-        rhs.fill(0.0)
-        for lane in self.lanes:
+        for lane in self._stamping:
             lane.stamp_rhs(rhs, step, t, self._ctxs)
 
-    def end_step(self, step: int) -> None:
-        """Accept the solutions in ``x`` and record them."""
+    def accept(self, step: int) -> None:
+        """Accept the solutions in ``x`` and copy out the rows read later."""
         for lane in self._accepting:
             lane.accept(self.x, step, self._ctxs)
-        np.take(self.x, self.rec_idx, axis=0, out=self.recorded[step])
+        self.x.take(self.read_rows, axis=0, out=self.reads[step])
+
+    def end_block(self, start: int, stop: int) -> None:
+        """Write the lines' waves of steps ``start .. stop - 1``."""
+        for line in self._lines:
+            line.end_block(self.reads, start, stop)
 
     def finish(self, col: int, run) -> None:
         """Hand lane ``col``'s samples to its run, for ``TransientSolver.finish``."""
-        run.recorded[:] = self.recorded[:, :, col]
+        run.recorded[:] = self.reads[:, : self.n_recorded, col]
         run.iterations[1:] = 1  # one block solve per step

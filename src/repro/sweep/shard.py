@@ -435,10 +435,11 @@ def run_sharded(
         to the worker count.  Always capped by the number of corner
         groups (groups are never split — see the module docstring).
     models:
-        Accepted for adapter-signature compatibility.  Worker processes
-        always rebuild their devices from ``spec.devices`` (the spec is
-        the source of truth for a serialised work unit); an in-process
-        override cannot be shipped and is ignored here.
+        Used only when the plan has one shard and runs in process.  Worker
+        processes resolve their devices from ``spec.devices`` (the spec is
+        the source of truth for a serialised work unit) through the
+        process memo, which a forked worker inherits from this process;
+        an in-process override cannot be shipped.
 
     Returns
     -------

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-__all__ = ["EyeDiagram", "eye_diagram"]
+__all__ = ["EyeDiagram", "eye_diagram", "fold_start"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,6 +162,39 @@ def eye_diagram(
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
+    start_idx, n_phase, t_start = fold_start(times, bit_time, t_start)
+    bit_time = float(bit_time)
+    dt = float(times[1] - times[0])
+    ratio = bit_time / dt
+    v = values[start_idx:]
+    # Per-trace start index: round(k * bit_time / dt) — the k-th true bit
+    # boundary, so alignment error is <= dt/2 for *every* trace instead of
+    # drifting by k * (bit_time - round(ratio) * dt).
+    max_k = int(np.floor((v.size - n_phase) / ratio)) + 2
+    ks = np.arange(max(max_k, 0) + 1)
+    starts = np.rint(ks * ratio).astype(np.int64)
+    starts = starts[starts + n_phase <= v.size]  # trace 0 always fits
+    folded = v[starts[:, None] + np.arange(n_phase)[None, :]]
+    # Anchor the phase axis to the actual first-sample offset past the
+    # boundary (0 only when t_start lies exactly on a sample).
+    offset = max(0.0, float(times[start_idx] - t_start))
+    phase = offset + dt * np.arange(n_phase)
+    return EyeDiagram(phase=phase, traces=folded, bit_time=bit_time)
+
+
+def fold_start(times: np.ndarray, bit_time: float, t_start: float = 0.0) -> tuple:
+    """Where folding ``times`` into ``bit_time`` periods from ``t_start`` starts.
+
+    Returns ``(start_idx, n_phase, t_start)``: the first sample at or
+    after the first bit boundary, the samples of one unit interval
+    (``floor(bit_time / dt)``, near-integer ratios snapped up), and that
+    boundary, advanced by whole bit periods when ``t_start`` predates the
+    data.  Raises ``ValueError`` unless the samples from the boundary on
+    span one unit interval.  :func:`eye_diagram` folds through it, and a
+    Monte Carlo spec is validated with it
+    (:class:`repro.api.spec.SimulationSpec`), so the two cannot disagree.
+    """
+    times = np.asarray(times, dtype=float)
     if times.size < 3:
         raise ValueError("need at least three samples")
     dt = float(times[1] - times[0])
@@ -177,27 +210,9 @@ def eye_diagram(
         # First boundary predates the data: advance by whole bit periods.
         t_start += bit_time * int(np.ceil((times[0] - t_start - tol) / bit_time))
     start_idx = int(np.searchsorted(times, t_start - tol))
-    if start_idx >= times.size:
-        raise ValueError("waveform shorter than one bit period")
-    ratio = bit_time / dt
     # Samples per unit interval; snap near-integer ratios up so e.g.
     # 2e-9 / 5e-12 = 399.9999... still folds 400-wide.
-    n_phase = int(np.floor(ratio * (1.0 + 1e-9)))
-    v = values[start_idx:]
-    if v.size < n_phase:
+    n_phase = int(np.floor(bit_time / dt * (1.0 + 1e-9)))
+    if times.size - start_idx < n_phase:
         raise ValueError("waveform shorter than one bit period")
-    # Per-trace start index: round(k * bit_time / dt) — the k-th true bit
-    # boundary, so alignment error is <= dt/2 for *every* trace instead of
-    # drifting by k * (bit_time - round(ratio) * dt).
-    max_k = int(np.floor((v.size - n_phase) / ratio)) + 2
-    ks = np.arange(max(max_k, 0) + 1)
-    starts = np.rint(ks * ratio).astype(np.int64)
-    starts = starts[starts + n_phase <= v.size]
-    if starts.size < 1:
-        raise ValueError("waveform shorter than one bit period")
-    folded = v[starts[:, None] + np.arange(n_phase)[None, :]]
-    # Anchor the phase axis to the actual first-sample offset past the
-    # boundary (0 only when t_start lies exactly on a sample).
-    offset = max(0.0, float(times[start_idx] - t_start))
-    phase = offset + dt * np.arange(n_phase)
-    return EyeDiagram(phase=phase, traces=folded, bit_time=bit_time)
+    return start_idx, n_phase, t_start

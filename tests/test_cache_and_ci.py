@@ -228,6 +228,20 @@ class TestCIPipeline:
         assert uploads and "linear_link.result.json" in uploads[0]["with"]["path"]
         assert "sparse_ladder.result.json" in uploads[0]["with"]["path"]
 
+    def test_quick_tier_compares_sharded_and_in_process_monte_carlo(self, workflow):
+        # Sharded and in-process lane sets meet through the CLI on every push.
+        test_job = workflow["jobs"]["test"]
+        commands = " ".join(
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        )
+        for workers, output in (("2", "mc_a"), ("1", "mc_single")):
+            assert (
+                "python -m repro run examples/jobs/montecarlo_sweep.json --quick "
+                f"--workers {workers} --output {output}.result.json"
+            ) in commands
+        assert "a['waveforms'] == c['waveforms']" in commands
+        assert "a['meta']['montecarlo'] == c['meta']['montecarlo']" in commands
+
     def test_quick_tier_runs_backend_smoke(self, workflow):
         # The backend-equivalence suite runs as its own named step on both
         # python versions (the matrix covers them).

@@ -165,6 +165,58 @@ class TestMemoBitIdentity:
         _assert_identical(hit, cold_again)
 
 
+class TestShardedSweepModels:
+    """A sharded RBF sweep resolves its models before its pool starts."""
+
+    def test_forked_shard_workers_make_no_fits(self, memo, monkeypatch, tmp_path):
+        from repro.sweep import shard
+
+        # Fits are logged with their pid in a file, so that the forked
+        # workers of every Monte Carlo round's pool add to the same log.
+        assert shard._mp_context().get_start_method() == "fork"
+        log = tmp_path / "fits.txt"
+        real = library.fit_rbf_submodel
+
+        def logging_fit(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(library, "fit_rbf_submodel", logging_fit)
+
+        def fit_pids() -> list:
+            if not log.exists():
+                return []
+            pids = log.read_text(encoding="utf-8").split()
+            log.unlink()
+            return pids
+
+        doc = {
+            "duration": 2e-9,
+            "stimulus": {"bit_time": 1e-9},
+            "engine": {"sweep_family": "rbf", "dt": 1e-11, "workers": 2},
+            "stats": {
+                "samples": 4, "seed": 5, "corner_groups": 2,
+                "refine_rounds": 1, "refine_samples": 2,
+                "distributions": {
+                    "bit_pattern": {"kind": "pattern", "bits": 3},
+                    "corner.z0": {"kind": "uniform", "low": 110.0, "high": 150.0},
+                },
+            },
+        }
+        first = run(_spec("sweep", **doc))
+        pids = fit_pids()
+        assert pids and set(pids) == {str(os.getpid())}
+        assert first.perf_stats["models"]["cached"] is False
+        assert first.perf_stats["shards"] == 2
+
+        second = run(_spec("sweep", **doc))
+        assert fit_pids() == []
+        assert second.perf_stats["models"]["cached"] is True
+        doc["engine"]["workers"] = 1
+        _assert_identical(second, run(_spec("sweep", **doc)))
+
+
 class TestMemoBound:
     def test_memo_keeps_cap_entries_and_evicted_identified_reloads_from_disk(
         self, memo, tmp_path, monkeypatch, params, driver_model, receiver_model

@@ -40,7 +40,7 @@ from repro.sweep.montecarlo import (
     run_montecarlo,
 )
 from repro.sweep.report import bathtub_curve, metric_distribution
-from repro.waveforms.eye import EyeDiagram
+from repro.waveforms.eye import EyeDiagram, eye_diagram
 
 
 def _stats(**overrides) -> StatsSpec:
@@ -157,6 +157,47 @@ class TestStatsSpecValidation:
         assert quick.stats.samples == 8
         assert quick.stats.refine_rounds == 1
         assert quick.stats.refine_samples == 4
+
+    # The eye fold of the default 5 ps grid from t_start = 2 ns needs 400
+    # samples of one 2 ns bit from sample 400 on: a run of 799 steps.
+    @pytest.mark.parametrize("steps", [800, 799], ids=["warm-up shape", "shortest"])
+    def test_span_of_one_eye_fold_is_accepted(self, steps):
+        spec = _fold_spec(steps * 5e-12)
+        assert spec.quickened().duration == spec.duration
+        times = 5e-12 * np.arange(steps + 1)
+        eye = eye_diagram(times, np.zeros_like(times), 2e-9, t_start=2e-9)
+        assert eye.n_traces == 1
+
+    def test_span_one_step_short_of_one_eye_fold_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^duration: .*stats\.t_start"):
+            _fold_spec(798 * 5e-12)
+        times = 5e-12 * np.arange(799)
+        with pytest.raises(ValueError, match="shorter than one bit period"):
+            eye_diagram(times, np.zeros_like(times), 2e-9, t_start=2e-9)
+
+    def test_quickened_keeps_the_span_of_one_eye_fold(self):
+        spec = dataclasses.replace(
+            _mc_spec(), stats=dataclasses.replace(_stats(), t_start=9e-9)
+        )
+        quick = spec.quickened()
+        assert quick.duration < spec.duration
+        assert int(round(quick.duration / 1e-11)) == 1099  # 900 + 200 - 1
+        assert run(dataclasses.replace(
+            quick, stats=dataclasses.replace(quick.stats, samples=2, refine_rounds=0)
+        )).meta["montecarlo"]["completed"] == 2
+
+
+def _fold_spec(duration: float) -> SimulationSpec:
+    """The benchmark's Monte Carlo warm-up shape at a given duration."""
+    doc = {
+        "format_version": 1, "kind": "sweep", "duration": duration,
+        "engine": {"sweep_family": "linear"},
+        "stats": {
+            "samples": 4, "t_start": 2e-9,
+            "distributions": {"bit_pattern": {"kind": "pattern", "bits": 3}},
+        },
+    }
+    return spec_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

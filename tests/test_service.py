@@ -218,6 +218,19 @@ def test_non_finite_spec_is_rejected(server, block, key, value):
     assert server.manager.jobs() == []
 
 
+def test_monte_carlo_too_short_to_fold_one_eye_is_rejected(server):
+    # It used to queue, solve its first round and fail at the eye fold.
+    with open(os.path.join(JOBS_DIR, "montecarlo_sweep.json")) as handle:
+        spec = json.load(handle)
+    spec["duration"] = 3e-9  # stats.t_start 2 ns, 2 ns bits
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/jobs", spec)
+    assert err.value.code == 400
+    error = json.loads(err.value.read())["error"]
+    assert "duration:" in error and "stats.t_start" in error
+    assert server.manager.jobs() == []
+
+
 def test_scenario_device_label_is_rejected(server):
     # The job API never resolved device variants: a rbf sweep naming one
     # used to pass validation, queue, and fail at run with a KeyError.

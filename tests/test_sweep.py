@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.elements import Capacitor
 from repro.circuits.transient import TransientOptions
@@ -365,6 +367,94 @@ class TestLaneSets:
             _assert_sweeps_match(batched, sequential)
             _assert_bit_identical(batched, sequential, "solo")
             assert batched.perf_stats["lane_sets"] == 1
+
+
+def _block_sweep(dt, steps, delays, segments=0, method="trapezoidal"):
+    """The linear link with one corner group per line delay, plus a z0 corner.
+
+    ``delays[0]`` is the nominal delay; group ``a`` has two lanes, every
+    other group one.  Bits of ``25 dt`` keep every run switching.
+    """
+    from repro.sweep.links import LinearLinkSpec
+
+    spec = LinearLinkSpec(delay=delays[0], segments=segments,
+                          bit_time=25 * dt, edge_time=5 * dt)
+    scenarios = [
+        Scenario(name="a0", bit_pattern="0110"),
+        Scenario(name="a1", bit_pattern="1011", drive_strength=0.9),
+        Scenario(name="z", bit_pattern="1101", corner={"z0": 100.0}),
+    ] + [
+        Scenario(name=f"d{k}", bit_pattern=format(5 + k, "04b"), corner={"delay": delay})
+        for k, delay in enumerate(delays[1:])
+    ]
+    return linear_link_sweep(scenarios, dt=dt, duration=steps * dt, spec=spec,
+                             options=TransientOptions(method=method))
+
+
+#: line delays as multiples of dt: shorter than one step (one-step
+#: blocks), whole multiples (``t - Td`` on a sample when dt is a power of
+#: two) and generic
+_delay_factors = st.one_of(
+    st.floats(min_value=0.2, max_value=0.95),
+    st.integers(min_value=1, max_value=30).map(float),
+    st.floats(min_value=1.05, max_value=40.0),
+)
+
+
+class TestBlockStepping:
+    """Lane sets step in blocks bounded by the shortest line delay."""
+
+    @given(
+        dt=st.sampled_from([2.0 ** -36, 2.0 ** -37, 1e-11, 7.3e-12]),
+        steps=st.integers(min_value=30, max_value=160),
+        factors=st.lists(_delay_factors, min_size=1, max_size=3),
+        segments=st.sampled_from([0, 0, 0, 6]),
+        method=st.sampled_from(["trapezoidal", "backward_euler"]),
+    )
+    @settings(max_examples=16, deadline=None)
+    def test_blocks_match_standalone_runs(self, dt, steps, factors, segments, method):
+        delays = list(dict.fromkeys(f * dt for f in factors))
+        sweep = _block_sweep(dt, steps, delays, segments, method)
+        batched = sweep.run()
+        sequential = sweep.run_sequential()
+        _assert_sweeps_match(batched, sequential)
+        for scenario in batched.scenarios:
+            if scenario.name != "a0" and scenario.name != "a1":
+                _assert_bit_identical(batched, sequential, scenario.name)
+        stats = batched.perf_stats
+        assert stats["lane_sets"] == 1
+        assert stats["static_groups"] == len(delays) + 1
+        assert stats["block_solves"] == stats["static_groups"] * steps
+        assert 0.0 < batched.wall_time < 60.0
+
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_nan_fault_inside_a_block(self, monkeypatch, where):
+        from repro.resilience import faults
+        from repro.sweep.lanes import LaneSet
+
+        blocks = []
+        begin_block = LaneSet.begin_block
+
+        def spy(self, start, stop):
+            blocks.append((start, stop))
+            begin_block(self, start, stop)
+
+        monkeypatch.setattr(LaneSet, "begin_block", spy)
+        sweep = _block_sweep(1e-11, 120, [0.4e-9, 0.3e-9])
+        clean = sweep.run()
+        start, stop = blocks[1]  # the first block of line history reads
+        assert stop - start >= 8
+        step = start if where == "first" else (start + stop) // 2
+        with faults.injected(faults.Fault("nan", step=step, scenario="a1")):
+            result = sweep.run()
+        assert result.status_of("a1") == "recovered"
+        assert result.perf_stats["quarantined_scenarios"] == ["a1"]
+        assert result.perf_stats["solo_retries"] == 1
+        [event] = result.perf_stats["health"]["events"]
+        assert (event["kind"], event["step"], event["scenario"]) == ("nan_inf", step, "a1")
+        _assert_sweeps_match(result, clean)
+        for name in ("z", "d0"):
+            _assert_bit_identical(result, clean, name)
 
 
 class TestSweepResultAndReport:
