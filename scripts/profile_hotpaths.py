@@ -4,12 +4,16 @@ Profiles one (or all) of the benchmark workloads and prints the top
 functions by cumulative and internal time, optionally with the fast-path
 kernels disabled so the naive reference paths can be inspected.  The
 targets are the transistor-level link (``mna``), the RBF link (``rbf``),
-the 1-D and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``) and one Monte Carlo
+the 1-D and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``), one Monte Carlo
 sweep job of the linear link in perfbench's ``mc_sweep`` shape, run in
-process at ``workers=1`` (``sweep``):
+process at ``workers=1`` (``sweep``), and the result store's ``put``,
+``get``, ``body`` and ``npz`` of the golden
+``examples/jobs/montecarlo_sweep.json`` result on a scratch store
+(``store``; the solve and its encoding run before the profile starts):
 
     PYTHONPATH=src python scripts/profile_hotpaths.py mna
     PYTHONPATH=src python scripts/profile_hotpaths.py sweep -n 30
+    PYTHONPATH=src python scripts/profile_hotpaths.py store
     PYTHONPATH=src python scripts/profile_hotpaths.py fdtd3d --reference
     PYTHONPATH=src python scripts/profile_hotpaths.py all -n 30 -o prof.pstats
 """
@@ -27,10 +31,43 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro import perf  # noqa: E402
 
-TARGETS = ("mna", "rbf", "fdtd1d", "fdtd3d", "sweep")
+TARGETS = ("mna", "rbf", "fdtd1d", "fdtd3d", "sweep", "store")
+
+
+def _store_workload():
+    """One store round trip of the golden Monte Carlo result's bytes."""
+    import atexit
+    import io
+    import shutil
+    import tempfile
+
+    from repro.api import load_spec, run
+    from repro.service.jobs import result_summary
+    from repro.service.store import ResultStore
+
+    spec = load_spec(os.path.join(ROOT, "examples", "jobs", "montecarlo_sweep.json"))
+    result = run(spec)
+    buffer = io.BytesIO()
+    result.save_npz(buffer)
+    summary = result_summary(result.to_dict(include_waveforms=False))
+    body, npz = result.to_json_bytes(), buffer.getvalue()
+    root = tempfile.mkdtemp(prefix="repro-profile-store-")
+    atexit.register(shutil.rmtree, root, True)
+    store, spec_hash = ResultStore(root=root, enabled=True), spec.content_hash()
+    print(f"golden result: {len(body) / 1e6:.1f} MB JSON, {len(npz) / 1e6:.1f} MB NPZ")
+
+    def round_trip():
+        assert store.put(spec_hash, summary, body, npz) is not None
+        assert store.get(spec_hash) == summary
+        assert store.body(spec_hash) == body
+        assert store.npz(spec_hash) == npz
+
+    return round_trip
 
 
 def _workload(target: str):
+    if target == "store":
+        return _store_workload()
     if target == "sweep":
         # No device models: the Monte Carlo job sweeps the linear link.
         sys.path.insert(0, ROOT)

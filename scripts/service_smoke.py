@@ -14,8 +14,12 @@ it over one keep-alive HTTP connection, as a real client does:
 5. resubmit the identical spec and assert the content-addressed cache
    served it: ``cache_hit`` true, ``solves`` still 1, response bytes
    identical;
-6. post two distinct variants back to back; both must complete;
-7. SIGTERM the daemon: it must exit cleanly, and (on Linux) no process of
+6. flip one byte of the stored NPZ (the store root is in ``/healthz``)
+   and assert that ``/waveforms`` answers 410; resubmit and assert a
+   miss (``cache_hit`` false, ``solves`` 2) whose ``/waveforms`` decodes
+   to the arrays of the first fetch;
+7. post two distinct variants back to back; both must complete;
+8. SIGTERM the daemon: it must exit cleanly, and (on Linux) no process of
    its tree — the solver processes included — may survive it by 5 s.
 
 Exit code 0 on success; any assertion or timeout fails the step.
@@ -83,6 +87,15 @@ class Client:
                 return doc
             time.sleep(0.05)
         raise AssertionError(f"job {job_id} did not finish within {JOB_TIMEOUT}s")
+
+
+def flip_byte(path: str, offset: int) -> None:
+    """Corrupt one byte of a file in place."""
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x01]))
 
 
 def wait_for_daemon(base: str, process: subprocess.Popen) -> None:
@@ -191,6 +204,26 @@ def main() -> int:
         assert health["jobs"]["solves"] == 1, health["jobs"]
         assert health["jobs"]["cache_hits"] == 1, health["jobs"]
 
+        # a corrupt stored archive: 410, then a miss that rewrites the entry
+        spec_hash = submitted["spec_hash"]
+        npz_path = os.path.join(REPO, health["result_store"]["root"], spec_hash[:2],
+                                f"{spec_hash}.npz")
+        flip_byte(npz_path, os.path.getsize(npz_path) // 2)
+        status, _body = client.request("GET", f"/jobs/{submitted['job_id']}/waveforms")
+        assert status == 410, f"a corrupt archive was answered with {status}"
+        _status, repaired = client.json("POST", "/jobs?quick=1", spec)
+        doc = client.wait_for_job(repaired["job_id"])
+        assert doc["state"] == "done" and doc["cache_hit"] is False, doc
+        _status, health = client.json("GET", "/healthz")
+        assert health["jobs"]["solves"] == 2, health["jobs"]
+        status, npz_body2 = client.request("GET", f"/jobs/{repaired['job_id']}/waveforms")
+        assert status == 200, status
+        archive2 = np.load(io.BytesIO(npz_body2))
+        arrays = [name for name in archive.files if name != "meta_json"]  # meta has wall times
+        assert sorted(archive2.files) == sorted(archive.files), archive2.files
+        assert all(np.array_equal(archive[name], archive2[name]) for name in arrays), \
+            "the re-solved archive differs from the first"
+
         # two distinct specs back to back: both solve
         variants = [dict(spec, label=f"{spec.get('label') or 'job'} ({tag})") for tag in "ab"]
         ids = [client.json("POST", "/jobs?quick=1", variant)[1]["job_id"] for variant in variants]
@@ -198,7 +231,7 @@ def main() -> int:
             doc = client.wait_for_job(job_id)
             assert doc["state"] == "done" and doc["cache_hit"] is False, doc
         _status, health = client.json("GET", "/healthz")
-        assert health["jobs"]["solves"] == 3, health["jobs"]
+        assert health["jobs"]["solves"] == 4, health["jobs"]
         client.conn.close()
 
         # SIGTERM takes the Ctrl-C path and leaves no process behind
@@ -213,9 +246,9 @@ def main() -> int:
 
         print(f"service-smoke ok: {len(result['waveforms'])} waveforms x "
               f"{result['n_samples']} samples; keep-alive median {median * 1e3:.1f} ms; "
-              f"4 submissions, {health['jobs']['solves']} solves, "
-              f"{health['jobs']['cache_hits']} cache hit; {len(tree)} processes "
-              f"gone after SIGTERM")
+              f"5 submissions, {health['jobs']['solves']} solves, "
+              f"{health['jobs']['cache_hits']} cache hit, a corrupt archive "
+              f"answered 410 and re-solved; {len(tree)} processes gone after SIGTERM")
         return 0
     finally:
         if client is not None:

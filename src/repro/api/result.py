@@ -50,10 +50,12 @@ def _jsonable(value: Any) -> Any:
 class Result:
     """Uniform view over the output of any engine.
 
-    The two export forms are the service's wire formats: :meth:`to_dict`
-    is the document ``GET /jobs/<id>/result`` serves (and the
-    content-addressed store persists), :meth:`save_npz` the artifact
-    behind ``GET /jobs/<id>/waveforms`` — see ``docs/service.md``.
+    The two export forms are the service's wire formats:
+    :meth:`to_json_bytes` (the encoded :meth:`to_dict`) is what
+    ``GET /jobs/<id>/result`` serves and the CLI's ``--output`` writes,
+    :meth:`save_npz` the archive behind ``GET /jobs/<id>/waveforms``.  A
+    solver process encodes each once, and the content-addressed store keeps
+    those bytes — see ``docs/service.md``.
 
     Parameters
     ----------
@@ -153,19 +155,24 @@ class Result:
             out["waveforms"] = self.names()
         return out
 
+    def to_json_bytes(self) -> bytes:
+        """:meth:`to_dict` as UTF-8 JSON: the bytes ``/result`` serves."""
+        return json.dumps(self.to_dict()).encode("utf-8")
+
     def save_json(self, path: str) -> None:
-        """Write the full result (times + waveforms + stats) as JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle)
-            handle.write("\n")
+        """Write the full result (times + waveforms + stats) as :meth:`to_json_bytes`."""
+        with open(path, "wb") as handle:
+            handle.write(self.to_json_bytes())
 
     def save_npz(self, path) -> None:
-        """Write the waveforms as a compressed NPZ archive.
+        """Write the waveforms as an uncompressed NPZ archive (``np.savez``).
 
         Array keys: ``times`` plus one ``w:<name>`` entry per waveform;
         the JSON metadata travels in a ``meta_json`` string array.
-        ``path`` may be a filename or any binary file-like object (the
-        service daemon streams into a buffer).
+        ``path`` may be a filename or any binary file-like object (a
+        solver process writes into a buffer, whose bytes the result store
+        keeps and ``/waveforms`` serves).  Compression would save ~20% of
+        the bytes for ten times the encoding time.
         """
         payload = {"times": self.times}
         for name, wave in self._waveforms.items():
@@ -173,7 +180,7 @@ class Result:
         payload["meta_json"] = np.array(
             json.dumps(self.to_dict(include_waveforms=False))
         )
-        np.savez_compressed(path, **payload)
+        np.savez(path, **payload)
 
     # -- constructors from the native result shapes ------------------------
     @classmethod

@@ -931,9 +931,10 @@ class SimulationSpec(_Block):
         """A cheap smoke-run variant of this spec (the CLI's ``--quick``).
 
         Caps the simulated span at two bit times (at least 50 steps, and
-        for a Monte Carlo spec at least the span its eye fold needs) and
-        shrinks a 3-D structure to the smallest supported scale.  Meant
-        for CI smoke tests — the waveforms are shorter, not different.
+        for a Monte Carlo spec at least four unit intervals of eye fold
+        after the fold start, within the spec's own span) and shrinks a 3-D
+        structure to the smallest supported scale.  Meant for CI smoke
+        tests — the waveforms are shorter, not different.
         """
         duration = min(self.duration, max(2.0 * self.stimulus.bit_time,
                                           50.0 * self.resolved_dt()))
@@ -941,10 +942,12 @@ class SimulationSpec(_Block):
         if self.kind == "fdtd3d" and self.structure.scale > 0.125:
             changes["structure"] = dataclasses.replace(self.structure, scale=0.125)
         if self.stats is not None:
-            # A Monte Carlo smoke keeps the generator and the span of one
-            # eye fold, but caps the batch.
+            # A Monte Carlo smoke keeps the generator and four unit
+            # intervals of eye fold, but caps the batch: one interval folds
+            # one trace, and an eye height needs a HIGH and a LOW one.
             start, n_phase, _ = self._fold_start()
-            changes["duration"] = max(duration, (start + n_phase - 1) * self.resolved_dt())
+            folds = (start + 4 * n_phase - 1) * self.resolved_dt()
+            changes["duration"] = min(self.duration, max(duration, folds))
             changes["stats"] = dataclasses.replace(
                 self.stats,
                 samples=min(self.stats.samples, 8),

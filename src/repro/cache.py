@@ -1,4 +1,4 @@
-"""Hardened atomic JSON disk cache shared by every on-disk store.
+"""Hardened atomic disk cache shared by every on-disk store.
 
 The package keeps two disk stores under one root: identified macromodels
 (:mod:`repro.experiments.devices`) and the service's finished results
@@ -6,12 +6,14 @@ The package keeps two disk stores under one root: identified macromodels
 through :func:`cache_root` and :func:`disk_cache_enabled`, and both write
 through the helpers below:
 
-* **atomic writes** — payloads land via ``tempfile`` + ``os.replace`` in
-  the target directory, so readers never observe a torn file and
-  concurrent writers last-one-wins cleanly;
-* **checksum validation** — the stored document wraps the payload with a
-  SHA-256 of its canonical encoding; a bit-flipped or truncated entry
-  fails validation instead of deserialising into garbage;
+* **atomic writes** — :func:`atomic_write_bytes` is the package's one
+  ``tempfile`` + ``os.replace`` in the target directory, so readers never
+  observe a torn file and concurrent writers last-one-wins cleanly;
+* **checksum validation** — :func:`wrap` encodes a payload as one JSON
+  line with a SHA-256 of its canonical encoding, and :func:`unwrap`
+  refuses a bit-flipped or truncated line instead of deserialising it
+  into garbage (:func:`atomic_write_json`/:func:`read_json` are the
+  whole-file form of the pair);
 * **unlink-and-recover reads** — permanently corrupt entries (bad JSON,
   failed checksum, structurally wrong payload) are removed best-effort so
   later runs recompute once instead of tripping repeatedly, while
@@ -36,6 +38,9 @@ __all__ = [
     "cache_root",
     "disk_cache_enabled",
     "checksum",
+    "wrap",
+    "unwrap",
+    "atomic_write_bytes",
     "atomic_write_json",
     "read_json",
     "invalidate",
@@ -61,70 +66,93 @@ def checksum(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def atomic_write_json(path: str, payload: Any) -> bool:
-    """Atomically persist ``payload`` (checksum-wrapped) at ``path``.
+def wrap(payload: Any) -> bytes:
+    """The checksum document of a JSON payload, as one line of UTF-8.
 
-    Returns ``True`` on success, ``False`` on any failure (read-only
-    filesystem, unserialisable payload, ...) — cache writes are best
-    effort and must never fail the computation that produced the payload.
+    Raises ``TypeError``/``ValueError`` on a payload JSON cannot encode.
     """
-    try:
-        document = {
-            "cache_format": CACHE_DOC_FORMAT,
-            "checksum": checksum(payload),
-            "payload": payload,
-        }
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-    except (OSError, TypeError, ValueError):
-        return False
-    return True
+    document = {
+        "cache_format": CACHE_DOC_FORMAT,
+        "checksum": checksum(payload),
+        "payload": payload,
+    }
+    return json.dumps(document).encode("utf-8")
 
 
-def _unlink_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def read_json(path: str) -> Any | None:
-    """Load and validate a cache entry; ``None`` on miss or any failure.
-
-    Corrupt entries — unparseable JSON, a checksum mismatch, a wrapper of
-    the wrong shape — are unlinked (best effort) before returning ``None``
-    so the recomputed entry replaces them.  Transient ``OSError`` reads
-    keep the entry: it may be perfectly valid on the next attempt.
+def unwrap(data: bytes) -> Any:
+    """The payload of a checksum document; ``ValueError`` if it is corrupt.
 
     Legacy entries written before the checksum wrapper existed (a bare
     JSON object without the ``cache_format`` key) are returned as-is; the
     caller's own payload validation governs them.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError:
-        return None
-    except ValueError:
-        _unlink_quietly(path)
-        return None
+    document = json.loads(data)
     if not isinstance(document, dict) or "cache_format" not in document:
         return document  # legacy pre-checksum entry: caller validates
     payload = document.get("payload")
     if document.get("checksum") != checksum(payload):
-        _unlink_quietly(path)
-        return None
+        raise ValueError("cache entry fails its checksum")
     return payload
 
 
+def atomic_write_bytes(path: str, data: bytes) -> bool:
+    """Atomically replace the file at ``path`` with ``data``.
+
+    Returns ``True`` on success, ``False`` on any ``OSError`` (read-only
+    filesystem, full disk, ...) — cache writes are best effort and must
+    never fail the computation that produced the data.
+    """
+    try:
+        directory = os.path.dirname(path) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError:
+        return False
+    return True
+
+
+def atomic_write_json(path: str, payload: Any) -> bool:
+    """Atomically persist ``payload`` (checksum-wrapped) at ``path``.
+
+    ``False`` when the payload cannot be encoded or the write fails.
+    """
+    try:
+        return atomic_write_bytes(path, wrap(payload))
+    except (TypeError, ValueError):  # JSON cannot encode the payload
+        return False
+
+
+def read_json(path: str) -> Any | None:
+    """Load and validate a cache entry; ``None`` on miss or any failure.
+
+    Corrupt entries — unparseable JSON, a checksum mismatch — are unlinked
+    (best effort) before returning ``None`` so the recomputed entry
+    replaces them.  Transient ``OSError`` reads keep the entry: it may be
+    perfectly valid on the next attempt.  A legacy bare object passes
+    through (see :func:`unwrap`).
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    try:
+        return unwrap(data)
+    except ValueError:
+        invalidate(path)
+        return None
+
+
 def invalidate(path: str) -> None:
-    """Remove an entry a caller found structurally unusable (best effort)."""
-    _unlink_quietly(path)
+    """Remove a corrupt or structurally unusable entry (best effort)."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass

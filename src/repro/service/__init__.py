@@ -12,8 +12,8 @@ cache with *zero* additional solver work.
 Layers
 ------
 * :mod:`repro.service.store` — :class:`~repro.service.store.ResultStore`,
-  the content-addressed result/artifact store built on the hardened
-  atomic cache helpers of :mod:`repro.cache`;
+  the content-addressed store of each finished result's JSON and NPZ
+  bytes, written through the atomic helpers of :mod:`repro.cache`;
 * :mod:`repro.service.jobs` — :class:`~repro.service.jobs.Job` and
   :class:`~repro.service.jobs.JobManager`: the queue, the worker threads
   and the solver processes they feed, single-flight dedup and the

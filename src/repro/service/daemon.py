@@ -26,13 +26,16 @@ Endpoints
     failure records of a failed job.
 ``GET /jobs/<id>/result``
     The full result JSON (``Result.to_dict()``: times, waveforms,
-    perf_stats, meta), read back from the result store.  ``409`` while
-    the job is queued/running; for a failed job the partial result is
-    served when one exists (partial sweeps), else ``409`` with the
-    failure records; ``410`` once a done job's result has left the store.
+    perf_stats, meta): the bytes the solver process encoded and the
+    result store keeps, sent once they match the SHA-256 in their entry's
+    head.  ``409`` while the job is queued/running; for a failed job the
+    partial result is served when one exists (partial sweeps), else
+    ``409`` with the failure records; ``410`` once a done job's entry has
+    left the store or failed its check (which removes it).
 ``GET /jobs/<id>/waveforms``
-    The compressed NPZ artifact (``Result.save_npz`` layout: ``times``,
-    one ``w:<name>`` array per waveform, ``meta_json``), likewise.
+    The uncompressed NPZ archive (``Result.save_npz`` layout: ``times``,
+    one ``w:<name>`` array per waveform, ``meta_json``), sent once every
+    member matches its CRC-32; otherwise likewise.
 ``GET /healthz``
     Liveness + daemon-lifetime counters (submitted, solves, cache_hits,
     completed, failed, queued, workers).
@@ -97,21 +100,17 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str, *headers: Tuple[str, str]) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_bytes(self, body: bytes, content_type: str, filename: str) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Content-Disposition", f'attachment; filename="{filename}"')
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
 
     # -- dispatch ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -256,22 +255,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_result(self, job) -> None:
         body = self._artifact(job, npz=False)
-        if body is None:
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Cache-Hit", "1" if job.cache_hit else "0")
-        self.end_headers()
-        self.wfile.write(body)
+        if body is not None:
+            self._send(200, body, "application/json",
+                       ("X-Repro-Cache-Hit", "1" if job.cache_hit else "0"))
 
     def _get_waveforms(self, job) -> None:
         body = self._artifact(job, npz=True)
         if body is not None:
-            self._send_bytes(body, "application/octet-stream", f"{job.spec_hash}.npz")
+            self._send(200, body, "application/octet-stream",
+                       ("Content-Disposition", f'attachment; filename="{job.spec_hash}.npz"'))
 
     def _artifact(self, job, npz: bool) -> Optional[bytes]:
-        """A finished job's result bytes, or ``None`` after answering why not."""
+        """A finished job's checked result bytes, or ``None`` after answering why not."""
         if job.state in ("queued", "running"):
             self._send_json(
                 409, {"error": "job not finished", "state": job.state, "job_id": job.job_id}

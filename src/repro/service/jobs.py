@@ -7,16 +7,17 @@ through ``queued → running → done`` (or ``failed``).  The
 * a bounded pool of worker threads drains one in-process FIFO queue —
   submissions never block on solver work;
 * each worker thread hands its job to a pool of *solver processes*, which
-  run it end to end: :func:`repro.api.run`, result encoding, the
-  scenario-failure check and the store write.  The solves therefore never
-  compete with the HTTP threads (or each other) for the daemon's GIL, and
-  the daemon holds no result: a job keeps its hash and a small status
-  summary, and ``/result`` / ``/waveforms`` are read back from the store;
+  run it end to end: :func:`repro.api.run`, the result's one encoding to
+  JSON and NPZ bytes, the scenario-failure check and the store write.  The
+  solves therefore never compete with the HTTP threads (or each other) for
+  the daemon's GIL, and the daemon holds no result: a job keeps its hash
+  and a small status summary, and ``/result`` / ``/waveforms`` send the
+  stored bytes, which the daemon checks but never parses;
 * every job is content-addressed by ``spec.content_hash()``: a hash whose
   clean result is already known (in the :class:`~repro.service.store.ResultStore`
-  on disk, or in this process's memory when the disk store is disabled)
-  completes instantly with ``cache_hit=True`` and *exactly zero* solver
-  work;
+  on disk, whose entry head carries the status summary, or in this
+  process's memory when the disk store is disabled) completes instantly
+  with ``cache_hit=True`` and *exactly zero* solver work;
 * concurrent duplicates are single-flighted: while one worker solves a
   hash, workers holding the same hash wait for it and then serve the
   stored result instead of re-solving;
@@ -36,7 +37,6 @@ import dataclasses
 import gc
 import importlib
 import io
-import json
 import os
 import queue
 import signal
@@ -236,14 +236,14 @@ def _run_job(spec, spec_hash: str, store: ResultStore, fault_list) -> _Outcome:
         return _Outcome(error=f"{type(exc).__name__}: {exc}")
     head = result.to_dict(include_waveforms=False)
     outcome = _Outcome(summary=result_summary(head), failures=tuple(_scenario_failures(head)))
-    # Only a clean result is cached; a partial sweep, or a result the store
-    # did not keep, travels back as bytes.
-    if not outcome.failures and store.put(spec_hash, result) is not None:
-        return outcome
+    # The result's one encoding.  Only a clean result is stored; a partial
+    # sweep, or a result the store did not keep, travels back as these bytes.
     buffer = io.BytesIO()
     result.save_npz(buffer)
-    body = json.dumps(result.to_dict()).encode("utf-8")
-    return outcome._replace(artifacts=(body, buffer.getvalue()))
+    artifacts = (result.to_json_bytes(), buffer.getvalue())
+    if not outcome.failures and store.put(spec_hash, outcome.summary, *artifacts) is not None:
+        return outcome
+    return outcome._replace(artifacts=artifacts)
 
 
 def _scenario_failures(document: dict) -> List[dict]:
@@ -433,9 +433,9 @@ class JobManager:
     # -- cache handling ----------------------------------------------------
     def _lookup_cached(self, spec_hash: str) -> Optional[dict]:
         """The status summary of a hash whose clean result is known."""
-        document = self.store.get(spec_hash)
-        if document is not None:
-            return result_summary(document)
+        summary = self.store.get(spec_hash)
+        if summary is not None:
+            return summary
         with self._lock:
             held = self._memory.get(spec_hash)
         return None if held is None else held[0]

@@ -1,42 +1,48 @@
-"""Content-addressed result store: ``spec.content_hash()`` → finished job.
+"""Content-addressed result store: ``spec.content_hash()`` → a finished job's bytes.
 
-The PR 3 spec layer gave every job a stable SHA-256
-(:meth:`repro.api.spec.SimulationSpec.content_hash`, equal across
-processes and machines for equal specs) precisely so that identical jobs
-could share their results.  This module is the store that makes the hash
-pay off: a directory of finished results keyed by spec hash, written
-through the hardened atomic helpers of :mod:`repro.cache` (atomic
-replace, checksum validation, unlink-and-recover reads), so
+Every job has a stable SHA-256
+(:meth:`repro.api.spec.SimulationSpec.content_hash`), so identical jobs
+share one result.  The store keeps the bytes the service serves, encoded
+once by the solver process that produced them, so
 
 * a duplicate submission — from any client, before or after a daemon
-  restart — is served the *byte-identical* stored result without running
-  a single solver step;
-* a torn or bit-flipped entry is detected and recomputed instead of
-  being served as garbage;
-* the store is an optimisation only: every failure to read is a miss and
-  every failure to write is dropped, never an error for the job that
-  produced the result.
+  restart — completes from the entry's small head alone;
+* ``/result`` and ``/waveforms`` send the stored bytes after an integrity
+  check, with no parse or re-encode; a failed check removes the whole
+  entry, so the next submission misses and rewrites it;
+* every failure to read is a miss and every failure to write is dropped,
+  never an error for the job that produced the result.
 
 Layout (under the store root, default ``$REPRO_CACHE_DIR/results``)::
 
     results/
-      <hash[:2]>/<hash>.json   checksum-wrapped Result.to_dict() document
-      <hash[:2]>/<hash>.npz    compressed waveform artifact (Result.save_npz)
+      <hash[:2]>/<hash>.json   line 1, the head: a repro.cache checksum
+                               document of the entry format, the SHA-256
+                               and size of line 2, and the status summary;
+                               line 2: the result JSON /result serves
+      <hash[:2]>/<hash>.npz    the archive /waveforms serves, checked by
+                               the CRC-32 every ZIP member carries
 
-Only *clean* results are stored: failed jobs and partial sweeps are never
-cached, so a retry after a transient fault gets a fresh solve.
+One atomic replace writes both lines, so a reader never pairs one
+writer's head with another's body.  The archive lands first, so a head
+on disk has an archive beside it.  Failed jobs and partial sweeps are
+never stored, so a retry after a transient fault gets a fresh solve.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
+import io
 import os
-import tempfile
-from typing import Any, Optional
+import zipfile
+from typing import Optional, Tuple
 
 from repro import cache
 
 __all__ = ["ResultStore", "default_store_root"]
+
+#: layout version of an entry's head; an entry of another layout is a miss
+ENTRY_FORMAT = 1
 
 
 def default_store_root() -> str:
@@ -47,6 +53,15 @@ def default_store_root() -> str:
     identification cache.
     """
     return os.path.join(cache.cache_root(), "results")
+
+
+def _intact_zip(data: bytes) -> bool:
+    """Whether an archive opens and every member matches its CRC-32."""
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            return archive.testzip() is None
+    except Exception:  # BadZipFile, EOFError, NotImplementedError, ...: damaged
+        return False
 
 
 class ResultStore:
@@ -86,11 +101,11 @@ class ResultStore:
         return os.path.join(self.root, spec_hash[:2], f"{spec_hash}{suffix}")
 
     def json_path(self, spec_hash: str) -> str:
-        """Where the result document of a hash lives (whether or not it exists)."""
+        """Where the head and result JSON of a hash live (whether or not they exist)."""
         return self._entry_path(spec_hash, ".json")
 
     def npz_path(self, spec_hash: str) -> Optional[str]:
-        """Path of the stored NPZ artifact, or ``None`` if absent/disabled."""
+        """Path of the stored NPZ archive, or ``None`` if absent/disabled."""
         if not self.enabled:
             return None
         path = self._entry_path(spec_hash, ".npz")
@@ -98,88 +113,106 @@ class ResultStore:
 
     # -- read/write -------------------------------------------------------
     def get(self, spec_hash: str) -> Optional[dict]:
-        """The stored ``Result.to_dict()`` document of a hash, or ``None``.
+        """The status summary stored with a hash, or ``None``.
 
-        Structurally unusable entries (not a result-shaped object) are
-        invalidated so the next run re-solves and rewrites them.  Counts
-        one hit or miss in :attr:`stats`.
+        Reads and checks the entry's head line only.  Counts one hit or
+        miss in :attr:`stats`.
         """
-        payload = self._read(spec_hash)
-        self.stats["hits" if payload is not None else "misses"] += 1
-        return payload
-
-    def _read(self, spec_hash: str) -> Optional[dict]:
-        """:meth:`get` without the counters (``put`` re-reads through this)."""
-        if not self.enabled:
-            return None
-        path = self.json_path(spec_hash)
-        payload = cache.read_json(path)
-        if payload is None:
-            return None
-        if not self._is_result_document(payload):
-            cache.invalidate(path)
-            return None
-        return payload
+        entry = self._read(spec_hash, with_body=False)
+        self.stats["hits" if entry is not None else "misses"] += 1
+        return None if entry is None else entry[0]["summary"]
 
     def body(self, spec_hash: str) -> Optional[bytes]:
-        """The stored document of a hash as the JSON bytes ``/result`` serves.
+        """The stored result JSON of a hash: the bytes ``/result`` serves.
 
-        Uncounted, like :meth:`npz`: serving a finished job's result is not
-        a cache lookup.  ``None`` when absent, corrupt or disabled.
+        Checked against the SHA-256 and size its head records.  Uncounted,
+        like :meth:`npz`: serving a finished job's result is not a cache
+        lookup.  ``None`` when absent, corrupt or disabled.
         """
-        payload = self._read(spec_hash)
-        return None if payload is None else json.dumps(payload).encode("utf-8")
+        entry = self._read(spec_hash, with_body=True)
+        return None if entry is None else entry[1]
 
     def npz(self, spec_hash: str) -> Optional[bytes]:
-        """The stored NPZ artifact of a hash, or ``None``."""
-        path = self.npz_path(spec_hash)
-        if path is None:
-            return None
-        try:
-            with open(path, "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None
+        """The stored NPZ archive of a hash: the bytes ``/waveforms`` serves.
 
-    def put(self, spec_hash: str, result: Any) -> Optional[dict]:
-        """Persist a finished :class:`repro.api.result.Result` under a hash.
-
-        Writes the JSON document and the NPZ artifact atomically (best
-        effort — a read-only store drops the write without failing the
-        job).  Returns the document written, or ``None`` when the store
-        did not keep it.  Readers get the stored bytes back through
-        :meth:`body`, which validates them.
+        Every member is checked against its CRC-32 first.  ``None`` when
+        absent, corrupt or disabled; an entry whose archive is missing or
+        corrupt is removed whole.
         """
         if not self.enabled:
             return None
-        document = result.to_dict()
-        if not cache.atomic_write_json(self.json_path(spec_hash), document):
+        try:
+            with open(self._entry_path(spec_hash, ".npz"), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        except OSError:  # transient: the entry may read fine next time
+            return None
+        if not _intact_zip(data):
+            self._remove(spec_hash)
+            return None
+        return data
+
+    def _read(self, spec_hash: str, with_body: bool) -> Optional[Tuple[dict, bytes]]:
+        """The checked head of an entry and, if asked for, its body.
+
+        Head and body come from one open file, so from one writer.  A
+        failed check removes the entry; a transient ``OSError`` keeps it.
+        """
+        if not self.enabled:
+            return None
+        try:
+            with open(self.json_path(spec_hash), "rb") as handle:
+                line = handle.readline()
+                body = handle.read() if with_body else b""
+        except OSError:
+            return None
+        try:
+            head = cache.unwrap(line)
+        except ValueError:
+            head = None
+        intact = (
+            isinstance(head, dict)
+            and head.get("format") == ENTRY_FORMAT
+            and isinstance(head.get("summary"), dict)
+            and (not with_body or (
+                len(body) == head.get("size")
+                and hashlib.sha256(body).hexdigest() == head.get("sha256")
+            ))
+        )
+        if not intact:
+            self._remove(spec_hash)
+            return None
+        return head, body
+
+    def _remove(self, spec_hash: str) -> None:
+        """Drop an entry whole: its head first, so it stops being a hit."""
+        cache.invalidate(self.json_path(spec_hash))
+        cache.invalidate(self._entry_path(spec_hash, ".npz"))
+
+    def put(self, spec_hash: str, summary: dict, body: bytes, npz: bytes) -> Optional[dict]:
+        """Store a finished result's bytes under a hash.
+
+        ``body`` is the result JSON ``/result`` serves, ``npz`` the archive
+        ``/waveforms`` serves and ``summary`` the status summary a hit
+        completes its job with.  Best effort (a read-only store drops the
+        write without failing the job): returns the head written, or
+        ``None`` when the store did not keep the entry.
+        """
+        if not self.enabled:
+            return None
+        head = {
+            "format": ENTRY_FORMAT,
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "size": len(body),
+            "summary": summary,
+        }
+        if not (
+            cache.atomic_write_bytes(self._entry_path(spec_hash, ".npz"), npz)
+            and cache.atomic_write_bytes(
+                self.json_path(spec_hash), cache.wrap(head) + b"\n" + body
+            )
+        ):
             return None
         self.stats["puts"] += 1
-        self._write_npz(spec_hash, result)
-        return document
-
-    def _write_npz(self, spec_hash: str, result: Any) -> None:
-        path = self._entry_path(spec_hash, ".npz")
-        try:
-            directory = os.path.dirname(path)
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".npz")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    result.save_npz(handle)
-                os.replace(tmp_path, path)
-            except BaseException:
-                os.unlink(tmp_path)
-                raise
-        except OSError:
-            pass
-
-    @staticmethod
-    def _is_result_document(payload: Any) -> bool:
-        return (
-            isinstance(payload, dict)
-            and isinstance(payload.get("waveforms"), dict)
-            and "times" in payload
-            and "engine" in payload
-        )
+        return head

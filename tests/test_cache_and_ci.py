@@ -242,6 +242,16 @@ class TestCIPipeline:
         assert "a['waveforms'] == c['waveforms']" in commands
         assert "a['meta']['montecarlo'] == c['meta']['montecarlo']" in commands
 
+    def test_quick_tier_monte_carlo_comparison_has_open_eyes(self, workflow):
+        # A quick span that folds one trace per scenario reads every eye
+        # height as 0, and the comparison above would pass on nothing.
+        test_job = workflow["jobs"]["test"]
+        command = next(
+            step["run"] for step in test_job["steps"]
+            if isinstance(step, dict) and "mc_single.result.json" in step.get("run", "")
+        )
+        assert "mc['eye_height']['max'] > 0" in command
+
     def test_quick_tier_runs_backend_smoke(self, workflow):
         # The backend-equivalence suite runs as its own named step on both
         # python versions (the matrix covers them).

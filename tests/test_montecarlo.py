@@ -175,13 +175,13 @@ class TestStatsSpecValidation:
         with pytest.raises(ValueError, match="shorter than one bit period"):
             eye_diagram(times, np.zeros_like(times), 2e-9, t_start=2e-9)
 
-    def test_quickened_keeps_the_span_of_one_eye_fold(self):
+    def test_quickened_keeps_four_unit_intervals_of_eye_fold(self):
         spec = dataclasses.replace(
-            _mc_spec(), stats=dataclasses.replace(_stats(), t_start=9e-9)
+            _mc_spec(), stats=dataclasses.replace(_stats(), t_start=3e-9)
         )
         quick = spec.quickened()
         assert quick.duration < spec.duration
-        assert int(round(quick.duration / 1e-11)) == 1099  # 900 + 200 - 1
+        assert int(round(quick.duration / 1e-11)) == 1099  # 300 + 4 * 200 - 1
         assert run(dataclasses.replace(
             quick, stats=dataclasses.replace(quick.stats, samples=2, refine_rounds=0)
         )).meta["montecarlo"]["completed"] == 2

@@ -170,9 +170,10 @@ def test_result_store_counters(tmp_path):
     store = ResultStore(root=str(tmp_path))
     assert store.get("aa" + "0" * 62) is None
     assert store.stats == {"hits": 0, "misses": 1, "puts": 0}
-    document = store.put("aa" + "0" * 62, _FakeResult())
+    body = json.dumps(_FakeResult().to_dict()).encode()
+    document = store.put("aa" + "0" * 62, {}, body, b"")  # no archive: save_npz fails
     assert document is not None
-    # the put's verification re-read is not counted as a hit
+    # a put is not counted as a hit
     assert store.stats == {"hits": 0, "misses": 1, "puts": 1}
     assert store.get("aa" + "0" * 62) is not None
     assert store.stats == {"hits": 1, "misses": 1, "puts": 1}
@@ -461,6 +462,107 @@ def test_cache_survives_daemon_restart(tmp_path, counted_sweep_engine):
 
     assert body1 == body2
     assert len(counted_sweep_engine) == 1  # one solve across both daemons
+
+
+def _flip_byte(path: str, offset: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x01]))
+
+
+def _npz_arrays(data: bytes) -> dict:
+    """Every array of an NPZ archive but its metadata (which carries wall times)."""
+    with np.load(io.BytesIO(data)) as archive:
+        return {name: archive[name] for name in archive.files if name != "meta_json"}
+
+
+@pytest.mark.parametrize("part", ["head", "body", "npz"])
+def test_corrupt_entry_answers_410_and_repairs(counted_sweep_engine, server, part):
+    """One flipped byte anywhere in a stored entry: 410, removal, a fresh solve."""
+    spec = _sweep_spec(f"corrupt {part}")
+    _, first = _post(server, "/jobs", spec)
+    _wait(server, first["job_id"])
+    body = _get_bytes(server, f"/jobs/{first['job_id']}/result")
+    npz = _get_bytes(server, f"/jobs/{first['job_id']}/waveforms")
+
+    store, spec_hash = server.manager.store, first["spec_hash"]
+    json_path, npz_path = store.json_path(spec_hash), store.npz_path(spec_hash)
+    head_size = os.path.getsize(json_path) - len(body)
+    offset = {"head": head_size // 2, "body": head_size + len(body) // 2, "npz": len(npz) // 2}
+    _flip_byte(npz_path if part == "npz" else json_path, offset[part])
+
+    route = "waveforms" if part == "npz" else "result"
+    with pytest.raises(urllib.error.HTTPError) as answered:
+        _get_bytes(server, f"/jobs/{first['job_id']}/{route}")
+    assert answered.value.code == 410
+    assert not os.path.exists(json_path) and not os.path.exists(npz_path)
+
+    _, again = _post(server, "/jobs", spec)
+    assert _wait(server, again["job_id"])["cache_hit"] is False
+    assert len(counted_sweep_engine) == 2
+    fresh = json.loads(_get_bytes(server, f"/jobs/{again['job_id']}/result"))
+    assert fresh["times"] == json.loads(body)["times"]
+    assert fresh["waveforms"] == json.loads(body)["waveforms"]
+    fresh_npz = _npz_arrays(_get_bytes(server, f"/jobs/{again['job_id']}/waveforms"))
+    expected = _npz_arrays(npz)
+    assert fresh_npz.keys() == expected.keys()
+    assert all(np.array_equal(fresh_npz[name], expected[name]) for name in expected)
+
+
+def test_store_hit_check_reads_only_the_head(tmp_path):
+    store = ResultStore(root=str(tmp_path))
+    spec_hash = "ab" + "0" * 62
+    summary = {"engine": "unit", "n_samples": 1}
+    body = json.dumps({"times": [0.0], "waveforms": {"w": [1.0]}}).encode()
+    buffer = io.BytesIO()
+    np.savez(buffer, times=np.zeros(1))
+    assert store.put(spec_hash, summary, body, buffer.getvalue()) is not None
+    path = store.json_path(spec_hash)
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - len(body) // 2)
+    assert store.get(spec_hash) == summary
+    assert store.body(spec_hash) is None
+    assert not os.path.exists(path) and store.npz_path(spec_hash) is None
+
+
+@pytest.mark.parametrize("case", ["kept", "disabled", "partial"])
+def test_each_solve_encodes_once(monkeypatch, tmp_path, case):
+    """A solver process encodes a result once, whether the store keeps it or not."""
+    from repro.api import Result, spec_from_dict
+    from repro.service import jobs
+
+    documents, archives = [], []
+    to_dict, save_npz = Result.to_dict, Result.save_npz
+
+    def counting_to_dict(self, include_waveforms=True):
+        document = to_dict(self, include_waveforms)
+        if include_waveforms:
+            documents.append(document)
+        return document
+
+    def counting_save_npz(self, handle):
+        save_npz(self, handle)
+        archives.append(handle.getvalue())
+
+    monkeypatch.setattr(Result, "to_dict", counting_to_dict)
+    monkeypatch.setattr(Result, "save_npz", counting_save_npz)
+    spec = spec_from_dict(_sweep_spec(f"encoded once: {case}"))
+    spec_hash = spec.content_hash()
+    store = ResultStore(root=str(tmp_path), enabled=case != "disabled")
+    plan = [faults.Fault("nan", scenario="010/weak", count=None)] if case == "partial" else None
+
+    outcome = jobs._run_job(spec, spec_hash, store, plan)
+    assert len(documents) == 1 and len(archives) == 1
+    assert bool(outcome.failures) == (case == "partial")
+    encoded = (json.dumps(documents[0]).encode(), archives[0])
+    if case == "kept":
+        assert outcome.artifacts is None
+        assert (store.body(spec_hash), store.npz(spec_hash)) == encoded
+    else:
+        assert outcome.artifacts == encoded
+        assert store.get(spec_hash) is None
 
 
 def test_failed_jobs_are_not_cached(counted_sweep_engine, server):

@@ -21,6 +21,7 @@ The contract pinned here, in order of importance:
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -383,14 +384,25 @@ def _reference_result():
     )
 
 
+def _reference_entry():
+    """The summary, JSON and NPZ bytes a solver process stores for the result."""
+    from repro.service.jobs import result_summary
+
+    result = _reference_result()
+    buffer = io.BytesIO()
+    result.save_npz(buffer)
+    summary = result_summary(result.to_dict(include_waveforms=False))
+    return summary, result.to_json_bytes(), buffer.getvalue()
+
+
 def _race_put(root: str, spec_hash: str, repeats: int) -> None:
     """Process target: hammer the same hash with identical results."""
     from repro.service import ResultStore
 
     store = ResultStore(root=root)
-    result = _reference_result()
+    entry = _reference_entry()
     for _ in range(repeats):
-        store.put(spec_hash, result)
+        store.put(spec_hash, *entry)
 
 
 class TestResultStoreRace:
@@ -414,7 +426,7 @@ class TestResultStoreRace:
         # byte-identical to an uncontended single-process write
         ref_root = str(tmp_path / "ref")
         ref_store = ResultStore(root=ref_root)
-        ref_store.put(spec_hash, _reference_result())
+        ref_store.put(spec_hash, *_reference_entry())
         raced = json.dumps(document, sort_keys=True)
         reference = json.dumps(ref_store.get(spec_hash), sort_keys=True)
         assert raced == reference
