@@ -10,9 +10,10 @@ Gates (exit 1 on violation):
   corner groups reports exactly G static groups and G shared
   factorizations (sampling must not defeat the one-factorization-per-
   group invariant);
-* **sharded equivalence** — the sharded Monte Carlo run is
+* **sharded equivalence** — the ``--workers`` comparison run is
   waveform-bit-identical to the single-process run, with an identical
-  statistical summary;
+  statistical summary (its ``shards`` are recorded: a linear round below
+  the pool's break-even runs in process at any worker count);
 * **determinism** — rerunning the same seed reproduces the identical
   summary (and spec ``content_hash``);
 * **refinement** — the adaptive worst-case estimate is monotone
@@ -147,8 +148,9 @@ def main(argv=None) -> int:
         identical(base, sharded) and sharded.meta["montecarlo"] == mc
     )
     lanes = max(1, min(args.workers, cores))
-    print(f"sharded ({args.workers} workers): {t_sharded*1e3:8.1f} ms  "
-          f"speedup {t_single/t_sharded:.2f}x  "
+    shards = sharded.raw.perf_stats.get("shards")
+    print(f"sharded ({args.workers} workers, {shards} shard(s) in the base round): "
+          f"{t_sharded*1e3:8.1f} ms  speedup {t_single/t_sharded:.2f}x  "
           f"bit-identical {sharded_identical}")
 
     # gate 3: the same seed reproduces the identical summary, and the
@@ -184,6 +186,7 @@ def main(argv=None) -> int:
         "single_process_s": round(t_single, 5),
         "sharded_s": round(t_sharded, 5),
         "workers": args.workers,
+        "shards": shards,
         "lanes": lanes,
         "speedup": round(t_single / t_sharded, 3),
         "eye_height": mc["eye_height"],

@@ -257,7 +257,8 @@ ENGINES = {
     "sweep": (
         "batched scenario sweep of the link (family: linear lane sets "
         "over shared LUs, or rbf Newton runs on shared static stamps), "
-        "sharded over a process pool when engine.workers > 1",
+        "sharded over a process pool when engine.workers > 1 (a linear "
+        "sweep only when its block solves pay for the pool)",
         _run_sweep,
     ),
 }

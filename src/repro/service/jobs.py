@@ -432,8 +432,14 @@ class JobManager:
 
     # -- cache handling ----------------------------------------------------
     def _lookup_cached(self, spec_hash: str) -> Optional[dict]:
-        """The status summary of a hash whose clean result is known."""
-        summary = self.store.get(spec_hash)
+        """The status summary of a hash whose clean result is known.
+
+        Uncounted: a job is looked up on submission and again by its
+        worker, so the store's hit and miss counters are bumped only at
+        the lookup that decides the job (:meth:`_complete_from_cache`
+        and the solve branch of :meth:`_process`).
+        """
+        summary = self.store.get(spec_hash, count=False)
         if summary is not None:
             return summary
         with self._lock:
@@ -448,6 +454,7 @@ class JobManager:
         job.started_at = job.finished_at = time.time()
         self._stats["cache_hits"] += 1
         self._stats["completed"] += 1
+        self.store.stats["hits"] += 1
 
     # -- worker side -------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -478,6 +485,7 @@ class JobManager:
                 event = self._inflight.get(job.spec_hash)
                 if event is None:
                     self._inflight[job.spec_hash] = threading.Event()
+                    self.store.stats["misses"] += 1
                     break
             # re-check the cache the owner just populated; a failed owner
             # stores nothing, and then this worker takes over the solve

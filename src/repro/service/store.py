@@ -85,8 +85,8 @@ class ResultStore:
         self.root = root if root is not None else default_store_root()
         self._enabled = enabled
         #: lookup/write counters since construction; the daemon serves them
-        #: through ``GET /stats``.  A disabled store counts every lookup as
-        #: a miss (it *is* one — the job re-solves).
+        #: through ``GET /stats``, counting one lookup per job: a hit for
+        #: each job served without a solve, a miss for each solve.
         self.stats = {"hits": 0, "misses": 0, "puts": 0}
 
     @property
@@ -112,14 +112,16 @@ class ResultStore:
         return path if os.path.exists(path) else None
 
     # -- read/write -------------------------------------------------------
-    def get(self, spec_hash: str) -> Optional[dict]:
+    def get(self, spec_hash: str, count: bool = True) -> Optional[dict]:
         """The status summary stored with a hash, or ``None``.
 
         Reads and checks the entry's head line only.  Counts one hit or
-        miss in :attr:`stats`.
+        miss in :attr:`stats` unless ``count`` is false (the job manager
+        counts the lookup that decides a job itself).
         """
         entry = self._read(spec_hash, with_body=False)
-        self.stats["hits" if entry is not None else "misses"] += 1
+        if count:
+            self.stats["hits" if entry is not None else "misses"] += 1
         return None if entry is None else entry[0]["summary"]
 
     def body(self, spec_hash: str) -> Optional[bytes]:

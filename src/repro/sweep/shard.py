@@ -24,6 +24,15 @@ The unit of partitioning is the *corner group* (scenarios sharing a
 A sweep therefore shards at most as wide as it has corner groups: a
 single-corner sweep runs in one shard regardless of the worker count.
 
+A linear sweep starts a pool only when it pays
+-----------------------------------------------
+A linear-family sweep steps as lane sets, whose per-step cost is mostly
+fixed: every shard repeats it, and saves only its share of the corner
+groups' block solves.  So a linear sweep runs in process, as one shard,
+unless :func:`linear_pool_pays` predicts that the pool saves more than
+it costs.  RBF (Newton) sweeps shard whenever asked.  The decision reads
+only the spec's shape, so it never changes a bit of the output.
+
 Work units are specs
 --------------------
 Each shard is shipped to its worker as the JSON form of a
@@ -36,11 +45,12 @@ policy, fault plans via ``REPRO_FAULT_PLAN``) is exactly the
 single-process behaviour.
 
 Entry points: :func:`plan_shards` (the pure partitioner),
-:func:`run_sharded` (fan out + merge), :func:`merge_shard_results` (the
-deterministic merge, unit-testable without a pool).  The job API routes
-``engine.workers`` / ``engine.shards`` here (CLI: ``--workers``); the
-``REPRO_SWEEP_WORKERS`` environment variable sets the default worker
-count when a spec leaves ``engine.workers`` null.
+:func:`linear_pool_pays` (the cost model), :func:`run_sharded` (fan out
++ merge), :func:`merge_shard_results` (the deterministic merge,
+unit-testable without a pool).  The job API routes ``engine.workers`` /
+``engine.shards`` here (CLI: ``--workers``); the ``REPRO_SWEEP_WORKERS``
+environment variable sets the default worker count when a spec leaves
+``engine.workers`` null.
 """
 
 from __future__ import annotations
@@ -59,10 +69,13 @@ from repro.sweep.result import SweepResult
 
 __all__ = [
     "SWEEP_WORKERS_ENV",
+    "LANE_GROUP_STEP_S",
+    "POOL_ROUND_S",
     "ShardPlan",
     "default_workers",
     "resolve_worker_count",
     "plan_shards",
+    "linear_pool_pays",
     "merge_shard_results",
     "run_sharded",
 ]
@@ -158,6 +171,36 @@ def plan_shards(scenarios: Sequence, n_shards: int) -> ShardPlan:
         loads[target] += len(group)
     shards = sorted((tuple(sorted(m)) for m in members), key=lambda s: s[0])
     return ShardPlan(shards=tuple(shards), n_groups=len(group_list))
+
+
+# ---------------------------------------------------------------------------
+# when a linear sweep's pool pays
+# ---------------------------------------------------------------------------
+
+#: in-process cost of one corner group's block solve per step of a lane
+#: set (s): the only per-step work a shard of a linear sweep takes off
+#: the others.  Fitted with :data:`POOL_ROUND_S`; the derivation is in
+#: ``docs/operations.md`` ("Sharding").
+LANE_GROUP_STEP_S = 2.4e-6
+
+#: cost of one pool round of a linear sweep (s): forking the workers,
+#: encoding and decoding the payloads, the setup every shard repeats and
+#: the transfer of the results back
+POOL_ROUND_S = 28e-3
+
+
+def linear_pool_pays(n_groups: int, n_steps: int, n_shards: int) -> bool:
+    """Whether sharding a linear sweep saves more than its pool costs.
+
+    The predicted saving is ``n_groups x n_steps x LANE_GROUP_STEP_S x
+    (1 - 1/k)``, where ``k = min(n_shards, os.cpu_count())`` shards run
+    at once; the pool pays when it exceeds :data:`POOL_ROUND_S`.  One
+    shard, or one core, never pays.  Lanes do not enter: the per-lane
+    work a shard saves, it pays back in result transfer.
+    """
+    k = min(n_shards, os.cpu_count() or 1)
+    saving = n_groups * n_steps * LANE_GROUP_STEP_S * (1.0 - 1.0 / k)
+    return saving > POOL_ROUND_S
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +394,8 @@ def merge_shard_results(
     through :class:`~repro.resilience.RunHealth`, and the shard layer adds
     its own counters: ``shards``, ``workers``, ``shard_stats`` (scenario
     names, corner groups and factorizations per shard) and the wall-clock
-    ``parallel_efficiency``.
+    ``parallel_efficiency`` of the pool, null for a one-shard plan (it ran
+    in process, with no pool to be efficient).
     """
     if len(shard_results) != plan.n_shards:
         raise ValueError(
@@ -392,7 +436,8 @@ def merge_shard_results(
         for shard, part in zip(plan.shards, shard_results)
     ]
     stats["parallel_efficiency"] = (
-        round(min(1.0, busy / (effective * elapsed)), 4) if elapsed > 0 else None
+        round(min(1.0, busy / (effective * elapsed)), 4)
+        if elapsed > 0 and plan.n_shards > 1 else None
     )
     return merged
 
@@ -433,7 +478,9 @@ def run_sharded(
     shards:
         Shard count; ``None`` reads ``spec.engine.shards`` and defaults
         to the worker count.  Always capped by the number of corner
-        groups (groups are never split — see the module docstring).
+        groups (groups are never split — see the module docstring), and
+        cut to one for a linear sweep whose pool would not pay
+        (:func:`linear_pool_pays`).
     models:
         Used only when the plan has one shard and runs in process.  Worker
         processes resolve their devices from ``spec.devices`` (the spec is
@@ -446,7 +493,7 @@ def run_sharded(
     SweepResult
         Waveform-bit-identical to the single-process sweep engine,
         with shard telemetry in ``perf_stats`` (``shards``, ``workers``,
-        ``shard_stats``, ``parallel_efficiency``).
+        ``shard_stats``, ``parallel_efficiency``, null without a pool).
     """
     if spec.kind != "sweep":
         raise ValueError(f"run_sharded needs a sweep spec, got kind={spec.kind!r}")
@@ -460,10 +507,17 @@ def run_sharded(
 
     runtime = [sc.to_scenario() for sc in spec.scenarios]
     plan = plan_shards(runtime, shards)
+    if spec.engine.sweep_family == "linear":
+        from repro.api.spec import DEFAULT_DT
+
+        dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
+        if not linear_pool_pays(plan.n_groups, int(round(spec.duration / dt)), plan.n_shards):
+            plan = plan_shards(runtime, 1)
     start = _time.perf_counter()
     if plan.n_shards == 1:
-        # Nothing to distribute (single corner group or shards=1): run the
-        # sweep engine in-process, but keep the shard telemetry shape.
+        # Nothing to distribute (single corner group, shards=1, or a linear
+        # sweep whose pool would not pay): run the sweep engine in-process,
+        # but keep the shard telemetry shape.
         from repro.api.engines import build_sweep
 
         shard_results = [build_sweep(_sub_spec(spec, plan.shards[0]), models=models)[0].run()]

@@ -242,6 +242,27 @@ class TestCIPipeline:
         assert "a['waveforms'] == c['waveforms']" in commands
         assert "a['meta']['montecarlo'] == c['meta']['montecarlo']" in commands
 
+    def test_quick_tier_crosses_a_pool_with_lane_sets(self, workflow):
+        # The quick Monte Carlo run sits below the linear pool's break-even
+        # and runs in process; the full golden job is above it and pools.
+        test_job = workflow["jobs"]["test"]
+        commands = " ".join(
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        )
+        assert "a['perf_stats']['shards'] == 1" in commands
+        for workers, output in (("2", "mc_full"), ("1", "mc_full_single")):
+            assert (
+                "python -m repro run examples/jobs/montecarlo_sweep.json "
+                f"--workers {workers} --output {output}.result.json"
+            ) in commands
+        assert "a['perf_stats']['shards'] == 2" in commands
+        # ...and the sharded RBF smoke has an in-process twin to match
+        assert (
+            "python -m repro run examples/jobs/pattern_corner_sweep.json --quick "
+            "--workers 1 --output shard_single.result.json"
+        ) in commands
+        assert "sharded and in-process RBF sweeps differ" in commands
+
     def test_quick_tier_monte_carlo_comparison_has_open_eyes(self, workflow):
         # A quick span that folds one trace per scenario reads every eye
         # height as 0, and the comparison above would pass on nothing.

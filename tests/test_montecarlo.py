@@ -6,8 +6,9 @@ The contract pinned here:
    scenario batch (and therefore bit-identical waveforms), and the seed
    enters the spec ``content_hash``;
 2. **Composition** — a sampled sweep is an ordinary sweep once expanded:
-   sharded execution is bit-identical to single-process, and corner
-   draws are limited to ``corner_groups`` static-sharing groups;
+   sharded execution is bit-identical to single-process, each round
+   decides on its own whether its pool pays, and corner draws are
+   limited to ``corner_groups`` static-sharing groups;
 3. **Aggregation** — distribution summaries, bathtub curves and the
    worst-case record are consistent with the per-scenario eye metrics,
    and adaptive refinement tightens the worst-case estimate
@@ -343,8 +344,9 @@ class TestRunMonteCarlo:
         for sc in a.scenarios:
             assert np.array_equal(a.voltage(sc.name, "far"), b.voltage(sc.name, "far"))
 
-    def test_sharded_bit_identical_to_single_process(self):
-        spec = _mc_spec(_stats(samples=6, corner_groups=3))
+    def test_sharded_bit_identical_to_single_process(self, paying_steps):
+        spec = dataclasses.replace(_mc_spec(_stats(samples=6, corner_groups=3)),
+                                   duration=paying_steps(3, 3) * 1e-11)
         single = run(spec)
         sharded = run(dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, workers=3)))
@@ -353,6 +355,50 @@ class TestRunMonteCarlo:
             assert np.array_equal(single.waveform(name), sharded.waveform(name)), name
         assert sharded.raw.perf_stats["shards"] == 3
         assert single.meta["montecarlo"] == sharded.meta["montecarlo"]
+
+    def test_below_break_even_runs_in_process(self, cores, no_pool):
+        spec = _mc_spec(_stats(samples=6, corner_groups=3,
+                               refine_rounds=1, refine_samples=3))
+        single = run(spec)
+        below = run(dataclasses.replace(
+            spec, engine=dataclasses.replace(spec.engine, workers=3)))
+        assert single.names() == below.names()
+        for name in single.names():
+            assert np.array_equal(single.waveform(name), below.waveform(name)), name
+        assert below.raw.perf_stats["shards"] == 1
+        assert below.raw.perf_stats["parallel_efficiency"] is None
+        assert single.meta["montecarlo"] == below.meta["montecarlo"]
+
+    def test_each_round_decides_on_its_own(self, paying_steps, monkeypatch):
+        # The base round's 4 corner groups pay for a pool; each refinement
+        # round draws 2 groups over the same steps and runs in process.
+        import repro.sweep.shard as shard_mod
+
+        steps = paying_steps(4, 2)
+        assert not shard_mod.linear_pool_pays(2, steps, 2)
+        pools = []
+        real_pool = shard_mod._run_pool
+
+        def counted_pool(payloads, workers):
+            pools.append(len(payloads))
+            return real_pool(payloads, workers)
+
+        monkeypatch.setattr(shard_mod, "_run_pool", counted_pool)
+        spec = dataclasses.replace(
+            _mc_spec(_stats(samples=8, corner_groups=4,
+                            refine_rounds=2, refine_samples=2)),
+            duration=steps * 1e-11)
+        single = run(spec)
+        assert pools == []
+        sharded = run(dataclasses.replace(
+            spec, engine=dataclasses.replace(spec.engine, workers=2)))
+        assert pools == [2]  # the base round only
+        assert sharded.raw.perf_stats["shards"] == 2  # carried from the base round
+        assert single.names() == sharded.names()
+        for name in single.names():
+            assert np.array_equal(single.waveform(name), sharded.waveform(name)), name
+        assert single.meta["montecarlo"] == sharded.meta["montecarlo"]
+        assert len(sharded.meta["montecarlo"]["refinement"]) == 2
 
     def test_refinement_tightens_worst_case_monotonically(self):
         spec = _mc_spec(_stats(samples=8, corner_groups=4,

@@ -179,6 +179,25 @@ def test_result_store_counters(tmp_path):
     assert store.stats == {"hits": 1, "misses": 1, "puts": 1}
 
 
+def test_stats_count_each_store_lookup_once(server):
+    """misses == solves == puts, hits == store-served submissions."""
+    specs = [_sweep_spec(f"counted {k}") for k in range(3)]
+    ids = [_post(server, "/jobs", spec)[1]["job_id"] for spec in specs]
+    # back-to-back duplicates: served from the store, or single-flighted
+    # behind the solve and then served from the store after waiting
+    ids += [_post(server, "/jobs", spec)[1]["job_id"] for spec in specs]
+    for job_id in ids:
+        assert _wait(server, job_id)["state"] == "done"
+    resubmitted = [_post(server, "/jobs", spec)[1] for spec in (specs + specs[:1])]
+    assert all(job["cache_hit"] for job in resubmitted)
+    status, payload = _get(server, "/stats")
+    assert status == 200
+    jobs, store = payload["jobs"], payload["result_store"]
+    solved, served = len(specs), len(specs) + len(resubmitted)
+    assert jobs["solves"] == store["misses"] == store["puts"] == solved
+    assert jobs["cache_hits"] == store["hits"] == served
+
+
 def test_invalid_requests(server):
     # malformed spec -> 400 with the validation message, no job created
     with pytest.raises(urllib.error.HTTPError) as err:
@@ -322,9 +341,13 @@ def test_job_listing_fields_and_state_filter(server):
 
 
 def test_sharded_sweep_job_surfaces_shard_telemetry(server):
-    """A sweep with engine.workers=2 fans out in the daemon and reports it."""
+    """A sweep with engine.workers=2 fans out in the daemon and reports it.
+
+    RBF family: a linear sweep this short runs in process at any worker
+    count, because its pool would not pay.
+    """
     spec = _sweep_spec("sharded service sweep")
-    spec["engine"]["workers"] = 2
+    spec["engine"].update(workers=2, sweep_family="rbf")
     status, submitted = _post(server, "/jobs", spec)
     assert status in (200, 202)
     doc = _wait(server, submitted["job_id"], timeout=240.0)
@@ -637,10 +660,11 @@ def test_distinct_misses_solve_in_distinct_solver_processes(counted_sweep_engine
 
 def test_sharded_sweep_forks_its_pool_in_the_solver_process(counted_sweep_engine, server):
     """A solver process is single-threaded, so its shard pool forks from it
-    (a spawned shard worker would not see the counting adapter)."""
+    (a spawned shard worker would not see the counting adapter).  RBF
+    family, which shards whenever asked."""
     spec = _sweep_spec("sharded inside a solver")
     spec["duration"] = 5e-9
-    spec["engine"]["workers"] = 2
+    spec["engine"].update(workers=2, sweep_family="rbf")
     _, submitted = _post(server, "/jobs", spec)
     assert _wait(server, submitted["job_id"])["state"] == "done"
     pids = [pid for _, pid in counted_sweep_engine.entries()]

@@ -5,6 +5,10 @@ The contract pinned here, in order of importance:
 1. **Bit identity** — a sharded sweep (linear and RBF families, healthy
    and fault-plan-poisoned) produces waveforms, statuses and failure
    records *bit-identical* to the single-process lockstep engine;
+   a linear sweep starts a pool only above the cost model's break-even
+   (:func:`~repro.sweep.shard.linear_pool_pays`), so the linear cases
+   run a length derived from its constants on a pinned core count (the
+   ``paying_steps`` fixture), and the decision is pinned on both sides;
 2. **corner groups are atomic** — the planner never splits a
    static-sharing group across shards (splitting would change the
    multi-RHS block width and therefore the bits);
@@ -35,6 +39,7 @@ from repro.resilience import RunHealth, SolveFailure, faults
 from repro.sweep.scenario import Scenario
 from repro.sweep.shard import (
     default_workers,
+    linear_pool_pays,
     merge_shard_results,
     plan_shards,
     resolve_worker_count,
@@ -63,6 +68,11 @@ def _corner_sweep(n_groups: int = 3, per_group: int = 2, family: str = "linear",
         scenarios=tuple(scenarios),
         engine=EngineOptions(dt=1e-11, sweep_family=family, **engine_kw),
     )
+
+
+def _with_workers(spec: SimulationSpec, workers: int) -> SimulationSpec:
+    return dataclasses.replace(
+        spec, engine=dataclasses.replace(spec.engine, workers=workers))
 
 
 def _assert_identical(base, other):
@@ -205,8 +215,9 @@ class TestWorkerCounts:
 # ---------------------------------------------------------------------------
 
 class TestShardedEquivalence:
-    def test_linear_sweep_bit_identical(self):
-        spec = _corner_sweep(n_groups=3, per_group=2, family="linear")
+    def test_linear_sweep_bit_identical(self, paying_steps):
+        spec = _corner_sweep(n_groups=3, per_group=2, family="linear",
+                             duration=paying_steps(3, 3) * 1e-11)
         base = run(spec)
         sharded = run(dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, workers=3)))
@@ -229,14 +240,15 @@ class TestShardedEquivalence:
         _assert_identical(base, sharded)
         assert sharded.raw.perf_stats["shards"] == 2
 
-    def test_poisoned_scenario_fault_plan(self, monkeypatch):
+    def test_poisoned_scenario_fault_plan(self, monkeypatch, paying_steps):
         # One persistently-poisoned scenario: quarantined + failed on its
         # solo retry in both runs, everything else bit-identical.  The
         # plan travels to the workers through the environment.
         monkeypatch.setenv("REPRO_FAULT_PLAN", "nan@5x*:scenario=g1s0")
         faults.reload_env_plan()
         try:
-            spec = _corner_sweep(n_groups=3, per_group=2, family="linear")
+            spec = _corner_sweep(n_groups=3, per_group=2, family="linear",
+                                 duration=paying_steps(3, 3) * 1e-11)
             base = run(spec)
             faults.reload_env_plan()  # re-arm for the sharded run
             sharded = run(dataclasses.replace(
@@ -246,13 +258,15 @@ class TestShardedEquivalence:
             faults.reload_env_plan()
         assert base.raw.status_of("g1s0") == "failed"
         _assert_identical(base, sharded)
+        assert sharded.raw.perf_stats["shards"] == 3
         assert sharded.raw.perf_stats["quarantined_scenarios"] == ["g1s0"]
         health = sharded.raw.perf_stats["health"]
         assert health["failure_counts"].get("nan_inf", 0) > 0
 
-    def test_explicit_shard_count(self):
+    def test_explicit_shard_count(self, paying_steps):
         # shards=2 with plenty of workers: exactly 2 sub-batches.
-        spec = _corner_sweep(n_groups=4, per_group=1, shards=2, workers=4)
+        spec = _corner_sweep(n_groups=4, per_group=1, shards=2, workers=4,
+                             duration=paying_steps(4, 2) * 1e-11)
         result = run(spec)
         perf = result.raw.perf_stats
         assert perf["shards"] == 2
@@ -266,13 +280,14 @@ class TestShardedEquivalence:
         sharded = run(spec)
         _assert_identical(base, sharded)
         assert sharded.raw.perf_stats["shards"] == 1
+        assert sharded.raw.perf_stats["parallel_efficiency"] is None
 
     def test_cli_sharded_run(self, tmp_path):
         from repro.api.cli import main
 
         job = tmp_path / "sweep.json"
         out = tmp_path / "out.json"
-        _corner_sweep(n_groups=2, per_group=2).save(str(job))
+        _corner_sweep(n_groups=2, per_group=2, family="rbf", duration=1e-9).save(str(job))
         assert main(["run", str(job), "--workers", "2",
                      "--output", str(out)]) == 0
         document = json.loads(out.read_text())
@@ -281,11 +296,61 @@ class TestShardedEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# the pool decision: a linear sweep pools only when its block solves pay
+# ---------------------------------------------------------------------------
+
+class TestPoolDecision:
+    def test_cost_model(self, paying_steps):
+        steps = paying_steps(4, 2)
+        assert linear_pool_pays(4, steps, 2)
+        assert linear_pool_pays(4, steps, 8)   # capped at the 4 pinned cores
+        assert not linear_pool_pays(4, steps, 1)  # one shard saves nothing
+        assert not linear_pool_pays(4, steps // 2, 2)
+
+    def test_linear_sweep_below_break_even_runs_in_process(self, cores, no_pool):
+        spec = _corner_sweep(n_groups=3, per_group=2, family="linear")
+        base = run(spec)
+        below = run(_with_workers(spec, 3))
+        _assert_identical(base, below)
+        perf = below.raw.perf_stats
+        assert perf["shards"] == 1
+        assert perf["workers"] == 3
+        assert perf["corner_groups"] == 3
+        assert perf["shared_factorizations"] == 3
+        assert perf["parallel_efficiency"] is None
+
+    def test_linear_sweep_above_break_even_shards(self, paying_steps):
+        spec = _corner_sweep(n_groups=4, per_group=2, family="linear",
+                             duration=paying_steps(4, 2) * 1e-11)
+        base = run(spec)
+        sharded = run(_with_workers(spec, 2))
+        _assert_identical(base, sharded)
+        perf = sharded.raw.perf_stats
+        assert perf["shards"] == 2
+        assert perf["shared_factorizations"] == 4  # one per corner group
+        assert [s["shared_factorizations"] for s in perf["shard_stats"]] == [2, 2]
+        assert 0.0 < perf["parallel_efficiency"] <= 1.0
+
+    def test_one_core_never_pools_a_linear_sweep(self, paying_steps, monkeypatch, no_pool):
+        duration = paying_steps(3, 3) * 1e-11
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert not linear_pool_pays(10**6, 10**6, 8)
+        spec = _corner_sweep(n_groups=3, per_group=1, family="linear",
+                             duration=duration, workers=3)
+        assert run(spec).raw.perf_stats["shards"] == 1
+
+    def test_rbf_sweep_below_linear_break_even_still_shards(self, cores):
+        spec = _corner_sweep(n_groups=2, per_group=1, family="rbf", duration=5e-10)
+        assert not linear_pool_pays(2, 50, 2)
+        assert run(_with_workers(spec, 2)).raw.perf_stats["shards"] == 2
+
+
+# ---------------------------------------------------------------------------
 # the deterministic merge
 # ---------------------------------------------------------------------------
 
 class TestMerge:
-    def test_merge_independent_of_completion_order(self, monkeypatch):
+    def test_merge_independent_of_completion_order(self, monkeypatch, paying_steps):
         """The regression the merge exists for: shards finishing in any
         order (here: forced reverse) must not disturb scenario order,
         statuses or failure records."""
@@ -302,7 +367,8 @@ class TestMerge:
         monkeypatch.setenv("REPRO_FAULT_PLAN", "nan@5x*:scenario=g1s0")
         faults.reload_env_plan()
         try:
-            spec = _corner_sweep(n_groups=3, per_group=2, family="linear")
+            spec = _corner_sweep(n_groups=3, per_group=2, family="linear",
+                                 duration=paying_steps(3, 3) * 1e-11)
             base = run(spec)
             faults.reload_env_plan()
             sharded = run(dataclasses.replace(
@@ -328,12 +394,14 @@ class TestMerge:
         with pytest.raises(ValueError, match="sweep spec"):
             run_sharded(SimulationSpec(kind="circuit"))
 
-    def test_counters_and_health_aggregate(self):
-        spec = _corner_sweep(n_groups=3, per_group=2, family="linear")
+    def test_counters_and_health_aggregate(self, paying_steps):
+        spec = _corner_sweep(n_groups=3, per_group=2, family="linear",
+                             duration=paying_steps(3, 3) * 1e-11)
         base = run(spec)
         sharded = run(dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, workers=3)))
         b, s = base.raw.perf_stats, sharded.raw.perf_stats
+        assert s["shards"] == 3
         for key in ("static_groups", "shared_factorizations",
                     "block_solves", "static_reuses"):
             assert s[key] == b[key], key
