@@ -14,10 +14,13 @@ Workloads come from the parameterised netlist generators of
 * ``mesh``   — a 2-D RC grid (fill-in-sensitive 2-D structure);
 * ``paper``  — the paper's validation link at its native size, where the
   *dense* backend must stay the faster default;
-* ``rbf-ladder`` — the RBF-terminated LC ladder from 20 to 130 sections,
-  a Newton transient that refactors its Jacobian on every iteration.  Its
-  dense/sparse crossover sets ``SPARSE_THRESHOLD``; linear ladders in the
-  same band check that the threshold does not slow purely linear runs.
+* ``rbf-ladder`` — the RBF-terminated LC ladder from 10 to 130 sections,
+  a Newton transient: the dense backend factors its Jacobian on every
+  iteration, the sparse one factors the static network once and solves
+  each iteration as a port-rank update (``port_solves``).  Its dense/sparse
+  crossover sets ``SPARSE_THRESHOLD``; linear ``ladder`` rows in the band
+  the threshold moved through (62-102 unknowns) check that it does not
+  slow purely linear runs beyond the same rule.
 
 Gates: the sparse backend must beat the dense backend by at least
 ``--min-speedup`` (default 2.0) on every workload with >= 1000 unknowns,
@@ -30,8 +33,9 @@ scalar stamping by >= ``--min-speedup`` at >= 2500 unknowns with identical
 waveforms — the per-step Python element loops were the ceiling once the
 sparse solve got cheap.  The crossover gate requires the automatic backend
 choice to be at most ``MAX_AUTO_SLOWDOWN`` (1.25) times slower than the
-other backend at every measured size, and sparse and dense waveforms of
-the RBF ladder to agree to <= 1e-12 relative.
+other backend at every measured size, sparse and dense waveforms of the
+RBF ladder to agree to <= 1e-12 relative, and each sparse RBF-ladder
+transient to make exactly one numeric factorization.
 
 Dense and sparse runs of one circuit alternate and each backend keeps its
 best time, so a slow spell of the machine hits both alike.  Times are wall
@@ -43,8 +47,8 @@ Writes ``BENCH_sparse.json``.  Run as a script:
     PYTHONPATH=src python benchmarks/bench_sparse.py
 
 Use ``--quick`` for a CI-sized smoke run (smallest >= 1000-unknown sizes,
-fewer crossover sizes, none of them at the crossover itself, and shorter
-transients).
+one linear row in the threshold band, fewer crossover sizes, none of them
+at the crossover itself, and shorter transients).
 """
 
 from __future__ import annotations
@@ -211,6 +215,7 @@ def bench_rbf_ladder(sections: int, dt: float, duration: float, trials: int) -> 
     link = LinkDescription(duration=duration, segments=sections)
     walls = {"dense": float("inf"), "sparse": float("inf")}
     waves = {}
+    stats = {}
     for _ in range(trials):
         for backend in ("dense", "sparse"):
             t0 = time.perf_counter()
@@ -220,7 +225,8 @@ def bench_rbf_ladder(sections: int, dt: float, duration: float, trials: int) -> 
             )
             walls[backend] = min(walls[backend], time.perf_counter() - t0)
             waves[backend] = result.voltage("far_end")
-    n_unknowns = result.metadata["solver_stats"]["n_unknowns"]
+            stats[backend] = result.metadata["solver_stats"]
+    n_unknowns = stats["sparse"]["n_unknowns"]
     scale = max(float(np.max(np.abs(waves["dense"]))), 1e-30)
     auto = resolve_backend_name(None, n_unknowns)
     entry = {
@@ -234,13 +240,17 @@ def bench_rbf_ladder(sections: int, dt: float, duration: float, trials: int) -> 
         "rel_error_sparse_vs_dense": float(
             np.max(np.abs(waves["sparse"] - waves["dense"]))
         ) / scale,
+        "sparse_factorizations": stats["sparse"]["sparse_factorizations"],
+        "port_solves": stats["sparse"]["port_solves"],
         "auto_backend": auto,
         "auto_slowdown": _auto_slowdown(walls, auto),
     }
     print(
         f"rbf     n={n_unknowns:5d}  dense {walls['dense']*1e3:8.1f} ms   "
         f"sparse {walls['sparse']*1e3:8.1f} ms   speedup {entry['sparse_speedup']:6.2f}x   "
-        f"rel err {entry['rel_error_sparse_vs_dense']:.2e}   auto -> {auto}"
+        f"rel err {entry['rel_error_sparse_vs_dense']:.2e}   auto -> {auto}   "
+        f"factorizations {entry['sparse_factorizations']}, "
+        f"port solves {entry['port_solves']}"
     )
     return entry
 
@@ -306,18 +316,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        cases = [("ladder", 150), ("ladder", 1100), ("mesh", 33)]
+        cases = [("ladder", 80), ("ladder", 150), ("ladder", 1100), ("mesh", 33)]
         dt, duration = 1e-11, 2e-9
         trials = max(1, min(args.trials, 3))
         banked_duration = 1e-9
         sections, rbf_duration = (20, 40, 60, 80, 130), 3e-9
     else:
-        cases = [("ladder", 110), ("ladder", 150), ("ladder", 250),
+        cases = [("ladder", 60), ("ladder", 70), ("ladder", 80), ("ladder", 90),
+                 ("ladder", 100), ("ladder", 110), ("ladder", 150), ("ladder", 250),
                  ("ladder", 1100), ("ladder", 2500), ("mesh", 40)]
         dt, duration = 1e-11, 4e-9
         trials = args.trials
         banked_duration = duration
-        sections = (20, 30, 40, 45, 50, 55, 60, 70, 80, 90, 105, 120, 130)
+        sections = (10, 20, 25, 30, 35, 40, 45, 50, 55, 60, 70, 80, 90, 105, 120, 130)
         rbf_duration = 6e-9
 
     entries = [
@@ -349,6 +360,7 @@ def main(argv=None) -> int:
         and all(e["auto_slowdown"] <= MAX_AUTO_SLOWDOWN
                 for e in (*entries, *crossover))
         and all(e["rel_error_sparse_vs_dense"] <= REL_TOL for e in crossover)
+        and all(e["sparse_factorizations"] == 1 for e in crossover)
     )
 
     report = {
@@ -368,6 +380,7 @@ def main(argv=None) -> int:
             "banked_speedup_at_2500_unknowns": args.min_speedup,
             "rel_error": REL_TOL,
             "symbolic_factorizations_per_linear_transient": 1,
+            "sparse_factorizations_per_newton_transient": 1,
         },
         "targets_met": ok,
     }

@@ -4,14 +4,17 @@ Profiles one (or all) of the benchmark workloads and prints the top
 functions by cumulative and internal time, optionally with the fast-path
 kernels disabled so the naive reference paths can be inspected.  The
 targets are the transistor-level link (``mna``), the RBF link (``rbf``),
-the 1-D and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``), one Monte Carlo
-sweep job of the linear link in perfbench's ``mc_sweep`` shape, run in
-process at ``workers=1`` (``sweep``), and the result store's ``put``,
-``get``, ``body`` and ``npz`` of the golden
-``examples/jobs/montecarlo_sweep.json`` result on a scratch store
-(``store``; the solve and its encoding run before the profile starts):
+one job of the RBF link over a 140-section LC ladder in perfbench's
+``ladder_sparse`` shape, a sparse Newton transient (``ladder``), the 1-D
+and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``), one Monte Carlo sweep job
+of the linear link in perfbench's ``mc_sweep`` shape, run in process at
+``workers=1`` (``sweep``), and the result store's ``put``, ``get``,
+``body`` and ``npz`` of the golden ``examples/jobs/montecarlo_sweep.json``
+result on a scratch store (``store``; the solve and its encoding run
+before the profile starts):
 
     PYTHONPATH=src python scripts/profile_hotpaths.py mna
+    PYTHONPATH=src python scripts/profile_hotpaths.py ladder -n 30
     PYTHONPATH=src python scripts/profile_hotpaths.py sweep -n 30
     PYTHONPATH=src python scripts/profile_hotpaths.py store
     PYTHONPATH=src python scripts/profile_hotpaths.py fdtd3d --reference
@@ -31,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro import perf  # noqa: E402
 
-TARGETS = ("mna", "rbf", "fdtd1d", "fdtd3d", "sweep", "store")
+TARGETS = ("mna", "rbf", "ladder", "fdtd1d", "fdtd3d", "sweep", "store")
 
 
 def _store_workload():
@@ -76,6 +79,16 @@ def _workload(target: str):
 
         spec = spec_from_dict(montecarlo_sweep(11, workers=1))
         run(spec)  # warm-up: lazy imports and first calls stay out of the profile
+        return lambda: run(spec)
+    if target == "ladder":
+        import random
+
+        sys.path.insert(0, ROOT)
+        from perfbench.specs import SPARSE_SEGMENTS, ladder
+        from repro.api import run, spec_from_dict
+
+        spec = spec_from_dict(ladder(random.Random(11), SPARSE_SEGMENTS[0]))
+        run(spec)  # warm-up: the device models are fitted outside the profile
         return lambda: run(spec)
 
     from repro.circuits.testbenches import run_link_rbf, run_link_transistor

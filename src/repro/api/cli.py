@@ -213,7 +213,7 @@ def _cmd_run(
     interesting = (
         "lane_sets", "shared_factorizations", "static_reuses", "block_solves",
         "backend", "n_unknowns", "factorizations", "sparse_factorizations",
-        "symbolic_factorizations", "pattern_reuses",
+        "symbolic_factorizations", "pattern_reuses", "port_solves",
         "banked_elements", "accept_calls",
         "shards", "workers", "parallel_efficiency",
     )

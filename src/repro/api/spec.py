@@ -422,7 +422,7 @@ class LinkSpec(_Block):
     interconnect from the structure block and ignores ``z0``/``delay``.
     ``segments`` discretises the circuit-engine interconnect into an
     LC ladder (0 keeps the ideal line; ``N > 0`` adds ~2N MNA unknowns,
-    which run on the sparse backend above 100 unknowns).
+    which run on the sparse backend above 70 unknowns).
     """
 
     _PATH = "link"

@@ -17,25 +17,28 @@ Two backends are provided:
   ``scipy.linalg.lu_factor``, solved by raw ``dgetrs``, for constant
   Jacobians.  The default (and the fastest) at paper-sized circuits.
 * :class:`SparseBackend` — true sparse assembly for netlists beyond about
-  a hundred unknowns.  Static stamps are recorded **once per run** as COO
+  seventy unknowns.  Static stamps are recorded **once per run** as COO
   triplets (scalar elements through a recorder stand-in, element banks as
   one whole-triplet record per bank) and compressed to CSC; the first
   Newton iteration's dynamic stamps extend the pattern, after which the
   symbolic work (pattern union, COO→CSC position maps) is cached and every
   further iteration only rewrites the numeric ``data`` array
   (``pattern_reuses`` counts this).
-  Purely linear circuits are ``splu``-factorised exactly once per
-  transient; sweep batches reuse the factors through
-  :class:`~repro.perf.mna.SharedStaticContext` multi-RHS block solves.
+  The static matrix is ``splu``-factorised exactly once per transient
+  (once per corner group in a sweep, through
+  :class:`~repro.perf.mna.SharedStaticContext`).  That is the whole
+  system of a purely linear circuit; a Newton transient solves each
+  iteration as a rank-``p`` update of it over the ``p`` port unknowns
+  its dynamic stamps touch.
 
 Backend selection
 -----------------
 ``resolve_backend_name(None | "auto", n)`` picks ``"dense"`` at or below
-:data:`SPARSE_THRESHOLD` unknowns (100, the measured crossover of Newton
-transients, which refactor on every iteration) and ``"sparse"`` above
-it.  The assembler records its choice and the unknown count as
-``stats["backend"]`` and ``stats["n_unknowns"]``.  Explicit ``"dense"``
-/ ``"sparse"`` (``TransientOptions.backend``) pin the backend.
+:data:`SPARSE_THRESHOLD` unknowns (70, the measured crossover of Newton
+transients) and ``"sparse"`` above it.  The assembler records its choice
+and the unknown count as ``stats["backend"]`` and ``stats["n_unknowns"]``.
+Explicit ``"dense"`` / ``"sparse"`` (``TransientOptions.backend``) pin
+the backend.
 """
 
 from __future__ import annotations
@@ -64,13 +67,19 @@ __all__ = [
     "SparseBackend",
 ]
 
-#: unknown count above which ``"auto"`` selects the sparse backend:
-#: the measured dense/sparse crossover of a nonlinear (Newton) transient,
-#: which refactors its Jacobian every iteration — an RBF-terminated LC
-#: ladder breaks even near 50 sections (about 100 unknowns).  Purely
-#: linear circuits factor once per run and are no slower on sparse from
-#: there either (``benchmarks/bench_sparse.py`` records both)
-SPARSE_THRESHOLD = 100
+#: unknown count above which ``"auto"`` selects the sparse backend: the
+#: measured dense/sparse crossover of a nonlinear (Newton) transient, an
+#: RBF-terminated LC ladder, which breaks even near 35 sections (about 70
+#: unknowns).  Dense factors the Jacobian every iteration; sparse factors
+#: the static network once and costs about the same per iteration at any
+#: size.  Purely linear circuits in that band run sparse at 0.88-0.94x of
+#: dense speed (``benchmarks/bench_sparse.py`` records both)
+SPARSE_THRESHOLD = 70
+
+#: row-wise relative residual bound of a sparse Newton iteration's
+#: port-rank solve (see :meth:`SparseBackend._port_solve`); an update past
+#: it is redone by factoring the whole system
+PORT_SOLVE_RTOL = 1e-13
 
 #: the backend names accepted by options/specs (``None`` means ``"auto"``)
 BACKEND_NAMES = ("auto", "dense", "sparse")
@@ -133,8 +142,17 @@ class LinearSolverBackend:
     name = "base"
 
     def __init__(self, assembler: "FastPathAssembler"):
-        self.assembler = assembler
+        # What the backend reads of its assembler, not the assembler itself:
+        # the assembler owns the backend, and a back-reference would keep a
+        # finished run's factors alive until the cyclic collector runs.
         self.stats = assembler.stats
+        self.health = assembler.health
+        self.compiled = assembler.compiled
+        self.gmin = assembler.gmin
+        self.shared = assembler._shared
+        self.linear_only = assembler.linear_only
+        self.static_elements = assembler.static_elements
+        self.dynamic_fns = assembler._dynamic_fns
 
     # -- resilience hooks --------------------------------------------------
     def _check_injected_faults(self) -> bool:
@@ -157,7 +175,7 @@ class LinearSolverBackend:
     def _note_singular_fallback(self, message: str, **context) -> None:
         """Record a degraded-but-successful singular-solve recovery."""
         scenario, step = _faults._CONTEXT
-        self.assembler.health.note_backend_fallback(SolveFailure(
+        self.health.note_backend_fallback(SolveFailure(
             SINGULAR_MATRIX, step=step, scenario=scenario, message=message,
             context={"backend": self.name, **context},
         ))
@@ -197,7 +215,7 @@ class DenseBackend(LinearSolverBackend):
 
     def __init__(self, assembler: "FastPathAssembler"):
         super().__init__(assembler)
-        n = assembler.compiled.n_unknowns
+        n = self.compiled.n_unknowns
         self._A_static = np.zeros((n, n))
         self._A = np.zeros((n, n))
         self._A_solve = np.zeros((n, n))  # scratch clobbered by in-place LAPACK
@@ -212,15 +230,14 @@ class DenseBackend(LinearSolverBackend):
         return True
 
     def assemble_static(self, ctx, shared) -> None:
-        asm = self.assembler
         A = self._A_static
         A[:] = 0.0
-        for element in asm.static_elements:
+        for element in self.static_elements:
             # Element banks scatter their whole COO triplet block with one
             # np.add.at inside their stamp_static (the target is an ndarray).
             element.stamp_static(A, ctx)
-        diag = asm.compiled.node_diagonal
-        A[diag, diag] += asm.gmin
+        diag = self.compiled.node_diagonal
+        A[diag, diag] += self.gmin
         self._lu = None
         if shared is not None:
             shared.A_static = A
@@ -232,15 +249,14 @@ class DenseBackend(LinearSolverBackend):
     def iterate(self, x, ctx, rhs):
         A = self._A
         np.copyto(A, self._A_static)
-        for stamp in self.assembler._dynamic_fns:
+        for stamp in self.dynamic_fns:
             stamp(A, rhs, x, ctx)
         return A
 
     def solve(self, A, rhs) -> np.ndarray:
-        asm = self.assembler
-        shared = asm._shared
+        shared = self.shared
         injected_singular = _faults.PLAN is not None and self._check_injected_faults()
-        if asm.linear_only:
+        if self.linear_only:
             if injected_singular:
                 # Treat exactly like a factorization that came back
                 # singular: drop the cached factors and divert to the dense
@@ -281,9 +297,9 @@ class DenseBackend(LinearSolverBackend):
                     "dense re-solve",
                 )
         self.stats["dense_solves"] += 1
-        if not asm.linear_only:
+        if not self.linear_only:
             self.stats["factorizations"] += 1
-        if injected_singular and not asm.linear_only:
+        if injected_singular and not self.linear_only:
             self._note_singular_fallback(
                 "injected singular solve; least-squares fallback",
                 injected=True,
@@ -350,9 +366,19 @@ class SparseBackend(LinearSolverBackend):
     cutoff skips its writes entirely) simply grow the union pattern the
     first time a new position appears; ``stats["symbolic_factorizations"]``
     counts the pattern builds and ``stats["pattern_reuses"]`` the
-    iterations that hit the cache.  Purely linear circuits are
-    ``splu``-factorised exactly once per transient (and once per sweep
-    batch through the shared context).
+    iterations that hit the cache.
+
+    Every run ``splu``-factors its static matrix exactly once (once per
+    sweep corner group through the shared context).  For a purely linear
+    circuit that is the whole system.  A Newton transient's system differs
+    from it only in the ``p`` unknowns its dynamic stamps touch (the ports:
+    ``near`` and ``far`` on the RBF link), so each iteration is solved as a
+    rank-``p`` (Woodbury) update of the static factors, with
+    ``Z = A_static⁻¹ E`` computed once per dynamic pattern
+    (``stats["port_solves"]`` counts these iterations).  An update whose
+    residual fails :data:`PORT_SOLVE_RTOL`, or a static matrix ``splu``
+    cannot factor, takes the per-iteration ``splu`` of the whole system
+    instead.
     """
 
     name = "sparse"
@@ -362,22 +388,37 @@ class SparseBackend(LinearSolverBackend):
         self.stats.setdefault("sparse_factorizations", 0)
         self.stats.setdefault("symbolic_factorizations", 0)
         self.stats.setdefault("pattern_reuses", 0)
-        n = assembler.compiled.n_unknowns
+        if not self.linear_only:
+            self.stats.setdefault("port_solves", 0)
+        n = self.compiled.n_unknowns
         self._n = n
         # static COO triplets (stamp order, duplicates kept)
         self._static_rows: np.ndarray | None = None
         self._static_cols: np.ndarray | None = None
         self._static_vals: np.ndarray | None = None
-        # cached pattern: CSC indices/indptr, static base data, position map
+        # cached pattern: CSC indices/indptr, static base data, and each
+        # dynamic position's (CSC data index, flat index in the port block)
         self._indices: np.ndarray | None = None
         self._indptr: np.ndarray | None = None
         self._static_base: np.ndarray | None = None
-        self._pos_of: dict[tuple[int, int], int] = {}
+        self._pos_of: dict[tuple[int, int], tuple[int, int]] = {}
         self._dyn_keys: set[tuple[int, int]] = set()
         self._data: np.ndarray | None = None
         self._csc = None
         self._csc_static = None
+        #: factors of the static matrix (the whole system when linear-only)
         self._lu = None
+        self._static_failed = False
+        # port-rank update: the unknowns the dynamic stamps touch, their
+        # summed stamps this iteration (p x p), Z = A_static^-1 E, W = Z[ports]
+        self._ports = np.zeros(0, dtype=np.intp)
+        self._port_block = np.zeros((0, 0))
+        self._block_flat = self._port_block.reshape(-1)
+        self._Z: np.ndarray | None = None
+        self._W: np.ndarray | None = None
+        self._eye: np.ndarray | None = None
+        #: row sums of |A_static| over the union pattern (the guard's scale)
+        self._row_abs: np.ndarray | None = None
 
     # -- static assembly ---------------------------------------------------
     def adopt_shared(self, shared) -> bool:
@@ -387,21 +428,20 @@ class SparseBackend(LinearSolverBackend):
         (self._static_rows, self._static_cols, self._static_vals,
          self._csc_static) = state
         self._lu = shared.sparse_lu
-        if self.assembler.linear_only:
+        if self.linear_only:
             # The captured static pattern IS the full pattern; adopting it
             # is a reuse, not a fresh symbolic analysis.
             self._adopt_static_pattern()
         return True
 
     def assemble_static(self, ctx, shared) -> None:
-        asm = self.assembler
         recorder = _StampRecorder()
         # Scalar elements record through the scalar stand-in; element banks
         # contribute their whole COO triplet block in one append per bank.
         bank_rows: list[np.ndarray] = []
         bank_cols: list[np.ndarray] = []
         bank_vals: list[np.ndarray] = []
-        for element in asm.static_elements:
+        for element in self.static_elements:
             coo = getattr(element, "stamp_static_coo", None)
             if coo is not None:
                 rows, cols, vals = coo(ctx)
@@ -411,7 +451,7 @@ class SparseBackend(LinearSolverBackend):
                     bank_vals.append(np.asarray(vals, dtype=np.float64))
             else:
                 element.stamp_static(recorder, ctx)
-        diag = asm.compiled.node_diagonal
+        diag = self.compiled.node_diagonal
         self._static_rows = np.concatenate(
             [np.asarray(recorder.rows, dtype=np.int64), *bank_rows,
              diag.astype(np.int64)]
@@ -422,11 +462,11 @@ class SparseBackend(LinearSolverBackend):
         )
         self._static_vals = np.concatenate(
             [np.asarray(recorder.vals, dtype=np.float64), *bank_vals,
-             np.full(diag.size, asm.gmin)]
+             np.full(diag.size, self.gmin)]
         )
         self._lu = None
         self._csc_static = self._build_static_csc()
-        if asm.linear_only:
+        if self.linear_only:
             self._adopt_static_pattern()
             self.stats["symbolic_factorizations"] += 1
         if shared is not None:
@@ -479,10 +519,19 @@ class SparseBackend(LinearSolverBackend):
         n_static = self._static_rows.size
         self._static_base = np.zeros(indices.size)
         np.add.at(self._static_base, positions[:n_static], self._static_vals)
+        self._row_abs = np.bincount(indices, weights=np.abs(self._static_base),
+                                    minlength=self._n)
+        ports = np.unique(dyn)
+        p = ports.size
+        slot = dict(zip(ports.tolist(), range(p)))
         self._pos_of = {
-            (int(i), int(j)): int(p)
-            for (i, j), p in zip(dyn, positions[n_static:])
+            (i, j): (int(pos), slot[i] * p + slot[j])
+            for (i, j), pos in zip(dyn.tolist(), positions[n_static:])
         }
+        self._ports = ports.astype(np.intp)
+        self._port_block = np.zeros((p, p))
+        self._block_flat = self._port_block.reshape(-1)  # iterate() fills it
+        self._Z = None  # the ports changed: Z is recomputed at the next solve
         self._csc = _csc_matrix(
             (np.empty(indices.size), self._indices, self._indptr),
             shape=(self._n, self._n),
@@ -495,7 +544,7 @@ class SparseBackend(LinearSolverBackend):
 
     def iterate(self, x, ctx, rhs):
         recorder = _StampRecorder()
-        for stamp in self.assembler._dynamic_fns:
+        for stamp in self.dynamic_fns:
             stamp(recorder, rhs, x, ctx)
         pos_of = self._pos_of
         pairs = list(zip(recorder.rows, recorder.cols))
@@ -507,48 +556,119 @@ class SparseBackend(LinearSolverBackend):
             pos_of = self._pos_of
         else:
             self.stats["pattern_reuses"] += 1
-        data = self._data
+        data, block = self._data, self._block_flat
         np.copyto(data, self._static_base)
+        block.fill(0.0)
         for key, val in zip(pairs, recorder.vals):
-            data[pos_of[key]] += val
+            pos, slot = pos_of[key]
+            data[pos] += val
+            block[slot] += val
         return self._csc
 
+    def _factor_static(self) -> None:
+        """``splu`` the static matrix, count it and share it with the group.
+
+        Raises ``RuntimeError`` (``self._lu`` stays ``None``) when ``splu``
+        finds the matrix singular.
+        """
+        self._lu = _splu(self._csc_static)
+        self.stats["factorizations"] += 1
+        self.stats["sparse_factorizations"] += 1
+        if self.shared is not None:
+            self.shared.sparse_lu = self._lu
+            self.shared.stats["factorizations"] += 1
+
+    def _static_factors(self):
+        """The static matrix's ``splu`` factors, factored once per run/group.
+
+        ``None`` when ``splu`` could not factor it; the run then factors
+        its whole system every iteration.  A factorization a sharing run
+        made after this run began is picked up instead of refactoring.
+        """
+        if self._lu is None and self.shared is not None:
+            self._lu = self.shared.sparse_lu
+        if self._lu is None and not self._static_failed:
+            try:
+                self._factor_static()
+            except RuntimeError:  # singular static network: whole-system path
+                self._static_failed = True
+        return self._lu
+
+    def _port_solve(self, A, rhs):
+        """Solve ``A x = rhs`` as a port-rank update of the static factors.
+
+        With ``A = A_static + E D Eᵀ`` (``E`` selects the ports, ``D`` is
+        this iteration's port block), ``y = A_static⁻¹ rhs`` and
+        ``Z = A_static⁻¹ E``: the port unknowns solve the ``p x p`` system
+        ``(I + Z[ports] D) x_ports = y[ports]`` and ``x = y - Z D x_ports``.
+        Returns ``None`` when there are no static factors or the residual
+        ``|A x - rhs|`` exceeds :data:`PORT_SOLVE_RTOL` times
+        ``rowsum|A| max|x| + |rhs|`` in any row: near-singular static
+        factors (a port node held to the rest of the network only through
+        ``gmin``) cancel digits here that factoring ``A`` itself keeps.
+        """
+        lu = self._static_factors()
+        if lu is None:
+            return None
+        ports, block = self._ports, self._port_block
+        x = lu.solve(rhs)
+        if ports.size:
+            if self._Z is None:
+                columns = np.zeros((self._n, ports.size))
+                columns[ports, np.arange(ports.size)] = 1.0
+                self._Z = lu.solve(columns)
+                self._W = self._Z[ports]
+                self._eye = np.eye(ports.size)
+            _, _, x_ports, info = _dgesv(self._eye + self._W @ block, x[ports])
+            if info:
+                return None
+            x -= self._Z @ (block @ x_ports)
+        # The guard: the whole system's residual, row by row, on the matrix
+        # iterate() filled.
+        residual = np.abs(A @ x - rhs)
+        x_max = np.abs(x).max()
+        bound = self._row_abs * x_max
+        bound[ports] += np.abs(block).sum(axis=1) * x_max
+        bound += np.abs(rhs)
+        if not (residual <= PORT_SOLVE_RTOL * bound).all():
+            return None
+        return x
+
     def solve(self, A, rhs) -> np.ndarray:
-        asm = self.assembler
-        shared = asm._shared
+        shared = self.shared
         injected_singular = _faults.PLAN is not None and self._check_injected_faults()
         if injected_singular:
             # As if splu had reported the system singular: drop any cached
             # factors and divert to the dense robust fallback below.
             lu = None
             self._lu = None
+            self._Z = None
             if shared is not None:
                 shared.sparse_lu = None
             self._note_singular_fallback(
                 "injected singular sparse factorization; dense fallback",
                 injected=True,
             )
-        elif asm.linear_only:
+        elif self.linear_only:
             if self._lu is None and shared is not None:
                 self._lu = shared.sparse_lu
             if self._lu is None:
                 try:
-                    self._lu = _splu(A)
+                    self._factor_static()  # A is the static matrix
                 except RuntimeError as exc:  # structurally/numerically singular
-                    self._lu = None
                     self._note_singular_fallback(
                         str(exc) or "splu factorization failed; dense fallback",
                     )
-                else:
-                    self.stats["factorizations"] += 1
-                    self.stats["sparse_factorizations"] += 1
-                    if shared is not None:
-                        shared.sparse_lu = self._lu
-                        shared.stats["factorizations"] += 1
             else:
                 self.stats["cached_solves"] += 1
             lu = self._lu
         else:
+            x = self._port_solve(A, rhs)
+            if x is not None:
+                self.stats["port_solves"] += 1
+                return x
+            # No static factors, or the update failed its guard: factor the
+            # whole system for this iteration.
             try:
                 lu = _splu(A)
             except RuntimeError as exc:  # structurally/numerically singular
@@ -562,7 +682,7 @@ class SparseBackend(LinearSolverBackend):
             x = lu.solve(rhs)
             if np.all(np.isfinite(x)):
                 return x
-            if asm.linear_only:
+            if self.linear_only:
                 self._lu = None
                 if shared is not None:
                     shared.sparse_lu = None

@@ -24,11 +24,12 @@ pluggable :class:`~repro.perf.backends.LinearSolverBackend`: the dense
 LAPACK backend (preallocated ``(n, n)`` arrays, ``dgesv``, cached
 ``lu_factor`` — purely linear circuits factor exactly once per transient)
 or the sparse-CSC backend (COO-recorded stamps, cached sparsity pattern,
-``splu``) selected automatically above
+one ``splu`` of the static matrix per transient, on which a Newton
+iteration is a port-rank update) selected automatically above
 :data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns or explicitly via
 ``TransientOptions.backend``.  :attr:`FastPathAssembler.stats` counts
-factorizations, cached solves, sparse pattern reuses and symbolic
-factorizations so tests can assert the caches are actually hit.
+factorizations, cached solves, port solves, sparse pattern reuses and
+symbolic factorizations so tests can assert the caches are actually hit.
 """
 
 from __future__ import annotations
@@ -185,16 +186,18 @@ class SharedStaticContext:
 
     Scenario sweeps (:mod:`repro.sweep`) run many transients whose circuits
     differ only in their *stimuli* (bit patterns, source amplitudes): every
-    static matrix stamp — and, for purely linear circuits, the LU
-    factorization — is identical across the batch.  A ``SharedStaticContext``
-    passed to several :class:`FastPathAssembler` instances lets the first
-    run assemble and factor, and every later run reuse the result.
+    static matrix stamp — and its factorization — is identical across the
+    batch.  A ``SharedStaticContext`` passed to several
+    :class:`FastPathAssembler` instances lets the first run assemble and
+    factor, and every later run reuse the result.
 
     Depending on the solver backend the captured state is the dense static
-    matrix (``A_static`` + ``lu``) or the sparse one (``sparse_state`` — the
-    static COO triplets and their CSC compression — + ``sparse_lu``); the
-    backend name is part of the compatibility signature, so one context is
-    never shared across backends.
+    matrix (``A_static`` + ``lu``, factored for purely linear circuits) or
+    the sparse one (``sparse_state`` — the static COO triplets and their
+    CSC compression — + ``sparse_lu``, which Newton runs share too: their
+    iterations are port-rank updates of it); the backend name is part of
+    the compatibility signature, so one context is never shared across
+    backends.
 
     The caller guarantees that all sharing circuits produce identical static
     stamps (same topology, same element values, same ``dt``/``method``/

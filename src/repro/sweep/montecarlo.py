@@ -158,6 +158,18 @@ def _execute(spec: SimulationSpec, models=None) -> SweepResult:
     return build_sweep(spec, models=models)[0].run()
 
 
+def _round_records(part: SweepResult) -> List[dict]:
+    """The pool record of each round in ``part`` (one for an unmerged round)."""
+    if "rounds" in part.perf_stats:
+        return part.perf_stats["rounds"]
+    return [{
+        "scenarios": len(part.scenarios),
+        "shards": int(part.perf_stats.get("shards", 1)),
+        "parallel_efficiency": part.perf_stats.get("parallel_efficiency"),
+        "wall_time": part.wall_time,
+    }]
+
+
 def merge_sweep_results(parts: Sequence[SweepResult]) -> SweepResult:
     """Concatenate sweep results of disjoint scenario batches, in order.
 
@@ -165,17 +177,37 @@ def merge_sweep_results(parts: Sequence[SweepResult]) -> SweepResult:
     lists are concatenated (names are disjoint by prefix), engine
     counters summed, health telemetry re-merged, wall times added.  A
     single part is returned untouched.
+
+    Each round decides on its own whether to pool, so ``perf_stats``
+    keeps one record per round under ``rounds`` (its scenarios, shards,
+    parallel efficiency and wall time).  A job that went through the
+    shard layer reports its largest round's ``shards``, and a
+    ``parallel_efficiency`` (the rounds' own, weighted by their wall
+    times) only when every round pooled.
     """
     if not parts:
         raise ValueError("nothing to merge")
     if len(parts) == 1:
         return parts[0]
-    return _merge_parts(
+    merged = _merge_parts(
         [(scenario, part) for part in parts for scenario in part.scenarios],
         parts,
         wall_time=sum(part.wall_time for part in parts),
-        carry=("workers", "shards", "parallel_efficiency"),
+        carry=("workers",),
     )
+    rounds = [record for part in parts for record in _round_records(part)]
+    stats = merged.perf_stats
+    stats["rounds"] = rounds
+    if any("shards" in part.perf_stats for part in parts):  # the shard layer ran
+        stats["shards"] = max(record["shards"] for record in rounds)
+        wall = sum(record["wall_time"] for record in rounds)
+        pooled = all(record["parallel_efficiency"] is not None for record in rounds)
+        stats["parallel_efficiency"] = (
+            round(sum(record["parallel_efficiency"] * record["wall_time"]
+                      for record in rounds) / wall, 4)
+            if pooled and wall > 0 else None
+        )
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +359,7 @@ def run_montecarlo(
             }
         )
 
+    merged.perf_stats["rounds"] = _round_records(merged)
     heights = [m["eye_height"] for _, m in eyes.values()]
     widths = [m["eye_width"] for _, m in eyes.values()]
     summary = {

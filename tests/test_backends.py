@@ -6,16 +6,24 @@ Pins the contracts of :mod:`repro.perf.backends`:
   2-D meshes and nonlinear (macromodel / transistor) circuits;
 * a purely linear sparse transient performs exactly one symbolic and one
   numeric factorization; nonlinear transients reuse the cached sparsity
-  pattern;
+  pattern, factor their static network once and solve each Newton
+  iteration as a port-rank update, or, when its residual guard rejects the
+  update or the static network cannot be factored, by factoring the whole
+  system;
 * backend auto-selection at ``SPARSE_THRESHOLD`` unknowns, including a
   job just past it.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.circuits.diode import Diode
 from repro.circuits.elements import Capacitor, Resistor, VoltageSource
 from repro.circuits.ladder import (
     CapacitorBank,
@@ -25,6 +33,7 @@ from repro.circuits.ladder import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
+from repro.perf import backends
 from repro.perf.backends import SPARSE_THRESHOLD, resolve_backend_name
 from repro.waveforms.signals import BitPattern
 
@@ -109,34 +118,62 @@ class TestLinearEquivalence:
             assert _rel_err(wave, ref) <= REL_TOL
 
 
+def _rbf_ladder_factory(driver_model, receiver_model, sections=40):
+    """The RBF link over an LC ladder: two ports, ``near`` and ``far``."""
+    from repro.circuits.rbf_element import MacromodelElement
+    from repro.macromodel.driver import LogicStimulus
+
+    dt = 1e-11
+
+    def factory():
+        stimulus = LogicStimulus.from_pattern("010", 2e-9)
+        circuit = Circuit("rbf-ladder")
+        circuit.add(
+            MacromodelElement("drv", "near", GROUND, driver_model.bound(stimulus), dt)
+        )
+        add_lc_ladder(circuit, "tl", "near", "far", 131.0, 0.4e-9, sections)
+        circuit.add(Resistor("rload", "far", GROUND, 500.0))
+        circuit.add(Capacitor("cload", "far", GROUND, 1e-12))
+        circuit.add(MacromodelElement("rx", "far", GROUND, receiver_model, dt))
+        return circuit
+
+    return factory
+
+
+def _stacked_diodes():
+    # Node "m" meets the rest of the network only through the two diodes,
+    # so the static matrix holds it by gmin alone.
+    circuit = Circuit("stacked-diodes")
+    circuit.add(VoltageSource("vin", "in", GROUND, _stimulus()))
+    circuit.add(Resistor("rs", "in", "a", 200.0))
+    circuit.add(Capacitor("ca", "a", GROUND, 1e-12))
+    circuit.add(Diode("d1", "a", "m"))
+    circuit.add(Diode("d2", "m", GROUND))
+    return circuit
+
+
+def _iterations(stats) -> int:
+    """Newton iterations of a sparse run: each one assembles a pattern."""
+    return stats["pattern_reuses"] + stats["symbolic_factorizations"]
+
+
 class TestNonlinearEquivalence:
-    def test_rbf_ladder_link_sparse_matches_dense(self, params, driver_model, receiver_model):
-        from repro.circuits.rbf_element import MacromodelElement
-        from repro.macromodel.driver import LogicStimulus
-
-        dt = 1e-11
-
-        def factory():
-            stimulus = LogicStimulus.from_pattern("010", 2e-9)
-            circuit = Circuit("rbf-ladder")
-            circuit.add(
-                MacromodelElement("drv", "near", GROUND, driver_model.bound(stimulus), dt)
-            )
-            add_lc_ladder(circuit, "tl", "near", "far", 131.0, 0.4e-9, 40)
-            circuit.add(Resistor("rload", "far", GROUND, 500.0))
-            circuit.add(Capacitor("cload", "far", GROUND, 1e-12))
-            circuit.add(MacromodelElement("rx", "far", GROUND, receiver_model, dt))
-            return circuit
-
-        dense, dense_stats = _run(factory, "far", backend="dense", duration=3e-9, dt=dt)
-        sparse, sparse_stats = _run(factory, "far", backend="sparse", duration=3e-9, dt=dt)
+    def test_rbf_ladder_link_sparse_matches_dense(self, driver_model, receiver_model):
+        factory = _rbf_ladder_factory(driver_model, receiver_model)
+        dense, dense_stats = _run(factory, "far", backend="dense", duration=3e-9)
+        sparse, sparse_stats = _run(factory, "far", backend="sparse", duration=3e-9)
         assert np.max(np.abs(dense)) > 0.5
         assert _rel_err(sparse, dense) <= REL_TOL
         assert dense_stats["linear_only"] is False
         # the union pattern is built once and then reused every iteration
         assert sparse_stats["symbolic_factorizations"] == 1
         assert sparse_stats["pattern_reuses"] > 100
-        assert sparse_stats["sparse_factorizations"] == sparse_stats["factorizations"]
+        # the static network is factored once; every iteration is a
+        # port-rank update of those factors
+        assert sparse_stats["sparse_factorizations"] == sparse_stats["factorizations"] == 1
+        assert sparse_stats["port_solves"] == _iterations(sparse_stats)
+        assert sparse_stats["dense_solves"] == 0
+        assert sparse_stats["health"]["backend_fallbacks"] == 0
 
     def test_transistor_driver_pattern_growth(self, params):
         # CMOS inverter stages switch between cutoff and conduction; a
@@ -160,6 +197,77 @@ class TestNonlinearEquivalence:
         assert _rel_err(sparse, dense) <= REL_TOL
         assert stats["symbolic_factorizations"] >= 1
         assert stats["pattern_reuses"] > 0
+
+
+class TestPortRankSolve:
+    def test_gmin_held_port_node_matches_dense(self):
+        dense, _ = _run(_stacked_diodes, "m", backend="dense", duration=4e-9)
+        sparse, stats = _run(_stacked_diodes, "m", backend="sparse", duration=4e-9)
+        assert np.max(np.abs(dense)) > 0.5
+        assert _rel_err(sparse, dense) <= REL_TOL
+        # the guard turned down the updates the gmin-held node spoiled; each
+        # of those iterations factored the whole system instead
+        rejected = _iterations(stats) - stats["port_solves"]
+        assert 0 < rejected < _iterations(stats)
+        assert stats["sparse_factorizations"] == 1 + rejected
+        assert stats["health"]["backend_fallbacks"] == 0
+
+    def test_guard_rejection_factors_the_whole_system(
+        self, driver_model, receiver_model, monkeypatch
+    ):
+        # No residual passes a negative bound (an exactly zero one with a
+        # zero scale aside), so every such iteration takes splu(A).
+        monkeypatch.setattr(backends, "PORT_SOLVE_RTOL", -1.0)
+        factory = _rbf_ladder_factory(driver_model, receiver_model)
+        dense, _ = _run(factory, "far", backend="dense", duration=3e-9)
+        sparse, stats = _run(factory, "far", backend="sparse", duration=3e-9)
+        assert _rel_err(sparse, dense) <= REL_TOL
+        rejected = _iterations(stats) - stats["port_solves"]
+        assert rejected > 0.9 * _iterations(stats)
+        assert stats["sparse_factorizations"] == 1 + rejected
+        assert stats["health"]["backend_fallbacks"] == 0
+
+    def test_failed_static_factorization_factors_every_iteration(self):
+        # Without gmin the static matrix has an empty row at "m": splu
+        # cannot factor it, so every iteration factors the whole system.
+        def run(backend):
+            solver = TransientSolver(
+                _stacked_diodes(), 1e-11,
+                options=TransientOptions(backend=backend, gmin=0.0),
+            )
+            result = solver.run(4e-9, record_nodes=["m"], record_branches=[])
+            return result.voltage("m"), solver.perf_stats
+
+        dense, _ = run("dense")
+        sparse, stats = run("sparse")
+        assert np.max(np.abs(dense)) > 0.5
+        assert _rel_err(sparse, dense) <= REL_TOL
+        assert stats["port_solves"] == 0
+        assert stats["sparse_factorizations"] == _iterations(stats)
+        assert stats["health"]["backend_fallbacks"] == 0
+
+    def test_finished_run_frees_its_factors_without_the_collector(
+        self, driver_model, receiver_model
+    ):
+        factory = _rbf_ladder_factory(driver_model, receiver_model, sections=10)
+        solver = TransientSolver(factory(), 1e-11, TransientOptions(backend="sparse"))
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = solver.begin(2e-10, record_nodes=["far"], record_branches=[])
+            for _ in range(run.n_steps):
+                solver.step_once(run)
+            solver.finish(run)
+            backend = weakref.ref(run.assembler.backend)
+            lu = run.assembler.backend._lu
+            assert lu is not None and backend()._Z is not None
+            baseline = sys.getrefcount(lu)
+            del run
+            assert backend() is None
+            assert sys.getrefcount(lu) == baseline - 1  # only ours is left
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 class TestBackendResolution:
@@ -215,6 +323,28 @@ class TestSweepBackends:
         assert batched.perf_stats["static_groups"] == 2
         assert batched.perf_stats["shared_factorizations"] == 2
         assert batched.perf_stats["block_solves"] > 0
+
+    def test_rbf_ladder_sweep_shares_its_static_factors(self, driver_model, receiver_model):
+        # Newton scenarios above the threshold factor their corner group's
+        # static network once and stay bit-identical to standalone runs.
+        from repro.sweep.links import RBFLinkSpec, rbf_link_sweep
+
+        sweep = rbf_link_sweep(
+            self._scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
+            duration=1.5e-9, spec=RBFLinkSpec(segments=60),
+        )
+        batched = sweep.run()
+        sequential = sweep.run_sequential()
+        for name in ("a", "b", "c"):
+            for node in ("near", "far"):
+                assert batched.voltage(name, node).tobytes() == \
+                    sequential.voltage(name, node).tobytes(), (name, node)
+        stats = batched.perf_stats
+        assert stats["per_scenario"]["a"]["n_unknowns"] > SPARSE_THRESHOLD
+        assert stats["per_scenario"]["a"]["backend"] == "sparse"
+        assert stats["static_groups"] == 2
+        assert stats["shared_factorizations"] == stats["static_groups"]
+        assert all(per["port_solves"] > 0 for per in stats["per_scenario"].values())
 
 
 class TestJobRouting:

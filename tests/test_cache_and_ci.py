@@ -218,9 +218,12 @@ class TestCIPipeline:
         assert "python -m repro list-engines" in commands
         # the smoke steps must actually assert on the artifacts: a waveform
         # in the linear result, the sparse backend + its single symbolic
-        # factorization in the sparse one
+        # factorization in the sparse one, whose Newton transient factors
+        # once and solves its iterations as port-rank updates
         assert "waveforms" in commands
         assert "symbolic_factorizations" in commands
+        assert "p.get('sparse_factorizations') == 1" in commands
+        assert "p.get('port_solves', 0) > 0" in commands
         uploads = [
             step for step in test_job["steps"]
             if "upload-artifact" in str(step.get("uses", ""))

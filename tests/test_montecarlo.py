@@ -393,7 +393,15 @@ class TestRunMonteCarlo:
         sharded = run(dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, workers=2)))
         assert pools == [2]  # the base round only
-        assert sharded.raw.perf_stats["shards"] == 2  # carried from the base round
+        stats = sharded.raw.perf_stats
+        assert stats["shards"] == 2  # the largest round's
+        assert [(r["scenarios"], r["shards"]) for r in stats["rounds"]] == [
+            (8, 2), (2, 1), (2, 1)]
+        assert stats["rounds"][0]["parallel_efficiency"] is not None
+        assert [r["parallel_efficiency"] for r in stats["rounds"][1:]] == [None, None]
+        assert stats["parallel_efficiency"] is None  # not every round pooled
+        assert [r["shards"] for r in single.raw.perf_stats["rounds"]] == [1, 1, 1]
+        assert "shards" not in single.raw.perf_stats  # never reached the shard layer
         assert single.names() == sharded.names()
         for name in single.names():
             assert np.array_equal(single.waveform(name), sharded.waveform(name)), name
@@ -430,6 +438,30 @@ class TestRunMonteCarlo:
     def test_merge_requires_parts(self):
         with pytest.raises(ValueError):
             merge_sweep_results([])
+
+    def test_merge_reports_efficiency_only_when_every_round_pooled(self):
+        from repro.sweep.result import SweepResult
+        from repro.sweep.scenario import Scenario
+
+        def part(prefix, n, shards, efficiency, wall):
+            stats = {"shards": shards, "parallel_efficiency": efficiency}
+            return SweepResult(
+                times=None, results={}, perf_stats=stats, wall_time=wall,
+                scenarios=[Scenario(name=f"{prefix}{i}") for i in range(n)],
+            )
+
+        pooled = merge_sweep_results([
+            merge_sweep_results([part("a", 4, 2, 0.9, 1.0), part("b", 2, 2, 0.6, 2.0)]),
+            part("c", 2, 3, 0.3, 1.0),
+        ])
+        stats = pooled.perf_stats
+        assert [(r["scenarios"], r["shards"]) for r in stats["rounds"]] == [
+            (4, 2), (2, 2), (2, 3)]
+        assert stats["shards"] == 3
+        assert stats["parallel_efficiency"] == pytest.approx((0.9 + 1.2 + 0.3) / 4)
+        mixed = merge_sweep_results([part("a", 4, 2, 0.9, 1.0), part("b", 2, 1, None, 1.0)])
+        assert mixed.perf_stats["shards"] == 2
+        assert mixed.perf_stats["parallel_efficiency"] is None
 
 
 # ---------------------------------------------------------------------------
