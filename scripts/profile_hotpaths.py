@@ -6,7 +6,9 @@ kernels disabled so the naive reference paths can be inspected.  The
 targets are the transistor-level link (``mna``), the RBF link (``rbf``),
 one job of the RBF link over a 140-section LC ladder in perfbench's
 ``ladder_sparse`` shape, a sparse Newton transient (``ladder``), the 1-D
-and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``), one Monte Carlo sweep job
+and 3-D FDTD hybrids (``fdtd1d``, ``fdtd3d``; the latter is the Figure 7
+PCB pair), one job of perfbench's ``fdtd3d_link`` shape, the job that sets
+the tail of its ``link_jobs`` workload (``link3d``), one Monte Carlo sweep job
 of the linear link in perfbench's ``mc_sweep`` shape, run in process at
 ``workers=1`` (``sweep``), and the result store's ``put``, ``get``,
 ``body`` and ``npz`` of the golden ``examples/jobs/montecarlo_sweep.json``
@@ -18,6 +20,7 @@ before the profile starts):
     PYTHONPATH=src python scripts/profile_hotpaths.py sweep -n 30
     PYTHONPATH=src python scripts/profile_hotpaths.py store
     PYTHONPATH=src python scripts/profile_hotpaths.py fdtd3d --reference
+    PYTHONPATH=src python scripts/profile_hotpaths.py link3d -n 30
     PYTHONPATH=src python scripts/profile_hotpaths.py all -n 30 -o prof.pstats
 """
 
@@ -34,7 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro import perf  # noqa: E402
 
-TARGETS = ("mna", "rbf", "ladder", "fdtd1d", "fdtd3d", "sweep", "store")
+TARGETS = ("mna", "rbf", "ladder", "fdtd1d", "fdtd3d", "link3d", "sweep", "store")
 
 
 def _store_workload():
@@ -79,6 +82,21 @@ def _workload(target: str):
 
         spec = spec_from_dict(montecarlo_sweep(11, workers=1))
         run(spec)  # warm-up: lazy imports and first calls stay out of the profile
+        return lambda: run(spec)
+    if target == "link3d":
+        # perfbench's fdtd3d_link shape, written out: the quarter-scale
+        # validation line on the 3-D Yee hybrid, 1.5 ns at 0.5 ns bits
+        from repro.api import run, spec_from_dict
+
+        spec = spec_from_dict({
+            "format_version": 1, "kind": "fdtd3d", "label": "profile link3d",
+            "duration": 1.5e-9,
+            "stimulus": {"bit_pattern": "011", "bit_time": 5e-10},
+            "link": {"z0": 131.0, "delay": 4e-10, "load": "rc",
+                     "load_resistance": 500.0, "load_capacitance": 1e-12},
+            "structure": {"scale": 0.25},
+        })
+        run(spec)  # warm-up: the device models are fitted outside the profile
         return lambda: run(spec)
     if target == "ladder":
         import random

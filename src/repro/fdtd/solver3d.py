@@ -54,11 +54,12 @@ class FDTD3DSolver:
         Settings for the per-port Newton iterations (default: the paper's
         1e-9 tolerance).
     fast:
-        Use the allocation-free update kernels of
-        :mod:`repro.perf.fdtd_fast` plus flat-index PEC/dielectric
-        application.  ``None`` (default) follows
-        :func:`repro.perf.fastpath_default`; ``False`` runs the naive
-        reference updates.
+        Keep each field in one zeroed ``(nx+1, ny+1, nz+1)`` block and step
+        it with the 1-D update passes of :mod:`repro.perf.fdtd_fast`, plus
+        flat-index PEC/dielectric application; ``ex`` .. ``hz`` are then the
+        natural-shape views at the blocks' leading corners.  ``None``
+        (default) follows :func:`repro.perf.fastpath_default`; ``False``
+        runs the naive reference updates on natural-shape arrays.
     """
 
     def __init__(
@@ -117,12 +118,22 @@ class FDTD3DSolver:
     # -- setup ----------------------------------------------------------------
     def _prepare(self) -> None:
         grid = self.grid
-        self.ex = np.zeros(grid.e_shape("x"))
-        self.ey = np.zeros(grid.e_shape("y"))
-        self.ez = np.zeros(grid.e_shape("z"))
-        self.hx = np.zeros(grid.h_shape("x"))
-        self.hy = np.zeros(grid.h_shape("y"))
-        self.hz = np.zeros(grid.h_shape("z"))
+        shapes = {f"e{a}": grid.e_shape(a) for a in "xyz"}
+        shapes.update({f"h{a}": grid.h_shape(a) for a in "xyz"})
+        if self.fast:
+            # One block per field, padded to a common shape so that the
+            # update kernels run as flat 1-D passes; the rest of the solver
+            # (Mur, sites, probes, the energy) works on the natural-shape
+            # views at the blocks' corners.  The pad entries and the
+            # boundary edges only ever take harmless values from those
+            # passes (see :mod:`repro.perf.fdtd_fast`).
+            block_shape = (grid.nx + 1, grid.ny + 1, grid.nz + 1)
+            blocks = {name: np.zeros(block_shape) for name in shapes}
+            for name, (n0, n1, n2) in shapes.items():
+                setattr(self, name, blocks[name][:n0, :n1, :n2])
+        else:
+            for name, shape in shapes.items():
+                setattr(self, name, np.zeros(shape))
 
         # E-update coefficients dt / eps on the interior edges.
         self._eps_x = grid.edge_permittivity("x")
@@ -188,15 +199,23 @@ class FDTD3DSolver:
                         self._pec_suppressed[axis] = suppress
 
             self._kernels = FastYeeKernels(
-                grid, self.dt,
-                self.ex, self.ey, self.ez, self.hx, self.hy, self.hz,
-                self._ce_x, self._ce_y, self._ce_z,
+                grid, self.dt, *blocks.values(), self._ce_x, self._ce_y, self._ce_z,
             )
             # Flat-index variants of the mask caches with the plane-wave
             # retardation precomputed (and compressed to its unique values —
             # a plane wave takes one delay per grid plane along its
             # propagation direction), so the per-step work reduces to one
             # small waveform evaluation, a gather and a flat assignment.
+            # The indices address the padded blocks, written through their
+            # flat views: ``self.ex`` is not contiguous, so
+            # ``self.ex.reshape(-1)`` would be a copy and a write into it
+            # would be lost.  ``np.nonzero`` lists a mask's edges in the
+            # same (C) order as ``edge_coordinates``, so the delays line up.
+            e_flat = {axis: blocks[f"e{axis}"].reshape(-1) for axis in "xyz"}
+
+            def block_index(mask):
+                return np.ravel_multi_index(np.nonzero(mask), block_shape)
+
             self._pec_fast = {}
             for axis, (mask, coords) in self._pec_cache.items():
                 delay = None
@@ -205,19 +224,18 @@ class FDTD3DSolver:
                     delay = self.plane_wave.delay(*coords)
                     comp = compress_delays(delay)
                 if axis in self._pec_suppressed:
-                    flat = np.flatnonzero(mask & ~self._pec_suppressed[axis])
-                    if flat.size == 0:
+                    mask = mask & ~self._pec_suppressed[axis]
+                    if not mask.any():
                         continue
-                else:
-                    flat = np.flatnonzero(mask)
-                self._pec_fast[axis] = (flat, delay, comp)
+                self._pec_fast[axis] = (e_flat[axis], block_index(mask), delay, comp)
             self._diel_fast = {}
             for axis, (mask, coords, factor) in self._diel_cache.items():
                 if self.plane_wave.component(axis) == 0.0:
                     continue  # no incident component: the correction is zero
-                flat = np.flatnonzero(mask)
                 delay = self.plane_wave.delay(*coords)
-                self._diel_fast[axis] = (flat, delay, factor, compress_delays(delay))
+                self._diel_fast[axis] = (
+                    e_flat[axis], block_index(mask), delay, factor, compress_delays(delay),
+                )
 
         for site in self.sites:
             site.bind(
@@ -289,25 +307,23 @@ class FDTD3DSolver:
 
     # -- fast-path variants (precomputed retardation, flat indices) ----------
     def _apply_dielectric_correction_fast(self, t_mid: float) -> None:
-        for axis, (flat, delay, factor, comp) in self._diel_fast.items():
-            field = {"x": self.ex, "y": self.ey, "z": self.ez}[axis]
+        for axis, (field, flat, delay, factor, comp) in self._diel_fast.items():
             if comp is not None:
                 unique, inverse = comp
                 de_dt = self.plane_wave.de_field_dt_delayed(axis, unique, t_mid)[inverse]
             else:
                 de_dt = self.plane_wave.de_field_dt_delayed(axis, delay, t_mid)
-            field.reshape(-1)[flat] -= factor * de_dt
+            field[flat] -= factor * de_dt
 
     def _apply_pec_fast(self, t_new: float) -> None:
-        for axis, (flat, delay, comp) in self._pec_fast.items():
-            field = {"x": self.ex, "y": self.ey, "z": self.ez}[axis]
+        for axis, (field, flat, delay, comp) in self._pec_fast.items():
             if delay is None:
-                field.reshape(-1)[flat] = 0.0
+                field[flat] = 0.0
             elif comp is not None:
                 unique, inverse = comp
-                field.reshape(-1)[flat] = -self.plane_wave.e_field_delayed(axis, unique, t_new)[inverse]
+                field[flat] = -self.plane_wave.e_field_delayed(axis, unique, t_new)[inverse]
             else:
-                field.reshape(-1)[flat] = -self.plane_wave.e_field_delayed(axis, delay, t_new)
+                field[flat] = -self.plane_wave.e_field_delayed(axis, delay, t_new)
 
     # -- run -------------------------------------------------------------------
     def run(

@@ -23,7 +23,8 @@ steppers.  This package concentrates the optimised kernels:
   so the state-dependent Gaussian factor is computed once per step and only
   a one-dimensional Gaussian in ``v`` remains per iteration.
 * :mod:`repro.perf.fdtd_fast` — allocation-free Yee updates with the
-  ``1/dx`` divisions folded into precomputed coefficients, plus flat-index
+  ``1/dx`` divisions folded into precomputed coefficients, run as 1-D
+  contiguous passes over zero-padded field blocks, plus flat-index
   PEC/dielectric application with precomputed plane-wave retardation.
 
 Every fast path is numerically equivalent to the naive reference

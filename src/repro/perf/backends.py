@@ -378,7 +378,9 @@ class SparseBackend(LinearSolverBackend):
     (``stats["port_solves"]`` counts these iterations).  An update whose
     residual fails :data:`PORT_SOLVE_RTOL`, or a static matrix ``splu``
     cannot factor, takes the per-iteration ``splu`` of the whole system
-    instead.
+    instead.  So does every iteration of a pattern with a port whose
+    static row holds nothing but the ``gmin`` diagonal: the update would
+    lose its digits there, fail the guard and be redone.
     """
 
     name = "sparse"
@@ -419,6 +421,8 @@ class SparseBackend(LinearSolverBackend):
         self._eye: np.ndarray | None = None
         #: row sums of |A_static| over the union pattern (the guard's scale)
         self._row_abs: np.ndarray | None = None
+        #: a port's static row is the gmin diagonal alone: skip the update
+        self._gmin_held_port = False
 
     # -- static assembly ---------------------------------------------------
     def adopt_shared(self, shared) -> bool:
@@ -522,6 +526,7 @@ class SparseBackend(LinearSolverBackend):
         self._row_abs = np.bincount(indices, weights=np.abs(self._static_base),
                                     minlength=self._n)
         ports = np.unique(dyn)
+        self._gmin_held_port = bool((self._row_abs[ports] <= self.gmin).any())
         p = ports.size
         slot = dict(zip(ports.tolist(), range(p)))
         self._pos_of = {
@@ -604,8 +609,9 @@ class SparseBackend(LinearSolverBackend):
         Returns ``None`` when there are no static factors or the residual
         ``|A x - rhs|`` exceeds :data:`PORT_SOLVE_RTOL` times
         ``rowsum|A| max|x| + |rhs|`` in any row: near-singular static
-        factors (a port node held to the rest of the network only through
-        ``gmin``) cancel digits here that factoring ``A`` itself keeps.
+        factors cancel digits here that factoring ``A`` itself keeps.  (A
+        port node held to the rest of the network only through ``gmin``, the
+        plainest such case, never gets here: :meth:`solve` skips the update.)
         """
         lu = self._static_factors()
         if lu is None:
@@ -663,12 +669,12 @@ class SparseBackend(LinearSolverBackend):
                 self.stats["cached_solves"] += 1
             lu = self._lu
         else:
-            x = self._port_solve(A, rhs)
+            x = None if self._gmin_held_port else self._port_solve(A, rhs)
             if x is not None:
                 self.stats["port_solves"] += 1
                 return x
-            # No static factors, or the update failed its guard: factor the
-            # whole system for this iteration.
+            # A gmin-held port, no static factors, or an update that failed
+            # its guard: factor the whole system for this iteration.
             try:
                 lu = _splu(A)
             except RuntimeError as exc:  # structurally/numerically singular

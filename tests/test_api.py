@@ -672,7 +672,6 @@ class TestEngineEquivalence:
             inherited.waveform("s/far"), explicit.waveform("s/far")
         )
 
-    @pytest.mark.slow
     def test_fdtd3d_matches_run_fdtd3d_link(self, params, driver_model, receiver_model):
         from repro.core.cosim import LinkDescription
         from repro.experiments.fig4_rc_load import run_fdtd3d_link

@@ -100,7 +100,6 @@ def _small_line_structure():
     )
 
 
-@pytest.mark.slow
 class TestFDTD3D:
     def test_solver_rejects_super_courant_dt(self):
         grid = YeeGrid(8, 8, 8, 1e-3)

@@ -121,7 +121,6 @@ def test_mna_nonlinear_equivalence(params):
     assert np.array_equal(runs[True].newton_iterations, runs[False].newton_iterations)
 
 
-@pytest.mark.slow
 def test_mna_macromodel_link_equivalence(params, driver_model, receiver_model):
     stimulus = LogicStimulus.from_pattern("010", 0.8e-9)
 
@@ -239,7 +238,6 @@ def _small_3d_solver(fast, with_wave, receiver_model):
     return solver, site_r, site_m
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("with_wave", [True, False])
 def test_fdtd3d_fast_equivalence(with_wave, receiver_model):
     results = {}
@@ -267,7 +265,6 @@ def test_fdtd3d_fast_equivalence(with_wave, receiver_model):
         _assert_close(fast_arr, ref_arr, f"fdtd3d {label}")
 
 
-@pytest.mark.slow
 def test_fdtd1d_fast_equivalence(driver_model, receiver_model):
     stimulus = LogicStimulus.from_pattern("010", 1.2e-9)
 
