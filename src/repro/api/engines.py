@@ -20,7 +20,7 @@ import dataclasses
 import time
 
 from repro.api.result import Result
-from repro.api.spec import DEFAULT_DT, SimulationSpec
+from repro.api.spec import SimulationSpec
 
 __all__ = [
     "ENGINES",
@@ -108,7 +108,7 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
     from repro.circuits.testbenches import run_link_rbf, run_link_transistor
 
     link = _link_description(spec)
-    dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
+    dt = spec.resolved_dt()
     options = _transient_options(spec)
     model_stats: dict = {}
     if spec.engine.variant == "transistor":
@@ -180,7 +180,7 @@ def build_sweep(spec: SimulationSpec, models=None):
             "sampled by repro.sweep.montecarlo.run_montecarlo first"
         )
     scenarios = [sc.to_scenario() for sc in spec.scenarios]
-    dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
+    dt = spec.resolved_dt()
     options = _transient_options(spec)
     if spec.engine.sweep_family == "linear":
         sweep = linear_link_sweep(
@@ -208,7 +208,7 @@ def build_sweep(spec: SimulationSpec, models=None):
 def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     from repro.sweep.shard import resolve_worker_count, run_sharded
 
-    dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
+    dt = spec.resolved_dt()
     meta = _spec_meta(spec)
     meta["dt"] = dt
     engine_label = (

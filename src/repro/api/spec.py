@@ -80,8 +80,8 @@ DISTRIBUTION_KINDS = ("uniform", "normal", "choice", "pattern")
 _UNHASHED_ENGINE_KEYS = ("workers", "shards")
 
 #: default time step of the SPICE-class engines and sweeps when
-#: ``engine.dt`` is null — the single source for the adapters
-#: (:mod:`repro.api.engines`) and the estimates of :meth:`SimulationSpec.resolved_dt`
+#: ``engine.dt`` is null; :meth:`SimulationSpec.resolved_dt` states the rule,
+#: and the adapters (:mod:`repro.api.engines`) call it
 DEFAULT_DT = 5e-12
 
 

@@ -34,7 +34,7 @@ from repro.core.stability import (
     is_resampling_stable,
     simulate_scalar_test_problem,
 )
-from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar
+from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import (
     LumpedTermination,
     MacromodelTermination,
@@ -57,7 +57,7 @@ __all__ = [
     "simulate_scalar_test_problem",
     "NewtonOptions",
     "NewtonStats",
-    "newton_solve_scalar",
+    "newton_solve_scalar_fused",
     "LumpedTermination",
     "MacromodelTermination",
     "OpenTermination",

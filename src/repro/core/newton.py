@@ -21,7 +21,6 @@ __all__ = [
     "NewtonOptions",
     "NewtonStats",
     "NewtonResult",
-    "newton_solve_scalar",
     "newton_solve_scalar_fused",
 ]
 
@@ -111,19 +110,21 @@ class NewtonResult:
     residual: float
 
 
-def newton_solve_scalar(
-    residual: Callable[[float], float],
-    derivative: Callable[[float], float],
+def newton_solve_scalar_fused(
+    residual_and_derivative: Callable[[float], tuple[float, float]],
     x0: float,
     options: NewtonOptions | None = None,
     stats: NewtonStats | None = None,
 ) -> NewtonResult:
-    """Solve ``residual(x) = 0`` by damped Newton-Raphson.
+    """Solve ``f(x) = 0`` by damped Newton-Raphson.
 
     Parameters
     ----------
-    residual, derivative:
-        The scalar residual function and its analytic derivative.
+    residual_and_derivative:
+        Returns ``(f(x), f'(x))``, the scalar residual and its analytic
+        derivative, in one call: a model's value and derivative come from
+        one basis pass (the separable RBF fast path).  The derivative of
+        the last iterate is computed but unused.
     x0:
         Initial guess (typically the previous time step's voltage, which is
         why so few iterations are needed in practice).
@@ -131,45 +132,6 @@ def newton_solve_scalar(
         Iteration settings; defaults follow the paper (tol 1e-9).
     stats:
         Optional accumulator updated with the iteration count.
-    """
-    opts = options or NewtonOptions()
-    x = float(x0)
-    f = float(residual(x))
-    iterations = 0
-    nan = not np.isfinite(f)
-    converged = not nan and abs(f) < opts.tolerance
-    while not converged and not nan and iterations < opts.max_iterations:
-        dfdx = float(derivative(x))
-        if not np.isfinite(dfdx) or abs(dfdx) < opts.min_derivative:
-            dfdx = np.sign(dfdx) * opts.min_derivative if dfdx != 0 else opts.min_derivative
-        step = -f / dfdx
-        if opts.max_step is not None and abs(step) > opts.max_step:
-            step = np.sign(step) * opts.max_step
-        x = x + step
-        f = float(residual(x))
-        iterations += 1
-        # A NaN/Inf residual can never converge — iterating to the cap
-        # would only hide the poisoned state from the caller.
-        nan = not np.isfinite(f)
-        converged = not nan and abs(f) < opts.tolerance
-    if stats is not None:
-        stats.record(iterations, converged, nan=nan)
-    return NewtonResult(x=x, iterations=iterations, converged=converged, residual=abs(f))
-
-
-def newton_solve_scalar_fused(
-    residual_and_derivative: Callable[[float], tuple[float, float]],
-    x0: float,
-    options: NewtonOptions | None = None,
-    stats: NewtonStats | None = None,
-) -> NewtonResult:
-    """Damped Newton-Raphson with a fused residual/derivative callback.
-
-    Identical iteration to :func:`newton_solve_scalar` — the callback
-    returns ``(f(x), f'(x))`` in one call, which halves the evaluation
-    round-trips for models whose value and derivative come from one basis
-    pass (the separable RBF fast path).  The derivative of the *last*
-    iterate is computed but unused, exactly as in the two-callback variant.
     """
     opts = options or NewtonOptions()
     x = float(x0)
@@ -189,7 +151,8 @@ def newton_solve_scalar_fused(
         f, dfdx = residual_and_derivative(x)
         f = float(f)
         iterations += 1
-        # Same NaN/Inf guard as the two-callback variant: bail immediately.
+        # A NaN/Inf residual can never converge — iterating to the cap
+        # would only hide the poisoned state from the caller.
         nan = not np.isfinite(f)
         converged = not nan and abs(f) < opts.tolerance
     if stats is not None:

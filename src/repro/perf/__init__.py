@@ -43,39 +43,25 @@ seed within the same tolerance the equivalence suite enforces.
 Global switch
 -------------
 :func:`fastpath_default` is consulted by every engine whose ``fast`` option
-is left at ``None``.  It defaults to ``True`` and can be overridden
-process-wide with the ``REPRO_FASTPATH`` environment variable (``0`` /
-``false`` / ``off`` disable it; the variable is re-read on every call, so
-it may be set at any time) or temporarily with the :func:`use_fastpath`
-context manager, which takes precedence over the environment.
+is left at ``None``.  It is ``True`` unless the :func:`use_fastpath`
+context manager overrides it for its duration (``repro.api.run`` does so
+for a spec's ``engine.fast``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 
 __all__ = ["fastpath_default", "use_fastpath", "resolve_fast"]
 
 
-def _env_default() -> bool:
-    return os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-#: :func:`use_fastpath` override; ``None`` means "follow the environment"
+#: :func:`use_fastpath` override; ``None`` means the fast path
 _FASTPATH_OVERRIDE: bool | None = None
 
 
 def fastpath_default() -> bool:
     """Whether engines run their fast path when ``fast`` is not given."""
-    if _FASTPATH_OVERRIDE is not None:
-        return _FASTPATH_OVERRIDE
-    return _env_default()
+    return True if _FASTPATH_OVERRIDE is None else _FASTPATH_OVERRIDE
 
 
 @contextlib.contextmanager

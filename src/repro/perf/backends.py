@@ -4,18 +4,22 @@ The fast assembler (:class:`repro.perf.mna.FastPathAssembler`) separates
 *what* is stamped (static once per run, x-independent RHS once per step,
 nonlinear elements once per Newton iteration) from *how* the resulting
 linear system is stored and solved.  This module owns the "how": a
-:class:`LinearSolverBackend` holds the matrix representation, runs the
-dynamic re-stamps into it and solves the system, so swapping the storage
-format never touches the element stamps, the solver session API or the
-sweep engine.
+:class:`LinearSolverBackend` stamps the static matrix in its storage
+format, runs the dynamic re-stamps on top of it and solves the system, so
+swapping the storage format never touches the element stamps, the solver
+session API or the sweep engine.  The static matrix and its factors have
+one owner, the run's :class:`~repro.perf.mna.SharedStaticContext`
+(private to a standalone run, shared by a sweep's corner group): a
+backend writes the matrix there once, factors it through
+:meth:`~repro.perf.mna.SharedStaticContext.factors` and keeps no copy.
 
 Two backends are provided:
 
-* :class:`DenseBackend` — today's tuned dense path: a preallocated
-  ``(n, n)`` static matrix, ``np.copyto`` + in-place dynamic stamps per
-  iteration, raw-LAPACK ``dgesv`` solves and a cached
-  ``scipy.linalg.lu_factor``, solved by raw ``dgetrs``, for constant
-  Jacobians.  The default (and the fastest) at paper-sized circuits.
+* :class:`DenseBackend` — today's tuned dense path: an ``(n, n)`` static
+  matrix, ``np.copyto`` + in-place dynamic stamps per iteration,
+  raw-LAPACK ``dgesv`` solves and a cached ``scipy.linalg.lu_factor``,
+  solved by raw ``dgetrs``, for constant Jacobians.  The default (and the
+  fastest) at paper-sized circuits.
 * :class:`SparseBackend` — true sparse assembly for netlists beyond about
   seventy unknowns.  Static stamps are recorded **once per run** as COO
   triplets (scalar elements through a recorder stand-in, element banks as
@@ -46,7 +50,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor as _lu_factor
 from scipy.linalg.lapack import dgesv as _dgesv, dgetrs as _dgetrs
 from scipy.sparse import csc_matrix as _csc_matrix
 from scipy.sparse.linalg import splu as _splu
@@ -122,18 +125,20 @@ def make_backend(backend: str | None, assembler: "FastPathAssembler") -> "Linear
 class LinearSolverBackend:
     """Matrix-representation strategy of one :class:`FastPathAssembler` run.
 
-    The assembler drives the backend through four hooks:
+    The assembler drives the backend through three hooks:
 
-    * :meth:`adopt_shared` — pick up a previously captured static matrix
-      (and factors) from a :class:`~repro.perf.mna.SharedStaticContext`;
-      returns ``False`` when nothing is captured yet.
     * :meth:`assemble_static` — stamp the static elements plus the
-      ``gmin`` diagonal once per run (and capture into the shared context).
+      ``gmin`` diagonal into the run's
+      :class:`~repro.perf.mna.SharedStaticContext` (a corner group's
+      earlier run may have captured it already, and then this is skipped).
     * :meth:`iterate` — run the dynamic (nonlinear) stamps around ``x``
       on top of the static parts; returns the matrix token that
       :meth:`solve` accepts.  The dense RHS is managed by the assembler.
-    * :meth:`solve` — solve ``A x = rhs``, reusing cached factors whenever
-      the Jacobian is known constant.
+    * :meth:`solve` — solve ``A x = rhs``, reusing the context's static
+      factors whenever the Jacobian is known constant.
+
+    The static matrix and its factors live in the context alone; a backend
+    reads them there and keeps no copy.
 
     ``stats`` is the assembler's counter dict; backends write their
     counters (factorizations, cached/dense solves, pattern reuses) there.
@@ -149,7 +154,7 @@ class LinearSolverBackend:
         self.health = assembler.health
         self.compiled = assembler.compiled
         self.gmin = assembler.gmin
-        self.shared = assembler._shared
+        self.static = assembler.static
         self.linear_only = assembler.linear_only
         self.static_elements = assembler.static_elements
         self.dynamic_fns = assembler._dynamic_fns
@@ -181,17 +186,10 @@ class LinearSolverBackend:
         ))
 
     # -- static assembly ---------------------------------------------------
-    def adopt_shared(self, shared) -> bool:
-        raise NotImplementedError
-
-    def assemble_static(self, ctx, shared) -> None:
+    def assemble_static(self, ctx) -> None:
         raise NotImplementedError
 
     # -- per-iteration assembly and solves --------------------------------
-    def static_system(self):
-        """The matrix token of the (linear-only) static system."""
-        raise NotImplementedError
-
     def iterate(self, x, ctx, rhs):
         """Dynamic re-stamp around ``x`` into a fresh system; returns the token."""
         raise NotImplementedError
@@ -216,82 +214,58 @@ class DenseBackend(LinearSolverBackend):
     def __init__(self, assembler: "FastPathAssembler"):
         super().__init__(assembler)
         n = self.compiled.n_unknowns
-        self._A_static = np.zeros((n, n))
         self._A = np.zeros((n, n))
         self._A_solve = np.zeros((n, n))  # scratch clobbered by in-place LAPACK
-        self._lu = None
 
     # -- static assembly ---------------------------------------------------
-    def adopt_shared(self, shared) -> bool:
-        if shared.A_static is None:
-            return False
-        self._A_static = shared.A_static
-        self._lu = shared.lu
-        return True
-
-    def assemble_static(self, ctx, shared) -> None:
-        A = self._A_static
-        A[:] = 0.0
+    def assemble_static(self, ctx) -> None:
+        n = self.compiled.n_unknowns
+        A = np.zeros((n, n))
         for element in self.static_elements:
             # Element banks scatter their whole COO triplet block with one
             # np.add.at inside their stamp_static (the target is an ndarray).
             element.stamp_static(A, ctx)
         diag = self.compiled.node_diagonal
         A[diag, diag] += self.gmin
-        self._lu = None
-        if shared is not None:
-            shared.A_static = A
+        self.static.A_static = A
 
     # -- per-iteration assembly and solves --------------------------------
-    def static_system(self):
-        return self._A_static
-
     def iterate(self, x, ctx, rhs):
         A = self._A
-        np.copyto(A, self._A_static)
+        np.copyto(A, self.static.A_static)
         for stamp in self.dynamic_fns:
             stamp(A, rhs, x, ctx)
         return A
 
     def solve(self, A, rhs) -> np.ndarray:
-        shared = self.shared
+        static = self.static
         injected_singular = _faults.PLAN is not None and self._check_injected_faults()
         if self.linear_only:
+            lu = None
             if injected_singular:
                 # Treat exactly like a factorization that came back
                 # singular: drop the cached factors and divert to the dense
                 # re-solve below.  ``dgesv`` is ``getrf``+``getrs`` — the
                 # same factorization ``lu_factor``/``lu_solve`` performs —
                 # so the recovered step is bit-identical to the cached path.
-                self._lu = None
-                if shared is not None:
-                    shared.lu = None
+                static.lu = None
                 self._note_singular_fallback(
                     "injected singular factorization; dense re-solve",
                     injected=True,
                 )
-            else:
-                if self._lu is None and shared is not None:
-                    # A sharing run may have factored after our begin_run (e.g.
-                    # the linear members of a mixed linear/nonlinear group, or
-                    # the sweep engine's block-solve path): pick the factors up
-                    # lazily instead of refactoring.
-                    self._lu = shared.lu
-                if self._lu is None:
-                    self._lu = _lu_factor(A, check_finite=False)
-                    self.stats["factorizations"] += 1
-                    if shared is not None:
-                        shared.lu = self._lu
-                        shared.stats["factorizations"] += 1
-                else:
-                    self.stats["cached_solves"] += 1
-                x = _lu_solve(self._lu, rhs)
+            elif static.lu is not None:
+                # Factored by an earlier step, or by an earlier run of the
+                # corner group.
+                lu = static.lu
+                self.stats["cached_solves"] += 1
+            elif (lu := static.factors()) is not None:
+                self.stats["factorizations"] += 1
+            if lu is not None:
+                x = _lu_solve(lu, rhs)
                 if np.all(np.isfinite(x)):
                     return x
                 # Singular / ill-posed system: fall through to the robust path.
-                self._lu = None
-                if shared is not None:
-                    shared.lu = None
+                static.lu = None
                 self._note_singular_fallback(
                     "cached factorization produced non-finite solution; "
                     "dense re-solve",
@@ -368,8 +342,8 @@ class SparseBackend(LinearSolverBackend):
     counts the pattern builds and ``stats["pattern_reuses"]`` the
     iterations that hit the cache.
 
-    Every run ``splu``-factors its static matrix exactly once (once per
-    sweep corner group through the shared context).  For a purely linear
+    The static matrix is ``splu``-factored once per run, or once per sweep
+    corner group, in the run's context.  For a purely linear
     circuit that is the whole system.  A Newton transient's system differs
     from it only in the ``p`` unknowns its dynamic stamps touch (the ports:
     ``near`` and ``far`` on the RBF link), so each iteration is solved as a
@@ -392,12 +366,7 @@ class SparseBackend(LinearSolverBackend):
         self.stats.setdefault("pattern_reuses", 0)
         if not self.linear_only:
             self.stats.setdefault("port_solves", 0)
-        n = self.compiled.n_unknowns
-        self._n = n
-        # static COO triplets (stamp order, duplicates kept)
-        self._static_rows: np.ndarray | None = None
-        self._static_cols: np.ndarray | None = None
-        self._static_vals: np.ndarray | None = None
+        self._n = self.compiled.n_unknowns
         # cached pattern: CSC indices/indptr, static base data, and each
         # dynamic position's (CSC data index, flat index in the port block)
         self._indices: np.ndarray | None = None
@@ -407,10 +376,6 @@ class SparseBackend(LinearSolverBackend):
         self._dyn_keys: set[tuple[int, int]] = set()
         self._data: np.ndarray | None = None
         self._csc = None
-        self._csc_static = None
-        #: factors of the static matrix (the whole system when linear-only)
-        self._lu = None
-        self._static_failed = False
         # port-rank update: the unknowns the dynamic stamps touch, their
         # summed stamps this iteration (p x p), Z = A_static^-1 E, W = Z[ports]
         self._ports = np.zeros(0, dtype=np.intp)
@@ -425,20 +390,7 @@ class SparseBackend(LinearSolverBackend):
         self._gmin_held_port = False
 
     # -- static assembly ---------------------------------------------------
-    def adopt_shared(self, shared) -> bool:
-        state = shared.sparse_state
-        if state is None:
-            return False
-        (self._static_rows, self._static_cols, self._static_vals,
-         self._csc_static) = state
-        self._lu = shared.sparse_lu
-        if self.linear_only:
-            # The captured static pattern IS the full pattern; adopting it
-            # is a reuse, not a fresh symbolic analysis.
-            self._adopt_static_pattern()
-        return True
-
-    def assemble_static(self, ctx, shared) -> None:
+    def assemble_static(self, ctx) -> None:
         recorder = _StampRecorder()
         # Scalar elements record through the scalar stand-in; element banks
         # contribute their whole COO triplet block in one append per bank.
@@ -456,43 +408,27 @@ class SparseBackend(LinearSolverBackend):
             else:
                 element.stamp_static(recorder, ctx)
         diag = self.compiled.node_diagonal
-        self._static_rows = np.concatenate(
+        rows = np.concatenate(
             [np.asarray(recorder.rows, dtype=np.int64), *bank_rows,
              diag.astype(np.int64)]
         )
-        self._static_cols = np.concatenate(
+        cols = np.concatenate(
             [np.asarray(recorder.cols, dtype=np.int64), *bank_cols,
              diag.astype(np.int64)]
         )
-        self._static_vals = np.concatenate(
+        vals = np.concatenate(
             [np.asarray(recorder.vals, dtype=np.float64), *bank_vals,
              np.full(diag.size, self.gmin)]
         )
-        self._lu = None
-        self._csc_static = self._build_static_csc()
-        if self.linear_only:
-            self._adopt_static_pattern()
-            self.stats["symbolic_factorizations"] += 1
-        if shared is not None:
-            shared.sparse_state = (
-                self._static_rows, self._static_cols, self._static_vals,
-                self._csc_static,
-            )
-
-    def _build_static_csc(self):
-        """Compress the static COO triplets to CSC (duplicates summed in order)."""
-        indices, indptr, positions = self._compress_pattern(
-            self._static_rows, self._static_cols
-        )
+        # Compress to CSC, duplicates summed in stamp order.  For a linear
+        # run this pattern is the whole system's.
+        indices, indptr, positions = self._compress_pattern(rows, cols)
         base = np.zeros(indices.size)
-        np.add.at(base, positions, self._static_vals)
-        return _csc_matrix((base, indices, indptr), shape=(self._n, self._n))
-
-    def _adopt_static_pattern(self) -> None:
-        """Linear-only runs: the static CSC doubles as the full system."""
-        self._indices = self._csc_static.indices
-        self._indptr = self._csc_static.indptr
-        self._static_base = self._csc_static.data
+        np.add.at(base, positions, vals)
+        csc = _csc_matrix((base, indices, indptr), shape=(self._n, self._n))
+        if self.linear_only:
+            self.stats["symbolic_factorizations"] += 1
+        self.static.sparse_state = (rows, cols, vals, csc)
 
     def _compress_pattern(self, rows, cols):
         """CSC pattern of a COO entry set plus each entry's data position.
@@ -514,15 +450,16 @@ class SparseBackend(LinearSolverBackend):
     def _build_union_pattern(self) -> None:
         """(Re)build the static+dynamic union pattern and its index maps."""
         self.stats["symbolic_factorizations"] += 1
+        static_rows, static_cols, static_vals, _ = self.static.sparse_state
         dyn = np.asarray(sorted(self._dyn_keys), dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([self._static_rows, dyn[:, 0]])
-        cols = np.concatenate([self._static_cols, dyn[:, 1]])
+        rows = np.concatenate([static_rows, dyn[:, 0]])
+        cols = np.concatenate([static_cols, dyn[:, 1]])
         indices, indptr, positions = self._compress_pattern(rows, cols)
         self._indices = indices
         self._indptr = indptr
-        n_static = self._static_rows.size
+        n_static = static_rows.size
         self._static_base = np.zeros(indices.size)
-        np.add.at(self._static_base, positions[:n_static], self._static_vals)
+        np.add.at(self._static_base, positions[:n_static], static_vals)
         self._row_abs = np.bincount(indices, weights=np.abs(self._static_base),
                                     minlength=self._n)
         ports = np.unique(dyn)
@@ -544,9 +481,6 @@ class SparseBackend(LinearSolverBackend):
         self._data = self._csc.data  # write-through view: iterate() fills it
 
     # -- per-iteration assembly and solves --------------------------------
-    def static_system(self):
-        return self._csc_static
-
     def iterate(self, x, ctx, rhs):
         recorder = _StampRecorder()
         for stamp in self.dynamic_fns:
@@ -570,34 +504,17 @@ class SparseBackend(LinearSolverBackend):
             block[slot] += val
         return self._csc
 
-    def _factor_static(self) -> None:
-        """``splu`` the static matrix, count it and share it with the group.
-
-        Raises ``RuntimeError`` (``self._lu`` stays ``None``) when ``splu``
-        finds the matrix singular.
-        """
-        self._lu = _splu(self._csc_static)
-        self.stats["factorizations"] += 1
-        self.stats["sparse_factorizations"] += 1
-        if self.shared is not None:
-            self.shared.sparse_lu = self._lu
-            self.shared.stats["factorizations"] += 1
-
     def _static_factors(self):
-        """The static matrix's ``splu`` factors, factored once per run/group.
+        """The context's ``splu`` factors of the static matrix.
 
-        ``None`` when ``splu`` could not factor it; the run then factors
-        its whole system every iteration.  A factorization a sharing run
-        made after this run began is picked up instead of refactoring.
+        ``None`` when ``splu`` could not factor it.  A factorization this
+        call makes is counted in the run's stats as well as the context's.
         """
-        if self._lu is None and self.shared is not None:
-            self._lu = self.shared.sparse_lu
-        if self._lu is None and not self._static_failed:
-            try:
-                self._factor_static()
-            except RuntimeError:  # singular static network: whole-system path
-                self._static_failed = True
-        return self._lu
+        lu = self.static.lu
+        if lu is None and (lu := self.static.factors()) is not None:
+            self.stats["factorizations"] += 1
+            self.stats["sparse_factorizations"] += 1
+        return lu
 
     def _port_solve(self, A, rhs):
         """Solve ``A x = rhs`` as a port-rank update of the static factors.
@@ -614,7 +531,7 @@ class SparseBackend(LinearSolverBackend):
         plainest such case, never gets here: :meth:`solve` skips the update.)
         """
         lu = self._static_factors()
-        if lu is None:
+        if lu is None:  # the run factors its whole system every iteration
             return None
         ports, block = self._ports, self._port_block
         x = lu.solve(rhs)
@@ -641,33 +558,27 @@ class SparseBackend(LinearSolverBackend):
         return x
 
     def solve(self, A, rhs) -> np.ndarray:
-        shared = self.shared
+        static = self.static
         injected_singular = _faults.PLAN is not None and self._check_injected_faults()
         if injected_singular:
             # As if splu had reported the system singular: drop any cached
             # factors and divert to the dense robust fallback below.
             lu = None
-            self._lu = None
+            static.lu = None
             self._Z = None
-            if shared is not None:
-                shared.sparse_lu = None
             self._note_singular_fallback(
                 "injected singular sparse factorization; dense fallback",
                 injected=True,
             )
         elif self.linear_only:
-            if self._lu is None and shared is not None:
-                self._lu = shared.sparse_lu
-            if self._lu is None:
-                try:
-                    self._factor_static()  # A is the static matrix
-                except RuntimeError as exc:  # structurally/numerically singular
-                    self._note_singular_fallback(
-                        str(exc) or "splu factorization failed; dense fallback",
-                    )
-            else:
+            # A is the static matrix.
+            if static.lu is not None:
                 self.stats["cached_solves"] += 1
-            lu = self._lu
+            lu = self._static_factors()
+            if lu is None:  # structurally/numerically singular
+                self._note_singular_fallback(
+                    static.factor_error or "splu factorization failed; dense fallback",
+                )
         else:
             x = None if self._gmin_held_port else self._port_solve(A, rhs)
             if x is not None:
@@ -689,9 +600,7 @@ class SparseBackend(LinearSolverBackend):
             if np.all(np.isfinite(x)):
                 return x
             if self.linear_only:
-                self._lu = None
-                if shared is not None:
-                    shared.sparse_lu = None
+                static.lu = None
             self._note_singular_fallback(
                 "sparse factorization produced non-finite solution; "
                 "dense fallback",

@@ -30,6 +30,13 @@ iteration is a port-rank update) selected automatically above
 ``TransientOptions.backend``.  :attr:`FastPathAssembler.stats` counts
 factorizations, cached solves, port solves, sparse pattern reuses and
 symbolic factorizations so tests can assert the caches are actually hit.
+
+The static matrix and its factors have one owner: the
+:class:`SharedStaticContext` every assembler holds (its sweep corner
+group's, or a private one for a standalone run).  The backend stamps the
+matrix into it once, and the lane sets' block solves, a linear run's
+solves and a sparse Newton run's port-rank updates all factor it through
+:meth:`SharedStaticContext.factors`, once per run or corner group.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import lu_factor as _lu_factor
 
 from repro.circuits.elements import (
     Capacitor,
@@ -52,13 +60,7 @@ from repro.circuits.elements import (
     VoltageSource,
     VoltageSourceBank,
 )
-from repro.perf.backends import (
-    SPARSE_THRESHOLD,
-    make_backend,
-    _lu_factor,
-    _lu_solve,
-    _splu,
-)
+from repro.perf.backends import SPARSE_THRESHOLD, make_backend, _lu_solve, _splu
 from repro.resilience import SINGULAR_MATRIX, RunHealth, SolveFailure
 from repro.resilience import faults as _faults
 
@@ -182,22 +184,25 @@ def compact_elements(elements, min_group: int = COMPACTION_MIN_GROUP):
 
 
 class SharedStaticContext:
-    """Static stamp and factorization shared across the runs of a sweep.
+    """The static network of a fast-path run: its matrix and its factors.
 
-    Scenario sweeps (:mod:`repro.sweep`) run many transients whose circuits
-    differ only in their *stimuli* (bit patterns, source amplitudes): every
-    static matrix stamp — and its factorization — is identical across the
-    batch.  A ``SharedStaticContext`` passed to several
-    :class:`FastPathAssembler` instances lets the first run assemble and
-    factor, and every later run reuse the result.
+    Every :class:`FastPathAssembler` has one, and it is the only holder of
+    the run's static network: the backends read the matrix and its factors
+    here and keep no copy.  A standalone run gets a private context.  A
+    sweep (:mod:`repro.sweep`) passes one context to every run of a corner
+    group, whose circuits differ only in their *stimuli* (bit patterns,
+    source amplitudes): the first run assembles the static matrix, every
+    later one reuses it, and the group factors it once.
 
-    Depending on the solver backend the captured state is the dense static
-    matrix (``A_static`` + ``lu``, factored for purely linear circuits) or
-    the sparse one (``sparse_state`` — the static COO triplets and their
-    CSC compression — + ``sparse_lu``, which Newton runs share too: their
-    iterations are port-rank updates of it); the backend name is part of
-    the compatibility signature, so one context is never shared across
-    backends.
+    The dense backend captures ``A_static``, the sparse one
+    ``sparse_state``: the static COO triplets and their CSC compression,
+    ``(rows, cols, vals, csc)``.  :meth:`factors` factors the matrix into
+    ``lu`` at first use (``lu_factor`` or ``splu``), for the lane sets'
+    block solves, a linear run's solves and a sparse Newton run's
+    port-rank updates alike.  When ``splu`` cannot factor it,
+    ``factor_error`` says why, and no later call tries again.  The backend
+    name is part of the compatibility signature, so one context is never
+    shared across backends.
 
     The caller guarantees that all sharing circuits produce identical static
     stamps (same topology, same element values, same ``dt``/``method``/
@@ -207,16 +212,18 @@ class SharedStaticContext:
 
     def __init__(self):
         self.A_static: np.ndarray | None = None
-        self.lu = None
-        self.sparse_lu = None
-        #: sparse-backend capture: (rows, cols, vals, csc_static)
+        #: sparse-backend capture: (rows, cols, vals, csc)
         self.sparse_state: tuple | None = None
+        #: factors of the static matrix: ``lu_factor``'s ``(lu, piv)`` or a
+        #: ``splu`` object
+        self.lu = None
+        #: why the static matrix could not be factored (``None`` until then)
+        self.factor_error: str | None = None
         self.signature: tuple | None = None
         self.stats = {"factorizations": 0, "static_reuses": 0, "block_solves": 0}
         #: health telemetry of the shared solve paths (the sweep engine
         #: merges this into its aggregate run health)
         self.health = RunHealth()
-        self._factorization_failed = False
         self._dense_cache: np.ndarray | None = None
         #: whether the last :meth:`solve_block` fell back to least squares;
         #: otherwise its solution was checked finite
@@ -231,7 +238,32 @@ class SharedStaticContext:
                 f"{self.signature} vs {signature}"
             )
 
+    @property
+    def matrix(self):
+        """The captured static matrix (dense array or CSC); ``None`` before capture."""
+        return self.A_static if self.sparse_state is None else self.sparse_state[3]
+
     # -- factorization reuse ----------------------------------------------
+    def factors(self):
+        """The static matrix's factors, factored at the first call.
+
+        A factorization is counted in ``stats["factorizations"]``.  ``None``
+        once the matrix could not be factored (``factor_error`` says why).
+        A caller whose solve came out non-finite drops the factors
+        (``lu = None``), and the next call factors afresh.
+        """
+        if self.lu is None and self.factor_error is None:
+            if self.sparse_state is None:
+                self.lu = _lu_factor(self.A_static, check_finite=False)
+            else:
+                try:
+                    self.lu = _splu(self.sparse_state[3])
+                except RuntimeError as exc:  # singular static network
+                    self.factor_error = str(exc)
+                    return None
+            self.stats["factorizations"] += 1
+        return self.lu
+
     def ensure_factorized(self) -> None:
         """Factor the captured static matrix once (no-op when already done).
 
@@ -239,30 +271,23 @@ class SharedStaticContext:
         scenarios of a step in one block solve without going through a
         per-assembler :meth:`FastPathAssembler.solve`.
         """
-        if self.A_static is None and self.sparse_state is None:
-            raise RuntimeError("no static matrix captured yet")
-        if self.lu is not None or self.sparse_lu is not None or self._factorization_failed:
+        if self.lu is not None or self.factor_error is not None:
             return
+        if self.matrix is None:
+            raise RuntimeError("no static matrix captured yet")
         if _faults.PLAN is not None and _faults.take("singular"):
             self._note_singular("injected singular static factorization",
                                 injected=True)
             return
-        if self.sparse_state is not None:
-            try:
-                self.sparse_lu = _splu(self.sparse_state[3])
-            except RuntimeError as exc:
-                # Singular static matrix: remember the failure so per-step
-                # solve_block calls do not retry the factorization, and let
-                # the dense lstsq fallback below handle the solves.
-                self._note_singular(str(exc) or "static splu factorization failed")
-                return
-        else:
-            self.lu = _lu_factor(self.A_static, check_finite=False)
-        self.stats["factorizations"] += 1
+        if self.factors() is None:
+            # Singular static matrix: factors() remembers the failure, so
+            # per-step solve_block calls do not retry the factorization, and
+            # solve_block's dense fallback handles the solves.
+            self._note_singular(self.factor_error or "static splu factorization failed")
 
     def _note_singular(self, message: str, **context) -> None:
         """Record a singular static factorization in the unified taxonomy."""
-        self._factorization_failed = True
+        self.factor_error = message
         self.health.note_backend_fallback(SolveFailure(
             SINGULAR_MATRIX, message=message,
             context={"site": "shared_static", **context},
@@ -270,7 +295,7 @@ class SharedStaticContext:
 
     def _dense_static(self) -> np.ndarray:
         """The captured static matrix as a dense array (robust fallback)."""
-        if self.A_static is not None:
+        if self.sparse_state is None:
             return self.A_static
         if self._dense_cache is None:
             self._dense_cache = self.sparse_state[3].toarray()
@@ -280,15 +305,16 @@ class SharedStaticContext:
         """Solve ``A_static X = rhs_block`` for a whole ``(n, M)`` block."""
         self.ensure_factorized()
         self.stats["block_solves"] += 1
-        if self.sparse_lu is not None:
-            x = self.sparse_lu.solve(rhs_block)
-        elif self.lu is not None:
-            x = _lu_solve(self.lu, rhs_block)
-        else:
+        lu = self.lu
+        if lu is None:
             try:
                 x = np.linalg.solve(self._dense_static(), rhs_block)
             except np.linalg.LinAlgError:  # exactly singular: robust path below
                 x = np.full_like(rhs_block, np.nan)
+        elif self.sparse_state is None:
+            x = _lu_solve(lu, rhs_block)
+        else:
+            x = lu.solve(rhs_block)
         if _faults.PLAN is not None and _faults.take("singular"):
             x = np.full_like(x, np.nan)
         # count_nonzero: the same test as .all(), at a third of its cost on
@@ -324,7 +350,8 @@ class FastPathAssembler:
         Time step, integration method and node-to-ground conductance of the
         run (fixed for the assembler's lifetime).
     shared:
-        Optional :class:`SharedStaticContext` for sweep batches.
+        The :class:`SharedStaticContext` of the run's sweep corner group; a
+        private one (:attr:`static`) is made when omitted.
     backend:
         Linear-solver backend: ``"dense"``, ``"sparse"`` or ``None``/
         ``"auto"`` (dense at paper scale, sparse above
@@ -360,7 +387,8 @@ class FastPathAssembler:
         self.dt = float(dt)
         self.method = method
         self.gmin = float(gmin)
-        self._shared = shared
+        #: the run's static network and its factors
+        self.static = shared if shared is not None else SharedStaticContext()
         self.health = health if health is not None else RunHealth()
         self.compact_banks = compact_banks
 
@@ -415,25 +443,23 @@ class FastPathAssembler:
     def begin_run(self) -> None:
         """Assemble the per-run static matrix (call after element resets).
 
-        When a :class:`SharedStaticContext` was given and already holds a
-        captured static matrix, the assembly (and any cached factorization)
-        is reused instead of recomputed — the caller vouches that the static
-        stamps are identical across the sharing runs.
+        When the context already holds the static matrix (an earlier run of
+        the corner group captured it), it is reused instead of recomputed;
+        the caller vouches that the static stamps are identical across the
+        sharing runs.
         """
-        shared = self._shared
-        if shared is not None:
-            shared._check_signature(
-                (self.compiled.n_unknowns, self.dt, self.method, self.gmin,
-                 self.backend.name)
+        static = self.static
+        static._check_signature(
+            (self.compiled.n_unknowns, self.dt, self.method, self.gmin,
+             self.backend.name)
+        )
+        if static.matrix is None:
+            self.backend.assemble_static(
+                StampContext(self.compiled, self.dt, 0.0, self.method)
             )
-            if self.backend.adopt_shared(shared):
-                shared.stats["static_reuses"] += 1
-                self.stats["static_reused"] = True
-                for element, _ in self.dynamic_stamps:
-                    element.prepare_fast(self.compiled)
-                return
-        ctx = StampContext(self.compiled, self.dt, 0.0, self.method)
-        self.backend.assemble_static(ctx, shared)
+        else:
+            static.stats["static_reuses"] += 1
+            self.stats["static_reused"] = True
         for element, _ in self.dynamic_stamps:
             element.prepare_fast(self.compiled)
 
@@ -454,7 +480,7 @@ class FastPathAssembler:
         """
         if self.linear_only:
             # The static parts ARE the system; no per-iteration copy needed.
-            return self.backend.static_system(), self._rhs_static
+            return self.static.matrix, self._rhs_static
         rhs = self._rhs
         np.copyto(rhs, self._rhs_static)
         A = self.backend.iterate(x, ctx, rhs)

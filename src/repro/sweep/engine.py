@@ -221,7 +221,7 @@ class CircuitSweep:
         if fast:
             members: Dict[SharedStaticContext, list[int]] = defaultdict(list)
             for idx, run in enumerate(runs):
-                members[run.assembler._shared].append(idx)
+                members[run.assembler.static].append(idx)
             groups = []
             lanes_order: Dict[tuple, list[int]] = defaultdict(list)
             for ctx, idxs in members.items():

@@ -508,10 +508,8 @@ def run_sharded(
     runtime = [sc.to_scenario() for sc in spec.scenarios]
     plan = plan_shards(runtime, shards)
     if spec.engine.sweep_family == "linear":
-        from repro.api.spec import DEFAULT_DT
-
-        dt = spec.engine.dt if spec.engine.dt is not None else DEFAULT_DT
-        if not linear_pool_pays(plan.n_groups, int(round(spec.duration / dt)), plan.n_shards):
+        n_steps = int(round(spec.duration / spec.resolved_dt()))
+        if not linear_pool_pays(plan.n_groups, n_steps, plan.n_shards):
             plan = plan_shards(runtime, 1)
     start = _time.perf_counter()
     if plan.n_shards == 1:

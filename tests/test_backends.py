@@ -267,7 +267,7 @@ class TestPortRankSolve:
                 solver.step_once(run)
             solver.finish(run)
             backend = weakref.ref(run.assembler.backend)
-            lu = run.assembler.backend._lu
+            lu = run.assembler.static.lu
             assert lu is not None and backend()._Z is not None
             baseline = sys.getrefcount(lu)
             del run
@@ -300,22 +300,24 @@ class TestBackendResolution:
         assert stats["backend"] == "sparse"
 
 
+def _sweep_scenarios():
+    """Two corner groups: the nominal one shared by a and b, and c alone."""
+    from repro.sweep.scenario import Scenario
+
+    return [
+        Scenario(name="a", bit_pattern="010"),
+        Scenario(name="b", bit_pattern="011"),
+        Scenario(name="c", bit_pattern="010", corner={"z0": 100.0}),
+    ]
+
+
 class TestSweepBackends:
-    def _scenarios(self):
-        from repro.sweep.scenario import Scenario
-
-        return [
-            Scenario(name="a", bit_pattern="010"),
-            Scenario(name="b", bit_pattern="011"),
-            Scenario(name="c", bit_pattern="010", corner={"z0": 100.0}),
-        ]
-
     def test_linear_sweep_sparse_backend_matches_sequential(self):
         from repro.sweep.links import linear_link_sweep
 
         options = TransientOptions(backend="sparse")
         sweep = linear_link_sweep(
-            self._scenarios(), dt=1e-11, duration=3e-9, options=options
+            _sweep_scenarios(), dt=1e-11, duration=3e-9, options=options
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -338,7 +340,7 @@ class TestSweepBackends:
         from repro.sweep.links import RBFLinkSpec, rbf_link_sweep
 
         sweep = rbf_link_sweep(
-            self._scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
+            _sweep_scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
             duration=1.5e-9, spec=RBFLinkSpec(segments=60),
         )
         batched = sweep.run()
@@ -428,9 +430,84 @@ class TestSingularRobustness:
         singular = scipy_sparse.csc_matrix(np.ones((2, 2)))
         context.sparse_state = (None, None, None, singular)
         context.ensure_factorized()  # must not raise
-        assert context.sparse_lu is None
+        assert context.lu is None
         x = context.solve_block(np.ones((2, 2)))
         assert np.all(np.isfinite(x))
+
+
+class TestUnfactorableStaticNetwork:
+    """A static network ``splu`` cannot factor is tried once per context:
+    once per standalone run, or once per sweep corner group."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """``splu`` raises for every static CSC; returns the attempts list."""
+        from repro.perf import mna
+
+        contexts, attempts = [], []
+        init, real_splu = mna.SharedStaticContext.__init__, backends._splu
+
+        def record(context):
+            init(context)
+            contexts.append(context)
+
+        def splu(matrix):
+            if any(ctx.sparse_state is not None and matrix is ctx.sparse_state[3]
+                   for ctx in contexts):
+                attempts.append(matrix)
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(matrix)
+
+        monkeypatch.setattr(mna.SharedStaticContext, "__init__", record)
+        monkeypatch.setattr(mna, "_splu", splu)
+        monkeypatch.setattr(backends, "_splu", splu)
+        return attempts
+
+    def test_linear_run_tries_once(self, attempts):
+        factory = lambda: rc_ladder_circuit(40, waveform=_stimulus())[0]  # noqa: E731
+        dense, _ = _run(factory, "n20", backend="dense")
+        sparse, stats = _run(factory, "n20", backend="sparse")
+        assert len(attempts) == 1
+        assert _rel_err(sparse, dense) <= REL_TOL
+        # every step solves densely and says so
+        assert stats["sparse_factorizations"] == stats["cached_solves"] == 0
+        assert stats["dense_solves"] == stats["health"]["backend_fallbacks"] > 200
+
+    def test_newton_run_tries_once(self, attempts, driver_model, receiver_model):
+        factory = _rbf_ladder_factory(driver_model, receiver_model)
+        dense, _ = _run(factory, "far", backend="dense", duration=3e-9)
+        sparse, stats = _run(factory, "far", backend="sparse", duration=3e-9)
+        assert len(attempts) == 1
+        assert _rel_err(sparse, dense) <= REL_TOL
+        assert stats["port_solves"] == 0
+        assert stats["sparse_factorizations"] == _iterations(stats)
+
+    def test_newton_sweep_tries_once_per_corner_group(
+        self, attempts, driver_model, receiver_model
+    ):
+        from repro.sweep.links import RBFLinkSpec, rbf_link_sweep
+
+        result = rbf_link_sweep(
+            _sweep_scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
+            duration=0.5e-9, spec=RBFLinkSpec(segments=60),
+        ).run()
+        stats = result.perf_stats
+        assert stats["static_groups"] == len(attempts) == 2
+        assert set(result.status.values()) == {"ok"}
+        assert all(per["port_solves"] == 0 for per in stats["per_scenario"].values())
+
+    def test_linear_sweep_tries_once_per_corner_group(self, attempts):
+        from repro.sweep.links import linear_link_sweep
+
+        result = linear_link_sweep(
+            _sweep_scenarios(), dt=1e-11, duration=0.5e-9,
+            options=TransientOptions(backend="sparse"),
+        ).run()
+        stats = result.perf_stats
+        assert stats["static_groups"] == len(attempts) == 2
+        assert stats["lane_sets"] == 1
+        assert stats["shared_factorizations"] == 0
+        assert stats["health"]["backend_fallbacks"] == 2
 
 
 class TestSweepSegments:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cosim import LinkDescription, SimulationResult
 from repro.core.lumped_rbf import CellCoefficients, HybridCellUpdate
-from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar
+from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import (
     MacromodelTermination,
     OpenTermination,
@@ -19,30 +19,32 @@ from repro.macromodel.driver import LogicStimulus
 
 class TestNewton:
     def test_linear_equation_single_iteration(self):
-        res = newton_solve_scalar(lambda x: 2 * x - 4, lambda x: 2.0, x0=0.0)
+        res = newton_solve_scalar_fused(lambda x: (2 * x - 4, 2.0), x0=0.0)
         assert res.converged
         assert res.x == pytest.approx(2.0)
         assert res.iterations == 1
 
     def test_cubic_root(self):
-        res = newton_solve_scalar(lambda x: x**3 - 8, lambda x: 3 * x**2, x0=3.0)
+        res = newton_solve_scalar_fused(lambda x: (x**3 - 8, 3 * x**2), x0=3.0)
         assert res.converged
         assert res.x == pytest.approx(2.0, rel=1e-8)
 
     def test_already_converged_zero_iterations(self):
-        res = newton_solve_scalar(lambda x: 0.0, lambda x: 1.0, x0=5.0)
+        res = newton_solve_scalar_fused(lambda x: (0.0, 1.0), x0=5.0)
         assert res.iterations == 0
         assert res.converged
 
     def test_iteration_cap_and_failure_flag(self):
         opts = NewtonOptions(max_iterations=3)
-        res = newton_solve_scalar(lambda x: np.cos(x) + 2, lambda x: -np.sin(x) + 1e-3, 0.0, opts)
+        res = newton_solve_scalar_fused(
+            lambda x: (np.cos(x) + 2, -np.sin(x) + 1e-3), 0.0, opts
+        )
         assert not res.converged
         assert res.iterations == 3
 
     def test_max_step_damping(self):
         opts = NewtonOptions(max_step=0.5, max_iterations=200)
-        res = newton_solve_scalar(lambda x: x - 10, lambda x: 1.0, 0.0, opts)
+        res = newton_solve_scalar_fused(lambda x: (x - 10, 1.0), 0.0, opts)
         # converges despite the per-iteration step cap, taking ~ 10 / 0.5 steps
         assert res.converged
         assert res.x == pytest.approx(10.0)
@@ -50,12 +52,12 @@ class TestNewton:
 
     def test_stats_accumulation_and_merge(self):
         stats = NewtonStats()
-        newton_solve_scalar(lambda x: x - 1, lambda x: 1.0, 0.0, stats=stats)
-        newton_solve_scalar(lambda x: x - 2, lambda x: 1.0, 0.0, stats=stats)
+        newton_solve_scalar_fused(lambda x: (x - 1, 1.0), 0.0, stats=stats)
+        newton_solve_scalar_fused(lambda x: (x - 2, 1.0), 0.0, stats=stats)
         assert stats.total_solves == 2
         assert stats.mean_iterations == pytest.approx(1.0)
         other = NewtonStats()
-        newton_solve_scalar(lambda x: x**3 - 8, lambda x: 3 * x**2, 10.0, stats=other)
+        newton_solve_scalar_fused(lambda x: (x**3 - 8, 3 * x**2), 10.0, stats=other)
         stats.merge(other)
         assert stats.total_solves == 3
         assert stats.max_iterations >= 2

@@ -8,6 +8,8 @@ for the MNA solver, the separable RBF evaluation and both FDTD steppers —
 and that the cached-LU path is actually hit for purely linear circuits.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -340,3 +342,17 @@ def test_use_fastpath_context_restores_default():
     with perf.use_fastpath(not before):
         assert perf.fastpath_default() is (not before)
     assert perf.fastpath_default() is before
+
+
+def test_environment_does_not_switch_off_the_fast_path(monkeypatch):
+    # engine.fast: null hashes as null, so a process-wide switch would let
+    # one content hash stand for two different waveforms.
+    from repro.api import load_spec, run
+
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    path = os.path.join(os.path.dirname(__file__), "..", "examples", "jobs",
+                        "linear_link.json")
+    spec = load_spec(path).quickened()
+    assert spec.engine.fast is None
+    assert perf.fastpath_default() is True
+    assert run(spec).perf_stats["mode"] == "fast"

@@ -24,7 +24,7 @@ from repro.circuits.elements import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.core.newton import newton_solve_scalar
+from repro.core.newton import newton_solve_scalar_fused
 from repro.core.resampling import resampled_eigenvalue, resampling_matrix
 from repro.core.stability import is_resampling_stable, simulate_scalar_test_problem
 from repro.macromodel.regressor import build_regression_data
@@ -153,7 +153,7 @@ class TestNewtonProperties:
         x0=st.floats(min_value=-5, max_value=5),
     )
     def test_affine_solved_in_one_iteration(self, root, slope, x0):
-        res = newton_solve_scalar(lambda x: slope * (x - root), lambda x: slope, x0)
+        res = newton_solve_scalar_fused(lambda x: (slope * (x - root), slope), x0)
         assert res.converged
         assert res.x == pytest.approx(root, abs=1e-6)
         assert res.iterations <= 1
@@ -161,8 +161,8 @@ class TestNewtonProperties:
     @given(a=st.floats(min_value=0.5, max_value=3.0), b=st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=30)
     def test_monotone_nonlinear_equation(self, a, b):
-        res = newton_solve_scalar(
-            lambda x: a * x + np.tanh(x) - b, lambda x: a + 1.0 / np.cosh(x) ** 2, 0.0
+        res = newton_solve_scalar_fused(
+            lambda x: (a * x + np.tanh(x) - b, a + 1.0 / np.cosh(x) ** 2), 0.0
         )
         assert res.converged
         assert abs(a * res.x + np.tanh(res.x) - b) < 1e-8

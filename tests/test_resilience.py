@@ -29,7 +29,7 @@ from repro.circuits import (
     TransientSolver,
     VoltageSource,
 )
-from repro.core.newton import NewtonStats, newton_solve_scalar
+from repro.core.newton import NewtonStats, newton_solve_scalar_fused
 from repro.resilience import (
     BACKEND_ERROR,
     BackendError,
@@ -589,8 +589,8 @@ class TestRBFSweepFaults:
 class TestScalarNewtonNanGuard:
     def test_nan_residual_bails_immediately(self):
         stats = NewtonStats()
-        result = newton_solve_scalar(
-            lambda x: float("nan"), lambda x: 1.0, 0.0, stats=stats
+        result = newton_solve_scalar_fused(
+            lambda x: (float("nan"), 1.0), 0.0, stats=stats
         )
         assert not result.converged
         assert result.iterations == 0  # no pointless march to the cap
@@ -605,7 +605,7 @@ class TestScalarNewtonNanGuard:
             return 1.0 if calls["n"] == 1 else float("nan")
 
         stats = NewtonStats()
-        result = newton_solve_scalar(residual, lambda x: 1.0, 0.0, stats=stats)
+        result = newton_solve_scalar_fused(lambda x: (residual(x), 1.0), 0.0, stats=stats)
         assert not result.converged
         assert result.iterations == 1
         assert stats.nan_failures == 1
