@@ -26,6 +26,7 @@ __all__ = [
     "ENGINES",
     "resolve_models",
     "build_sweep",
+    "run_sweep_batch",
 ]
 
 
@@ -205,17 +206,30 @@ def build_sweep(spec: SimulationSpec, models=None):
     return sweep, engine_label
 
 
-def _run_sweep(spec: SimulationSpec, models=None) -> Result:
+def run_sweep_batch(spec: SimulationSpec, models=None):
+    """Run an expanded sweep spec and return its :class:`SweepResult`.
+
+    Sharded over a process pool when the spec asks for workers or an
+    explicit shard count, the in-process sweep engine otherwise.  The
+    sweep adapter and every Monte Carlo round run through here.
+    ``build_sweep`` and ``run_sharded`` are looked up at call time, so a
+    wrapper installed on either module attribute sees every call.
+    """
     from repro.sweep.shard import resolve_worker_count, run_sharded
 
+    workers = resolve_worker_count(spec.engine.workers)
+    if workers > 1 or spec.engine.shards is not None:
+        return run_sharded(spec, workers=workers, models=models)
+    return build_sweep(spec, models=models)[0].run()
+
+
+def _run_sweep(spec: SimulationSpec, models=None) -> Result:
     dt = spec.resolved_dt()
     meta = _spec_meta(spec)
     meta["dt"] = dt
     engine_label = (
         "sweep-linear" if spec.engine.sweep_family == "linear" else "sweep-rbf"
     )
-    workers = resolve_worker_count(spec.engine.workers)
-    sharded = workers > 1 or spec.engine.shards is not None
     model_stats: dict = {}
     if models is None and spec.engine.sweep_family == "rbf":
         # An RBF sweep resolves its models once, here, before any pool
@@ -224,15 +238,13 @@ def _run_sweep(spec: SimulationSpec, models=None) -> Result:
         models = resolve_models(spec, model_stats)
     if spec.stats is not None:
         # Monte Carlo statistical sweep: the stats block is expanded into
-        # a generated scenario batch and executed through the same
-        # (sharded) path below; the statistical summary rides in meta.
+        # a generated scenario batch and executed through run_sweep_batch;
+        # the statistical summary rides in meta.
         from repro.sweep.montecarlo import run_montecarlo
 
         result, meta["montecarlo"] = run_montecarlo(spec, models=models)
-    elif sharded:
-        result = run_sharded(spec, workers=workers, models=models)
     else:
-        result = build_sweep(spec, models=models)[0].run()
+        result = run_sweep_batch(spec, models=models)
     out = Result.from_sweep_result(result, engine=engine_label, meta=meta)
     out.perf_stats.update(model_stats)
     return out

@@ -13,16 +13,25 @@ the paper's structures, where the strips run parallel to the boundaries and
 the dominant incidence is close to normal; the residual reflections show up
 only as the small late-time ripple also visible in the paper's curves.
 
-On the fast path (the default, see :mod:`repro.perf`) all per-step storage
-— the saved previous-level planes and the update scratch — is preallocated
-once, so :meth:`MurBoundary.save_previous` and :meth:`MurBoundary.apply`
-allocate nothing in the time loop; the arithmetic is unchanged from the
-naive implementation, so the results are bit-identical.  With
-``fast=False`` the original allocate-per-step implementation runs instead
-and serves as the reference oracle.
+The twelve (tangential component, face) pairs are one table, :data:`FACES`.
+:class:`MurBoundary` takes the solver's ``ex, ey, ez`` and builds each
+face's views once — its edge plane, the plane one cell inside and the
+two-plane slab holding both — so :meth:`MurBoundary.save_previous` and
+:meth:`MurBoundary.apply` are one loop over the faces each.
+
+On the fast path (the default, see :mod:`repro.perf`) the saved slabs and
+one scratch plane per face shape are preallocated, so the time loop
+allocates nothing, and a face whose every edge the grid marks PEC is
+skipped: the PEC application rewrites it right after :meth:`apply`, so its
+update and the saving of its planes are dead work.  The arithmetic is
+unchanged from the naive implementation, so the results are bit-identical.
+With ``fast=False`` the original allocate-per-step update runs on all
+twelve faces instead and serves as the reference oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,187 +39,97 @@ from repro import perf
 from repro.fdtd.constants import C0
 from repro.fdtd.grid import YeeGrid
 
-__all__ = ["MurBoundary"]
+__all__ = ["FACES", "MurBoundary"]
+
+#: The twelve faces as (tangential E component, normal axis, side), side 0
+#: being the low face (index 0) and 1 the high one (index -1), in update
+#: order: x faces, then y, then z; on each axis the low face's two
+#: components, then the high face's.  Faces meet along the domain's edges,
+#: where a later face reads and overwrites an earlier one's plane, so the
+#: order is part of the result.
+FACES = (
+    ("y", 0, 0), ("z", 0, 0), ("y", 0, 1), ("z", 0, 1),
+    ("x", 1, 0), ("z", 1, 0), ("x", 1, 1), ("z", 1, 1),
+    ("x", 2, 0), ("y", 2, 0), ("x", 2, 1), ("y", 2, 1),
+)
+
+
+def _slab(a: np.ndarray, normal: int, side: int) -> np.ndarray:
+    """View of a face's edge plane and the plane one cell inside, in that order."""
+    planes = np.moveaxis(a, normal, 0)
+    return planes[:2] if side == 0 else planes[:-3:-1]
+
+
+class _Face(NamedTuple):
+    slab: np.ndarray        # the field's (edge, inner) planes
+    edge: np.ndarray
+    inner: np.ndarray
+    coef: float
+    saved: np.ndarray       # the slab at the previous level (fast path)
+    prev_edge: np.ndarray
+    prev_inner: np.ndarray
+    buf: np.ndarray         # scratch shared by the faces of its shape
 
 
 class MurBoundary:
-    """First-order Mur ABC on the six faces of a :class:`YeeGrid`."""
+    """First-order Mur ABC on the six faces of a :class:`YeeGrid`.
 
-    def __init__(self, grid: YeeGrid, dt: float, c: float = C0, fast: bool | None = None):
+    ``ex, ey, ez`` are the solver's electric fields: the boundary keeps
+    views into them, so the solver must update them in place.
+    ``skipped`` lists the :data:`FACES` entries left to the PEC
+    application (none with ``fast=False``).
+    """
+
+    def __init__(self, grid: YeeGrid, dt: float, ex: np.ndarray, ey: np.ndarray,
+                 ez: np.ndarray, c: float = C0, fast: bool | None = None):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.dt = float(dt)
         self.fast = perf.resolve_fast(fast)
-        self.coef_x = (c * dt - grid.dx) / (c * dt + grid.dx)
-        self.coef_y = (c * dt - grid.dy) / (c * dt + grid.dy)
-        self.coef_z = (c * dt - grid.dz) / (c * dt + grid.dz)
-        if not self.fast:
-            self._saved = {}
-            self._have_saved = False
-            return
-
-        ex_shape = grid.e_shape("x")
-        ey_shape = grid.e_shape("y")
-        ez_shape = grid.e_shape("z")
-        # Saved two-plane slabs of the previous time level, keyed as
-        # "<component>_<face>"; preallocated once, refilled per step.
-        self._saved: dict[str, np.ndarray] = {
-            # x faces: tangential Ey, Ez at i = 0, 1, nx-1, nx
-            "ey_x0": np.zeros((2,) + ey_shape[1:]),
-            "ey_x1": np.zeros((2,) + ey_shape[1:]),
-            "ez_x0": np.zeros((2,) + ez_shape[1:]),
-            "ez_x1": np.zeros((2,) + ez_shape[1:]),
-            # y faces: tangential Ex, Ez at j = 0, 1, ny-1, ny
-            "ex_y0": np.zeros((ex_shape[0], 2, ex_shape[2])),
-            "ex_y1": np.zeros((ex_shape[0], 2, ex_shape[2])),
-            "ez_y0": np.zeros((ez_shape[0], 2, ez_shape[2])),
-            "ez_y1": np.zeros((ez_shape[0], 2, ez_shape[2])),
-            # z faces: tangential Ex, Ey at k = 0, 1, nz-1, nz
-            "ex_z0": np.zeros(ex_shape[:2] + (2,)),
-            "ex_z1": np.zeros(ex_shape[:2] + (2,)),
-            "ey_z0": np.zeros(ey_shape[:2] + (2,)),
-            "ey_z1": np.zeros(ey_shape[:2] + (2,)),
-        }
-        # Per-face scratch, one buffer per distinct face shape.
-        face_shapes = (
-            ey_shape[1:], ez_shape[1:],                      # x faces
-            (ex_shape[0], ex_shape[2]), (ez_shape[0], ez_shape[2]),  # y faces
-            ex_shape[:2], ey_shape[:2],                      # z faces
-        )
-        self._scratch: dict[tuple[int, ...], np.ndarray] = {}
-        for shape in face_shapes:
-            self._scratch.setdefault(shape, np.zeros(shape))
-        self._skip: frozenset[str] = frozenset()
+        fields = {"x": ex, "y": ey, "z": ez}
+        scratch: dict[tuple[int, ...], np.ndarray] = {}
+        self.faces: list[_Face] = []
+        self.skipped: list[tuple[str, int, int]] = []
+        for face in FACES:
+            component, normal, side = face
+            if self.fast and _slab(grid.pec_mask(component), normal, side)[0].all():
+                self.skipped.append(face)
+                continue
+            d = grid.spacings[normal]
+            slab = _slab(fields[component], normal, side)
+            saved = np.zeros(slab.shape)
+            buf = scratch.setdefault(slab.shape[1:], np.zeros(slab.shape[1:]))
+            self.faces.append(_Face(
+                slab, slab[0], slab[1], (c * dt - d) / (c * dt + d),
+                saved, saved[0], saved[1], buf,
+            ))
+        self._previous: list[np.ndarray] = []
         self._have_saved = False
 
-    def set_skip_faces(self, keys) -> None:
-        """Faces (by saved-plane key, e.g. ``"ex_z0"``) to leave untouched.
-
-        Used by the fast solver path for faces that are entirely PEC: the
-        PEC application rewrites them immediately after :meth:`apply`, so
-        both their boundary update and the saving of their previous planes
-        are dead work.  Only honoured on the fast path.
-        """
-        self._skip = frozenset(keys)
-
-    def save_previous(self, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray) -> None:
+    def save_previous(self) -> None:
         """Store the boundary-adjacent planes of the *previous* time level.
 
         Must be called immediately before the electric-field update.
         """
-        if not self.fast:
-            self._save_previous_reference(ex, ey, ez)
-            return
-        s = self._saved
-        sk = self._skip
-        if "ey_x0" not in sk:
-            np.copyto(s["ey_x0"], ey[0:2, :, :])
-        if "ey_x1" not in sk:
-            np.copyto(s["ey_x1"], ey[-2:, :, :])
-        if "ez_x0" not in sk:
-            np.copyto(s["ez_x0"], ez[0:2, :, :])
-        if "ez_x1" not in sk:
-            np.copyto(s["ez_x1"], ez[-2:, :, :])
-        if "ex_y0" not in sk:
-            np.copyto(s["ex_y0"], ex[:, 0:2, :])
-        if "ex_y1" not in sk:
-            np.copyto(s["ex_y1"], ex[:, -2:, :])
-        if "ez_y0" not in sk:
-            np.copyto(s["ez_y0"], ez[:, 0:2, :])
-        if "ez_y1" not in sk:
-            np.copyto(s["ez_y1"], ez[:, -2:, :])
-        if "ex_z0" not in sk:
-            np.copyto(s["ex_z0"], ex[:, :, 0:2])
-        if "ex_z1" not in sk:
-            np.copyto(s["ex_z1"], ex[:, :, -2:])
-        if "ey_z0" not in sk:
-            np.copyto(s["ey_z0"], ey[:, :, 0:2])
-        if "ey_z1" not in sk:
-            np.copyto(s["ey_z1"], ey[:, :, -2:])
+        if self.fast:
+            for face in self.faces:
+                np.copyto(face.saved, face.slab)
+        else:
+            self._previous = [face.slab.copy() for face in self.faces]
         self._have_saved = True
 
-    def _face(self, edge, inner, prev_inner, prev_edge, coef: float) -> None:
-        """``edge = prev_inner + coef * (inner - prev_edge)`` without temporaries."""
-        buf = self._scratch[edge.shape]
-        np.subtract(inner, prev_edge, out=buf)
-        buf *= coef
-        buf += prev_inner
-        np.copyto(edge, buf)
-
-    def apply(self, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray) -> None:
+    def apply(self) -> None:
         """Update the boundary tangential fields after the interior E update."""
         if not self._have_saved:
             raise RuntimeError("save_previous must be called before apply")
         if not self.fast:
-            self._apply_reference(ex, ey, ez)
+            for face, prev in zip(self.faces, self._previous):
+                face.edge[...] = prev[1] + face.coef * (face.inner - prev[0])
             return
-        s = self._saved
-        sk = self._skip
-        cx, cy, cz = self.coef_x, self.coef_y, self.coef_z
-
-        # x = 0 and x = nx faces (normal spacing dx)
-        if "ey_x0" not in sk:
-            self._face(ey[0, :, :], ey[1, :, :], s["ey_x0"][1], s["ey_x0"][0], cx)
-        if "ez_x0" not in sk:
-            self._face(ez[0, :, :], ez[1, :, :], s["ez_x0"][1], s["ez_x0"][0], cx)
-        if "ey_x1" not in sk:
-            self._face(ey[-1, :, :], ey[-2, :, :], s["ey_x1"][0], s["ey_x1"][1], cx)
-        if "ez_x1" not in sk:
-            self._face(ez[-1, :, :], ez[-2, :, :], s["ez_x1"][0], s["ez_x1"][1], cx)
-
-        # y = 0 and y = ny faces (normal spacing dy)
-        if "ex_y0" not in sk:
-            self._face(ex[:, 0, :], ex[:, 1, :], s["ex_y0"][:, 1, :], s["ex_y0"][:, 0, :], cy)
-        if "ez_y0" not in sk:
-            self._face(ez[:, 0, :], ez[:, 1, :], s["ez_y0"][:, 1, :], s["ez_y0"][:, 0, :], cy)
-        if "ex_y1" not in sk:
-            self._face(ex[:, -1, :], ex[:, -2, :], s["ex_y1"][:, 0, :], s["ex_y1"][:, 1, :], cy)
-        if "ez_y1" not in sk:
-            self._face(ez[:, -1, :], ez[:, -2, :], s["ez_y1"][:, 0, :], s["ez_y1"][:, 1, :], cy)
-
-        # z = 0 and z = nz faces (normal spacing dz)
-        if "ex_z0" not in sk:
-            self._face(ex[:, :, 0], ex[:, :, 1], s["ex_z0"][:, :, 1], s["ex_z0"][:, :, 0], cz)
-        if "ey_z0" not in sk:
-            self._face(ey[:, :, 0], ey[:, :, 1], s["ey_z0"][:, :, 1], s["ey_z0"][:, :, 0], cz)
-        if "ex_z1" not in sk:
-            self._face(ex[:, :, -1], ex[:, :, -2], s["ex_z1"][:, :, 0], s["ex_z1"][:, :, 1], cz)
-        if "ey_z1" not in sk:
-            self._face(ey[:, :, -1], ey[:, :, -2], s["ey_z1"][:, :, 0], s["ey_z1"][:, :, 1], cz)
-
-    # -- reference (allocate-per-step) implementation -----------------------
-    def _save_previous_reference(self, ex, ey, ez) -> None:
-        s = self._saved
-        s["ey_x0"] = ey[0:2, :, :].copy()
-        s["ey_x1"] = ey[-2:, :, :].copy()
-        s["ez_x0"] = ez[0:2, :, :].copy()
-        s["ez_x1"] = ez[-2:, :, :].copy()
-        s["ex_y0"] = ex[:, 0:2, :].copy()
-        s["ex_y1"] = ex[:, -2:, :].copy()
-        s["ez_y0"] = ez[:, 0:2, :].copy()
-        s["ez_y1"] = ez[:, -2:, :].copy()
-        s["ex_z0"] = ex[:, :, 0:2].copy()
-        s["ex_z1"] = ex[:, :, -2:].copy()
-        s["ey_z0"] = ey[:, :, 0:2].copy()
-        s["ey_z1"] = ey[:, :, -2:].copy()
-        self._have_saved = True
-
-    def _apply_reference(self, ex, ey, ez) -> None:
-        s = self._saved
-        cx, cy, cz = self.coef_x, self.coef_y, self.coef_z
-
-        ey[0, :, :] = s["ey_x0"][1] + cx * (ey[1, :, :] - s["ey_x0"][0])
-        ez[0, :, :] = s["ez_x0"][1] + cx * (ez[1, :, :] - s["ez_x0"][0])
-        ey[-1, :, :] = s["ey_x1"][0] + cx * (ey[-2, :, :] - s["ey_x1"][1])
-        ez[-1, :, :] = s["ez_x1"][0] + cx * (ez[-2, :, :] - s["ez_x1"][1])
-
-        ex[:, 0, :] = s["ex_y0"][:, 1, :] + cy * (ex[:, 1, :] - s["ex_y0"][:, 0, :])
-        ez[:, 0, :] = s["ez_y0"][:, 1, :] + cy * (ez[:, 1, :] - s["ez_y0"][:, 0, :])
-        ex[:, -1, :] = s["ex_y1"][:, 0, :] + cy * (ex[:, -2, :] - s["ex_y1"][:, 1, :])
-        ez[:, -1, :] = s["ez_y1"][:, 0, :] + cy * (ez[:, -2, :] - s["ez_y1"][:, 1, :])
-
-        ex[:, :, 0] = s["ex_z0"][:, :, 1] + cz * (ex[:, :, 1] - s["ex_z0"][:, :, 0])
-        ey[:, :, 0] = s["ey_z0"][:, :, 1] + cz * (ey[:, :, 1] - s["ey_z0"][:, :, 0])
-        ex[:, :, -1] = s["ex_z1"][:, :, 0] + cz * (ex[:, :, -2] - s["ex_z1"][:, :, 1])
-        ey[:, :, -1] = s["ey_z1"][:, :, 0] + cz * (ey[:, :, -2] - s["ey_z1"][:, :, 1])
+        # edge = prev_inner + coef * (inner - prev_edge), without temporaries
+        for _, edge, inner, coef, _, prev_edge, prev_inner, buf in self.faces:
+            np.subtract(inner, prev_edge, out=buf)
+            buf *= coef
+            buf += prev_inner
+            np.copyto(edge, buf)

@@ -144,7 +144,7 @@ class FDTD3DSolver:
         self._ce_z = self.dt / self._eps_z
         self._ch = self.dt / MU0
 
-        self.mur = MurBoundary(grid, self.dt, fast=self.fast)
+        self.mur = MurBoundary(grid, self.dt, self.ex, self.ey, self.ez, fast=self.fast)
 
         if self.plane_wave is not None:
             self.plane_wave.bind(grid)
@@ -166,20 +166,6 @@ class FDTD3DSolver:
                     self._diel_cache[axis] = (mask, coords, factor)
 
         if self.fast:
-            # Mur faces whose every edge is PEC are rewritten by the PEC
-            # application right after mur.apply, so their boundary update
-            # (and the saving of their previous planes) can be skipped.
-            face_masks = {
-                "ey_x0": grid.pec_y[0, :, :], "ey_x1": grid.pec_y[-1, :, :],
-                "ez_x0": grid.pec_z[0, :, :], "ez_x1": grid.pec_z[-1, :, :],
-                "ex_y0": grid.pec_x[:, 0, :], "ex_y1": grid.pec_x[:, -1, :],
-                "ez_y0": grid.pec_z[:, 0, :], "ez_y1": grid.pec_z[:, -1, :],
-                "ex_z0": grid.pec_x[:, :, 0], "ex_z1": grid.pec_x[:, :, -1],
-                "ey_z0": grid.pec_y[:, :, 0], "ey_z1": grid.pec_y[:, :, -1],
-            }
-            mur_skip = {key for key, m in face_masks.items() if bool(m.all())}
-            self.mur.set_skip_faces(mur_skip)
-
             self._pec_suppressed = {}
             if self.plane_wave is None:
                 # Without an incident field, deep-interior PEC edges (two or
@@ -357,7 +343,7 @@ class FDTD3DSolver:
                 self._kernels.update_h()
             else:
                 self._update_h()
-            self.mur.save_previous(self.ex, self.ey, self.ez)
+            self.mur.save_previous()
             if fast:
                 self._kernels.update_e()
                 if self._diel_fast:
@@ -369,7 +355,7 @@ class FDTD3DSolver:
             # Absorbing boundaries first, PEC last: conductors lying on a
             # domain face (e.g. the PCB's outer metallisation) must win over
             # the Mur update of that face.
-            self.mur.apply(self.ex, self.ey, self.ez)
+            self.mur.apply()
             if fast:
                 self._apply_pec_fast(t_new)
             else:

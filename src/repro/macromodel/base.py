@@ -68,14 +68,3 @@ class DiscreteTimePortModel(Protocol):
         Jacobian of the Gaussian RBF expansion is available in closed form.
         """
         ...
-
-
-def validate_regressors(x_v: np.ndarray, x_i: np.ndarray, r: int) -> None:
-    """Raise ``ValueError`` unless both regressors are length-``r`` vectors."""
-    x_v = np.asarray(x_v, dtype=float)
-    x_i = np.asarray(x_i, dtype=float)
-    if x_v.shape != (r,) or x_i.shape != (r,):
-        raise ValueError(
-            f"regressor vectors must have shape ({r},); "
-            f"got {x_v.shape} and {x_i.shape}"
-        )

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 from scipy.cluster.vq import kmeans2
 
-from repro.macromodel.driver import SwitchingWeights
 from repro.macromodel.rbf import GaussianRBFExpansion, RBFSubmodel
 from repro.macromodel.receiver import LinearSubmodel
 from repro.macromodel.regressor import build_regression_data
@@ -329,20 +328,3 @@ def extract_switching_weights(
     else:
         w_u[-1], w_d[-1] = 0.0, 1.0
     return w_u, w_d
-
-
-def build_switching_weights(
-    up_templates: tuple[np.ndarray, np.ndarray],
-    down_templates: tuple[np.ndarray, np.ndarray],
-    sampling_time: float,
-) -> SwitchingWeights:
-    """Assemble a :class:`SwitchingWeights` object from extracted templates."""
-    up_wu, up_wd = up_templates
-    down_wu, down_wd = down_templates
-    return SwitchingWeights(
-        template_dt=sampling_time,
-        up_wu=np.asarray(up_wu, dtype=float),
-        up_wd=np.asarray(up_wd, dtype=float),
-        down_wu=np.asarray(down_wu, dtype=float),
-        down_wd=np.asarray(down_wd, dtype=float),
-    )

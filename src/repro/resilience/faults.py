@@ -132,9 +132,11 @@ def active() -> bool:
 def set_context(scenario: Optional[str], step: Optional[int]) -> None:
     """Publish the scenario/step the solver is currently iterating.
 
-    Called by the transient solver at the top of every Newton iteration
-    (and by the sweep engine around block solves) **only while a plan is
-    installed**, so backend-level hooks can attribute their faults.
+    Called **only while a plan is installed**, so backend-level hooks can
+    attribute their faults: by the transient solver at the top of every
+    Newton iteration, and by the sweep engine before each step's lane-set
+    block solves, with no scenario (one block solve serves a whole corner
+    group).
     """
     global _CONTEXT
     _CONTEXT = (scenario, step)

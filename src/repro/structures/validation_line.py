@@ -142,11 +142,6 @@ class ValidationLineStructure:
         """y node index of the port edges (strip centreline)."""
         return self.margin_y + self.strip_width_cells // 2
 
-    @property
-    def delay_estimate(self) -> float:
-        """Nominal one-way delay (length / c); the effective value is longer."""
-        return self.strip_length_cells * self.mesh_size / C0
-
     def build_grid(self) -> YeeGrid:
         """Create the Yee grid with the strips and the port bridge wires."""
         grid = YeeGrid(self.nx, self.ny, self.nz, self.mesh_size)

@@ -138,25 +138,8 @@ def generate_scenarios(
 
 
 # ---------------------------------------------------------------------------
-# executing and merging sampled batches
+# merging sampled batches
 # ---------------------------------------------------------------------------
-
-def _execute(spec: SimulationSpec, models=None) -> SweepResult:
-    """Run an expanded (scenarios materialised, ``stats=None``) sweep spec.
-
-    Mirrors the sweep adapter's routing: sharded when the spec asks for
-    workers or an explicit shard count, the in-process sweep engine
-    otherwise — so a sampled sweep behaves exactly like the hand-written
-    sweep it expanded into.
-    """
-    from repro.api.engines import build_sweep
-    from repro.sweep.shard import resolve_worker_count, run_sharded
-
-    workers = resolve_worker_count(spec.engine.workers)
-    if workers > 1 or spec.engine.shards is not None:
-        return run_sharded(spec, workers=workers, models=models)
-    return build_sweep(spec, models=models)[0].run()
-
 
 def _round_records(part: SweepResult) -> List[dict]:
     """The pool record of each round in ``part`` (one for an unmerged round)."""
@@ -312,6 +295,8 @@ def run_montecarlo(
         accounting, eye-height/width distributions, the bathtub curve,
         the worst-case record and the per-round refinement trace.
     """
+    from repro.api.engines import run_sweep_batch
+
     stats = spec.stats
     if stats is None:
         raise ValueError("run_montecarlo needs a spec with a stats block")
@@ -319,7 +304,7 @@ def run_montecarlo(
 
     scenarios = generate_scenarios(stats)
     expanded = dataclasses.replace(spec, scenarios=scenarios, stats=None)
-    merged = _execute(expanded, models=models)
+    merged = run_sweep_batch(expanded, models=models)
     eyes = _eye_metrics(merged, stats, bit_time)
     if not eyes:
         raise ValueError(
@@ -343,7 +328,7 @@ def run_montecarlo(
             seed=[stats.seed, round_index],
             prefix=f"mc-r{round_index}-",
         )
-        part = _execute(
+        part = run_sweep_batch(
             dataclasses.replace(spec, scenarios=extra, stats=None), models=models
         )
         merged = merge_sweep_results([merged, part])

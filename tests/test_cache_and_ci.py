@@ -312,19 +312,33 @@ class TestCIPipeline:
 
     def test_quick_tier_injects_a_singular_static_factorization(self, workflow):
         # The same step runs a singular@3 plan on the sparse and the dense
-        # fixture: each run recovers (exit 0) with one backend fallback.
+        # fixture and on the linear sweep's lane sets: each run recovers
+        # (exit 0) with one backend fallback.
         test_job = workflow["jobs"]["test"]
         smoke = next(
             step["run"] for step in test_job["steps"]
             if isinstance(step, dict) and "-k resilience" in step.get("run", "")
         )
         lines = [line.strip() for line in smoke.splitlines()]
-        for fixture in ("sparse_ladder.json --quick", "rbf_link.json --quick"):
+        for fixture in ("sparse_ladder.json --quick", "rbf_link.json --quick",
+                        "linear_link.json --quick"):
             assert any(
                 line.startswith('REPRO_FAULT_PLAN="singular@3"') and fixture in line
                 for line in lines
             ), fixture
         assert "h['backend_fallbacks'] == 1" in smoke
+
+    def test_quick_tier_runs_mur_smoke(self, workflow):
+        # The 3-D FDTD suites and the Mur face-table tests run as their own
+        # named quick-tier step.
+        test_job = workflow["jobs"]["test"]
+        commands = [
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        ]
+        assert any(
+            '-k "fdtd3d or mur"' in command and 'not slow' in command
+            for command in commands
+        )
 
     def test_quick_tier_runs_sweep_lanes_smoke(self, workflow):
         # The sweep suites run as their own named quick-tier step, and the

@@ -444,6 +444,22 @@ class TestLinearSweepFaults:
         assert result.perf_stats["health"]["backend_fallbacks"] >= 1
         _assert_sweep_matches(result, clean, tol=1e-9)
 
+    def test_step_keyed_singular_fires_once_on_lane_sets(self):
+        # The block loop publishes its step, so a step-keyed plan entry
+        # fires in the first corner group's block solve at that step only.
+        scenarios = [
+            Scenario(name=f"s{k}", bit_pattern="010", corner={"load_resistance": r})
+            for k, r in enumerate((400.0, 400.0, 600.0, 600.0))
+        ]
+        sweep = self._sweep(scenarios)
+        with faults.injected(faults.Fault("singular", step=3)) as plan:
+            result = sweep.run()
+        assert result.perf_stats["static_groups"] == 2
+        assert [f["step"] for f in plan.fired] == [3]
+        assert result.perf_stats["health"]["backend_fallbacks"] == 1
+        assert all(result.status_of(sc.name) == "ok" for sc in scenarios)
+        assert result.failed_scenarios == []
+
     def test_backend_error_on_reference_path_recovers(self):
         scenarios = _scenarios(3)
         options = TransientOptions(fast=False)
