@@ -28,14 +28,12 @@ from repro.circuits.elements import (
     Capacitor,
     CapacitorBank,
     CurrentSource,
-    CurrentSourceBank,
     ElementBank,
     Inductor,
     InductorBank,
     Resistor,
     ResistorBank,
     VoltageSource,
-    VoltageSourceBank,
 )
 from repro.circuits.diode import Diode
 from repro.circuits.mosfet import Mosfet
@@ -61,8 +59,6 @@ __all__ = [
     "ResistorBank",
     "CapacitorBank",
     "InductorBank",
-    "VoltageSourceBank",
-    "CurrentSourceBank",
     "Diode",
     "Mosfet",
     "IdealTransmissionLine",

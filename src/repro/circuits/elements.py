@@ -34,8 +34,6 @@ __all__ = [
     "ResistorBank",
     "CapacitorBank",
     "InductorBank",
-    "VoltageSourceBank",
-    "CurrentSourceBank",
 ]
 
 
@@ -412,45 +410,6 @@ class CurrentSource(Element):
 # element banks: many homogeneous elements as one vectorised element
 # ---------------------------------------------------------------------------
 
-def _normalize_waveforms(waveforms, n: int, share_callables: bool = True):
-    """Split a bank's waveform spec into a constant vector and callable groups.
-
-    ``waveforms`` may be a single float (shared), a single callable (shared),
-    or a length-``n`` sequence mixing floats and callables.  Returns
-    ``(const, groups)`` where ``const`` holds the constant values and
-    ``groups`` is a list of ``(callable, member_indices)`` pairs.  With
-    ``share_callables`` (the native-bank default) a callable shared by many
-    members is evaluated once per step — requires the waveform to be a pure
-    function of ``t``; ``share_callables=False`` keeps one call per member
-    per step like the scalar elements (what the compaction pass uses, so
-    per-member call counts stay identical; waveforms should still be pure
-    functions of ``t``, as every :mod:`repro.waveforms` object is).
-    """
-    if callable(waveforms):
-        items = [waveforms] * n
-    elif np.isscalar(waveforms):
-        items = [float(waveforms)] * n
-    else:
-        items = list(waveforms)
-        if len(items) != n:
-            raise ValueError(
-                f"expected {n} waveforms (one per bank member), got {len(items)}"
-            )
-    const = np.zeros(n)
-    groups_raw: list[tuple] = []
-    by_id: dict[int, tuple] = {}
-    for k, w in enumerate(items):
-        if not callable(w):
-            const[k] = float(w)
-        elif share_callables:
-            by_id.setdefault(id(w), (w, []))[1].append(k)
-        else:
-            groups_raw.append((w, [k]))
-    groups_raw.extend(by_id.values())
-    groups = [(w, np.asarray(idx, dtype=np.intp)) for w, idx in groups_raw]
-    return const, groups
-
-
 class ElementBank(Element):
     """Base class for vectorised banks of homogeneous two-terminal elements.
 
@@ -467,18 +426,13 @@ class ElementBank(Element):
       COO triplet arrays ``(rows, cols, vals)``.  The dense backend scatters
       them with one ``np.add.at``; the sparse backend appends them to its
       COO record in one operation per bank (never per element).
-    * ``branch_names`` — the compaction pass wraps *existing* scalar
-      elements whose branch-current unknowns were already numbered by
-      :meth:`~repro.circuits.netlist.Circuit.compile`; naming them here
-      makes the bank stamp into those rows instead of a contiguous block
-      allocated under the bank's own name.
 
     Ground connections are allowed anywhere; the index caches carry masks.
     """
 
     stamp_kind = "static"
 
-    def __init__(self, name: str, nodes_a, nodes_b, branch_names=None):
+    def __init__(self, name: str, nodes_a, nodes_b):
         nodes_a = [str(n) for n in nodes_a]
         nodes_b = [str(n) for n in nodes_b]
         if len(nodes_a) != len(nodes_b):
@@ -488,9 +442,6 @@ class ElementBank(Element):
         super().__init__(name, tuple(nodes_a) + tuple(nodes_b))
         self.nodes_a = nodes_a
         self.nodes_b = nodes_b
-        if branch_names is not None and len(branch_names) != len(nodes_a):
-            raise ValueError("branch_names must name exactly one branch per element")
-        self._branch_names = list(branch_names) if branch_names is not None else None
         self._ia: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -527,14 +478,8 @@ class ElementBank(Element):
         self._mbf = self._mb.astype(float)
         self._ia_safe = np.where(self._ma, ia, 0)
         self._ib_safe = np.where(self._mb, ib, 0)
-        if self.n_branch_currents or self._branch_names is not None:
-            if self._branch_names is not None:
-                self._j = np.asarray(
-                    [compiled.branch_index(nm) for nm in self._branch_names],
-                    dtype=np.intp,
-                )
-            else:
-                self._j = compiled.branch_index(self.name) + np.arange(n, dtype=np.intp)
+        if self.n_branch_currents:
+            self._j = compiled.branch_index(self.name) + np.arange(n, dtype=np.intp)
 
     # -- vectorised stamping helpers --------------------------------------
     def _port_voltages(self, x) -> np.ndarray:
@@ -551,7 +496,7 @@ class ElementBank(Element):
         return rows, cols, vals
 
     def _incidence_coo(self):
-        """COO triplets of the branch incidence rows/columns (sources, inductors)."""
+        """COO triplets of the branch incidence rows/columns (inductor branches)."""
         ia, ib, ma, mb, j = self._ia, self._ib, self._ma, self._mb, self._j
         one_a = np.ones(int(ma.sum()))
         one_b = np.ones(int(mb.sum()))
@@ -574,11 +519,7 @@ class ElementBank(Element):
     def stamp_static(self, A, ctx: StampContext) -> None:
         self._ensure_indices(ctx.compiled)
         rows, cols, vals = self.stamp_static_coo(ctx)
-        if isinstance(A, np.ndarray):
-            np.add.at(A, (rows, cols), vals)
-        else:  # scalar COO recorder of a backend that is not bank-aware
-            for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                A[i, j] += v
+        np.add.at(A, (rows, cols), vals)
 
     def stamp_rhs(self, rhs, ctx: StampContext) -> None:
         pass
@@ -607,18 +548,15 @@ class CapacitorBank(ElementBank):
 
     The companion-model matrix stamp is static (once per run); the per-step
     history currents and the post-step state updates run as single
-    array-wide passes.  ``nodes`` are the positive terminals; ``nodes_b``
-    defaults to ground everywhere (the shunt-bank form the ladder/mesh
-    generators emit), but any node pairs are accepted.
+    array-wide passes.  Every member is a shunt from its node in ``nodes``
+    to ground, the form the ladder and mesh generators emit.
     """
 
     needs_accept = True
 
-    def __init__(self, name: str, nodes, capacitance, v0=0.0, nodes_b=None):
+    def __init__(self, name: str, nodes, capacitance, v0=0.0):
         nodes = list(nodes)
-        if nodes_b is None:
-            nodes_b = [GROUND] * len(nodes)
-        super().__init__(name, nodes, nodes_b)
+        super().__init__(name, nodes, [GROUND] * len(nodes))
         self.capacitance = self._param_array(capacitance, "capacitance")
         if np.any(self.capacitance < 0):
             raise ValueError("capacitance must be non-negative")
@@ -664,17 +602,13 @@ class InductorBank(ElementBank):
 
     needs_accept = True
 
-    def __init__(self, name: str, nodes_a, nodes_b, inductance, i0=0.0,
-                 branch_names=None):
-        super().__init__(name, nodes_a, nodes_b, branch_names=branch_names)
+    def __init__(self, name: str, nodes_a, nodes_b, inductance, i0=0.0):
+        super().__init__(name, nodes_a, nodes_b)
         self.inductance = self._param_array(inductance, "inductance")
         if np.any(self.inductance <= 0):
             raise ValueError("inductance must be positive")
         self.i0 = self._param_array(i0, "i0")
-        # With branch_names the bank stamps into the named elements'
-        # existing branch rows; claiming its own would leave N unstamped
-        # (singular) rows in the compiled system.
-        self.n_branch_currents = 0 if branch_names is not None else len(self)
+        self.n_branch_currents = len(self)
         self.reset()
 
     def reset(self) -> None:
@@ -707,55 +641,3 @@ class InductorBank(ElementBank):
     def accept(self, x, ctx: StampContext) -> None:
         self._i_prev = np.asarray(x[self._j], dtype=float)
         self._v_prev = self._port_voltages(x)
-
-
-class VoltageSourceBank(ElementBank):
-    """Many independent voltage sources (one branch unknown each) as one element."""
-
-    def __init__(self, name: str, nodes_plus, nodes_minus, waveforms,
-                 branch_names=None, share_waveforms: bool = True):
-        super().__init__(name, nodes_plus, nodes_minus, branch_names=branch_names)
-        # see InductorBank: branch_names reuses existing rows
-        self.n_branch_currents = 0 if branch_names is not None else len(self)
-        self._const, self._call_groups = _normalize_waveforms(
-            waveforms, len(self), share_callables=share_waveforms
-        )
-
-    def values(self, t: float) -> np.ndarray:
-        """Source values at time ``t`` (shared callables evaluated once)."""
-        if not self._call_groups:
-            return self._const
-        vals = self._const.copy()
-        for waveform, idx in self._call_groups:
-            vals[idx] = float(waveform(t))
-        return vals
-
-    def stamp_static_coo(self, ctx: StampContext):
-        self._ensure_indices(ctx.compiled)
-        return self._incidence_coo()
-
-    def stamp_rhs(self, rhs, ctx: StampContext) -> None:
-        self._ensure_indices(ctx.compiled)
-        rhs[self._j] += self.values(ctx.t)
-
-
-class CurrentSourceBank(ElementBank):
-    """Many independent current sources (+ node to - node) as one element."""
-
-    def __init__(self, name: str, nodes_plus, nodes_minus, waveforms,
-                 share_waveforms: bool = True):
-        super().__init__(name, nodes_plus, nodes_minus)
-        self._const, self._call_groups = _normalize_waveforms(
-            waveforms, len(self), share_callables=share_waveforms
-        )
-
-    values = VoltageSourceBank.values
-
-    def stamp_static_coo(self, ctx: StampContext):
-        self._ensure_indices(ctx.compiled)
-        empty = np.empty(0)
-        return empty.astype(np.intp), empty.astype(np.intp), empty
-
-    def stamp_rhs(self, rhs, ctx: StampContext) -> None:
-        self._ensure_indices(ctx.compiled)
-        self._scatter_current(rhs, self.values(ctx.t))

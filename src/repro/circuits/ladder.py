@@ -21,10 +21,9 @@ All generators emit vectorised element banks
 capacitors of a ladder land in one :class:`InductorBank` / one
 :class:`CapacitorBank`, mesh resistors in one :class:`ResistorBank` — so
 per-step Python element loops do not mask the solve costs.  ``banked=False``
-emits the equivalent scalar elements instead (the differential-test and
-benchmark baseline; the run-start compaction pass of
-:mod:`repro.perf.mna` re-banks them unless
-``TransientOptions(compact_banks=False)``).
+emits the equivalent scalar elements instead, the differential-test and
+benchmark baseline: every solver path stamps a netlist as written, so the
+scalar form pays one Python call per element per step.
 Every return value is an ordinary :class:`~repro.circuits.netlist.Circuit`,
 so all solver paths (naive reference, dense fast, sparse fast) run them
 unchanged.

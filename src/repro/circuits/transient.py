@@ -82,12 +82,6 @@ class TransientOptions:
         ``None``/``"auto"`` to pick dense at paper scale and sparse above
         :data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns.  Ignored
         by the reference path.
-    compact_banks:
-        Group homogeneous scalar elements (R, C, L, V, I) into vectorised
-        element banks at run start, so per-step stamping and accepts cost
-        one Python call per bank instead of one per element (default
-        ``True``); ``False`` opts this run out.  Ignored by the reference
-        path, which always stamps element by element.
     on_nonconvergence:
         What to do when a step exhausts its Newton iterations (after any
         configured retries): ``"raise"`` (default) raises a typed
@@ -111,7 +105,6 @@ class TransientOptions:
     max_delta_v: float = 1.0
     fast: bool | None = None
     backend: str | None = None
-    compact_banks: bool = True
     on_nonconvergence: str = "raise"
     retry_policy: RetryPolicy | None = None
 
@@ -122,8 +115,6 @@ class TransientOptions:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES} (or None), got {self.backend!r}"
             )
-        if not isinstance(self.compact_banks, bool):
-            raise ValueError(f"compact_banks must be True or False, got {self.compact_banks!r}")
         if self.on_nonconvergence not in NONCONVERGENCE_POLICIES:
             raise ValueError(
                 f"on_nonconvergence must be one of {NONCONVERGENCE_POLICIES}, "
@@ -198,7 +189,7 @@ class TransientRun:
     __slots__ = (
         "times", "n_steps", "step", "t", "x", "ctx", "assembler",
         "rec_idx", "recorded", "iterations", "record_nodes", "branch_keys",
-        "accept_elements", "newton_count", "step_converged", "start_time",
+        "stateful", "newton_count", "step_converged", "start_time",
         # resilience state (see TransientSolver.step_once)
         "failure", "damping_scale", "substep_committed", "last_residual",
     )
@@ -297,7 +288,6 @@ class TransientSolver:
                 self.circuit, compiled, self.dt, self.options.method,
                 self.options.gmin, shared=self.shared_static,
                 backend=self.options.backend,
-                compact_banks=self.options.compact_banks,
                 health=self.health,
             )
             run.assembler.begin_run()
@@ -341,14 +331,8 @@ class TransientSolver:
         run.iterations = np.zeros(run.n_steps + 1, dtype=int)
 
         # Only stateful elements (explicit ``needs_accept`` flag) take a
-        # per-step accept call; the fast path substitutes compacted banks,
-        # which commit their whole member set in one array-wide call.
-        if run.assembler is not None:
-            run.accept_elements = run.assembler.accept_elements()
-        else:
-            run.accept_elements = [
-                el for el in self.circuit.elements if el.needs_accept
-            ]
+        # per-step accept call, on both paths.
+        run.stateful = [el for el in self.circuit.elements if el.needs_accept]
 
         if run.rec_idx.size:
             np.take(x, run.rec_idx, out=run.recorded[0])
@@ -369,6 +353,9 @@ class TransientSolver:
         run.damping_scale = 1.0
         run.substep_committed = False
         run.last_residual = None
+        # Published with or without a fault plan: backend and shared-context
+        # health events read the step from it.
+        _faults.set_context(self.label, run.step)
         if run.assembler is not None:
             run.ctx = run.assembler.begin_step(run.t)
         else:
@@ -385,8 +372,6 @@ class TransientSolver:
         opts = self.options
         n_nodes = self.compiled.n_nodes
         x = run.x
-        if _faults.PLAN is not None:
-            _faults.set_context(self.label, run.step)
         if run.assembler is not None:
             A, rhs = run.assembler.iterate(x, run.ctx)
             x_new = run.assembler.solve(A, rhs)
@@ -440,9 +425,9 @@ class TransientSolver:
             # through its sub-steps; a second accept would double-commit.
             run.substep_committed = False
         else:
-            for element in run.accept_elements:
+            for element in run.stateful:
                 element.accept(run.x, run.ctx)
-            self.perf_stats["accept_calls"] += len(run.accept_elements)
+            self.perf_stats["accept_calls"] += len(run.stateful)
         if run.rec_idx.size:
             np.take(run.x, run.rec_idx, out=run.recorded[run.step])
 
@@ -510,17 +495,16 @@ class TransientSolver:
         if run.assembler is not None:
             run.ctx = run.assembler.begin_step(run.t)
 
-    def _supports_local_dt(self, run: TransientRun) -> bool:
-        elements = (run.assembler.elements if run.assembler is not None
-                    else self.circuit.elements)
-        return all(getattr(el, "supports_local_dt", True) for el in elements)
+    def _supports_local_dt(self) -> bool:
+        return all(getattr(el, "supports_local_dt", True)
+                   for el in self.circuit.elements)
 
     def _substep_interval(self, run: TransientRun, x_prev: np.ndarray,
                           n_sub: int) -> bool:
         """Advance the open step's interval in ``n_sub`` dense sub-steps.
 
         The robust degradation rung of the retry ladder: a plain dense
-        assembly over the run's element list (banks included — their stamps
+        assembly over the circuit's elements (banks included — their stamps
         honour ``ctx.dt``), Newton per sub-step, element accepts per
         sub-step.  On success the element state is already committed at
         ``run.t`` and ``run.substep_committed`` tells :meth:`end_step` to
@@ -529,9 +513,8 @@ class TransientSolver:
         """
         compiled = self.compiled
         opts = self.options
-        elements = (run.assembler.elements if run.assembler is not None
-                    else self.circuit.elements)
-        stateful = [el for el in elements if el.needs_accept]
+        elements = self.circuit.elements
+        stateful = run.stateful
         snapshot = [copy.deepcopy(el.__dict__) for el in stateful]
         self.health.dt_halvings += 1
         sub_dt = self.dt / n_sub
@@ -592,7 +575,7 @@ class TransientSolver:
         damping and, when every element supports a local dt, advance the
         interval in ``2, 4, ...`` sub-steps through the robust dense path.
         """
-        halving_ok = policy.dt_halving and self._supports_local_dt(run)
+        halving_ok = policy.dt_halving and self._supports_local_dt()
         for attempt in range(1, policy.max_retries + 1):
             self.health.retries += 1
             if attempt >= 2:

@@ -19,6 +19,11 @@ This module splits that work by how often it actually changes:
   are re-stamped on top of the cached static parts, using their
   index-cached ``stamp_fast`` when available.
 
+The assembler stamps, steps and accepts the circuit's own element list, as
+written, like the reference path: a vectorised
+:class:`~repro.circuits.elements.ElementBank` (the R/C/L banks the ladder
+and mesh generators emit) is one element, and scalar elements stay scalar.
+
 *How* the matrix is stored, re-stamped and solved is delegated to a
 pluggable :class:`~repro.perf.backends.LinearSolverBackend`: the dense
 LAPACK backend (preallocated ``(n, n)`` arrays, ``dgesv``, cached
@@ -46,20 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lu_factor as _lu_factor
 
-from repro.circuits.elements import (
-    Capacitor,
-    CapacitorBank,
-    CurrentSource,
-    CurrentSourceBank,
-    ElementBank,
-    Inductor,
-    InductorBank,
-    Resistor,
-    ResistorBank,
-    StampContext,
-    VoltageSource,
-    VoltageSourceBank,
-)
+from repro.circuits.elements import ElementBank, StampContext
 from repro.perf.backends import SPARSE_THRESHOLD, make_backend, _lu_solve, _splu
 from repro.resilience import SINGULAR_MATRIX, RunHealth, SolveFailure
 from repro.resilience import faults as _faults
@@ -71,116 +63,7 @@ __all__ = [
     "FastPathAssembler",
     "SharedStaticContext",
     "SPARSE_THRESHOLD",
-    "compact_elements",
 ]
-
-
-# ---------------------------------------------------------------------------
-# bank compaction: group homogeneous scalar elements into vectorised banks
-# ---------------------------------------------------------------------------
-
-#: a group needs at least this many members before compaction pays for itself
-COMPACTION_MIN_GROUP = 2
-
-
-def _bank_from_group(kind, members, tag: int):
-    """A synthetic bank stamping/accepting exactly like the scalar ``members``.
-
-    The members were already compiled into the circuit, so banks with branch
-    unknowns (inductors, voltage sources) address the members' existing rows
-    via ``branch_names`` instead of a block of their own.  Companion-model
-    state is copied from the members so compaction is valid even when a
-    caller assembles mid-run state (the solver compacts right after reset).
-    """
-    name = f"__bank{tag}_{kind.__name__.lower()}"
-    nodes_a = [el.nodes[0] for el in members]
-    nodes_b = [el.nodes[1] for el in members]
-    if kind is Resistor:
-        return ResistorBank(name, nodes_a, nodes_b,
-                            [el.resistance for el in members])
-    if kind is Capacitor:
-        bank = CapacitorBank(name, nodes_a, [el.capacitance for el in members],
-                             v0=[el.v0 for el in members], nodes_b=nodes_b)
-        bank._v_prev = np.asarray([el._v_prev for el in members], dtype=float)
-        bank._i_prev = np.asarray([el._i_prev for el in members], dtype=float)
-        return bank
-    if kind is Inductor:
-        bank = InductorBank(name, nodes_a, nodes_b,
-                            [el.inductance for el in members],
-                            i0=[el.i0 for el in members],
-                            branch_names=[el.name for el in members])
-        bank._i_prev = np.asarray([el._i_prev for el in members], dtype=float)
-        bank._v_prev = np.asarray([el._v_prev for el in members], dtype=float)
-        return bank
-    # share_waveforms=False keeps one callable invocation per member per
-    # step — the scalar elements' call count and per-kind order.  (Only
-    # the cross-kind interleaving can differ, and only for a waveform
-    # object that is not a pure function of t, which no solver path
-    # supports order-stably anyway: the reference path re-evaluates per
-    # Newton iteration.)
-    waveforms = [
-        el._const_value if el._const_value is not None else el.waveform
-        for el in members
-    ]
-    if kind is VoltageSource:
-        return VoltageSourceBank(name, nodes_a, nodes_b, waveforms,
-                                 branch_names=[el.name for el in members],
-                                 share_waveforms=False)
-    return CurrentSourceBank(name, nodes_a, nodes_b, waveforms,
-                             share_waveforms=False)
-
-
-_BANKABLE = (Resistor, Capacitor, Inductor, VoltageSource, CurrentSource)
-
-#: behaviour hooks whose presence in an instance ``__dict__`` marks the
-#: element as customised — a bank would silently drop the override
-#: (``value`` is the hook the source stamps actually call per step)
-_BEHAVIOUR_HOOKS = (
-    "accept", "needs_accept", "reset", "value",
-    "stamp", "stamp_static", "stamp_rhs", "stamp_fast", "prepare_fast",
-)
-
-
-def _is_plain(element) -> bool:
-    """Whether an element carries no instance-level behaviour overrides."""
-    instance_dict = element.__dict__
-    return not any(hook in instance_dict for hook in _BEHAVIOUR_HOOKS)
-
-
-def compact_elements(elements, min_group: int = COMPACTION_MIN_GROUP):
-    """Group homogeneous scalar elements into banks for one assembler run.
-
-    Only exact, uncustomised instances of the five stock scalar kinds are
-    grouped: subclasses and elements with instance-installed behaviour
-    (e.g. a per-instance ``accept`` probe) may carry extra semantics a
-    synthetic bank would silently drop, so they pass through untouched.
-    Each bank replaces its first member's position in the element order.
-    Returns ``(effective_elements, n_compacted)`` where ``n_compacted``
-    counts the scalar elements absorbed into banks.
-    """
-    elements = list(elements)
-    groups: dict[type, list[int]] = {}
-    for idx, el in enumerate(elements):
-        if type(el) in _BANKABLE and _is_plain(el):
-            groups.setdefault(type(el), []).append(idx)
-    groups = {kind: idxs for kind, idxs in groups.items() if len(idxs) >= min_group}
-    if not groups:
-        return elements, 0
-    absorbed = {idx: kind for kind, idxs in groups.items() for idx in idxs}
-    out = []
-    emitted: set[type] = set()
-    compacted = 0
-    for tag, el in enumerate(elements):
-        kind = absorbed.get(tag)
-        if kind is not None:
-            if kind not in emitted:
-                emitted.add(kind)
-                members = [elements[idx] for idx in groups[kind]]
-                out.append(_bank_from_group(kind, members, tag))
-                compacted += len(members)
-        else:
-            out.append(el)
-    return out, compacted
 
 
 class SharedStaticContext:
@@ -288,8 +171,9 @@ class SharedStaticContext:
     def _note_singular(self, message: str, **context) -> None:
         """Record a singular static factorization in the unified taxonomy."""
         self.factor_error = message
+        scenario, step = _faults._CONTEXT
         self.health.note_backend_fallback(SolveFailure(
-            SINGULAR_MATRIX, message=message,
+            SINGULAR_MATRIX, step=step, scenario=scenario, message=message,
             context={"site": "shared_static", **context},
         ))
 
@@ -323,8 +207,9 @@ class SharedStaticContext:
         if self.fell_back:
             # Singular/ill-posed system: per-column robust fallback, counted
             # through the same taxonomy as every other singular-solve event.
+            scenario, step = _faults._CONTEXT
             self.health.note_backend_fallback(SolveFailure(
-                SINGULAR_MATRIX,
+                SINGULAR_MATRIX, step=step, scenario=scenario,
                 message="block solve singular/non-finite; least-squares fallback",
                 context={"site": "solve_block", "columns": int(rhs_block.shape[1])},
             ))
@@ -356,12 +241,6 @@ class FastPathAssembler:
         Linear-solver backend: ``"dense"``, ``"sparse"`` or ``None``/
         ``"auto"`` (dense at paper scale, sparse above
         :data:`~repro.perf.backends.SPARSE_THRESHOLD` unknowns).
-    compact_banks:
-        Group homogeneous scalar elements into vectorised
-        :class:`~repro.circuits.elements.ElementBank` instances for this
-        run (default ``True``).  Compaction changes neither the unknown
-        numbering nor the stamped values — only how many Python calls
-        each step costs.
     health:
         Optional :class:`~repro.resilience.RunHealth` accumulator the
         backends record degraded solves (singular fallbacks) into; the
@@ -379,7 +258,6 @@ class FastPathAssembler:
         gmin: float,
         shared: SharedStaticContext | None = None,
         backend: str | None = None,
-        compact_banks: bool = True,
         health: RunHealth | None = None,
     ):
         self.circuit = circuit
@@ -390,15 +268,8 @@ class FastPathAssembler:
         #: the run's static network and its factors
         self.static = shared if shared is not None else SharedStaticContext()
         self.health = health if health is not None else RunHealth()
-        self.compact_banks = compact_banks
 
-        elements = list(circuit.elements)
-        compacted = 0
-        if self.compact_banks:
-            elements, compacted = compact_elements(elements)
-        #: the element list this run assembles/accepts (banks substituted)
-        self.elements = elements
-
+        elements = circuit.elements
         self.static_elements = [
             el for el in elements if getattr(el, "stamp_kind", "dynamic") == "static"
         ]
@@ -421,23 +292,13 @@ class FastPathAssembler:
             "factorizations": 0,
             "cached_solves": 0,
             "dense_solves": 0,
-            "bank_compaction": self.compact_banks,
             "banked_elements": sum(
                 len(el) for el in elements if isinstance(el, ElementBank)
             ),
-            "compacted_elements": compacted,
             "accept_calls": 0,
         }
         self.backend = make_backend(backend, self)
         self.stats["backend"] = self.backend.name
-
-    def accept_elements(self) -> list:
-        """The elements whose ``accept`` must run after every converged step.
-
-        Banks commit their whole member set in one array-wide call, so the
-        per-step accept loop shrinks to one entry per bank.
-        """
-        return [el for el in self.elements if el.needs_accept]
 
     # -- assembly ---------------------------------------------------------
     def begin_run(self) -> None:

@@ -28,7 +28,7 @@ many times the fault fires before burning out (``*`` = unlimited — a
 The hot solver paths guard every hook behind ``faults.PLAN is not None``,
 so an idle injector costs one attribute load.  Sites that lack natural
 access to the step/scenario (the backend seam) read the ambient context
-the solver publishes via :func:`set_context`.
+the solver publishes via :func:`set_context` at every step.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class FaultPlan:
 #: the installed plan, or None (the idle fast-path check every hook uses)
 PLAN: FaultPlan | None = None
 
-#: ambient (scenario, step) published by the solver for backend-seam hooks
+#: ambient (scenario, step) the solver publishes for the backend seam's
+#: fault hooks and health events
 _CONTEXT: tuple[Optional[str], Optional[int]] = (None, None)
 
 
@@ -130,13 +131,14 @@ def active() -> bool:
 
 
 def set_context(scenario: Optional[str], step: Optional[int]) -> None:
-    """Publish the scenario/step the solver is currently iterating.
+    """Publish the scenario/step the solver is currently stepping.
 
-    Called **only while a plan is installed**, so backend-level hooks can
-    attribute their faults: by the transient solver at the top of every
-    Newton iteration, and by the sweep engine before each step's lane-set
-    block solves, with no scenario (one block solve serves a whole corner
-    group).
+    Called once per step whether or not a plan is installed: by the
+    transient solver when it opens a step, and by the sweep engine before
+    each step's lane-set block solves, with no scenario (one block solve
+    serves a whole corner group).  Backend-level fault hooks take their
+    faults by it, and the backends' and the shared static context's health
+    events read their step and scenario from it.
     """
     global _CONTEXT
     _CONTEXT = (scenario, step)

@@ -341,8 +341,7 @@ class CircuitSweep:
                 for step in range(block_start, block_stop):
                     for lanes in lane_sets:
                         lanes.stamp(step)
-                    if _faults.PLAN is not None:
-                        _faults.set_context(None, step)
+                    _faults.set_context(None, step)
                     solve_groups(step)
                     for lanes in lane_sets:
                         lanes.accept(step)

@@ -37,9 +37,9 @@ Every array operation repeats the arithmetic of the scalar element code
 elementwise and in the same order, and each row of the RHS receives its
 additions in the same order, so each lane holds the bits its scenario
 would compute stepped on its own.  An element with no lane form here (a
-subclass, an element with instance-level hooks, a source bank, any other
-static kind) keeps its own ``stamp_rhs`` / ``accept``, called once per
-lane per step on column views of the lane set's arrays.
+subclass, an element with instance-level hooks, any other static kind)
+keeps its own ``stamp_rhs`` / ``accept``, called once per lane per step
+on column views of the lane set's arrays.
 """
 
 from __future__ import annotations
@@ -60,10 +60,23 @@ from repro.circuits.elements import (
     VoltageSource,
 )
 from repro.circuits.tline import IdealTransmissionLine
-from repro.perf.mna import _is_plain
 from repro.waveforms.signals import BitPattern
 
 __all__ = ["LaneSet", "topology_key"]
+
+#: behaviour hooks whose presence in an instance ``__dict__`` marks the
+#: element as customised — a lane form would silently drop the override
+#: (``value`` is the hook the source stamps actually call per step)
+_BEHAVIOUR_HOOKS = (
+    "accept", "needs_accept", "reset", "value",
+    "stamp", "stamp_static", "stamp_rhs", "stamp_fast", "prepare_fast",
+)
+
+
+def _is_plain(element) -> bool:
+    """Whether an element carries no instance-level behaviour overrides."""
+    instance_dict = element.__dict__
+    return not any(hook in instance_dict for hook in _BEHAVIOUR_HOOKS)
 
 
 def topology_key(run) -> tuple:
@@ -73,10 +86,7 @@ def topology_key(run) -> tuple:
         compiled.n_unknowns,
         tuple(compiled.node_index.items()),
         tuple(compiled.branch_offset.items()),
-        tuple(
-            (type(el), el.name, el.nodes, tuple(getattr(el, "_branch_names", None) or ()))
-            for el in run.assembler.elements
-        ),
+        tuple((type(el), el.name, el.nodes) for el in run.assembler.circuit.elements),
     )
 
 
@@ -376,7 +386,7 @@ class LaneSet:
             return read_rows.index(row)
 
         self.lanes = []
-        for elements in zip(*(run.assembler.elements for run in runs)):
+        for elements in zip(*(run.assembler.circuit.elements for run in runs)):
             lane = _lane(list(elements), asm.compiled, self.times, self.method,
                          self.dt, read_pos)
             if lane is not None:

@@ -313,7 +313,7 @@ class TestCIPipeline:
     def test_quick_tier_injects_a_singular_static_factorization(self, workflow):
         # The same step runs a singular@3 plan on the sparse and the dense
         # fixture and on the linear sweep's lane sets: each run recovers
-        # (exit 0) with one backend fallback.
+        # (exit 0) with one backend fallback, whose event names step 3.
         test_job = workflow["jobs"]["test"]
         smoke = next(
             step["run"] for step in test_job["steps"]
@@ -327,6 +327,7 @@ class TestCIPipeline:
                 for line in lines
             ), fixture
         assert "h['backend_fallbacks'] == 1" in smoke
+        assert "h['events'][0]['step'] == 3" in smoke
 
     def test_quick_tier_runs_mur_smoke(self, workflow):
         # The 3-D FDTD suites and the Mur face-table tests run as their own

@@ -1,16 +1,15 @@
-"""Element-bank layer: banked-vs-scalar equivalence and compaction (PR 5).
+"""Element-bank layer: banked-vs-scalar equivalence, one element list.
 
 Pins the contracts of the vectorised element banks
-(:mod:`repro.circuits.elements`) and the run-start bank compaction pass
-(:mod:`repro.perf.mna`):
+(:mod:`repro.circuits.elements`) and of the fast MNA path
+(:mod:`repro.perf.mna`), which stamps a netlist as written:
 
 * banked and scalar netlists produce waveforms within 1e-12 relative on
   RC / RLC / ladder / mesh circuits, across both solver backends, for
-  linear and nonlinear (RBF receiver) cases, with compaction forced on
-  and off;
-* the compaction pass groups homogeneous scalar elements without edits to
-  the netlist, honours ``TransientOptions(compact_banks=False)``, and
-  reports ``banked_elements`` / ``accept_calls`` through ``perf_stats``;
+  linear and nonlinear (RBF receiver) cases;
+* scalar netlists with instance-customised elements and recorded branch
+  currents match the reference path, and both paths accept exactly the
+  circuit's own stateful elements, counted in ``perf_stats``;
 * the per-step accept list is built from the explicit ``needs_accept``
   flag (regression: the old bound-method comparison silently skipped
   accepts not defined directly on the leaf class);
@@ -31,14 +30,12 @@ from repro.circuits.elements import (
     Capacitor,
     CapacitorBank,
     CurrentSource,
-    CurrentSourceBank,
     Element,
     Inductor,
     InductorBank,
     Resistor,
     ResistorBank,
     VoltageSource,
-    VoltageSourceBank,
 )
 from repro.circuits.ladder import (
     add_lc_ladder,
@@ -47,7 +44,7 @@ from repro.circuits.ladder import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.perf.mna import FastPathAssembler, compact_elements
+from repro.perf.mna import FastPathAssembler
 from repro.waveforms.signals import BitPattern
 
 REL_TOL = 1e-12
@@ -64,11 +61,11 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-30)
 
 
-def _run(circuit_factory, probe, backend=None, fast=None, compact=True,
+def _run(circuit_factory, probe, backend=None, fast=None,
          duration=1.2e-9, dt=1e-11, record_branches=[]):
     solver = TransientSolver(
         circuit_factory(), dt,
-        options=TransientOptions(fast=fast, backend=backend, compact_banks=compact),
+        options=TransientOptions(fast=fast, backend=backend),
     )
     result = solver.run(duration, record_nodes=[probe] if probe else None,
                         record_branches=record_branches)
@@ -114,25 +111,20 @@ class TestBankedVsScalarWaveforms:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_linear_families(self, family, backend, compact):
+    def test_linear_families(self, family, backend):
         builders, probe, duration = FAMILIES[family]
         ref, _ = _run(builders(False), probe, fast=False, duration=duration)
         ref = ref.voltage(probe)
         assert np.max(np.abs(ref)) > 0.1  # the probe actually sees the signal
-        # native banks, and the compaction pass over the scalar netlist
         banked, banked_stats = _run(builders(True), probe, backend=backend,
-                                    compact=compact, duration=duration)
+                                    duration=duration)
         scalar, scalar_stats = _run(builders(False), probe, backend=backend,
-                                    compact=compact, duration=duration)
+                                    duration=duration)
         assert _rel_err(banked.voltage(probe), ref) <= REL_TOL
         assert _rel_err(scalar.voltage(probe), ref) <= REL_TOL
         assert banked_stats["backend"] == backend
         assert banked_stats["banked_elements"] > 0
-        if compact:
-            # compaction re-banks the scalar netlist without edits
-            assert scalar_stats["banked_elements"] > 0
-            assert scalar_stats["compacted_elements"] > 0
+        assert scalar_stats["banked_elements"] == 0  # stamped as written
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_integration_methods_match(self, backend):
@@ -150,9 +142,7 @@ class TestBankedVsScalarWaveforms:
             assert _rel_err(wave, ref) <= REL_TOL
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_nonlinear_rbf_receiver(self, backend, compact, driver_model,
-                                    receiver_model):
+    def test_nonlinear_rbf_receiver(self, backend, driver_model, receiver_model):
         from repro.circuits.rbf_element import MacromodelElement
         from repro.macromodel.driver import LogicStimulus
 
@@ -175,7 +165,7 @@ class TestBankedVsScalarWaveforms:
 
         ref, _ = _run(build(False), "far", fast=False, duration=3e-9, dt=dt)
         ref = ref.voltage("far")
-        banked, stats = _run(build(True), "far", backend=backend, compact=compact,
+        banked, stats = _run(build(True), "far", backend=backend,
                              duration=3e-9, dt=dt)
         assert np.max(np.abs(ref)) > 0.5
         assert _rel_err(banked.voltage("far"), ref) <= REL_TOL
@@ -189,7 +179,7 @@ class TestBankStamps:
     def _assemble(self, circuit, backend="dense", dt=1e-11):
         compiled = circuit.compile()
         asm = FastPathAssembler(circuit, compiled, dt, "trapezoidal", 1e-12,
-                                backend=backend, compact_banks=False)
+                                backend=backend)
         asm.begin_run()
         ctx = asm.begin_step(dt)
         A, rhs = asm.iterate(np.zeros(compiled.n_unknowns), ctx)
@@ -251,93 +241,12 @@ class TestBankStamps:
                            scalar.branch_current(scalar_key))
             assert err <= REL_TOL
 
-    def test_source_banks_mixed_constant_and_callable(self):
-        wave = _stimulus()
-
-        def build(banked):
-            def factory():
-                circuit = Circuit("sources")
-                if banked:
-                    circuit.add(VoltageSourceBank(
-                        "vbank", ["a", "b"], [GROUND, GROUND], [wave, 1.8]
-                    ))
-                    circuit.add(CurrentSourceBank(
-                        "ibank", ["c", GROUND], [GROUND, "c"], [1e-3, wave]
-                    ))
-                else:
-                    circuit.add(VoltageSource("v0", "a", GROUND, wave))
-                    circuit.add(VoltageSource("v1", "b", GROUND, 1.8))
-                    circuit.add(CurrentSource("i0", "c", GROUND, 1e-3))
-                    circuit.add(CurrentSource("i1", GROUND, "c", wave))
-                for node, r in (("a", 100.0), ("b", 200.0), ("c", 300.0)):
-                    circuit.add(Resistor(f"r_{node}", node, GROUND, r))
-                circuit.add(Capacitor("cc", "c", GROUND, 1e-12))
-                return circuit
-            return factory
-
-        scalar, _ = _run(build(False), None, fast=False)
-        for backend in ("dense", "sparse"):
-            banked, _ = _run(build(True), None, backend=backend)
-            for node in ("a", "b", "c"):
-                err = _rel_err(banked.voltage(node), scalar.voltage(node))
-                assert err <= REL_TOL
-
-    def test_shared_callable_evaluated_once_per_step(self):
-        calls = {"n": 0}
-
-        def wave(t):
-            calls["n"] += 1
-            return 1.0
-
-        bank = VoltageSourceBank("vb", ["a", "b", "c"],
-                                 [GROUND, GROUND, GROUND], wave)
-        values = bank.values(0.5)
-        assert calls["n"] == 1
-        np.testing.assert_allclose(values, [1.0, 1.0, 1.0])
-
-    def test_branch_names_banks_claim_no_extra_unknowns(self):
-        # A bank addressing existing scalar branch rows via branch_names
-        # must not allocate a block of its own (the rows would stay
-        # unstamped and make the system singular).
-        lb = InductorBank("lb", ["a"], ["b"], 1e-9, branch_names=["l0"])
-        assert lb.n_branch_currents == 0
-        vb = VoltageSourceBank("vb", ["a"], [GROUND], [1.0], branch_names=["v0"])
-        assert vb.n_branch_currents == 0
-        # native banks keep one branch unknown per member
-        assert InductorBank("lb2", ["a"], ["b"], 1e-9).n_branch_currents == 1
-        assert VoltageSourceBank("vb2", ["a"], [GROUND], [1.0]).n_branch_currents == 1
-
-    def test_impure_shared_waveform_matches_scalar_under_compaction(self):
-        # Two scalar sources sharing one impure callable: the scalar fast
-        # path calls it once per source per step (stamp_rhs), and the
-        # compaction bridge must preserve exactly that call pattern
-        # (share_waveforms=False), not fold the calls into one per step.
-        def make_factory(calls):
-            counter = iter(range(10_000))
-
-            def wave(t):
-                calls.append(t)
-                return 1.0 + 0.1 * (next(counter) % 2)
-
-            def factory():
-                circuit = Circuit("impure")
-                circuit.add(VoltageSource("v0", "a", GROUND, wave))
-                circuit.add(VoltageSource("v1", "b", GROUND, wave))
-                circuit.add(Resistor("ra", "a", GROUND, 100.0))
-                circuit.add(Resistor("rb", "b", GROUND, 100.0))
-                return circuit
-            return factory
-
-        scalar_calls, banked_calls = [], []
-        scalar, _ = _run(make_factory(scalar_calls), None, backend="dense",
-                         compact=False, duration=1e-10)
-        banked, stats = _run(make_factory(banked_calls), None, backend="dense",
-                             compact=True, duration=1e-10)
-        assert stats["compacted_elements"] == 4  # both sources did compact
-        assert len(scalar_calls) == 20  # 10 steps x 2 sources
-        assert len(banked_calls) == len(scalar_calls)
-        for node in ("a", "b"):
-            assert _rel_err(banked.voltage(node), scalar.voltage(node)) <= REL_TOL
+    def test_inductor_bank_claims_one_branch_unknown_per_member(self):
+        bank = InductorBank("lb", ["a", "b", "c"], ["b", "c", GROUND], 1e-9)
+        assert bank.n_branch_currents == 3
+        circuit = Circuit("lbank")
+        circuit.add(bank)
+        assert circuit.compile().n_unknowns == 3 + 3  # nodes a, b, c + branches
 
     def test_bank_validation_errors(self):
         with pytest.raises(ValueError, match="same length"):
@@ -352,64 +261,36 @@ class TestBankStamps:
             CapacitorBank("c", ["a"], -1e-12)
         with pytest.raises(ValueError, match="one value per bank member"):
             CapacitorBank("c", ["a", "b"], [1e-12, 2e-12, 3e-12])
-        with pytest.raises(ValueError, match="one per bank member"):
-            VoltageSourceBank("v", ["a", "b"], [GROUND, GROUND], [1.0])
-        with pytest.raises(ValueError, match="one branch per element"):
-            InductorBank("l", ["a"], [GROUND], 1e-9, branch_names=["x", "y"])
 
 
-class TestCompactionPass:
-    def test_groups_and_counters(self):
-        factory = _rc_ladder(False)
-        result, stats = _run(factory, "n20", backend="dense", compact=True)
-        n_steps = result.times.size - 1
-        # 40 R + 1 rload + 40 C compacted into two banks; vin stays scalar
-        # (group of one).
-        assert stats["bank_compaction"] is True
-        assert stats["compacted_elements"] == 81
-        assert stats["banked_elements"] == 81
-        # one accept call per step: only the capacitor bank carries state
-        assert stats["accept_calls"] == n_steps
+class TestScalarNetlistsOnFastPath:
+    """The fast path stamps scalar netlists as written: it matches the reference."""
 
-    def test_option_opt_out(self):
-        _, stats = _run(_rc_ladder(False), "n20", backend="dense", compact=False)
-        assert stats["bank_compaction"] is False
-        assert stats["compacted_elements"] == 0
-        assert stats["banked_elements"] == 0
+    def test_instance_accept_hook_runs_on_both_paths(self):
+        # A stock element with an instance-installed accept hook keeps it on
+        # the fast path, as on the reference path.
+        def factory(calls):
+            def build():
+                probe = Resistor("rp", "a", GROUND, 100.0)
+                probe.needs_accept = True
+                probe.accept = lambda x, ctx: calls.append(float(ctx.t))
+                circuit = Circuit("probe-hook")
+                circuit.add(VoltageSource("vin", "a", GROUND, _stimulus()))
+                circuit.add(probe)
+                circuit.add(Resistor("r1", "a", "b", 50.0))
+                circuit.add(Resistor("r2", "b", GROUND, 50.0))
+                return circuit
+            return build
 
-    def test_subclasses_pass_through_uncompacted(self):
-        class SenseResistor(Resistor):
-            """A subclass with extra behaviour must never be absorbed."""
+        ref_calls, fast_calls = [], []
+        ref, _ = _run(factory(ref_calls), "b", fast=False, duration=1e-10)
+        fast, _ = _run(factory(fast_calls), "b", backend="dense", duration=1e-10)
+        assert len(fast_calls) == len(ref_calls) == 10
+        assert _rel_err(fast.voltage("b"), ref.voltage("b")) <= REL_TOL
 
-        elements = [SenseResistor(f"r{k}", f"n{k}", GROUND, 1.0) for k in range(5)]
-        out, compacted = compact_elements(elements)
-        assert compacted == 0
-        assert out == elements
-
-    def test_instance_customised_element_passes_through(self):
-        # A stock element with an instance-installed behaviour hook must
-        # never be absorbed into a bank (the bank would silently drop the
-        # override) — but its uncustomised siblings still compact.
-        calls = []
-        probe = Resistor("rp", "a", GROUND, 100.0)
-        probe.needs_accept = True
-        probe.accept = lambda x, ctx: calls.append(float(ctx.t))
-
-        circuit = Circuit("probe-compaction")
-        circuit.add(VoltageSource("vin", "a", GROUND, 1.0))
-        circuit.add(probe)
-        circuit.add(Resistor("r1", "a", "b", 50.0))
-        circuit.add(Resistor("r2", "b", GROUND, 50.0))
-        solver = TransientSolver(
-            circuit, 1e-11, TransientOptions(compact_banks=True)
-        )
-        solver.run(1e-10, record_branches=[])
-        assert len(calls) == 10  # the probe's accept ran despite compaction
-        assert solver.perf_stats["compacted_elements"] == 2  # r1 + r2 only
-
-    def test_instance_value_override_passes_through(self):
+    def test_instance_value_override_matches_reference(self):
         # ``value`` is the hook the source stamps call per step; an
-        # instance override must keep the source out of any bank.
+        # instance override must reach the fast path's stamps.
         def factory():
             circuit = Circuit("value-override")
             custom = VoltageSource("v0", "a", GROUND, 1.0)
@@ -422,23 +303,10 @@ class TestCompactionPass:
             return circuit
 
         ref, _ = _run(factory, "c", fast=False, duration=1e-10)
-        compacted, stats = _run(factory, "c", backend="dense", compact=True,
-                                duration=1e-10)
-        assert _rel_err(compacted.voltage("c"), ref.voltage("c")) <= REL_TOL
-        assert stats["compacted_elements"] == 3  # resistors only; v0 + v1 scalar
+        fast, _ = _run(factory, "c", backend="dense", duration=1e-10)
+        assert _rel_err(fast.voltage("c"), ref.voltage("c")) <= REL_TOL
 
-    def test_small_groups_stay_scalar(self):
-        elements = [
-            Resistor("r0", "a", GROUND, 1.0),
-            Capacitor("c0", "a", GROUND, 1e-12),
-        ]
-        out, compacted = compact_elements(elements)
-        assert compacted == 0
-        assert out == elements
-
-    def test_compacted_voltage_source_branch_current_preserved(self):
-        # The compacted bank stamps into the scalar sources' existing
-        # branch rows, so recorded branch currents keep their names.
+    def test_voltage_source_branch_currents_match_reference(self):
         def factory():
             circuit = Circuit("two-sources")
             circuit.add(VoltageSource("v0", "a", GROUND, _stimulus()))
@@ -449,12 +317,57 @@ class TestCompactionPass:
 
         ref, _ = _run(factory, None, fast=False,
                       record_branches=[("v0", 0), ("v1", 0)])
-        banked, stats = _run(factory, None, backend="dense", compact=True,
-                             record_branches=[("v0", 0), ("v1", 0)])
-        assert stats["compacted_elements"] == 4
+        fast, _ = _run(factory, None, backend="dense",
+                       record_branches=[("v0", 0), ("v1", 0)])
         for name in ("v0", "v1"):
-            assert _rel_err(banked.branch_current(name),
+            assert _rel_err(fast.branch_current(name),
                             ref.branch_current(name)) <= REL_TOL
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_both_paths_accept_the_circuits_own_stateful_elements(
+        self, fast, monkeypatch
+    ):
+        # The transistor-level link with an RC load holds scalar sources,
+        # resistors and capacitors and an ideal line: each path calls
+        # accept on exactly the circuit's own stateful elements, in order,
+        # once per step.
+        from repro.circuits.testbenches import run_link_transistor
+        from repro.core.cosim import LinkDescription
+
+        solvers, accepted = [], []
+        begin = TransientSolver.begin
+
+        def recording_begin(self, *args, **kwargs):
+            solvers.append(self)
+            return begin(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransientSolver, "begin", recording_begin)
+
+        def record(accept):
+            def wrapper(self, x, ctx):
+                accepted.append(self)
+                return accept(self, x, ctx)
+            return wrapper
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        for cls in {Element, *subclasses(Element)}:
+            if "accept" in cls.__dict__:
+                monkeypatch.setattr(cls, "accept", record(cls.__dict__["accept"]))
+
+        dt, duration, settle = 5e-12, 3e-10, 1e-10
+        link = LinkDescription(load="rc", duration=duration)
+        result = run_link_transistor(link, dt=dt, settle=settle,
+                                     options=TransientOptions(fast=fast))
+        [solver] = solvers
+        stateful = [el for el in solver.circuit.elements if el.needs_accept]
+        n_steps = int(round((duration + settle) / dt))
+        assert len(stateful) >= 4  # device capacitors, the line, the load
+        assert [id(el) for el in accepted] == [id(el) for el in stateful] * n_steps
+        assert result.metadata["solver_stats"]["accept_calls"] == len(stateful) * n_steps
 
 
 class TestNeedsAcceptFlag:
@@ -524,7 +437,7 @@ class TestNeedsAcceptFlag:
         circuit.add(Resistor("r", "a", GROUND, 100.0))
         solver = TransientSolver(circuit, 1e-11)
         run = solver.begin(1e-10, record_branches=[])
-        assert run.accept_elements == []
+        assert run.stateful == []
 
     def test_future_subclass_accept_is_auto_flagged(self):
         # Safety net: overriding accept() without declaring needs_accept

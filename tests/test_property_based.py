@@ -183,7 +183,7 @@ def _assemble_system(circuit, backend: str, dt: float = 1e-11):
 
     compiled = circuit.compile()
     asm = FastPathAssembler(circuit, compiled, dt, "trapezoidal", 1e-12,
-                            backend=backend, compact_banks=False)
+                            backend=backend)
     asm.begin_run()
     ctx = asm.begin_step(dt)
     A, rhs = asm.iterate(np.zeros(compiled.n_unknowns), ctx)
@@ -327,7 +327,7 @@ class TestElementBankProperties:
         for label, circuit in (("scalar", scalar), ("banked", banked)):
             solver = TransientSolver(
                 circuit, 1e-11,
-                TransientOptions(backend="sparse", compact_banks=False),
+                TransientOptions(backend="sparse"),
             )
             result = solver.run(3e-10, record_nodes=[f"n{n}"], record_branches=[])
             waves[label] = result.voltage(f"n{n}")

@@ -309,6 +309,24 @@ class TestCircuitStrictPolicy:
         assert health["ok"]
         assert health["backend_fallbacks"] == 1
 
+    @pytest.mark.filterwarnings("ignore:Diagonal number")  # scipy's zero-pivot note
+    def test_singular_run_fallbacks_name_their_steps_without_a_plan(self):
+        # Two ideal sources in parallel make every step's system singular.
+        # With no fault plan installed the backend still reads each
+        # fallback's step from the context the solver publishes per step.
+        circuit = Circuit()
+        circuit.add(VoltageSource("v1", "a", GROUND, 1.0))
+        circuit.add(VoltageSource("v2", "a", GROUND, 1.0))
+        circuit.add(Resistor("r", "a", GROUND, 10.0))
+        solver = TransientSolver(circuit, 1e-11)
+        solver.run(5e-11)
+        health = solver.perf_stats["health"]
+        assert health["ok"]
+        assert health["backend_fallbacks"] == len(health["events"]) >= 5
+        steps = [event["step"] for event in health["events"]]
+        assert set(steps) == {1, 2, 3, 4, 5}
+        assert steps == sorted(steps)
+
 
 class TestCircuitRetryLadder:
     @pytest.mark.parametrize("kind", ["nan", "nonconvergence", "backend_error"])
@@ -459,6 +477,22 @@ class TestLinearSweepFaults:
         assert result.perf_stats["health"]["backend_fallbacks"] == 1
         assert all(result.status_of(sc.name) == "ok" for sc in scenarios)
         assert result.failed_scenarios == []
+
+    def test_lane_set_fallback_event_names_its_step(self):
+        # The golden linear sweep steps its scenarios as lane sets: the
+        # block solve's least-squares fallback records the step it ran in.
+        from repro.api import load_spec, run
+
+        spec = load_spec(os.path.join(
+            os.path.dirname(__file__), "..", "examples", "jobs", "linear_link.json",
+        )).quickened()
+        with faults.injected(faults.Fault("singular", step=3)):
+            result = run(spec)
+        health = result.perf_stats["health"]
+        assert health["backend_fallbacks"] == 1
+        [event] = health["events"]
+        assert event["step"] == 3
+        assert event["context"]["site"] == "solve_block"
 
     def test_backend_error_on_reference_path_recovers(self):
         scenarios = _scenarios(3)
