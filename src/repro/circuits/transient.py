@@ -33,7 +33,9 @@ from repro import perf
 from repro.circuits.elements import StampContext
 from repro.circuits.netlist import Circuit, CompiledCircuit, GROUND
 from repro.perf.backends import BACKEND_NAMES
-from repro.perf.mna import FastPathAssembler, SharedStaticContext
+# The module, not its names: importing repro.perf.mna first imports this
+# package, and so this module, before mna has defined them.
+from repro.perf import mna
 from repro.resilience import (
     BACKEND_ERROR,
     NAN_INF,
@@ -218,7 +220,7 @@ class TransientSolver:
         circuit: Circuit,
         dt: float,
         options: TransientOptions | None = None,
-        shared_static: SharedStaticContext | None = None,
+        shared_static: mna.SharedStaticContext | None = None,
         label: str | None = None,
     ):
         if dt <= 0:
@@ -284,7 +286,7 @@ class TransientSolver:
 
         run.assembler = None
         if self.fast:
-            run.assembler = FastPathAssembler(
+            run.assembler = mna.FastPathAssembler(
                 self.circuit, compiled, self.dt, self.options.method,
                 self.options.gmin, shared=self.shared_static,
                 backend=self.options.backend,

@@ -34,7 +34,9 @@ from repro.fdtd.grid import YeeGrid
 from repro.fdtd.lumped import LumpedElementSite
 from repro.fdtd.plane_wave import PlaneWaveSource
 from repro.fdtd.probes import EdgeVoltageProbe, FieldProbe
-from repro.perf.fdtd_fast import FastYeeKernels, compress_delays
+# The module, not its names: importing repro.perf.fdtd_fast first imports
+# this package, and so this module, before fdtd_fast has defined them.
+from repro.perf import fdtd_fast
 
 __all__ = ["FDTD3DSolver"]
 
@@ -184,7 +186,7 @@ class FDTD3DSolver:
                         ce[suppress] = 0.0
                         self._pec_suppressed[axis] = suppress
 
-            self._kernels = FastYeeKernels(
+            self._kernels = fdtd_fast.FastYeeKernels(
                 grid, self.dt, *blocks.values(), self._ce_x, self._ce_y, self._ce_z,
             )
             # Flat-index variants of the mask caches with the plane-wave
@@ -208,7 +210,7 @@ class FDTD3DSolver:
                 comp = None
                 if self.plane_wave is not None and self.plane_wave.component(axis) != 0.0:
                     delay = self.plane_wave.delay(*coords)
-                    comp = compress_delays(delay)
+                    comp = fdtd_fast.compress_delays(delay)
                 if axis in self._pec_suppressed:
                     mask = mask & ~self._pec_suppressed[axis]
                     if not mask.any():
@@ -220,7 +222,8 @@ class FDTD3DSolver:
                     continue  # no incident component: the correction is zero
                 delay = self.plane_wave.delay(*coords)
                 self._diel_fast[axis] = (
-                    e_flat[axis], block_index(mask), delay, factor, compress_delays(delay),
+                    e_flat[axis], block_index(mask), delay, factor,
+                    fdtd_fast.compress_delays(delay),
                 )
 
         for site in self.sites:

@@ -24,7 +24,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.macromodel.rbf import GaussianRBFExpansion, RBFSubmodel
 from repro.macromodel.receiver import LinearSubmodel
@@ -85,6 +84,10 @@ def _select_centers(
     points: np.ndarray, n_centers: int, seed: int
 ) -> np.ndarray:
     """Pick RBF centres by k-means clustering of the normalised regressors."""
+    # Imported here, its one use: scipy.cluster pulls in scipy.spatial,
+    # which an import of the job API would otherwise pay for.
+    from scipy.cluster.vq import kmeans2
+
     n_centers = min(n_centers, points.shape[0])
     if n_centers == points.shape[0]:
         return points.copy()

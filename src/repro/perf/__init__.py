@@ -14,8 +14,8 @@ steppers.  This package concentrates the optimised kernels:
   the assembler: the dense LAPACK path and a sparse-CSC path (COO-recorded
   stamps, cached sparsity pattern, one ``splu`` of the static network per
   run, Newton iterations as port-rank updates of it) selected
-  automatically above ``SPARSE_THRESHOLD`` (70) unknowns, the measured
-  crossover of Newton transients, or pinned via
+  automatically above ``SPARSE_THRESHOLD`` (70) unknowns, set at the
+  measured crossover of Newton transients, or pinned via
   ``TransientOptions(backend=...)``.
 * :mod:`repro.perf.rbf_fast` — separable evaluation of the Gaussian RBF
   macromodels (paper Eqs. 3-4): within one time step's Newton solve only

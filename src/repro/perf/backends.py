@@ -17,9 +17,10 @@ Two backends are provided:
 
 * :class:`DenseBackend` — today's tuned dense path: an ``(n, n)`` static
   matrix, ``np.copyto`` + in-place dynamic stamps per iteration,
-  raw-LAPACK ``dgesv`` solves and a cached ``scipy.linalg.lu_factor``,
-  solved by raw ``dgetrs``, for constant Jacobians.  The default (and the
-  fastest) at paper-sized circuits.
+  raw-LAPACK ``dgesv`` solves and cached raw ``dgetrf`` factors (what
+  ``scipy.linalg.lu_factor`` computes), solved by raw ``dgetrs``, for
+  constant Jacobians.  The default (and the fastest) at paper-sized
+  circuits.
 * :class:`SparseBackend` — true sparse assembly for netlists beyond about
   seventy unknowns.  Static stamps are recorded **once per run** as COO
   triplets (scalar elements through a recorder stand-in, element banks as
@@ -33,13 +34,17 @@ Two backends are provided:
   :class:`~repro.perf.mna.SharedStaticContext`).  That is the whole
   system of a purely linear circuit; a Newton transient solves each
   iteration as a rank-``p`` update of it over the ``p`` port unknowns
-  its dynamic stamps touch.
+  its dynamic stamps touch.  A two-part guard checks each update at the
+  cost of the ``p`` ports, not of the network: the residual of the port
+  rows is measured, and the residual of every other row is bounded a
+  priori by the cancellation in ``x = y - t`` (see
+  :meth:`SparseBackend._port_solve`).
 
 Backend selection
 -----------------
 ``resolve_backend_name(None | "auto", n)`` picks ``"dense"`` at or below
-:data:`SPARSE_THRESHOLD` unknowns (70, the measured crossover of Newton
-transients) and ``"sparse"`` above it.  The assembler records its choice
+:data:`SPARSE_THRESHOLD` unknowns (70, set at the measured crossover of
+Newton transients) and ``"sparse"`` above it.  The assembler records its choice
 and the unknown count as ``stats["backend"]`` and ``stats["n_unknowns"]``.
 Explicit ``"dense"`` / ``"sparse"`` (``TransientOptions.backend``) pin
 the backend.
@@ -70,26 +75,34 @@ __all__ = [
     "SparseBackend",
 ]
 
-#: unknown count above which ``"auto"`` selects the sparse backend: the
-#: measured dense/sparse crossover of a nonlinear (Newton) transient, an
-#: RBF-terminated LC ladder, which breaks even near 35 sections (about 70
-#: unknowns).  Dense factors the Jacobian every iteration; sparse factors
-#: the static network once and costs about the same per iteration at any
-#: size.  Purely linear circuits in that band run sparse at 0.88-0.94x of
-#: dense speed (``benchmarks/bench_sparse.py`` records both)
+#: unknown count above which ``"auto"`` selects the sparse backend, set at
+#: the measured dense/sparse crossover of a nonlinear (Newton) transient,
+#: an RBF-terminated LC ladder, which broke even near 35 sections (about 70
+#: unknowns); with the port-rank update's guard at port cost it breaks even
+#: near 27 (about 55), and ``auto`` stays within 1.25x of the faster
+#: backend.  Dense factors the Jacobian every iteration; sparse factors the
+#: static network once and costs about the same per iteration at any size.
+#: Purely linear circuits in that band run sparse at 0.84-0.91x of dense
+#: speed (``benchmarks/bench_sparse.py`` records both)
 SPARSE_THRESHOLD = 70
 
 #: row-wise relative residual bound of a sparse Newton iteration's
-#: port-rank solve (see :meth:`SparseBackend._port_solve`); an update past
-#: it is redone by factoring the whole system
+#: port-rank solve, |A x - rhs| <= PORT_SOLVE_RTOL (rowsum|A| max|x| + |rhs|);
+#: an update past it is redone by factoring the whole system.  The port
+#: rows' residual is measured against it; the other rows' residual, some
+#: eps (max|y| + max|t|), passes it when the update cancels less than
+#: PORT_SOLVE_RTOL / eps (~450) in x = y - t (see
+#: :meth:`SparseBackend._port_solve`)
 PORT_SOLVE_RTOL = 1e-13
+
+_EPS = float(np.finfo(float).eps)
 
 #: the backend names accepted by options/specs (``None`` means ``"auto"``)
 BACKEND_NAMES = ("auto", "dense", "sparse")
 
 
 def _lu_solve(lu_and_piv, rhs: np.ndarray) -> np.ndarray:
-    """Solve with ``lu_factor``'s factors through raw LAPACK ``getrs``.
+    """Solve with ``getrf``'s factors through raw LAPACK ``getrs``.
 
     The routine ``scipy.linalg.lu_solve`` calls, so the bits are the same,
     without its wrapper, which costs more than the solve at circuit sizes.
@@ -201,12 +214,13 @@ class LinearSolverBackend:
 class DenseBackend(LinearSolverBackend):
     """Today's dense-LAPACK path: preallocated arrays, ``dgesv``, cached LU.
 
-    Purely linear circuits are ``lu_factor``-ised exactly once per
-    transient and every further step reuses the factors
-    (``stats["cached_solves"]``).  Nonlinear circuits re-stamp only the
-    dynamic elements on an ``np.copyto`` of the static parts and solve
-    with raw LAPACK ``gesv`` (bit-identical to ``np.linalg.solve`` minus
-    the wrapper overhead).
+    Purely linear circuits are LU-factored exactly once per transient and
+    every further step reuses the factors (``stats["cached_solves"]``); a
+    singular static matrix is found once, and every step then solves it by
+    least squares.  Nonlinear circuits re-stamp only the dynamic elements
+    on an ``np.copyto`` of the static parts and solve with raw LAPACK
+    ``gesv`` (bit-identical to ``np.linalg.solve`` minus the wrapper
+    overhead).
     """
 
     name = "dense"
@@ -245,9 +259,9 @@ class DenseBackend(LinearSolverBackend):
             if injected_singular:
                 # Treat exactly like a factorization that came back
                 # singular: drop the cached factors and divert to the dense
-                # re-solve below.  ``dgesv`` is ``getrf``+``getrs`` — the
-                # same factorization ``lu_factor``/``lu_solve`` performs —
-                # so the recovered step is bit-identical to the cached path.
+                # re-solve below.  ``dgesv`` is ``getrf``+``getrs``, the
+                # cached path's factorization and solve, so the recovered
+                # step is bit-identical to it.
                 static.lu = None
                 self._note_singular_fallback(
                     "injected singular factorization; dense re-solve",
@@ -260,6 +274,10 @@ class DenseBackend(LinearSolverBackend):
                 self.stats["cached_solves"] += 1
             elif (lu := static.factors()) is not None:
                 self.stats["factorizations"] += 1
+            else:  # singular: factored once, and each solve says so
+                self._note_singular_fallback(static.factor_error)
+                self.stats["dense_solves"] += 1
+                return np.linalg.lstsq(A, rhs, rcond=None)[0]
             if lu is not None:
                 x = _lu_solve(lu, rhs)
                 if np.all(np.isfinite(x)):
@@ -349,12 +367,15 @@ class SparseBackend(LinearSolverBackend):
     ``near`` and ``far`` on the RBF link), so each iteration is solved as a
     rank-``p`` (Woodbury) update of the static factors, with
     ``Z = A_static⁻¹ E`` computed once per dynamic pattern
-    (``stats["port_solves"]`` counts these iterations).  An update whose
-    residual fails :data:`PORT_SOLVE_RTOL`, or a static matrix ``splu``
-    cannot factor, takes the per-iteration ``splu`` of the whole system
-    instead.  So does every iteration of a pattern with a port whose
-    static row holds nothing but the ``gmin`` diagonal: the update would
-    lose its digits there, fail the guard and be redone.
+    (``stats["port_solves"]`` counts these iterations).  An update that
+    fails its guard (the residual bound :data:`PORT_SOLVE_RTOL`, checked
+    at the ``p`` port rows and bounded a priori on the others), or a
+    static matrix ``splu`` cannot factor, takes the per-iteration ``splu``
+    of the whole system instead.  So does every iteration of a pattern
+    with a port whose static row holds nothing but the ``gmin`` diagonal:
+    the update would lose its digits there, fail the guard and be redone.
+    The matrix of every iteration is filled all the same: the injected
+    ``singular`` fallback and the whole-system path solve it.
     """
 
     name = "sparse"
@@ -383,9 +404,10 @@ class SparseBackend(LinearSolverBackend):
         self._block_flat = self._port_block.reshape(-1)
         self._Z: np.ndarray | None = None
         self._W: np.ndarray | None = None
+        self._Z_colmax: np.ndarray | None = None
         self._eye: np.ndarray | None = None
-        #: row sums of |A_static| over the union pattern (the guard's scale)
-        self._row_abs: np.ndarray | None = None
+        #: row sums of |A_static| at the ports (the guard's scale there)
+        self._port_row_abs: np.ndarray | None = None
         #: a port's static row is the gmin diagonal alone: skip the update
         self._gmin_held_port = False
 
@@ -460,10 +482,11 @@ class SparseBackend(LinearSolverBackend):
         n_static = static_rows.size
         self._static_base = np.zeros(indices.size)
         np.add.at(self._static_base, positions[:n_static], static_vals)
-        self._row_abs = np.bincount(indices, weights=np.abs(self._static_base),
-                                    minlength=self._n)
         ports = np.unique(dyn)
-        self._gmin_held_port = bool((self._row_abs[ports] <= self.gmin).any())
+        self._port_row_abs = np.bincount(
+            indices, weights=np.abs(self._static_base), minlength=self._n
+        )[ports]
+        self._gmin_held_port = bool((self._port_row_abs <= self.gmin).any())
         p = ports.size
         slot = dict(zip(ports.tolist(), range(p)))
         self._pos_of = {
@@ -516,44 +539,75 @@ class SparseBackend(LinearSolverBackend):
             self.stats["sparse_factorizations"] += 1
         return lu
 
-    def _port_solve(self, A, rhs):
+    def _port_solve(self, rhs):
         """Solve ``A x = rhs`` as a port-rank update of the static factors.
 
         With ``A = A_static + E D Eᵀ`` (``E`` selects the ports, ``D`` is
         this iteration's port block), ``y = A_static⁻¹ rhs`` and
         ``Z = A_static⁻¹ E``: the port unknowns solve the ``p x p`` system
-        ``(I + Z[ports] D) x_ports = y[ports]`` and ``x = y - Z D x_ports``.
-        Returns ``None`` when there are no static factors or the residual
-        ``|A x - rhs|`` exceeds :data:`PORT_SOLVE_RTOL` times
-        ``rowsum|A| max|x| + |rhs|`` in any row: near-singular static
-        factors cancel digits here that factoring ``A`` itself keeps.  (A
-        port node held to the rest of the network only through ``gmin``, the
-        plainest such case, never gets here: :meth:`solve` skips the update.)
+        ``(I + Z[ports] D) x_ports = y[ports]`` and ``x = y - t`` with
+        ``t = Z D x_ports``.
+
+        The guard asks ``|A x - rhs| <= PORT_SOLVE_RTOL (rowsum|A| max|x|
+        + |rhs|)`` row by row, at port cost.  In exact arithmetic
+        ``A x - rhs`` is ``D (x[ports] - x_ports)`` on the port rows and
+        zero elsewhere, so:
+
+        * the port rows measure it, with ``rowsum|A_static| + rowsum|D|``
+          for ``rowsum|A|``.  It is the ``p x p`` solve's own residual,
+          where an ill-conditioned ``I + Z[ports] D`` loses its digits even
+          when ``y - t`` cancels little;
+        * the other rows hold only rounding, the backward error of the
+          SuperLU solves for ``y`` and ``Z`` plus the rounding of
+          ``y - t``, some ``eps (max|y| + max|t|) rowsum|A|``.  They pass
+          when ``eps (max|y| + max|t|) <= PORT_SOLVE_RTOL max|x|``, with
+          ``max|t|`` bounded by the column maxima of ``|Z|`` (exact for
+          ``p = 1``).
+
+        Returns ``None`` when there are no static factors, the ``p x p``
+        system is singular or either half fails (a port node held only by
+        ``gmin``, where the update would always fail, never gets here:
+        :meth:`solve` skips it).  With no ports, ``x = y`` is what
+        factoring the whole system would give, and only its finiteness is
+        checked, as there.
         """
         lu = self._static_factors()
         if lu is None:  # the run factors its whole system every iteration
             return None
-        ports, block = self._ports, self._port_block
         x = lu.solve(rhs)
-        if ports.size:
-            if self._Z is None:
-                columns = np.zeros((self._n, ports.size))
-                columns[ports, np.arange(ports.size)] = 1.0
-                self._Z = lu.solve(columns)
-                self._W = self._Z[ports]
-                self._eye = np.eye(ports.size)
-            _, _, x_ports, info = _dgesv(self._eye + self._W @ block, x[ports])
-            if info:
-                return None
-            x -= self._Z @ (block @ x_ports)
-        # The guard: the whole system's residual, row by row, on the matrix
-        # iterate() filled.
-        residual = np.abs(A @ x - rhs)
+        ports, block = self._ports, self._port_block
+        if not ports.size:  # A is the static matrix: x is what splu(A) gives
+            return x if np.isfinite(x).all() else None
+        if self._Z is None:
+            columns = np.zeros((self._n, ports.size))
+            columns[ports, np.arange(ports.size)] = 1.0
+            self._Z = lu.solve(columns)
+            self._W = self._Z[ports]
+            self._Z_colmax = np.abs(self._Z).max(axis=0)
+            self._eye = np.eye(ports.size)
+        _, _, x_ports, info = _dgesv(self._eye + self._W @ block, x[ports])
+        if info:
+            return None
+        d = block @ x_ports
+        y_max = np.abs(x).max()
+        x -= self._Z @ d
         x_max = np.abs(x).max()
-        bound = self._row_abs * x_max
-        bound[ports] += np.abs(block).sum(axis=1) * x_max
-        bound += np.abs(rhs)
-        if not (residual <= PORT_SOLVE_RTOL * bound).all():
+        if ports.size == 1:
+            # One port (an RBF driver on an RC-loaded line): Python floats
+            # cost a fraction of the p-sized array calls below.
+            b, port = block.item(), ports.item()
+            t_max = self._Z_colmax.item() * abs(d.item())
+            residual = abs(b * (x.item(port) - x_ports.item()))
+            scale = (self._port_row_abs.item() + abs(b)) * x_max + abs(rhs.item(port))
+            ports_pass = residual <= PORT_SOLVE_RTOL * scale
+        else:
+            t_max = self._Z_colmax @ np.abs(d)
+            residual = np.abs(block @ (x[ports] - x_ports))
+            scale = (self._port_row_abs + np.abs(block).sum(axis=1)) * x_max \
+                + np.abs(rhs[ports])
+            ports_pass = (residual <= PORT_SOLVE_RTOL * scale).all()
+        # The other rows' a-priori bound; a non-finite x fails it too.
+        if not (ports_pass and _EPS * (y_max + t_max) <= PORT_SOLVE_RTOL * x_max < np.inf):
             return None
         return x
 
@@ -580,7 +634,7 @@ class SparseBackend(LinearSolverBackend):
                     static.factor_error or "splu factorization failed; dense fallback",
                 )
         else:
-            x = None if self._gmin_held_port else self._port_solve(A, rhs)
+            x = None if self._gmin_held_port else self._port_solve(rhs)
             if x is not None:
                 self.stats["port_solves"] += 1
                 return x

@@ -27,7 +27,7 @@ and mesh generators emit) is one element, and scalar elements stay scalar.
 *How* the matrix is stored, re-stamped and solved is delegated to a
 pluggable :class:`~repro.perf.backends.LinearSolverBackend`: the dense
 LAPACK backend (preallocated ``(n, n)`` arrays, ``dgesv``, cached
-``lu_factor`` — purely linear circuits factor exactly once per transient)
+``getrf`` factors — purely linear circuits factor exactly once per transient)
 or the sparse-CSC backend (COO-recorded stamps, cached sparsity pattern,
 one ``splu`` of the static matrix per transient, on which a Newton
 iteration is a port-rank update) selected automatically above
@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor as _lu_factor
+from scipy.linalg.lapack import dgetrf as _dgetrf
 
 from repro.circuits.elements import ElementBank, StampContext
 from repro.perf.backends import SPARSE_THRESHOLD, make_backend, _lu_solve, _splu
@@ -80,9 +80,9 @@ class SharedStaticContext:
     The dense backend captures ``A_static``, the sparse one
     ``sparse_state``: the static COO triplets and their CSC compression,
     ``(rows, cols, vals, csc)``.  :meth:`factors` factors the matrix into
-    ``lu`` at first use (``lu_factor`` or ``splu``), for the lane sets'
+    ``lu`` at first use (LAPACK ``getrf`` or ``splu``), for the lane sets'
     block solves, a linear run's solves and a sparse Newton run's
-    port-rank updates alike.  When ``splu`` cannot factor it,
+    port-rank updates alike.  When the matrix is singular,
     ``factor_error`` says why, and no later call tries again.  The backend
     name is part of the compatibility signature, so one context is never
     shared across backends.
@@ -97,8 +97,8 @@ class SharedStaticContext:
         self.A_static: np.ndarray | None = None
         #: sparse-backend capture: (rows, cols, vals, csc)
         self.sparse_state: tuple | None = None
-        #: factors of the static matrix: ``lu_factor``'s ``(lu, piv)`` or a
-        #: ``splu`` object
+        #: factors of the static matrix: ``getrf``'s ``(lu, piv)``, which is
+        #: what ``scipy.linalg.lu_factor`` returns, or a ``splu`` object
         self.lu = None
         #: why the static matrix could not be factored (``None`` until then)
         self.factor_error: str | None = None
@@ -137,7 +137,15 @@ class SharedStaticContext:
         """
         if self.lu is None and self.factor_error is None:
             if self.sparse_state is None:
-                self.lu = _lu_factor(self.A_static, check_finite=False)
+                # Raw getrf, which lu_factor wraps: it reports an exactly
+                # zero pivot in ``info`` instead of a warning.
+                lu, piv, info = _dgetrf(self.A_static)
+                if info > 0:  # singular static network
+                    self.factor_error = (
+                        f"getrf: diagonal number {info} is exactly zero; singular matrix"
+                    )
+                    return None
+                self.lu = (lu, piv)
             else:
                 try:
                     self.lu = _splu(self.sparse_state[3])
@@ -166,7 +174,7 @@ class SharedStaticContext:
             # Singular static matrix: factors() remembers the failure, so
             # per-step solve_block calls do not retry the factorization, and
             # solve_block's dense fallback handles the solves.
-            self._note_singular(self.factor_error or "static splu factorization failed")
+            self._note_singular(self.factor_error)
 
     def _note_singular(self, message: str, **context) -> None:
         """Record a singular static factorization in the unified taxonomy."""

@@ -56,6 +56,7 @@ __all__ = ["Job", "JobManager", "JOB_STATES", "result_summary"]
 JOB_STATES = ("queued", "running", "done", "failed")
 
 #: imported before the solver processes fork, so they share these pages
+#: (model fitting imports ``scipy.cluster.vq`` on first use)
 _ENGINE_MODULES = (
     "repro.api",
     "repro.circuits.testbenches",
@@ -65,6 +66,7 @@ _ENGINE_MODULES = (
     "repro.sweep.links",
     "repro.sweep.montecarlo",
     "repro.sweep.shard",
+    "scipy.cluster.vq",
 )
 
 

@@ -817,3 +817,50 @@ class TestPydocSurface:
         )
         assert out.returncode == 0, out.stderr
         assert "SimulationSpec" in out.stdout or "JobServer" in out.stdout
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_subprocess_env(), cwd=REPO_ROOT,
+    )
+
+
+class TestImports:
+    def test_every_module_imports_on_its_own(self):
+        # Each module first in a fresh set of repro modules: an import
+        # cycle between two packages fails only when one side comes first.
+        out = _run_python(
+            "import importlib, json, pkgutil, sys\n"
+            "import repro\n"
+            "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+            "failed = {}\n"
+            "for name in names:\n"
+            "    for key in [k for k in sys.modules if k.split('.')[0] == 'repro']:\n"
+            "        del sys.modules[key]\n"
+            "    try:\n"
+            "        importlib.import_module(name)\n"
+            "    except Exception as exc:\n"
+            "        failed[name] = repr(exc)\n"
+            "print(json.dumps([len(names), failed]))\n"
+        )
+        assert out.returncode == 0, out.stderr
+        count, failed = json.loads(out.stdout.splitlines()[-1])
+        assert count > 50
+        assert failed == {}
+
+    def test_model_fitting_imports_scipy_cluster_on_first_use(self):
+        # scipy.cluster pulls in scipy.spatial; only k-means centre
+        # selection needs it.  The daemon imports it before it forks its
+        # solver processes, so they share those pages.
+        out = _run_python(
+            "import importlib, json, sys\n"
+            "import repro.api\n"
+            "api = [m for m in ('scipy.cluster', 'scipy.spatial') if m in sys.modules]\n"
+            "from repro.service.jobs import _ENGINE_MODULES\n"
+            "for name in _ENGINE_MODULES:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps([api, 'scipy.cluster.vq' in sys.modules]))\n"
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [[], True]

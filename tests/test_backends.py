@@ -7,9 +7,12 @@ Pins the contracts of :mod:`repro.perf.backends`:
 * a purely linear sparse transient performs exactly one symbolic and one
   numeric factorization; nonlinear transients reuse the cached sparsity
   pattern, factor their static network once and solve each Newton
-  iteration as a port-rank update, or, when its residual guard rejects the
-  update or the static network cannot be factored, by factoring the whole
+  iteration as a port-rank update, or, when its guard rejects the update
+  or the static network cannot be factored, by factoring the whole
   system;
+* each half of the guard catches the loss of digits the other half
+  misses: the port rows' residual an ill-conditioned port system, the
+  a-priori bound off the ports a cancelling ``x = y - t``;
 * backend auto-selection at ``SPARSE_THRESHOLD`` unknowns, including a
   job just past it.
 """
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.diode import Diode
-from repro.circuits.elements import Capacitor, Resistor, VoltageSource
+from repro.circuits.elements import Capacitor, CurrentSource, Resistor, VoltageSource
 from repro.circuits.ladder import (
     CapacitorBank,
     add_lc_ladder,
@@ -204,7 +207,7 @@ class TestPortRankSolve:
         dense, _ = _run(_stacked_diodes, "m", backend="dense", duration=4e-9)
         calls = []
 
-        def port_solve(backend, A, rhs):
+        def port_solve(backend, rhs):
             calls.append(1)
             return None
 
@@ -218,6 +221,47 @@ class TestPortRankSolve:
         assert calls == []
         assert stats["port_solves"] == 0
         assert stats["sparse_factorizations"] == _iterations(stats)
+        assert stats["health"]["backend_fallbacks"] == 0
+
+    def test_port_rows_catch_an_ill_conditioned_port_solve(self):
+        # 1 GΩ holds "m" in the static network, so the update is tried.
+        # With both diodes conducting, I + W D is ill-conditioned (~1e7):
+        # the p x p solve loses digits that only the residual of the port
+        # rows shows, since x = y - t cancels little there.
+        def factory():
+            circuit = _stacked_diodes()
+            circuit.add(Resistor("rm", "m", GROUND, 1e9))
+            return circuit
+
+        dense, _ = _run(factory, "m", backend="dense", duration=4e-9)
+        sparse, stats = _run(factory, "m", backend="sparse", duration=4e-9)
+        assert np.max(np.abs(dense)) > 0.5
+        assert _rel_err(sparse, dense) <= REL_TOL
+        assert stats["port_solves"] > 0
+        assert stats["sparse_factorizations"] > 1
+        assert stats["health"]["backend_fallbacks"] == 0
+
+    def test_network_rows_catch_a_cancelling_update(self):
+        # "b" reaches ground through 1 GΩ alone, so the static solution y
+        # reads ~1e6 V where the conducting diode at the port "a" holds
+        # below 1 V: x = y - t cancels six digits off the port, while the
+        # port row's own residual stays small.
+        def factory():
+            circuit = Circuit("island")
+            source = BitPattern(pattern="0110", bit_time=1e-9, low=0.0, high=1e-3,
+                                edge_time=1e-10)
+            circuit.add(CurrentSource("iin", GROUND, "b", source))
+            circuit.add(Resistor("r1", "a", "b", 0.1))
+            circuit.add(Resistor("rw", "b", GROUND, 1e9))
+            circuit.add(Diode("d", "a", GROUND))
+            return circuit
+
+        dense, _ = _run(factory, "a", backend="dense", duration=4e-9)
+        sparse, stats = _run(factory, "a", backend="sparse", duration=4e-9)
+        assert np.max(np.abs(dense)) > 0.5
+        assert _rel_err(sparse, dense) <= REL_TOL
+        assert stats["port_solves"] > 0
+        assert stats["sparse_factorizations"] > 1
         assert stats["health"]["backend_fallbacks"] == 0
 
     def test_guard_rejection_factors_the_whole_system(
@@ -410,7 +454,6 @@ class TestSingularRobustness:
         circuit.add(Resistor("r1", "a", GROUND, 100.0))
         return circuit
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_sparse_linear_singular_falls_back_like_dense(self):
         dense, dense_stats = _run(self._singular_circuit, "a", backend="dense",
                                   duration=2e-10)
@@ -421,6 +464,28 @@ class TestSingularRobustness:
         # both backends end on the robust dense lstsq path, never a cache
         assert dense_stats["dense_solves"] > 0
         assert sparse_stats["dense_solves"] > 0
+
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    def test_dense_singular_static_network_is_factored_once(self, monkeypatch):
+        from repro.perf import mna
+
+        calls = []
+        getrf = mna._dgetrf
+        monkeypatch.setattr(
+            mna, "_dgetrf", lambda *args: calls.append(args) or getrf(*args)
+        )
+        solver = TransientSolver(self._singular_circuit(), 1e-11,
+                                 options=TransientOptions(backend="dense"))
+        result = solver.run(5e-11, record_nodes=["a"], record_branches=[])
+        assert np.all(np.isfinite(result.voltage("a")))
+        assert len(calls) == 1
+        # each of the run's six solves falls back once, with the message the
+        # failed factorization stored
+        stats = solver.perf_stats
+        health = stats["health"]
+        assert health["backend_fallbacks"] == stats["dense_solves"] == 6
+        [message] = {event["message"] for event in health["events"]}
+        assert "singular" in message
 
     def test_shared_context_sparse_singular_block_solve(self):
         scipy_sparse = pytest.importorskip("scipy.sparse")
