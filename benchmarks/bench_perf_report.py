@@ -36,7 +36,7 @@ import numpy as np  # noqa: E402
 from repro import perf  # noqa: E402
 from repro.circuits.testbenches import run_link_rbf, run_link_transistor  # noqa: E402
 from repro.core.cosim import LinkDescription  # noqa: E402
-from repro.core.ports import MacromodelTermination  # noqa: E402
+from repro.core.resampling import ResampledPortModel  # noqa: E402
 from repro.experiments.devices import identified_reference_macromodels  # noqa: E402
 from repro.experiments.fig7_pcb import run_figure7  # noqa: E402
 from repro.fdtd.solver1d import FDTD1DLine  # noqa: E402
@@ -100,10 +100,10 @@ def run_fdtd1d(models, duration: float):
         line = FDTD1DLine(
             z0=131.0,
             delay=0.4e-9,
-            near_termination=MacromodelTermination.from_model(
+            near_termination=ResampledPortModel(
                 models.driver.bound(stimulus), dt
             ),
-            far_termination=MacromodelTermination.from_model(models.receiver, dt),
+            far_termination=ResampledPortModel(models.receiver, dt),
             n_cells=60,
         )
         result = line.run(duration)

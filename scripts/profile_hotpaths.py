@@ -111,7 +111,7 @@ def _workload(target: str):
 
     from repro.circuits.testbenches import run_link_rbf, run_link_transistor
     from repro.core.cosim import LinkDescription
-    from repro.core.ports import MacromodelTermination
+    from repro.core.resampling import ResampledPortModel
     from repro.experiments.devices import identified_reference_macromodels
     from repro.experiments.fig7_pcb import run_figure7
     from repro.fdtd.solver1d import FDTD1DLine
@@ -134,10 +134,10 @@ def _workload(target: str):
             line = FDTD1DLine(
                 z0=131.0,
                 delay=0.4e-9,
-                near_termination=MacromodelTermination.from_model(
+                near_termination=ResampledPortModel(
                     models.driver.bound(stimulus), dt
                 ),
-                far_termination=MacromodelTermination.from_model(models.receiver, dt),
+                far_termination=ResampledPortModel(models.receiver, dt),
                 n_cells=60,
             )
             return line.run(6e-9)

@@ -54,12 +54,13 @@ or, driving the solver objects directly:
 
 >>> from repro.macromodel import make_reference_driver_macromodel
 >>> from repro.macromodel.driver import LogicStimulus
->>> from repro.core.ports import MacromodelTermination, ParallelRCTermination
+>>> from repro.core.ports import ParallelRCTermination
+>>> from repro.core.resampling import ResampledPortModel
 >>> from repro.fdtd.solver1d import FDTD1DLine
 >>> driver = make_reference_driver_macromodel().bound(LogicStimulus.from_pattern("010", 2e-9))
 >>> dt = 0.4e-9 / 100
 >>> line = FDTD1DLine(131.0, 0.4e-9,
-...                   MacromodelTermination.from_model(driver, dt),
+...                   ResampledPortModel(driver, dt),
 ...                   ParallelRCTermination(500.0, 1e-12, dt))
 >>> result = line.run(5e-9)
 >>> result.voltage("far_end").shape
@@ -69,7 +70,6 @@ or, driving the solver objects directly:
 from repro.core.cosim import LinkDescription, SimulationResult
 from repro.core.newton import NewtonOptions, NewtonStats
 from repro.core.ports import (
-    MacromodelTermination,
     OpenTermination,
     ParallelRCTermination,
     ResistorTermination,
@@ -112,7 +112,6 @@ __all__ = [
     "SimulationResult",
     "NewtonOptions",
     "NewtonStats",
-    "MacromodelTermination",
     "OpenTermination",
     "ParallelRCTermination",
     "ResistorTermination",

@@ -2,11 +2,12 @@
 
 The paper's second reference curve replaces the transistor-level devices
 with their RBF macromodels inside the circuit simulator.  This element
-wraps a :class:`~repro.core.resampling.ResampledPortModel` — the same
-resampled form used inside the FDTD mesh — so the circuit engine and the
-field engines share one macromodel implementation, exactly as advocated in
-the paper ("the same computational code can be used for very different
-devices simply feeding it with the proper model parameters").
+holds a :class:`~repro.core.resampling.ResampledPortModel` — the same port
+object the 1-D line ends and the 3-D lumped sites hold — so the circuit
+engine and the field engines share one macromodel implementation, exactly
+as advocated in the paper ("the same computational code can be used for
+very different devices simply feeding it with the proper model
+parameters").
 
 The element is a one-port between a node and a reference node: during every
 Newton iteration the model is linearised around the candidate port voltage
@@ -80,8 +81,7 @@ class MacromodelElement(Element):
     def stamp(self, A, rhs, x, ctx: StampContext) -> None:
         node, ref = self.nodes
         v = ctx.node_voltage(x, node) - ctx.node_voltage(x, ref)
-        i = self.port.current(v, ctx.t)
-        g = self.port.dcurrent_dv(v, ctx.t)
+        i, g = self.port.current_and_dcurrent(v, ctx.t)
         i_eq = i - g * v
         self._stamp_conductance(A, ctx, node, ref, g)
         self._stamp_current(rhs, ctx, node, ref, i_eq)

@@ -8,12 +8,15 @@ This package is the paper's primary contribution:
   matrix, the resampling factor ``tau = dt/Ts``).
 * :mod:`repro.core.stability` — the eigenvalue analysis of Section 3.1 and
   Figure 2 proving that resampling preserves stability when ``tau <= 1``.
-* :mod:`repro.core.newton` — the damped Newton-Raphson scalar solver with
+* :mod:`repro.core.newton` — the Newton-Raphson scalar solver with
   iteration bookkeeping (the paper reports convergence in at most three
   iterations at a 1e-9 tolerance).
-* :mod:`repro.core.ports` — the lumped-termination abstraction shared by
-  the circuit, 1-D FDTD and 3-D FDTD backends (resistors, RC loads,
-  resistive sources and resampled macromodel ports).
+* :mod:`repro.core.ports` — the lumped-termination interface shared by
+  the circuit, 1-D FDTD and 3-D FDTD backends: one fused
+  ``current_and_dcurrent(v, t) -> (i, g)`` evaluation plus ``commit`` and
+  ``reset``, with the linear loads (open, resistor, resistive source, RC).
+  A macromodel port is one :class:`ResampledPortModel` on all three
+  engines: it is itself the nonlinear termination.
 * :mod:`repro.core.lumped_rbf` — the coupled cell update of Eq. (8) + (13):
   given the field-side coefficients of the modified Maxwell-Ampère
   equation, solve for the new port voltage with the termination's analytic
@@ -37,7 +40,6 @@ from repro.core.stability import (
 from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import (
     LumpedTermination,
-    MacromodelTermination,
     OpenTermination,
     ParallelRCTermination,
     ResistorTermination,
@@ -59,7 +61,6 @@ __all__ = [
     "NewtonStats",
     "newton_solve_scalar_fused",
     "LumpedTermination",
-    "MacromodelTermination",
     "OpenTermination",
     "ParallelRCTermination",
     "ResistorTermination",

@@ -19,8 +19,6 @@ used (three iterations typically suffice, as reported in the paper).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.core.newton import (
     NewtonOptions,
     NewtonStats,
@@ -28,52 +26,7 @@ from repro.core.newton import (
 )
 from repro.core.ports import LumpedTermination
 
-__all__ = ["HybridCellUpdate", "CellCoefficients"]
-
-
-@dataclasses.dataclass(frozen=True)
-class CellCoefficients:
-    """The FDTD coefficients alpha0..alpha3 of Eqs. (9)-(12).
-
-    Parameters
-    ----------
-    dz, dx, dy:
-        Cell dimensions along the element direction (``dz``) and across the
-        cell section (``dx``, ``dy``).
-    dt:
-        FDTD time step.
-    eps:
-        Local permittivity (F/m).
-    sigma:
-        Local conductivity (S/m).
-    """
-
-    dz: float
-    dx: float
-    dy: float
-    dt: float
-    eps: float
-    sigma: float = 0.0
-
-    @property
-    def alpha0(self) -> float:
-        """``1 + sigma dt / (2 eps)`` (Eq. 9)."""
-        return 1.0 + self.sigma * self.dt / (2.0 * self.eps)
-
-    @property
-    def alpha1(self) -> float:
-        """``1 - sigma dt / (2 eps)`` (Eq. 10)."""
-        return 1.0 - self.sigma * self.dt / (2.0 * self.eps)
-
-    @property
-    def alpha2(self) -> float:
-        """``dz dt / eps`` (Eq. 11)."""
-        return self.dz * self.dt / self.eps
-
-    @property
-    def alpha3(self) -> float:
-        """``dz dt / (2 eps dx dy)`` (Eq. 12)."""
-        return self.dz * self.dt / (2.0 * self.eps * self.dx * self.dy)
+__all__ = ["HybridCellUpdate"]
 
 
 class HybridCellUpdate:
@@ -98,7 +51,6 @@ class HybridCellUpdate:
         self.termination = termination
         self.newton_options = newton_options or NewtonOptions()
         self.stats = stats if stats is not None else NewtonStats()
-        self._g_cached: float | None = None
 
     def solve(self, a: float, b: float, c: float, v_guess: float, t: float) -> tuple[float, float]:
         """Solve ``a v - b - c (i(v) + i_prev) = 0`` for the new voltage.
@@ -119,21 +71,15 @@ class HybridCellUpdate:
             new step.  The termination state is advanced (committed) before
             returning.
         """
-        i_prev = self.termination.last_current
+        termination = self.termination
+        i_prev = termination.last_current
 
-        if not self.termination.nonlinear:
+        if not termination.nonlinear:
             # Linear element: i(v) = i0 + g v with g constant; closed form.
-            # Terminations declaring a constant conductance are queried once.
-            g = self._g_cached
-            if g is None:
-                g = self.termination.dcurrent_dv(v_guess, t)
-                if self.termination.constant_conductance:
-                    self._g_cached = g
-            i0 = self.termination.current(0.0, t)
+            # One evaluation at v = 0 gives both; no Newton solve is recorded.
+            i0, g = termination.current_and_dcurrent(0.0, t)
             v_new = (b + c * (i0 + i_prev)) / (a - c * g)
-            self.stats.record(0, True)
         else:
-            termination = self.termination
 
             def residual_and_derivative(v: float) -> tuple[float, float]:
                 # One fused model evaluation feeds both the residual and the
@@ -149,6 +95,6 @@ class HybridCellUpdate:
             )
             v_new = result.x
 
-        i_new = self.termination.commit(v_new, t)
+        i_new = termination.commit(v_new, t)
         return float(v_new), float(i_new)
 

@@ -1,4 +1,4 @@
-"""Damped Newton-Raphson scalar solver with iteration bookkeeping.
+"""Newton-Raphson scalar solver with iteration bookkeeping.
 
 The coupled FDTD/macromodel update (paper Eq. 8 + 13) reduces to one scalar
 nonlinear equation per lumped element per time step.  Because the Gaussian
@@ -16,6 +16,10 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
+
+#: Derivatives smaller in magnitude than this are clamped to avoid division
+#: blow-ups.
+_MIN_DERIVATIVE = 1e-15
 
 __all__ = [
     "NewtonOptions",
@@ -36,18 +40,10 @@ class NewtonOptions:
         "very stringent value of 1e-9").
     max_iterations:
         Hard iteration cap; exceeding it marks the solve as non-converged.
-    max_step:
-        Optional bound on the magnitude of a single Newton update (simple
-        damping that protects against the rare near-flat Jacobian).
-    min_derivative:
-        Derivatives smaller in magnitude than this are clamped to avoid
-        division blow-ups.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 50
-    max_step: float | None = None
-    min_derivative: float = 1e-15
 
 
 @dataclasses.dataclass
@@ -116,7 +112,7 @@ def newton_solve_scalar_fused(
     options: NewtonOptions | None = None,
     stats: NewtonStats | None = None,
 ) -> NewtonResult:
-    """Solve ``f(x) = 0`` by damped Newton-Raphson.
+    """Solve ``f(x) = 0`` by Newton-Raphson.
 
     Parameters
     ----------
@@ -142,11 +138,9 @@ def newton_solve_scalar_fused(
     converged = not nan and abs(f) < opts.tolerance
     while not converged and not nan and iterations < opts.max_iterations:
         dfdx = float(dfdx)
-        if not np.isfinite(dfdx) or abs(dfdx) < opts.min_derivative:
-            dfdx = np.sign(dfdx) * opts.min_derivative if dfdx != 0 else opts.min_derivative
+        if not np.isfinite(dfdx) or abs(dfdx) < _MIN_DERIVATIVE:
+            dfdx = np.sign(dfdx) * _MIN_DERIVATIVE if dfdx != 0 else _MIN_DERIVATIVE
         step = -f / dfdx
-        if opts.max_step is not None and abs(step) > opts.max_step:
-            step = np.sign(step) * opts.max_step
         x = x + step
         f, dfdx = residual_and_derivative(x)
         f = float(f)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import perf
+from repro.core.ports import LumpedTermination
 from repro.macromodel.base import DiscreteTimePortModel
 from repro.perf.rbf_fast import build_fast_port_evaluator
 
@@ -74,13 +75,18 @@ def resampled_eigenvalue(lam: complex, tau: float) -> complex:
     return 1.0 + tau * (lam - 1.0)
 
 
-class ResampledPortModel:
+class ResampledPortModel(LumpedTermination):
     """A macromodel resampled onto a solver time step (Eq. 13).
 
     The object owns the regressor states ``x_v`` and ``x_i`` and advances
     them with the ``Q`` matrix at every accepted solver step.  It exposes the
     explicit current and its analytic derivative at the *current* step so a
-    host solver can embed it in its own (possibly nonlinear) update.
+    host solver can embed it in its own (possibly nonlinear) update.  It is
+    the nonlinear :class:`~repro.core.ports.LumpedTermination` that every
+    engine holds for a macromodel port: the MNA element, the 1-D line ends
+    and the 3-D lumped sites.  ``t`` may be omitted in
+    :meth:`current_and_dcurrent` and :meth:`commit`; the port then uses its
+    own clock.
 
     Parameters
     ----------
@@ -105,6 +111,8 @@ class ResampledPortModel:
         ``None`` (default) follows :func:`repro.perf.fastpath_default`;
         ``False`` always evaluates through the naive model methods.
     """
+
+    nonlinear = True
 
     def __init__(
         self,
@@ -143,22 +151,12 @@ class ResampledPortModel:
         self.last_voltage = float(v0)
         self._state_version += 1
 
-    def current(self, v: float, t: float | None = None) -> float:
-        """Port current for a candidate voltage ``v`` at the current step."""
-        t_eval = self.time if t is None else t
-        if self._fast is not None:
-            return self._fast.current(v, self.x_v, self.x_i, t_eval, self._state_version)
-        return self.model.current(v, self.x_v, self.x_i, t_eval)
-
-    def dcurrent_dv(self, v: float, t: float | None = None) -> float:
-        """Analytic derivative of the current with respect to ``v``."""
-        t_eval = self.time if t is None else t
-        if self._fast is not None:
-            return self._fast.dcurrent_dv(v, self.x_v, self.x_i, t_eval, self._state_version)
-        return self.model.dcurrent_dv(v, self.x_v, self.x_i, t_eval)
-
     def current_and_dcurrent(self, v: float, t: float | None = None) -> tuple[float, float]:
-        """Fused current/derivative evaluation (one basis pass on the fast path)."""
+        """Port current for a candidate voltage ``v`` at the current step, and its ``d/dv``.
+
+        The fast path shares one basis pass between the two; the reference
+        path calls the model's ``current`` and then its ``dcurrent_dv``.
+        """
         t_eval = self.time if t is None else t
         if self._fast is not None:
             return self._fast.current_and_dcurrent(
@@ -179,7 +177,9 @@ class ResampledPortModel:
         if self._fast is not None:
             # The Newton loop's last residual evaluation was at this very
             # voltage, so this is a cache hit in the common case.
-            i_now = self._fast.current(v, self.x_v, self.x_i, t_eval, self._state_version)
+            i_now = self._fast.current_and_dcurrent(
+                v, self.x_v, self.x_i, t_eval, self._state_version
+            )[0]
         else:
             i_now = self.model.current(v, self.x_v, self.x_i, t_eval)
         tau = self.tau
@@ -194,22 +194,3 @@ class ResampledPortModel:
         self.last_voltage = float(v)
         self._state_version += 1
         return float(i_now)
-
-    def copy(self) -> "ResampledPortModel":
-        """Deep copy (states included); the wrapped model is shared."""
-        clone = ResampledPortModel.__new__(ResampledPortModel)
-        clone.model = self.model
-        clone.dt = self.dt
-        clone.tau = self.tau
-        clone.dynamic_order = self.dynamic_order
-        clone._q = self._q.copy()
-        clone.x_v = self.x_v.copy()
-        clone.x_i = self.x_i.copy()
-        clone.time = self.time
-        clone.last_current = self.last_current
-        clone.last_voltage = self.last_voltage
-        # Evaluator caches are keyed by (state_version, t); give the clone
-        # its own evaluator so the two cannot cross-contaminate.
-        clone._fast = build_fast_port_evaluator(clone.model) if self._fast is not None else None
-        clone._state_version = self._state_version
-        return clone

@@ -24,10 +24,8 @@ from typing import Dict, Optional
 
 from repro.circuits.testbenches import run_link_rbf, run_link_transistor
 from repro.core.cosim import LinkDescription, SimulationResult
-from repro.core.ports import (
-    MacromodelTermination,
-    ParallelRCTermination,
-)
+from repro.core.ports import ParallelRCTermination
+from repro.core.resampling import ResampledPortModel
 from repro.experiments.devices import ReferenceMacromodels, identified_reference_macromodels
 from repro.experiments.reporting import engine_agreement
 from repro.fdtd.courant import courant_time_step
@@ -78,11 +76,11 @@ def run_fdtd3d_link(
     """The 3-D FDTD engine for the Figure 4 / Figure 5 link."""
     dt = courant_time_step(structure.mesh_size)
     stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
-    driver = MacromodelTermination.from_model(models.driver.bound(stimulus), dt)
+    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
     if link.load == "rc":
         load = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
     else:
-        load = MacromodelTermination.from_model(models.receiver, dt)
+        load = ResampledPortModel(models.receiver, dt)
     solver, near_site, far_site = structure.build_solver(driver, load, dt=dt)
     times = solver.run(duration=link.duration)
     return SimulationResult(
@@ -106,11 +104,11 @@ def run_fdtd1d_link(
     """The 1-D FDTD engine for the Figure 4 / Figure 5 link."""
     stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
     dt = t_d / n_cells
-    driver = MacromodelTermination.from_model(models.driver.bound(stimulus), dt)
+    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
     if link.load == "rc":
         load = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
     else:
-        load = MacromodelTermination.from_model(models.receiver, dt)
+        load = ResampledPortModel(models.receiver, dt)
     line = FDTD1DLine(z_c, t_d, driver, load, n_cells=n_cells)
     return line.run(link.duration)
 

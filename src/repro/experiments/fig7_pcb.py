@@ -25,7 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.cosim import SimulationResult
-from repro.core.ports import MacromodelTermination
+from repro.core.resampling import ResampledPortModel
 from repro.experiments.devices import ReferenceMacromodels, identified_reference_macromodels
 from repro.fdtd.courant import courant_time_step
 from repro.fdtd.plane_wave import PlaneWaveSource
@@ -79,8 +79,8 @@ def _run_pcb(
 ) -> SimulationResult:
     dt = courant_time_step(structure.in_plane_cell, structure.in_plane_cell, structure.layer_height)
     stimulus = LogicStimulus.from_pattern("010", bit_time)
-    driver = MacromodelTermination.from_model(models.driver.bound(stimulus), dt)
-    receiver = MacromodelTermination.from_model(models.receiver, dt)
+    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
+    receiver = ResampledPortModel(models.receiver, dt)
     plane_wave = (
         PlaneWaveSource.paper_figure7(amplitude=amplitude, bandwidth_hz=bandwidth)
         if with_field

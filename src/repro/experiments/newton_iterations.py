@@ -15,7 +15,8 @@ from typing import Dict, Optional
 
 from repro.core.cosim import LinkDescription
 from repro.core.newton import NewtonOptions
-from repro.core.ports import MacromodelTermination, ParallelRCTermination
+from repro.core.ports import ParallelRCTermination
+from repro.core.resampling import ResampledPortModel
 from repro.experiments.devices import ReferenceMacromodels, identified_reference_macromodels
 from repro.fdtd.courant import courant_time_step
 from repro.fdtd.solver1d import FDTD1DLine
@@ -73,7 +74,7 @@ def run_newton_iteration_study(
 
     # 1-D FDTD engine.
     dt1d = link.delay / 100
-    driver_1d = MacromodelTermination.from_model(models.driver.bound(stimulus), dt1d)
+    driver_1d = ResampledPortModel(models.driver.bound(stimulus), dt1d)
     load_1d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt1d)
     line = FDTD1DLine(link.z0, link.delay, driver_1d, load_1d, n_cells=100, newton_options=options)
     result_1d = line.run(duration)
@@ -85,7 +86,7 @@ def run_newton_iteration_study(
     # 3-D FDTD engine on a shortened structure.
     structure = ValidationLineStructure.scaled(scale)
     dt3d = courant_time_step(structure.mesh_size)
-    driver_3d = MacromodelTermination.from_model(models.driver.bound(stimulus), dt3d)
+    driver_3d = ResampledPortModel(models.driver.bound(stimulus), dt3d)
     load_3d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt3d)
     solver, _, _ = structure.build_solver(driver_3d, load_3d, dt=dt3d, newton_options=options)
     solver.run(duration=duration)

@@ -44,12 +44,9 @@ class FlippedTermination(LumpedTermination):
     def __init__(self, inner: LumpedTermination):
         self.inner = inner
         self.nonlinear = inner.nonlinear
-
-    def current(self, v: float, t: float) -> float:
-        return -self.inner.current(-v, t)
-
-    def dcurrent_dv(self, v: float, t: float) -> float:
-        return self.inner.dcurrent_dv(-v, t)
+        # Start from the inner state, mirrored; ``0.0 - x`` keeps a zero +0.0.
+        self.last_voltage = 0.0 - inner.last_voltage
+        self.last_current = 0.0 - inner.last_current
 
     def current_and_dcurrent(self, v: float, t: float) -> tuple[float, float]:
         i, g = self.inner.current_and_dcurrent(-v, t)
@@ -80,7 +77,8 @@ class LumpedElementSite:
         edge must not lie on the outer boundary of the domain.
     termination:
         Any :class:`~repro.core.ports.LumpedTermination` (resistor, RC
-        load, resistive source or RBF macromodel port).
+        load, resistive source or a
+        :class:`~repro.core.resampling.ResampledPortModel` macromodel port).
     flip:
         Reverse the port orientation (see module docstring).
     """

@@ -36,11 +36,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.macromodel.driver import DriverMacromodel
-from repro.macromodel.rbf import RBFSubmodel
 from repro.macromodel.receiver import ReceiverMacromodel
 
 __all__ = [
-    "SeparableSubmodel",
+    "SeparableBlocks",
     "FastDriverEvaluator",
     "FastReceiverEvaluator",
     "build_fast_port_evaluator",
@@ -55,6 +54,8 @@ class SeparableBlocks:
     width (they are fitted that way), their expansions can be concatenated
     into a single centre/weight array with the per-submodel ``i_scale``
     folded into the weights — one vector pass per iteration instead of two.
+    A one-submodel list is the per-step separable form of that submodel;
+    ``value_and_slope`` returns the current in amperes either way.
     """
 
     def __init__(self, submodels):
@@ -132,24 +133,13 @@ class SeparableBlocks:
         return value, slope
 
 
-class SeparableSubmodel(SeparableBlocks):
-    """Per-step separable evaluation of one :class:`RBFSubmodel`.
-
-    A single-block :class:`SeparableBlocks`; ``value_and_slope`` returns the
-    current in amperes directly.
-    """
-
-    def __init__(self, submodel: RBFSubmodel):
-        super().__init__([submodel])
-
-
 class _MemoizedEvaluator:
     """Shared caching plumbing of the fast port evaluators.
 
     Subclasses implement ``_prepare_state`` and ``_evaluate``; this base
     caches the per-step preparation on a ``(state_version, t)`` key and the
-    last ``(value, slope)`` pair per candidate voltage, so the Newton loop's
-    back-to-back ``current`` / ``dcurrent_dv`` calls cost one evaluation.
+    last ``(value, slope)`` pair per candidate voltage, so the port's commit
+    after a Newton loop that ended at the same voltage costs no evaluation.
     """
 
     def __init__(self):
@@ -163,7 +153,8 @@ class _MemoizedEvaluator:
     def _evaluate(self, v: float) -> tuple[float, float]:
         raise NotImplementedError
 
-    def _ensure(self, v, x_v, x_i, t, state_version) -> tuple[float, float]:
+    def current_and_dcurrent(self, v, x_v, x_i, t, state_version) -> tuple[float, float]:
+        """Port current and ``d/dv`` at ``v`` (one evaluation, one cache probe)."""
         key = (state_version, t)
         if key != self._prep_key:
             self._prepare_state(x_v, x_i, t)
@@ -174,16 +165,6 @@ class _MemoizedEvaluator:
             self._last_v = v
         return self._last_eval
 
-    def current(self, v, x_v, x_i, t, state_version) -> float:
-        return self._ensure(v, x_v, x_i, t, state_version)[0]
-
-    def dcurrent_dv(self, v, x_v, x_i, t, state_version) -> float:
-        return self._ensure(v, x_v, x_i, t, state_version)[1]
-
-    def current_and_dcurrent(self, v, x_v, x_i, t, state_version) -> tuple[float, float]:
-        """Fused value/derivative fetch (one evaluation, one cache probe)."""
-        return self._ensure(v, x_v, x_i, t, state_version)
-
 
 class FastDriverEvaluator(_MemoizedEvaluator):
     """Separable evaluation of a (stimulus-bound) driver macromodel."""
@@ -191,8 +172,8 @@ class FastDriverEvaluator(_MemoizedEvaluator):
     def __init__(self, model: DriverMacromodel):
         super().__init__()
         self.model = model
-        self.up = SeparableSubmodel(model.submodel_up)
-        self.down = SeparableSubmodel(model.submodel_down)
+        self.up = SeparableBlocks([model.submodel_up])
+        self.down = SeparableBlocks([model.submodel_down])
         self._w_u = 0.0
         self._w_d = 0.0
 
@@ -235,8 +216,8 @@ class FastReceiverEvaluator(_MemoizedEvaluator):
         except ValueError:
             self._fused = None
             self._split = (
-                SeparableSubmodel(model.protection_up),
-                SeparableSubmodel(model.protection_down),
+                SeparableBlocks([model.protection_up]),
+                SeparableBlocks([model.protection_down]),
             )
         self._lin_const = 0.0
 

@@ -341,6 +341,22 @@ class TestCIPipeline:
             for command in commands
         )
 
+    def test_quick_tier_runs_port_smoke(self, workflow):
+        # The port, termination, lumped-site and Newton suites run as their
+        # own named quick-tier step, and the 1-D fixture's Newton mean counts
+        # the driver port's solves only (the RC load's closed form is none).
+        test_job = workflow["jobs"]["test"]
+        commands = [
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        ]
+        port = [
+            command for command in commands
+            if '-k "port or termination or lumped or newton"' in command
+        ]
+        assert port and 'not slow' in port[0]
+        assert "python -m repro run examples/jobs/fdtd1d_link.json --quick" in port[0]
+        assert "m['newton_mean_iterations'] > 1" in port[0]
+
     def test_quick_tier_runs_sweep_lanes_smoke(self, workflow):
         # The sweep suites run as their own named quick-tier step, and the
         # CLI smoke asserts that the linear fixture's four direct scenarios

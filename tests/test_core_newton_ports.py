@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.cosim import LinkDescription, SimulationResult
-from repro.core.lumped_rbf import CellCoefficients, HybridCellUpdate
+from repro.core.lumped_rbf import HybridCellUpdate
 from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import (
-    MacromodelTermination,
     OpenTermination,
     ParallelRCTermination,
     ResistorTermination,
     ResistiveSourceTermination,
 )
-from repro.fdtd.constants import EPS0
+from repro.core.resampling import ResampledPortModel
 from repro.macromodel.driver import LogicStimulus
 
 
@@ -42,14 +41,6 @@ class TestNewton:
         assert not res.converged
         assert res.iterations == 3
 
-    def test_max_step_damping(self):
-        opts = NewtonOptions(max_step=0.5, max_iterations=200)
-        res = newton_solve_scalar_fused(lambda x: (x - 10, 1.0), 0.0, opts)
-        # converges despite the per-iteration step cap, taking ~ 10 / 0.5 steps
-        assert res.converged
-        assert res.x == pytest.approx(10.0)
-        assert res.iterations >= 20
-
     def test_stats_accumulation_and_merge(self):
         stats = NewtonStats()
         newton_solve_scalar_fused(lambda x: (x - 1, 1.0), 0.0, stats=stats)
@@ -67,19 +58,17 @@ class TestNewton:
 class TestTerminations:
     def test_resistor(self):
         r = ResistorTermination(50.0)
-        assert r.current(1.0, 0.0) == pytest.approx(0.02)
-        assert r.dcurrent_dv(1.0, 0.0) == pytest.approx(0.02)
+        assert r.current_and_dcurrent(1.0, 0.0) == pytest.approx((0.02, 0.02))
         assert not r.nonlinear
 
     def test_open(self):
         o = OpenTermination()
-        assert o.current(5.0, 0.0) == 0.0
-        assert o.dcurrent_dv(5.0, 0.0) == 0.0
+        assert o.current_and_dcurrent(5.0, 0.0) == (0.0, 0.0)
 
     def test_resistive_source(self):
         src = ResistiveSourceTermination(100.0, lambda t: 1.0 if t > 0 else 0.0)
-        assert src.current(0.0, 1.0) == pytest.approx(-0.01)
-        assert src.current(1.0, 1.0) == pytest.approx(0.0)
+        assert src.current_and_dcurrent(0.0, 1.0) == pytest.approx((-0.01, 0.01))
+        assert src.current_and_dcurrent(1.0, 1.0)[0] == pytest.approx(0.0)
 
     def test_parallel_rc_pure_resistive_at_dc(self):
         rc = ParallelRCTermination(500.0, 1e-12, dt=1e-12, v0=1.0)
@@ -91,8 +80,9 @@ class TestTerminations:
     def test_parallel_rc_capacitive_step(self):
         dt = 1e-12
         rc = ParallelRCTermination(1e9, 1e-12, dt=dt, v0=0.0)
-        i = rc.current(0.1, 0.0)
+        i, g = rc.current_and_dcurrent(0.1, 0.0)
         assert i == pytest.approx(1e-12 * 0.1 / dt, rel=1e-6)
+        assert g == pytest.approx(1e-9 + 1e-12 / dt)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -101,35 +91,17 @@ class TestTerminations:
             ParallelRCTermination(100.0, 1e-12, dt=0.0)
 
     def test_macromodel_termination_commit_tracks_port(self, receiver_model):
-        term = MacromodelTermination.from_model(receiver_model, 5e-12, v0=0.0)
+        term = ResampledPortModel(receiver_model, 5e-12, v0=0.0)
         assert term.nonlinear
         i = term.commit(0.5, 0.0)
         assert term.last_current == i
-        assert term.port.time == pytest.approx(5e-12)
+        assert term.time == pytest.approx(5e-12)
 
     def test_macromodel_termination_reset(self, receiver_model):
-        term = MacromodelTermination.from_model(receiver_model, 5e-12, v0=0.0)
+        term = ResampledPortModel(receiver_model, 5e-12, v0=0.0)
         term.commit(1.0, 0.0)
         term.reset(v0=0.0, i0=0.0)
-        np.testing.assert_allclose(term.port.x_v, 0.0)
-
-
-class TestCellCoefficients:
-    def test_alpha_formulas_match_paper(self):
-        dz = dx = dy = 0.723e-3
-        dt = 1e-12
-        eps = EPS0
-        sigma = 0.01
-        c = CellCoefficients(dz=dz, dx=dx, dy=dy, dt=dt, eps=eps, sigma=sigma)
-        assert c.alpha0 == pytest.approx(1 + sigma * dt / (2 * eps))
-        assert c.alpha1 == pytest.approx(1 - sigma * dt / (2 * eps))
-        assert c.alpha2 == pytest.approx(dz * dt / eps)
-        assert c.alpha3 == pytest.approx(dz * dt / (2 * eps * dx * dy))
-
-    def test_lossless_alphas_are_one(self):
-        c = CellCoefficients(dz=1e-3, dx=1e-3, dy=1e-3, dt=1e-12, eps=EPS0)
-        assert c.alpha0 == 1.0
-        assert c.alpha1 == 1.0
+        np.testing.assert_allclose(term.x_v, 0.0)
 
 
 class TestHybridCellUpdate:
@@ -145,7 +117,7 @@ class TestHybridCellUpdate:
 
     def test_nonlinear_macromodel_converges_quickly(self, driver_model):
         bound = driver_model.bound(LogicStimulus.from_pattern("0", 2e-9))
-        term = MacromodelTermination.from_model(bound, 5e-12, v0=0.0)
+        term = ResampledPortModel(bound, 5e-12, v0=0.0)
         stats = NewtonStats()
         upd = HybridCellUpdate(term, stats=stats)
         v, i = upd.solve(a=1.0, b=0.5, c=-0.01, v_guess=0.4, t=5e-12)
@@ -154,12 +126,13 @@ class TestHybridCellUpdate:
         # residual satisfied
         assert 1.0 * v - 0.5 - (-0.01) * (i + 0.0) == pytest.approx(0.0, abs=1e-6)
 
-    def test_stats_shared_across_updates(self):
+    def test_stats_shared_across_updates(self, driver_model, receiver_model):
         stats = NewtonStats()
-        upd1 = HybridCellUpdate(ResistorTermination(50.0), stats=stats)
-        upd2 = HybridCellUpdate(ResistorTermination(75.0), stats=stats)
-        upd1.solve(1.0, 1.0, -0.5, 0.0, 0.0)
-        upd2.solve(1.0, 1.0, -0.5, 0.0, 0.0)
+        bound = driver_model.bound(LogicStimulus.from_pattern("0", 2e-9))
+        upd1 = HybridCellUpdate(ResampledPortModel(bound, 5e-12), stats=stats)
+        upd2 = HybridCellUpdate(ResampledPortModel(receiver_model, 5e-12), stats=stats)
+        upd1.solve(1.0, 0.5, -0.01, 0.4, 5e-12)
+        upd2.solve(1.0, 0.5, -0.01, 0.4, 5e-12)
         assert stats.total_solves == 2
 
 

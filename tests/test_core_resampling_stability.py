@@ -146,13 +146,6 @@ class TestResampledPortModel:
         np.testing.assert_allclose(port.x_i, 0.1)
         assert port.time == 0.0
 
-    def test_copy_is_independent(self, receiver_model):
-        port = ResampledPortModel(receiver_model, 5e-12)
-        clone = port.copy()
-        port.commit(0.9)
-        assert clone.time == 0.0
-        assert not np.allclose(clone.x_v, port.x_v)
-
     def test_resampled_receiver_tracks_capacitive_current(self, receiver_model, params):
         """A linear ramp applied through the resampled model must produce
         approximately the C dV/dt current of the receiver input capacitance."""

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.ports import (
-    MacromodelTermination,
     ParallelRCTermination,
     ResistorTermination,
     ResistiveSourceTermination,
 )
+from repro.core.resampling import ResampledPortModel
 from repro.fdtd.courant import courant_time_step
 from repro.fdtd.constants import C0
 from repro.fdtd.grid import YeeGrid
@@ -73,7 +73,7 @@ class TestFDTD1D:
         bound = driver_model.bound(LogicStimulus.from_pattern("01", 2e-9))
         line = FDTD1DLine(
             z0, td,
-            MacromodelTermination.from_model(bound, dt),
+            ResampledPortModel(bound, dt),
             ParallelRCTermination(500.0, 1e-12, dt),
             n_cells=100,
         )
@@ -83,6 +83,20 @@ class TestFDTD1D:
         assert res.voltage("far_end")[-1] == pytest.approx(1.8, abs=0.15)
         assert res.newton_stats.max_iterations <= 5
         assert res.newton_stats.failures == 0
+
+    def test_rc_load_is_not_counted_as_a_newton_solve(self, driver_model):
+        # Only the driver port iterates; the RC load's closed form is no solve.
+        dt = 0.4e-9 / 40
+        bound = driver_model.bound(LogicStimulus.from_pattern("01", 0.2e-9))
+        line = FDTD1DLine(
+            131.0, 0.4e-9,
+            ResampledPortModel(bound, dt),
+            ParallelRCTermination(500.0, 1e-12, dt),
+            n_cells=40,
+        )
+        res = line.run(0.6e-9)
+        assert res.newton_stats.total_solves == res.times.size
+        assert res.newton_stats.mean_iterations > 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -171,8 +185,43 @@ class TestFDTD3D:
         inner = ResistiveSourceTermination(100.0, lambda t: 1.0)
         flipped = FlippedTermination(inner)
         # flipped current at +v equals minus the inner current at -v
-        assert flipped.current(0.5, 0.0) == pytest.approx(-inner.current(-0.5, 0.0))
-        assert flipped.dcurrent_dv(0.5, 0.0) == pytest.approx(inner.dcurrent_dv(-0.5, 0.0))
+        i, g = flipped.current_and_dcurrent(0.5, 0.0)
+        i_inner, g_inner = inner.current_and_dcurrent(-0.5, 0.0)
+        assert i == pytest.approx(-i_inner)
+        assert g == pytest.approx(g_inner)
+
+    def test_flipped_termination_starts_from_the_inner_state(self, receiver_model):
+        port = ResampledPortModel(receiver_model, 1.5e-12, v0=1.0, i0=0.1)
+        flipped = FlippedTermination(port)
+        assert flipped.last_voltage == -1.0
+        assert flipped.last_current == -0.1
+        site = LumpedElementSite("rx", "z", (4, 4, 4), port, flip=True)
+        site.bind(YeeGrid(8, 8, 8, 1e-3), 1.5e-12)
+        assert site._v_prev == -1.0
+        # a zero inner state stays +0.0 (the flipped ports' bits)
+        zero = FlippedTermination(ResistorTermination(50.0))
+        assert np.copysign(1.0, zero.last_voltage) == 1.0
+        assert np.copysign(1.0, zero.last_current) == 1.0
+
+    def test_flipped_resistor_makes_no_extra_conductance_call(self):
+        # Figure 7's receiver-side strip ends: flipped 50 ohm resistors.  The
+        # closed form reads i(0) and g from one evaluation per step, and the
+        # commit makes the other: flipping adds no per-step conductance call.
+        class CountingResistor(ResistorTermination):
+            calls = 0
+
+            def current_and_dcurrent(self, v, t):
+                self.calls += 1
+                return super().current_and_dcurrent(v, t)
+
+        bare, inner = CountingResistor(50.0), CountingResistor(50.0)
+        solver = FDTD3DSolver(YeeGrid(8, 8, 8, 1e-3))
+        solver.add_lumped_element(LumpedElementSite("bare", "z", (2, 4, 4), bare))
+        solver.add_lumped_element(LumpedElementSite("flipped", "z", (5, 4, 4), inner, flip=True))
+        n_steps = 25
+        solver.run(n_steps=n_steps)
+        assert bare.calls == inner.calls == 2 * n_steps
+        assert solver.newton_stats.total_solves == 0
 
     def test_run_requires_exactly_one_duration_spec(self):
         grid = YeeGrid(6, 6, 6, 1e-3)
@@ -200,7 +249,7 @@ class TestFDTD3D:
         dt = courant_time_step(structure.mesh_size)
         bound = driver_model.bound(LogicStimulus.from_pattern("01", 0.5e-9))
         solver, near, far = structure.build_solver(
-            MacromodelTermination.from_model(bound, dt),
+            ResampledPortModel(bound, dt),
             ParallelRCTermination(500.0, 1e-12, dt),
             dt=dt,
         )

@@ -20,7 +20,7 @@ from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.rbf_element import MacromodelElement
 from repro.circuits.tline import IdealTransmissionLine
 from repro.circuits.transient import TransientOptions, TransientSolver
-from repro.core.ports import MacromodelTermination, ResistiveSourceTermination
+from repro.core.ports import ParallelRCTermination, ResistiveSourceTermination
 from repro.core.resampling import ResampledPortModel
 from repro.fdtd.geometry import add_pec_plate
 from repro.fdtd.grid import YeeGrid
@@ -205,8 +205,7 @@ def test_separable_port_evaluation_matches_naive(kind, driver_model, receiver_mo
         t = fast_port.time
         v = float(rng.uniform(-0.5, 2.3))
         i_fast, g_fast = fast_port.current_and_dcurrent(v, t)
-        i_ref = ref_port.current(v, t)
-        g_ref = ref_port.dcurrent_dv(v, t)
+        i_ref, g_ref = ref_port.current_and_dcurrent(v, t)
         assert abs(i_fast - i_ref) <= 1e-12 * max(1.0, abs(i_ref))
         assert abs(g_fast - g_ref) <= 1e-12 * max(1.0, abs(g_ref))
         fast_port.commit(v, t)
@@ -233,7 +232,7 @@ def _small_3d_solver(fast, with_wave, receiver_model):
     )
     site_m = LumpedElementSite(
         "rx", "z", (9, 6, 2),
-        MacromodelTermination.from_model(receiver_model, 1.5e-12, fast=fast),
+        ResampledPortModel(receiver_model, 1.5e-12, fast=fast),
     )
     solver.add_lumped_element(site_r)
     solver.add_lumped_element(site_m)
@@ -275,10 +274,10 @@ def test_fdtd1d_fast_equivalence(driver_model, receiver_model):
         line = FDTD1DLine(
             z0=131.0,
             delay=0.4e-9,
-            near_termination=MacromodelTermination.from_model(
+            near_termination=ResampledPortModel(
                 driver_model.bound(stimulus), 0.4e-9 / 40, fast=fast
             ),
-            far_termination=MacromodelTermination.from_model(
+            far_termination=ResampledPortModel(
                 receiver_model, 0.4e-9 / 40, fast=fast
             ),
             n_cells=40,
@@ -292,6 +291,77 @@ def test_fdtd1d_fast_equivalence(driver_model, receiver_model):
         _assert_close(fast.voltages[key], ref.voltages[key], f"fdtd1d {key}")
         _assert_close(fast.currents[key], ref.currents[key], f"fdtd1d {key} current")
     assert fast.newton_stats.total_iterations == ref.newton_stats.total_iterations
+
+
+# -- one model evaluation per Newton evaluation ------------------------------
+
+def _counted_driver_port(driver_model, dt, fast, calls):
+    """A resampled driver port whose model work is counted into ``calls``.
+
+    The fast port counts its evaluator's ``_evaluate``; the reference port
+    counts the naive model's ``current`` and ``dcurrent_dv``.
+    """
+    bound = driver_model.bound(LogicStimulus.from_pattern("01", 0.1e-9))
+    port = ResampledPortModel(bound, dt, fast=fast)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    if fast:
+        port._fast._evaluate = counted("evaluate", port._fast._evaluate)
+    else:
+        bound.current = counted("current", bound.current)
+        bound.dcurrent_dv = counted("dcurrent_dv", bound.dcurrent_dv)
+    return port
+
+
+def _assert_one_evaluation_per_newton_evaluation(calls, stats, n_steps, fast):
+    # The RC load is solved in closed form: every recorded solve is the port's.
+    assert stats.total_solves == n_steps
+    assert stats.total_iterations > 0
+    evaluations = stats.total_solves + stats.total_iterations
+    if fast:
+        # One basis pass per Newton evaluation; the commit is a memo hit.
+        assert calls == {"evaluate": evaluations}
+    else:
+        # The naive commit evaluates the current alone.
+        assert calls == {"current": evaluations + n_steps, "dcurrent_dv": evaluations}
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_fdtd1d_port_evaluates_once_per_newton_evaluation(fast, driver_model):
+    calls = {}
+    dt = 0.4e-9 / 40
+    line = FDTD1DLine(
+        z0=131.0,
+        delay=0.4e-9,
+        near_termination=_counted_driver_port(driver_model, dt, fast, calls),
+        far_termination=ParallelRCTermination(500.0, 1e-12, dt),
+        n_cells=40,
+        fast=fast,
+    )
+    result = line.run(0.4e-9)
+    _assert_one_evaluation_per_newton_evaluation(
+        calls, result.newton_stats, result.times.size, fast
+    )
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_fdtd3d_port_evaluates_once_per_newton_evaluation(fast, driver_model):
+    calls = {}
+    solver = FDTD3DSolver(YeeGrid(8, 8, 8, dx=1e-3), fast=fast)
+    solver.add_lumped_element(LumpedElementSite(
+        "drv", "z", (4, 4, 4), _counted_driver_port(driver_model, solver.dt, fast, calls)
+    ))
+    solver.add_lumped_element(LumpedElementSite(
+        "load", "z", (2, 2, 4), ParallelRCTermination(500.0, 1e-12, solver.dt)
+    ))
+    n_steps = 120
+    solver.run(n_steps=n_steps)
+    _assert_one_evaluation_per_newton_evaluation(calls, solver.newton_stats, n_steps, fast)
 
 
 # -- identification disk cache ---------------------------------------------

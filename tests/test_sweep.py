@@ -544,7 +544,8 @@ class TestFDTD3DMultiPort:
     @staticmethod
     def _run(fast, driver_model, receiver_model):
         from repro import perf
-        from repro.core.ports import MacromodelTermination, ResistiveSourceTermination
+        from repro.core.ports import ResistiveSourceTermination
+        from repro.core.resampling import ResampledPortModel
         from repro.fdtd.grid import YeeGrid
         from repro.fdtd.lumped import LumpedElementSite
         from repro.fdtd.solver3d import FDTD3DSolver
@@ -562,7 +563,7 @@ class TestFDTD3DMultiPort:
             )
 
             def port(model):
-                return MacromodelTermination.from_model(model, dt, fast=fast)
+                return ResampledPortModel(model, dt, fast=fast)
 
             solver.add_lumped_element(
                 LumpedElementSite("src", "z", (3, 3, 3), ResistiveSourceTermination(50.0, source))
