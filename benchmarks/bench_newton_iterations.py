@@ -13,7 +13,7 @@ from repro.experiments.reporting import format_table
 def test_newton_iteration_counts(benchmark, models):
     result = benchmark.pedantic(
         lambda: run_newton_iteration_study(
-            scale=min(bench_scale(), 0.5), duration=5e-9, tolerance=1e-9, models=models
+            scale=min(bench_scale(), 0.5), duration=5e-9, models=models
         ),
         rounds=1,
         iterations=1,

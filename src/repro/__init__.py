@@ -68,7 +68,7 @@ or, driving the solver objects directly:
 """
 
 from repro.core.cosim import LinkDescription, SimulationResult
-from repro.core.newton import NewtonOptions, NewtonStats
+from repro.core.newton import NewtonStats
 from repro.core.ports import (
     OpenTermination,
     ParallelRCTermination,
@@ -110,7 +110,6 @@ __all__ = [
     "api",
     "LinkDescription",
     "SimulationResult",
-    "NewtonOptions",
     "NewtonStats",
     "OpenTermination",
     "ParallelRCTermination",

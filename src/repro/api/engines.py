@@ -84,16 +84,12 @@ def _link_description(spec: SimulationSpec):
 
 
 def _transient_options(spec: SimulationSpec):
-    """The :class:`TransientOptions` a spec's engine block selects, or None."""
-    eng = spec.engine
-    if eng.max_retries == 0 and eng.on_nonconvergence == "raise":
-        return None
+    """The :class:`TransientOptions` a spec's engine block selects."""
     from repro.circuits.transient import TransientOptions
-    from repro.resilience import RetryPolicy
 
-    retry_policy = RetryPolicy(max_retries=eng.max_retries) if eng.max_retries > 0 else None
+    eng = spec.engine
     return TransientOptions(
-        on_nonconvergence=eng.on_nonconvergence, retry_policy=retry_policy
+        on_nonconvergence=eng.on_nonconvergence, max_retries=eng.max_retries
     )
 
 

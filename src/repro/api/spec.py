@@ -715,7 +715,7 @@ class EngineOptions(_Block):
         stamps).
     max_retries:
         Step retries of the SPICE-class engines' resilience layer
-        (:class:`repro.resilience.RetryPolicy`): a failing time step is
+        (``TransientOptions.max_retries``): a failing time step is
         rewound and re-attempted up to this many times (re-run, then local
         dt-halving with boosted damping) before the failure surfaces.
         ``0`` (default) disables retrying.  Ignored by the field engines.

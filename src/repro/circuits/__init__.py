@@ -9,14 +9,17 @@ the required subset from scratch:
 * :mod:`repro.circuits.netlist` / :mod:`repro.circuits.mna` — node/branch
   bookkeeping and Modified Nodal Analysis assembly.
 * :mod:`repro.circuits.elements` — linear elements (R, C, L, independent
-  sources) with trapezoidal / backward-Euler companion models.
+  sources) with trapezoidal companion models.
 * :mod:`repro.circuits.diode`, :mod:`repro.circuits.mosfet` — the nonlinear
   devices needed for the transistor-level CMOS driver and receiver.
 * :mod:`repro.circuits.tline` — the ideal transmission line (method of
   characteristics / Branin model) used by both SPICE engines.
 * :mod:`repro.circuits.rbf_element` — the RBF macromodel as a circuit
   element (the "SPICE (RBF model)" engine).
-* :mod:`repro.circuits.transient` — Newton-Raphson transient solver.
+* :mod:`repro.circuits.transient` — Newton-Raphson transient solver; its
+  Newton settings are module constants, and :class:`TransientOptions`
+  holds what a caller sets (fast/reference path, backend, retries and the
+  non-convergence policy).
 * :mod:`repro.circuits.devices` — transistor-level builders of the
   reference 1.8 V CMOS driver and receiver.
 * :mod:`repro.circuits.testbenches` — the canned testbenches of the paper's

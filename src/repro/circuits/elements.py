@@ -10,8 +10,7 @@ solver (:mod:`repro.circuits.transient`):
 * ``accept(x, ctx)`` — update internal state once the step has converged;
 * ``reset()`` — clear state before a new transient run.
 
-Dynamic elements (capacitors, inductors) use trapezoidal companion models
-by default, with backward Euler available through the solver options.
+Dynamic elements (capacitors, inductors) use trapezoidal companion models.
 """
 
 from __future__ import annotations
@@ -49,15 +48,12 @@ class StampContext:
         Time step of the transient run.
     t:
         Absolute time of the step being solved (``t^{n+1}``).
-    method:
-        Integration method, ``"trapezoidal"`` or ``"backward_euler"``.
     """
 
-    def __init__(self, compiled, dt: float, t: float, method: str):
+    def __init__(self, compiled, dt: float, t: float):
         self.compiled = compiled
         self.dt = dt
         self.t = t
-        self.method = method
 
     def node_voltage(self, x, node: str) -> float:
         """Candidate voltage of a node (0 for ground)."""
@@ -73,7 +69,7 @@ class Element:
 
     * ``"static"`` — the matrix stamp does not depend on the candidate
       solution ``x`` (it is constant for a whole transient run, given the
-      step/method in ``ctx``), and the RHS stamp depends only on the step
+      step in ``ctx``), and the RHS stamp depends only on the step
       (time and committed state), not on ``x``.  Static elements implement
       :meth:`stamp_static` (matrix part, called once per run) and
       :meth:`stamp_rhs` (RHS part, called once per time step), whose sum
@@ -101,8 +97,8 @@ class Element:
     needs_accept = False
 
     #: whether this element's stamps honour ``ctx.dt`` per call, so the
-    #: resilience layer may advance it with locally halved sub-steps when a
-    #: step fails (see :class:`repro.resilience.RetryPolicy`).  Elements that
+    #: retry ladder may advance it with locally halved sub-steps when a step
+    #: fails (see ``TransientOptions.max_retries``).  Elements that
     #: bind the time step at construction (e.g. the RBF macromodel, whose
     #: regressor taps are identified at a fixed sample interval) set this to
     #: ``False``, which disables dt-halving for circuits containing them.
@@ -199,7 +195,7 @@ class Resistor(Element):
 
 
 class Capacitor(Element):
-    """A linear capacitor with trapezoidal / backward-Euler companion model."""
+    """A linear capacitor with a trapezoidal companion model."""
 
     stamp_kind = "static"
     needs_accept = True
@@ -217,16 +213,11 @@ class Capacitor(Element):
         self._i_prev = 0.0
 
     def _geq(self, ctx: StampContext) -> float:
-        if ctx.method == "trapezoidal":
-            return 2.0 * self.capacitance / ctx.dt
-        return self.capacitance / ctx.dt
+        return 2.0 * self.capacitance / ctx.dt
 
     def stamp(self, A, rhs, x, ctx: StampContext) -> None:
         geq = self._geq(ctx)
-        if ctx.method == "trapezoidal":
-            i_hist = -geq * self._v_prev - self._i_prev
-        else:
-            i_hist = -geq * self._v_prev
+        i_hist = -geq * self._v_prev - self._i_prev
         a, b = self.nodes
         self._stamp_conductance(A, ctx, a, b, geq)
         self._stamp_current(rhs, ctx, a, b, i_hist)
@@ -235,23 +226,14 @@ class Capacitor(Element):
         self._stamp_conductance(A, ctx, self.nodes[0], self.nodes[1], self._geq(ctx))
 
     def stamp_rhs(self, rhs, ctx: StampContext) -> None:
-        geq = self._geq(ctx)
-        if ctx.method == "trapezoidal":
-            i_hist = -geq * self._v_prev - self._i_prev
-        else:
-            i_hist = -geq * self._v_prev
+        i_hist = -self._geq(ctx) * self._v_prev - self._i_prev
         self._stamp_current(rhs, ctx, self.nodes[0], self.nodes[1], i_hist)
 
     def accept(self, x, ctx: StampContext) -> None:
         a, b = self.nodes
         v_new = ctx.node_voltage(x, a) - ctx.node_voltage(x, b)
-        geq = self._geq(ctx)
-        if ctx.method == "trapezoidal":
-            i_new = geq * (v_new - self._v_prev) - self._i_prev
-        else:
-            i_new = geq * (v_new - self._v_prev)
+        self._i_prev = self._geq(ctx) * (v_new - self._v_prev) - self._i_prev
         self._v_prev = v_new
-        self._i_prev = i_new
 
 
 class Inductor(Element):
@@ -282,12 +264,8 @@ class Inductor(Element):
         self._add(A, ia, j, 1.0)
         self._add(A, ib, j, -1.0)
         # Branch equation.
-        if ctx.method == "trapezoidal":
-            req = 2.0 * self.inductance / ctx.dt
-            v_hist = -req * self._i_prev - self._v_prev
-        else:
-            req = self.inductance / ctx.dt
-            v_hist = -req * self._i_prev
+        req = 2.0 * self.inductance / ctx.dt
+        v_hist = -req * self._i_prev - self._v_prev
         self._add(A, j, ia, 1.0)
         self._add(A, j, ib, -1.0)
         self._add(A, j, j, -req)
@@ -300,17 +278,14 @@ class Inductor(Element):
         j = ctx.compiled.branch_index(self.name)
         self._add(A, ia, j, 1.0)
         self._add(A, ib, j, -1.0)
-        req = (2.0 if ctx.method == "trapezoidal" else 1.0) * self.inductance / ctx.dt
+        req = 2.0 * self.inductance / ctx.dt
         self._add(A, j, ia, 1.0)
         self._add(A, j, ib, -1.0)
         self._add(A, j, j, -req)
 
     def stamp_rhs(self, rhs, ctx: StampContext) -> None:
         j = ctx.compiled.branch_index(self.name)
-        if ctx.method == "trapezoidal":
-            v_hist = -2.0 * self.inductance / ctx.dt * self._i_prev - self._v_prev
-        else:
-            v_hist = -self.inductance / ctx.dt * self._i_prev
+        v_hist = -2.0 * self.inductance / ctx.dt * self._i_prev - self._v_prev
         self._add_rhs(rhs, j, v_hist)
 
     def accept(self, x, ctx: StampContext) -> None:
@@ -569,14 +544,7 @@ class CapacitorBank(ElementBank):
         self._i_prev = np.zeros(len(self))
 
     def _geq(self, ctx: StampContext) -> np.ndarray:
-        scale = 2.0 if ctx.method == "trapezoidal" else 1.0
-        return scale * self.capacitance / ctx.dt
-
-    def _i_hist(self, ctx: StampContext) -> np.ndarray:
-        geq = self._geq(ctx)
-        if ctx.method == "trapezoidal":
-            return -geq * self._v_prev - self._i_prev
-        return -geq * self._v_prev
+        return 2.0 * self.capacitance / ctx.dt
 
     def stamp_static_coo(self, ctx: StampContext):
         self._ensure_indices(ctx.compiled)
@@ -584,17 +552,12 @@ class CapacitorBank(ElementBank):
 
     def stamp_rhs(self, rhs, ctx: StampContext) -> None:
         self._ensure_indices(ctx.compiled)
-        self._scatter_current(rhs, self._i_hist(ctx))
+        self._scatter_current(rhs, -self._geq(ctx) * self._v_prev - self._i_prev)
 
     def accept(self, x, ctx: StampContext) -> None:
         v_new = self._port_voltages(x)
-        geq = self._geq(ctx)
-        if ctx.method == "trapezoidal":
-            i_new = geq * (v_new - self._v_prev) - self._i_prev
-        else:
-            i_new = geq * (v_new - self._v_prev)
+        self._i_prev = self._geq(ctx) * (v_new - self._v_prev) - self._i_prev
         self._v_prev = v_new
-        self._i_prev = i_new
 
 
 class InductorBank(ElementBank):
@@ -617,8 +580,7 @@ class InductorBank(ElementBank):
         self._v_prev = np.zeros(len(self))
 
     def _req(self, ctx: StampContext) -> np.ndarray:
-        scale = 2.0 if ctx.method == "trapezoidal" else 1.0
-        return scale * self.inductance / ctx.dt
+        return 2.0 * self.inductance / ctx.dt
 
     def stamp_static_coo(self, ctx: StampContext):
         self._ensure_indices(ctx.compiled)
@@ -632,10 +594,7 @@ class InductorBank(ElementBank):
 
     def stamp_rhs(self, rhs, ctx: StampContext) -> None:
         self._ensure_indices(ctx.compiled)
-        if ctx.method == "trapezoidal":
-            v_hist = -self._req(ctx) * self._i_prev - self._v_prev
-        else:
-            v_hist = -self._req(ctx) * self._i_prev
+        v_hist = -self._req(ctx) * self._i_prev - self._v_prev
         rhs[self._j] += v_hist  # branch rows are unique: fancy add is exact
 
     def accept(self, x, ctx: StampContext) -> None:

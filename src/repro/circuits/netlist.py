@@ -88,7 +88,7 @@ class CompiledCircuit:
                 self.branch_offset[el.name] = offset
                 offset += n_branch
         self.n_unknowns = offset
-        #: node-diagonal index array for the vectorised ``gmin`` stamp
+        #: node-diagonal index array for the vectorised ``GMIN`` stamp
         self.node_diagonal = np.arange(self.n_nodes)
 
     def index_of(self, node: str) -> int | None:

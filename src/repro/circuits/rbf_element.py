@@ -35,9 +35,11 @@ class MacromodelElement(Element):
         stimulus bound) or :class:`~repro.macromodel.receiver.ReceiverMacromodel`.
     dt:
         The transient solver time step (must not exceed the model sampling
-        time, per the paper's Eq. 17).
-    v0, i0:
-        Initial port voltage and current used to fill the regressor history.
+        time, per the paper's Eq. 17); the solver rejects an element built
+        for another step.
+    v0:
+        Initial port voltage used to fill the regressor history (the
+        current history starts at 0 A).
     """
 
     needs_accept = True
@@ -54,29 +56,17 @@ class MacromodelElement(Element):
         model,
         dt: float,
         v0: float = 0.0,
-        i0: float = 0.0,
-        allow_unstable: bool = False,
         fast: bool | None = None,
     ):
         super().__init__(name, (node, ref))
         self._model = model
         self._dt = float(dt)
         self._v0 = float(v0)
-        self._i0 = float(i0)
-        self._allow_unstable = bool(allow_unstable)
         self._fast = fast
         self.reset()
 
     def reset(self) -> None:
-        self.port = ResampledPortModel(
-            self._model,
-            self._dt,
-            allow_unstable=self._allow_unstable,
-            v0=self._v0,
-            i0=self._i0,
-            t0=0.0,
-            fast=self._fast,
-        )
+        self.port = ResampledPortModel(self._model, self._dt, v0=self._v0, fast=self._fast)
 
     def stamp(self, A, rhs, x, ctx: StampContext) -> None:
         node, ref = self.nodes

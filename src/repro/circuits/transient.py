@@ -4,9 +4,11 @@ The solver advances the Modified Nodal Analysis system with a fixed time
 step.  At every step the nonlinear elements (diodes, MOSFETs, RBF
 macromodels) are iterated to convergence by rebuilding their Norton
 companion stamps around the current candidate solution; dynamic elements
-use trapezoidal (default) or backward-Euler companion models.  A small
-``gmin`` conductance from every node to ground keeps the Jacobian
-well-conditioned for nodes that would otherwise float (e.g. MOSFET gates).
+use trapezoidal companion models.  A small conductance
+(:data:`~repro.perf.backends.GMIN`) from every node to ground keeps the
+Jacobian well-conditioned for nodes that would otherwise float (e.g.
+MOSFET gates).  The Newton settings are the module constants below; what
+a caller sets is :class:`TransientOptions`.
 
 Two assembly paths are provided.  The reference path re-stamps every
 element into freshly zeroed arrays at every Newton iteration — simple,
@@ -32,7 +34,8 @@ import numpy as np
 from repro import perf
 from repro.circuits.elements import StampContext
 from repro.circuits.netlist import Circuit, CompiledCircuit, GROUND
-from repro.perf.backends import BACKEND_NAMES
+from repro.core.ports import check_port_step
+from repro.perf.backends import BACKEND_NAMES, GMIN
 # The module, not its names: importing repro.perf.mna first imports this
 # package, and so this module, before mna has defined them.
 from repro.perf import mna
@@ -41,7 +44,6 @@ from repro.resilience import (
     NAN_INF,
     NON_CONVERGENCE,
     SINGULAR_MATRIX,
-    RetryPolicy,
     RunHealth,
     SolveFailure,
     error_for,
@@ -53,27 +55,29 @@ __all__ = ["TransientOptions", "CircuitResult", "TransientRun", "TransientSolver
 #: accepted values of ``TransientOptions.on_nonconvergence``
 NONCONVERGENCE_POLICIES = ("raise", "warn", "ignore")
 
+#: Newton iteration cap per time step (and per retry sub-step)
+MAX_NEWTON_ITERATIONS = 100
+#: convergence threshold on node-voltage updates (volts)
+ABSTOL_V = 1e-9
+#: convergence threshold on branch-current updates (amperes)
+ABSTOL_I = 1e-12
+#: per-iteration cap on node-voltage updates (simple damping for the
+#: exponential devices)
+MAX_DELTA_V = 1.0
+#: factor each retry from the second on applies to the update cap
+DAMPING_BOOST = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class TransientOptions:
-    """Settings of the transient solver.
+    """What a caller sets of the transient solver.
+
+    The fields mirror a job's engine block (``engine.fast``,
+    ``engine.on_nonconvergence``, ``engine.max_retries``) plus the
+    backend pin of the sparse benchmark.
 
     Attributes
     ----------
-    method:
-        Integration method for dynamic elements, ``"trapezoidal"`` or
-        ``"backward_euler"``.
-    max_newton_iterations:
-        Iteration cap per time step.
-    abstol_v:
-        Convergence threshold on node-voltage updates (volts).
-    abstol_i:
-        Convergence threshold on branch-current updates (amperes).
-    gmin:
-        Conductance to ground added on every node.
-    max_delta_v:
-        Per-iteration cap on node-voltage updates (simple damping for the
-        exponential devices).
     fast:
         Use the fast assembly path of :mod:`repro.perf.mna`.  ``None``
         (default) follows :func:`repro.perf.fastpath_default`; ``False``
@@ -86,33 +90,28 @@ class TransientOptions:
         by the reference path.
     on_nonconvergence:
         What to do when a step exhausts its Newton iterations (after any
-        configured retries): ``"raise"`` (default) raises a typed
+        retries): ``"raise"`` (default) raises a typed
         :class:`~repro.resilience.NonConvergenceError`; ``"warn"`` emits a
         :class:`RuntimeWarning`, records the failure in the run's health
         telemetry and commits the step; ``"ignore"`` commits silently apart
         from the health record.  The historical silent-commit behaviour is
         therefore opt-in only.
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` enabling bounded
-        step retries (rewind + re-run, then local dt-halving with boosted
-        damping) before the ``on_nonconvergence`` policy applies.  ``None``
-        (default) disables retrying.
+    max_retries:
+        Retries of a failing step before ``on_nonconvergence`` applies
+        (0, the default, disables retrying).  The first retry rewinds the
+        step and re-runs it unchanged, which clears a transient fault
+        bit-identically.  Each later retry multiplies the update cap by
+        :data:`DAMPING_BOOST` and, when every element supports a local
+        step, advances the interval in ``2, 4, ...`` sub-steps through the
+        reference assembly; otherwise it re-runs the step again.
     """
 
-    method: str = "trapezoidal"
-    max_newton_iterations: int = 100
-    abstol_v: float = 1e-9
-    abstol_i: float = 1e-12
-    gmin: float = 1e-12
-    max_delta_v: float = 1.0
     fast: bool | None = None
     backend: str | None = None
     on_nonconvergence: str = "raise"
-    retry_policy: RetryPolicy | None = None
+    max_retries: int = 0
 
     def __post_init__(self):
-        if self.method not in ("trapezoidal", "backward_euler"):
-            raise ValueError("method must be 'trapezoidal' or 'backward_euler'")
         if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES} (or None), got {self.backend!r}"
@@ -122,10 +121,9 @@ class TransientOptions:
                 f"on_nonconvergence must be one of {NONCONVERGENCE_POLICIES}, "
                 f"got {self.on_nonconvergence!r}"
             )
-        if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):
+        if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise ValueError(
-                f"retry_policy must be a repro.resilience.RetryPolicy or None, "
-                f"got {type(self.retry_policy).__name__}"
+                f"max_retries must be a non-negative int, got {self.max_retries!r}"
             )
 
 
@@ -204,7 +202,7 @@ class TransientRun:
         self.step_converged = False
         #: structured record of the failure that aborted the current attempt
         self.failure: SolveFailure | None = None
-        #: multiplier on max_delta_v, tightened by retry damping boosts
+        #: multiplier on MAX_DELTA_V, tightened by retry damping boosts
         self.damping_scale = 1.0
         #: the retry ladder committed this step through sub-steps already
         self.substep_committed = False
@@ -227,6 +225,11 @@ class TransientSolver:
             raise ValueError("dt must be positive")
         self.circuit = circuit
         self.dt = float(dt)
+        for element in circuit.elements:
+            # A macromodel element's port is resampled for one step.
+            port = getattr(element, "port", None)
+            if port is not None:
+                check_port_step(port, self.dt, f"circuit element {element.name!r}")
         self.options = options or TransientOptions()
         self.compiled: CompiledCircuit = circuit.compile()
         self.fast = perf.resolve_fast(self.options.fast)
@@ -246,17 +249,17 @@ class TransientSolver:
         self._dabs_i = self._delta_abs[self.compiled.n_nodes :]
 
     # -- assembly ---------------------------------------------------------
-    def _assemble(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, StampContext]:
+    def _assemble(self, x: np.ndarray, ctx: StampContext) -> tuple[np.ndarray, np.ndarray]:
+        """The reference path's dense system around ``x`` at the step of ``ctx``."""
         n = self.compiled.n_unknowns
         A = np.zeros((n, n))
         rhs = np.zeros(n)
-        ctx = StampContext(self.compiled, self.dt, t, self.options.method)
         for element in self.circuit.elements:
             element.stamp(A, rhs, x, ctx)
-        # gmin from every node to ground (vectorised diagonal stamp)
+        # GMIN from every node to ground (vectorised diagonal stamp)
         diag = self.compiled.node_diagonal
-        A[diag, diag] += self.options.gmin
-        return A, rhs, ctx
+        A[diag, diag] += GMIN
+        return A, rhs
 
     # -- session API ------------------------------------------------------
     # A run decomposes into begin() -> step_once()* -> finish(), and a step
@@ -287,10 +290,8 @@ class TransientSolver:
         run.assembler = None
         if self.fast:
             run.assembler = mna.FastPathAssembler(
-                self.circuit, compiled, self.dt, self.options.method,
-                self.options.gmin, shared=self.shared_static,
-                backend=self.options.backend,
-                health=self.health,
+                self.circuit, compiled, self.dt, shared=self.shared_static,
+                backend=self.options.backend, health=self.health,
             )
             run.assembler.begin_run()
             self.perf_stats = run.assembler.stats
@@ -358,10 +359,14 @@ class TransientSolver:
         # Published with or without a fault plan: backend and shared-context
         # health events read the step from it.
         _faults.set_context(self.label, run.step)
+        self._open_step(run)
+
+    def _open_step(self, run: TransientRun) -> None:
+        """The step context of ``run.t`` (and the fast path's per-step RHS)."""
         if run.assembler is not None:
             run.ctx = run.assembler.begin_step(run.t)
         else:
-            run.ctx = None
+            run.ctx = StampContext(self.compiled, self.dt, run.t)
 
     def newton_iteration(self, run: TransientRun) -> bool:
         """One Newton iteration around ``run.x``; True when converged.
@@ -371,14 +376,13 @@ class TransientSolver:
         ``run.failure`` and returns, leaving the last finite iterate in
         place for the retry ladder to rewind from.
         """
-        opts = self.options
         n_nodes = self.compiled.n_nodes
         x = run.x
         if run.assembler is not None:
             A, rhs = run.assembler.iterate(x, run.ctx)
             x_new = run.assembler.solve(A, rhs)
         else:
-            A, rhs, run.ctx = self._assemble(x, run.t)
+            A, rhs = self._assemble(x, run.ctx)
             if _faults.PLAN is not None and _faults.take("backend_error"):
                 raise _faults.InjectedBackendError("injected backend error")
             try:
@@ -409,13 +413,13 @@ class TransientSolver:
         # damp node-voltage updates (retries tighten the cap via damping_scale)
         dv_max = self._dabs_v.max() if n_nodes else 0.0
         run.last_residual = dv_max
-        cap = opts.max_delta_v * run.damping_scale
+        cap = MAX_DELTA_V * run.damping_scale
         if dv_max > cap:
             run.x = x + delta * (cap / dv_max)
             return False
         run.x = x_new
-        v_ok = dv_max < opts.abstol_v
-        i_ok = self._dabs_i.size == 0 or self._dabs_i.max() < opts.abstol_i
+        v_ok = dv_max < ABSTOL_V
+        i_ok = self._dabs_i.size == 0 or self._dabs_i.max() < ABSTOL_I
         run.step_converged = v_ok and i_ok
         return run.step_converged
 
@@ -449,12 +453,11 @@ class TransientSolver:
         On exit either ``run.step_converged`` is True, or ``run.failure``
         holds the structured record of what stopped the attempt.
         """
-        opts = self.options
         run.failure = None
         forced = _faults.PLAN is not None and _faults.take(
             "nonconvergence", run.step, self.label
         )
-        while not run.step_converged and run.newton_count < opts.max_newton_iterations:
+        while not run.step_converged and run.newton_count < MAX_NEWTON_ITERATIONS:
             try:
                 self.newton_iteration(run)
             except np.linalg.LinAlgError as exc:
@@ -479,7 +482,7 @@ class TransientSolver:
         elif not run.step_converged:
             self._record_failure(
                 run, NON_CONVERGENCE,
-                f"Newton cap of {opts.max_newton_iterations} iterations hit",
+                f"Newton cap of {MAX_NEWTON_ITERATIONS} iterations hit",
                 iterations=run.newton_count,
             )
 
@@ -487,15 +490,14 @@ class TransientSolver:
         """Reset the open step's Newton state to re-attempt it.
 
         Element state is untouched (accepts only happen in
-        :meth:`end_step`), so rebinding ``run.x`` and re-assembling the
-        per-step RHS restores the exact state the step opened with.
+        :meth:`end_step`), so rebinding ``run.x`` and re-opening the step
+        restores the exact state the step opened with.
         """
         run.x = x_prev
         run.newton_count = 0
         run.step_converged = False
         run.failure = None
-        if run.assembler is not None:
-            run.ctx = run.assembler.begin_step(run.t)
+        self._open_step(run)
 
     def _supports_local_dt(self) -> bool:
         return all(getattr(el, "supports_local_dt", True)
@@ -505,37 +507,28 @@ class TransientSolver:
                           n_sub: int) -> bool:
         """Advance the open step's interval in ``n_sub`` dense sub-steps.
 
-        The robust degradation rung of the retry ladder: a plain dense
-        assembly over the circuit's elements (banks included — their stamps
-        honour ``ctx.dt``), Newton per sub-step, element accepts per
+        The robust degradation rung of the retry ladder: the reference
+        path's dense assembly (:meth:`_assemble`, banks included — their
+        stamps honour ``ctx.dt``), Newton per sub-step, element accepts per
         sub-step.  On success the element state is already committed at
         ``run.t`` and ``run.substep_committed`` tells :meth:`end_step` to
         skip its accepts.  On any sub-step failure the element state is
         restored from a snapshot and the attempt reports False.
         """
-        compiled = self.compiled
-        opts = self.options
-        elements = self.circuit.elements
+        n_nodes = self.compiled.n_nodes
         stateful = run.stateful
         snapshot = [copy.deepcopy(el.__dict__) for el in stateful]
         self.health.dt_halvings += 1
         sub_dt = self.dt / n_sub
         t0 = run.t - self.dt
         x = x_prev
-        n = compiled.n_unknowns
-        diag = compiled.node_diagonal
-        cap = opts.max_delta_v * run.damping_scale
-        ctx = None
+        cap = MAX_DELTA_V * run.damping_scale
         for j in range(1, n_sub + 1):
-            ctx = StampContext(compiled, sub_dt, t0 + j * sub_dt, opts.method)
+            ctx = StampContext(self.compiled, sub_dt, t0 + j * sub_dt)
             converged = False
             count = 0
-            while count < opts.max_newton_iterations:
-                A = np.zeros((n, n))
-                rhs = np.zeros(n)
-                for el in elements:
-                    el.stamp(A, rhs, x, ctx)
-                A[diag, diag] += opts.gmin
+            while count < MAX_NEWTON_ITERATIONS:
+                A, rhs = self._assemble(x, ctx)
                 try:
                     x_new = np.linalg.solve(A, rhs)
                 except np.linalg.LinAlgError:
@@ -545,13 +538,13 @@ class TransientSolver:
                     break
                 delta = x_new - x
                 dabs = np.abs(delta)
-                dv = dabs[:compiled.n_nodes].max() if compiled.n_nodes else 0.0
+                dv = dabs[:n_nodes].max() if n_nodes else 0.0
                 if dv > cap:
                     x = x + delta * (cap / dv)
                     continue
                 x = x_new
-                i_tail = dabs[compiled.n_nodes:]
-                if dv < opts.abstol_v and (i_tail.size == 0 or i_tail.max() < opts.abstol_i):
+                i_tail = dabs[n_nodes:]
+                if dv < ABSTOL_V and (i_tail.size == 0 or i_tail.max() < ABSTOL_I):
                     converged = True
                     break
             if not converged:
@@ -567,21 +560,21 @@ class TransientSolver:
         run.substep_committed = True
         return True
 
-    def _retry_step(self, run: TransientRun, x_prev: np.ndarray,
-                    policy: RetryPolicy) -> bool:
+    def _retry_step(self, run: TransientRun, x_prev: np.ndarray) -> bool:
         """Drive the retry ladder for a failed step; True when recovered.
 
         Retry 1 rewinds and re-runs the step unchanged — a transient cause
         (a consumed injected fault, an invalidated factorization) recovers
         bit-identically to a clean run.  Later retries tighten the Newton
-        damping and, when every element supports a local dt, advance the
-        interval in ``2, 4, ...`` sub-steps through the robust dense path.
+        damping by :data:`DAMPING_BOOST` and, when every element supports a
+        local dt, advance the interval in ``2, 4, ...`` sub-steps through
+        the reference assembly; otherwise they re-run the step.
         """
-        halving_ok = policy.dt_halving and self._supports_local_dt()
-        for attempt in range(1, policy.max_retries + 1):
+        halving_ok = self._supports_local_dt()
+        for attempt in range(1, self.options.max_retries + 1):
             self.health.retries += 1
             if attempt >= 2:
-                run.damping_scale *= policy.damping_boost
+                run.damping_scale *= DAMPING_BOOST
                 self.health.damping_boosts += 1
             if attempt >= 2 and halving_ok:
                 if self._substep_interval(run, x_prev, 2 ** (attempt - 1)):
@@ -601,8 +594,8 @@ class TransientSolver:
         """Advance the run by one full time step (Newton to convergence).
 
         A step that fails (non-convergence, NaN/Inf iterate, singular
-        system, backend error) is retried per ``options.retry_policy``;
-        an unrecovered non-convergence then follows
+        system, backend error) is retried up to ``options.max_retries``
+        times; an unrecovered non-convergence then follows
         ``options.on_nonconvergence`` (raise / warn / ignore — never a
         silent commit: the health telemetry records every outcome), and
         any other unrecovered failure raises its typed
@@ -614,12 +607,10 @@ class TransientSolver:
         # so holding a reference is enough to rewind the step.
         x_prev = run.x
         self._newton_loop(run)
-        if not run.step_converged:
-            policy = opts.retry_policy
-            if policy is not None and policy.max_retries > 0:
-                self.health.retried_steps += 1
-                if self._retry_step(run, x_prev, policy):
-                    self.health.recovered_steps += 1
+        if not run.step_converged and opts.max_retries > 0:
+            self.health.retried_steps += 1
+            if self._retry_step(run, x_prev):
+                self.health.recovered_steps += 1
         if not run.step_converged:
             failure = run.failure
             if failure.kind == NON_CONVERGENCE and opts.on_nonconvergence != "raise":

@@ -37,7 +37,7 @@ from repro.core.stability import (
     is_resampling_stable,
     simulate_scalar_test_problem,
 )
-from repro.core.newton import NewtonOptions, NewtonStats, newton_solve_scalar_fused
+from repro.core.newton import NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import (
     LumpedTermination,
     OpenTermination,
@@ -57,7 +57,6 @@ __all__ = [
     "resampled_stability_region",
     "is_resampling_stable",
     "simulate_scalar_test_problem",
-    "NewtonOptions",
     "NewtonStats",
     "newton_solve_scalar_fused",
     "LumpedTermination",

@@ -170,13 +170,3 @@ class LinkDescription:
             raise ValueError("z0, delay, bit_time and duration must be positive")
         if not isinstance(self.segments, int) or self.segments < 0:
             raise ValueError("segments must be a non-negative integer")
-
-    @classmethod
-    def paper_figure4(cls) -> "LinkDescription":
-        """The Figure 4 configuration (linear RC load)."""
-        return cls(load="rc")
-
-    @classmethod
-    def paper_figure5(cls) -> "LinkDescription":
-        """The Figure 5 configuration (RBF receiver load)."""
-        return cls(load="receiver")

@@ -19,11 +19,7 @@ used (three iterations typically suffice, as reported in the paper).
 
 from __future__ import annotations
 
-from repro.core.newton import (
-    NewtonOptions,
-    NewtonStats,
-    newton_solve_scalar_fused,
-)
+from repro.core.newton import NewtonStats, newton_solve_scalar_fused
 from repro.core.ports import LumpedTermination
 
 __all__ = ["HybridCellUpdate"]
@@ -36,8 +32,6 @@ class HybridCellUpdate:
     ----------
     termination:
         The lumped element (linear load or RBF macromodel port).
-    newton_options:
-        Newton settings; the defaults follow the paper (tol 1e-9).
     stats:
         Optional shared :class:`~repro.core.newton.NewtonStats` accumulator.
     """
@@ -45,11 +39,9 @@ class HybridCellUpdate:
     def __init__(
         self,
         termination: LumpedTermination,
-        newton_options: NewtonOptions | None = None,
         stats: NewtonStats | None = None,
     ):
         self.termination = termination
-        self.newton_options = newton_options or NewtonOptions()
         self.stats = stats if stats is not None else NewtonStats()
 
     def solve(self, a: float, b: float, c: float, v_guess: float, t: float) -> tuple[float, float]:
@@ -88,10 +80,7 @@ class HybridCellUpdate:
                 return a * v - b - c * (i + i_prev), a - c * g
 
             result = newton_solve_scalar_fused(
-                residual_and_derivative,
-                v_guess,
-                options=self.newton_options,
-                stats=self.stats,
+                residual_and_derivative, v_guess, stats=self.stats
             )
             v_new = result.x
 

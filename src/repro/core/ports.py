@@ -22,6 +22,9 @@ host solver folds them in closed form.
 
 The sign convention is that the current flows *into* the termination (out
 of the interconnect).
+
+A macromodel port and the RC load are built for one time step; every host
+checks it against its own with :func:`check_port_step`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ __all__ = [
     "ResistorTermination",
     "ResistiveSourceTermination",
     "ParallelRCTermination",
+    "check_port_step",
 ]
+
+#: relative difference between a termination's time step and its host's
+#: beyond which the host rejects the termination
+STEP_RTOL = 1e-12
 
 
 class LumpedTermination:
@@ -43,6 +51,10 @@ class LumpedTermination:
     #: True when the current is a nonlinear function of ``v`` and the host
     #: solver must iterate; linear terminations are folded in closed form.
     nonlinear: bool = False
+
+    #: The time step the termination is built for, which its host must step
+    #: at (:func:`check_port_step`); ``None`` when it fits every step.
+    dt: Optional[float] = None
 
     def current_and_dcurrent(self, v: float, t: float) -> tuple[float, float]:
         """Element current for candidate voltage ``v`` at time ``t``, and its ``d/dv``."""
@@ -137,3 +149,20 @@ class ParallelRCTermination(LumpedTermination):
         i = super().commit(float(v), t)
         self._v_prev = float(v)
         return i
+
+
+def check_port_step(termination: LumpedTermination, dt: float, host: str) -> None:
+    """Raise ``ValueError`` when ``termination`` was built for another time step.
+
+    A macromodel port resamples with ``tau = dt / Ts`` and the RC load
+    differentiates with ``dt``, both fixed at construction, so a host
+    stepping at another ``dt`` would run them at the wrong step.  A
+    termination whose ``dt`` is ``None`` (resistors, sources) fits every
+    host.
+    """
+    port_dt = termination.dt
+    if port_dt is not None and abs(port_dt - dt) > STEP_RTOL * dt:
+        raise ValueError(
+            f"{host} steps at dt = {dt!r} s, but its termination was built "
+            f"for dt = {port_dt!r} s"
+        )

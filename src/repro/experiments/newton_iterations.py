@@ -4,8 +4,9 @@
 the RBF model equations never exceeded a maximum number of three, whereas
 the accuracy threshold was set to the very stringent value of 1e-9."
 
-This experiment runs the hybrid solvers with the paper's tolerance and
-collects the per-step iteration histogram of the macromodel ports.
+This experiment runs the hybrid solvers, whose port solves use the paper's
+tolerance (:data:`repro.core.newton.TOLERANCE`), and collects the
+per-step iteration histogram of the macromodel ports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 from typing import Dict, Optional
 
 from repro.core.cosim import LinkDescription
-from repro.core.newton import NewtonOptions
+from repro.core import newton
 from repro.core.ports import ParallelRCTermination
 from repro.core.resampling import ResampledPortModel
 from repro.experiments.devices import ReferenceMacromodels, identified_reference_macromodels
@@ -40,7 +41,8 @@ class NewtonIterationResult:
     mean_iterations:
         Mapping engine label -> average iteration count.
     tolerance:
-        The Newton residual threshold used (1e-9 as in the paper).
+        The Newton residual threshold of every port solve
+        (:data:`repro.core.newton.TOLERANCE`, 1e-9 as in the paper).
     """
 
     histogram: Dict[str, Dict[int, int]]
@@ -52,7 +54,6 @@ class NewtonIterationResult:
 def run_newton_iteration_study(
     scale: float = 0.25,
     duration: float = 5e-9,
-    tolerance: float = 1e-9,
     use_identification: bool = False,
     models: Optional[ReferenceMacromodels] = None,
 ) -> NewtonIterationResult:
@@ -64,7 +65,6 @@ def run_newton_iteration_study(
     """
     if models is None:
         models = identified_reference_macromodels(use_identification=use_identification)
-    options = NewtonOptions(tolerance=tolerance)
     stimulus = LogicStimulus.from_pattern("010", 2e-9)
     link = LinkDescription(load="rc")
 
@@ -76,7 +76,7 @@ def run_newton_iteration_study(
     dt1d = link.delay / 100
     driver_1d = ResampledPortModel(models.driver.bound(stimulus), dt1d)
     load_1d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt1d)
-    line = FDTD1DLine(link.z0, link.delay, driver_1d, load_1d, n_cells=100, newton_options=options)
+    line = FDTD1DLine(link.z0, link.delay, driver_1d, load_1d, n_cells=100)
     result_1d = line.run(duration)
     stats = result_1d.newton_stats
     histogram["fdtd1d-rbf"] = dict(stats.histogram)
@@ -88,7 +88,7 @@ def run_newton_iteration_study(
     dt3d = courant_time_step(structure.mesh_size)
     driver_3d = ResampledPortModel(models.driver.bound(stimulus), dt3d)
     load_3d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt3d)
-    solver, _, _ = structure.build_solver(driver_3d, load_3d, dt=dt3d, newton_options=options)
+    solver, _, _ = structure.build_solver(driver_3d, load_3d, dt=dt3d)
     solver.run(duration=duration)
     stats3 = solver.newton_stats
     histogram["fdtd3d-rbf"] = dict(stats3.histogram)
@@ -99,5 +99,5 @@ def run_newton_iteration_study(
         histogram=histogram,
         max_iterations=max_iterations,
         mean_iterations=mean_iterations,
-        tolerance=tolerance,
+        tolerance=newton.TOLERANCE,
     )

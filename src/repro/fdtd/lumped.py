@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.lumped_rbf import HybridCellUpdate
-from repro.core.newton import NewtonOptions, NewtonStats
-from repro.core.ports import LumpedTermination
+from repro.core.newton import NewtonStats
+from repro.core.ports import LumpedTermination, check_port_step
 from repro.fdtd.constants import EPS0
 from repro.fdtd.grid import YeeGrid
 from repro.fdtd.plane_wave import PlaneWaveSource
@@ -44,6 +44,7 @@ class FlippedTermination(LumpedTermination):
     def __init__(self, inner: LumpedTermination):
         self.inner = inner
         self.nonlinear = inner.nonlinear
+        self.dt = inner.dt
         # Start from the inner state, mirrored; ``0.0 - x`` keeps a zero +0.0.
         self.last_voltage = 0.0 - inner.last_voltage
         self.last_current = 0.0 - inner.last_current
@@ -110,11 +111,14 @@ class LumpedElementSite:
         grid: YeeGrid,
         dt: float,
         plane_wave: Optional[PlaneWaveSource] = None,
-        newton_options: Optional[NewtonOptions] = None,
         stats: Optional[NewtonStats] = None,
-        fast: bool = True,
     ) -> None:
-        """Attach the element to a grid/solver (called by the solver)."""
+        """Attach the element to a grid/solver (called by the solver).
+
+        Raises ``ValueError`` when the termination was built for another
+        time step than ``dt`` (:func:`~repro.core.ports.check_port_step`).
+        """
+        check_port_step(self.termination, dt, f"lumped element {self.name!r}")
         i, j, k = self.node
         shape = grid.e_shape(self.axis)
         if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
@@ -128,20 +132,10 @@ class LumpedElementSite:
         self.eps_edge = float(grid.edge_permittivity(self.axis)[i, j, k])
         x, y, z = grid.edge_coordinates(self.axis)
         self._xyz = (float(x[i, j, k]), float(y[i, j, k]), float(z[i, j, k]))
-        # Precomputed incident-field retardation at the element edge (fast
-        # path); the per-step incident evaluations then reduce to one
-        # waveform call.  With fast=False the seed's per-step evaluation is
-        # kept as the reference oracle.
-        self._fast = bool(fast)
-        if plane_wave is not None:
-            self._pw_delay = float(plane_wave.delay(*self._xyz))
-            self._pw_comp = plane_wave.component(self.axis)
-        else:
-            self._pw_delay = 0.0
-            self._pw_comp = 0.0
-        self.update = HybridCellUpdate(
-            self.termination, newton_options=newton_options, stats=stats
-        )
+        # Incident-field retardation at the element edge, read by the
+        # solver's batched per-step incident evaluation (fast path).
+        self._pw_delay = 0.0 if plane_wave is None else float(plane_wave.delay(*self._xyz))
+        self.update = HybridCellUpdate(self.termination, stats=stats)
         self._a = self.eps_edge / self.dt
         self._c = -self.length / (2.0 * self.area)
         self._v_prev = self.termination.last_voltage
@@ -184,10 +178,6 @@ class LumpedElementSite:
     def _incident_field(self, t: float) -> float:
         if self.plane_wave is None:
             return 0.0
-        if self._fast:
-            if self._pw_comp == 0.0:
-                return 0.0
-            return float(self.plane_wave.e_field_delayed(self.axis, self._pw_delay, t))
         x, y, z = self._xyz
         return float(
             self.plane_wave.e_field(self.axis, np.array(x), np.array(y), np.array(z), t)
@@ -196,10 +186,6 @@ class LumpedElementSite:
     def _incident_derivative(self, t_mid: float) -> float:
         if self.plane_wave is None:
             return 0.0
-        if self._fast:
-            if self._pw_comp == 0.0:
-                return 0.0
-            return float(self.plane_wave.de_field_dt_delayed(self.axis, self._pw_delay, t_mid))
         x, y, z = self._xyz
         return float(
             self.plane_wave.de_field_dt(
@@ -221,10 +207,10 @@ class LumpedElementSite:
 
         Must be called after the regular E update of the step (the element
         edge value is overwritten) with the H fields at the half step and
-        the new time ``t_new``.  The fast solver path may pass the incident
+        the new time ``t_new``.  The fast solver path passes the incident
         field ``e_inc`` (at ``t_new``) and its derivative ``de_inc`` (at the
         half step) precomputed in one batch over all sites; when omitted
-        they are evaluated here.
+        (the reference path) they are evaluated here.
         """
         if not self._bound:
             raise RuntimeError("bind() must be called before stepping the element")

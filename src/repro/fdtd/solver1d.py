@@ -23,8 +23,8 @@ import numpy as np
 from repro import perf
 from repro.core.cosim import SimulationResult
 from repro.core.lumped_rbf import HybridCellUpdate
-from repro.core.newton import NewtonOptions, NewtonStats
-from repro.core.ports import LumpedTermination
+from repro.core.newton import NewtonStats
+from repro.core.ports import LumpedTermination, check_port_step
 
 __all__ = ["FDTD1DLine"]
 
@@ -40,16 +40,10 @@ class FDTD1DLine:
         One-way propagation delay (seconds).
     near_termination, far_termination:
         Lumped terminations at the two ends (current positive *into* the
-        termination).
+        termination), built for the line's time step ``delay / n_cells``
+        (the 1-D Courant limit).  The line starts at rest (0 V).
     n_cells:
         Number of spatial cells along the line.
-    courant:
-        Fraction of the 1-D Courant limit used for the time step (the limit
-        is ``delay / n_cells``).
-    v_initial:
-        Initial line voltage (0 V for the paper's '010' stimulus).
-    newton_options:
-        Settings for the termination Newton solves.
     fast:
         Run the interior leapfrog through preallocated scratch buffers
         (allocation-free stepping; numerically identical).  ``None``
@@ -63,17 +57,12 @@ class FDTD1DLine:
         near_termination: LumpedTermination,
         far_termination: LumpedTermination,
         n_cells: int = 100,
-        courant: float = 1.0,
-        v_initial: float = 0.0,
-        newton_options: NewtonOptions | None = None,
         fast: bool | None = None,
     ):
         if z0 <= 0 or delay <= 0:
             raise ValueError("z0 and delay must be positive")
         if n_cells < 4:
             raise ValueError("n_cells must be at least 4")
-        if not 0 < courant <= 1:
-            raise ValueError("courant must lie in (0, 1]")
         self.z0 = float(z0)
         self.delay = float(delay)
         self.n_cells = int(n_cells)
@@ -82,11 +71,11 @@ class FDTD1DLine:
         self.dx = self.length / self.n_cells
         self.l_per_m = self.z0 * self.delay / self.length
         self.c_per_m = self.delay / (self.z0 * self.length)
-        self.dt = courant * self.delay / self.n_cells
-        self.v_initial = float(v_initial)
+        self.dt = self.delay / self.n_cells
+        check_port_step(near_termination, self.dt, "FDTD1DLine near end")
+        check_port_step(far_termination, self.dt, "FDTD1DLine far end")
         self.near = near_termination
         self.far = far_termination
-        self.newton_options = newton_options or NewtonOptions()
         self.newton_stats = NewtonStats()
         self.fast = perf.resolve_fast(fast)
 
@@ -97,11 +86,11 @@ class FDTD1DLine:
         n_steps = int(round(duration / self.dt))
         n = self.n_cells
 
-        v = np.full(n + 1, self.v_initial)
+        v = np.zeros(n + 1)
         i = np.zeros(n)
 
-        near_update = HybridCellUpdate(self.near, self.newton_options, self.newton_stats)
-        far_update = HybridCellUpdate(self.far, self.newton_options, self.newton_stats)
+        near_update = HybridCellUpdate(self.near, stats=self.newton_stats)
+        far_update = HybridCellUpdate(self.far, stats=self.newton_stats)
 
         # Interior update coefficients.
         ci = self.dt / (self.l_per_m * self.dx)

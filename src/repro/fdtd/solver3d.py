@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro import perf
-from repro.core.newton import NewtonOptions, NewtonStats
+from repro.core.newton import NewtonStats
 from repro.fdtd.boundaries import MurBoundary
 from repro.fdtd.constants import EPS0, MU0
 from repro.fdtd.courant import courant_time_step
@@ -49,12 +49,8 @@ class FDTD3DSolver:
     grid:
         The fully described grid (materials and PEC geometry set).
     dt:
-        Time step; defaults to the Courant limit times ``courant_safety``.
-    courant_safety:
-        Safety factor applied when ``dt`` is not given.
-    newton_options:
-        Settings for the per-port Newton iterations (default: the paper's
-        1e-9 tolerance).
+        Time step; defaults to 0.99 times the Courant limit.  Every lumped
+        site's termination must be built for it.
     fast:
         Keep each field in one zeroed ``(nx+1, ny+1, nz+1)`` block and step
         it with the 1-D update passes of :mod:`repro.perf.fdtd_fast`, plus
@@ -68,13 +64,11 @@ class FDTD3DSolver:
         self,
         grid: YeeGrid,
         dt: float | None = None,
-        courant_safety: float = 0.99,
-        newton_options: NewtonOptions | None = None,
         fast: bool | None = None,
     ):
         self.grid = grid
         self.dt = dt if dt is not None else courant_time_step(
-            grid.dx, grid.dy, grid.dz, safety=courant_safety
+            grid.dx, grid.dy, grid.dz, safety=0.99
         )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -83,7 +77,6 @@ class FDTD3DSolver:
             raise ValueError(
                 f"dt = {self.dt:.3e} exceeds the Courant limit {limit:.3e}"
             )
-        self.newton_options = newton_options or NewtonOptions()
         self.newton_stats = NewtonStats()
         self.fast = perf.resolve_fast(fast)
 
@@ -227,14 +220,7 @@ class FDTD3DSolver:
                 )
 
         for site in self.sites:
-            site.bind(
-                self.grid,
-                self.dt,
-                plane_wave=self.plane_wave,
-                newton_options=self.newton_options,
-                stats=self.newton_stats,
-                fast=self.fast,
-            )
+            site.bind(self.grid, self.dt, plane_wave=self.plane_wave, stats=self.newton_stats)
         # Batched per-step incident evaluation over all sites (fast path):
         # one waveform call instead of three scalar calls per site.
         self._site_incident = None

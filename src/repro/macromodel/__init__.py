@@ -24,11 +24,7 @@ Gaussian radial-basis-function expansions (Eq. 3-4).
 
 from repro.macromodel.base import DiscreteTimePortModel, PortKind
 from repro.macromodel.rbf import GaussianRBFExpansion, RBFSubmodel
-from repro.macromodel.regressor import (
-    RegressorSpec,
-    RegressorState,
-    build_regression_data,
-)
+from repro.macromodel.regressor import RegressorSpec, build_regression_data
 from repro.macromodel.driver import DriverMacromodel, SwitchingWeights, LogicStimulus
 from repro.macromodel.receiver import LinearSubmodel, ReceiverMacromodel
 from repro.macromodel.identification import (
@@ -55,7 +51,6 @@ __all__ = [
     "GaussianRBFExpansion",
     "RBFSubmodel",
     "RegressorSpec",
-    "RegressorState",
     "build_regression_data",
     "DriverMacromodel",
     "SwitchingWeights",

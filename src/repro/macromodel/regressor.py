@@ -6,13 +6,11 @@ current samples ``x_i = [i^{m-1} ... i^{m-r}]``.  This module provides:
 
 * :class:`RegressorSpec` — the static description (order ``r``, sampling
   time ``Ts``).
-* :class:`RegressorState` — a small mutable container used when the model
-  is stepped at its native sampling time ``Ts`` (a plain shift register).
-  When the model is embedded in a solver with a different time step the
-  state update is instead governed by the resampling matrix ``Q`` of
-  :mod:`repro.core.resampling`.
 * :func:`build_regression_data` — turns recorded ``(v, i)`` waveforms into
   the regression matrices used for identification.
+
+A simulated model's regressor state lives in the port that resamples it
+onto the solver step (:class:`~repro.core.resampling.ResampledPortModel`).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-__all__ = ["RegressorSpec", "RegressorState", "build_regression_data"]
+__all__ = ["RegressorSpec", "build_regression_data"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,32 +42,6 @@ class RegressorSpec:
             raise ValueError("dynamic_order must be at least 1")
         if self.sampling_time <= 0:
             raise ValueError("sampling_time must be positive")
-
-
-class RegressorState:
-    """Shift-register state holding the past ``r`` voltage and current samples.
-
-    The most recent sample is stored first, matching Eq. (2) of the paper.
-    """
-
-    def __init__(self, dynamic_order: int, v0: float = 0.0, i0: float = 0.0):
-        if dynamic_order < 1:
-            raise ValueError("dynamic_order must be at least 1")
-        self.dynamic_order = dynamic_order
-        self.x_v = np.full(dynamic_order, float(v0))
-        self.x_i = np.full(dynamic_order, float(i0))
-
-    def push(self, v: float, i: float) -> None:
-        """Shift the new sample pair into the regressors (native-``Ts`` update)."""
-        self.x_v = np.concatenate(([float(v)], self.x_v[:-1]))
-        self.x_i = np.concatenate(([float(i)], self.x_i[:-1]))
-
-    def copy(self) -> "RegressorState":
-        """Deep copy of the state."""
-        clone = RegressorState(self.dynamic_order)
-        clone.x_v = self.x_v.copy()
-        clone.x_i = self.x_i.copy()
-        return clone
 
 
 def build_regression_data(

@@ -66,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.mna import FastPathAssembler
 
 __all__ = [
+    "GMIN",
     "SPARSE_THRESHOLD",
     "resolve_backend_name",
     "make_backend",
@@ -74,6 +75,10 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
 ]
+
+#: conductance from every node to ground (siemens), stamped by both backends
+#: and by the reference path, so a node no element holds stays solvable
+GMIN = 1e-12
 
 #: unknown count above which ``"auto"`` selects the sparse backend, set at
 #: the measured dense/sparse crossover of a nonlinear (Newton) transient,
@@ -141,7 +146,7 @@ class LinearSolverBackend:
     The assembler drives the backend through three hooks:
 
     * :meth:`assemble_static` — stamp the static elements plus the
-      ``gmin`` diagonal into the run's
+      :data:`GMIN` diagonal into the run's
       :class:`~repro.perf.mna.SharedStaticContext` (a corner group's
       earlier run may have captured it already, and then this is skipped).
     * :meth:`iterate` — run the dynamic (nonlinear) stamps around ``x``
@@ -166,7 +171,6 @@ class LinearSolverBackend:
         self.stats = assembler.stats
         self.health = assembler.health
         self.compiled = assembler.compiled
-        self.gmin = assembler.gmin
         self.static = assembler.static
         self.linear_only = assembler.linear_only
         self.static_elements = assembler.static_elements
@@ -240,7 +244,7 @@ class DenseBackend(LinearSolverBackend):
             # np.add.at inside their stamp_static (the target is an ndarray).
             element.stamp_static(A, ctx)
         diag = self.compiled.node_diagonal
-        A[diag, diag] += self.gmin
+        A[diag, diag] += GMIN
         self.static.A_static = A
 
     # -- per-iteration assembly and solves --------------------------------
@@ -372,7 +376,7 @@ class SparseBackend(LinearSolverBackend):
     at the ``p`` port rows and bounded a priori on the others), or a
     static matrix ``splu`` cannot factor, takes the per-iteration ``splu``
     of the whole system instead.  So does every iteration of a pattern
-    with a port whose static row holds nothing but the ``gmin`` diagonal:
+    with a port whose static row holds nothing but the :data:`GMIN` diagonal:
     the update would lose its digits there, fail the guard and be redone.
     The matrix of every iteration is filled all the same: the injected
     ``singular`` fallback and the whole-system path solve it.
@@ -408,7 +412,7 @@ class SparseBackend(LinearSolverBackend):
         self._eye: np.ndarray | None = None
         #: row sums of |A_static| at the ports (the guard's scale there)
         self._port_row_abs: np.ndarray | None = None
-        #: a port's static row is the gmin diagonal alone: skip the update
+        #: a port's static row is the GMIN diagonal alone: skip the update
         self._gmin_held_port = False
 
     # -- static assembly ---------------------------------------------------
@@ -440,7 +444,7 @@ class SparseBackend(LinearSolverBackend):
         )
         vals = np.concatenate(
             [np.asarray(recorder.vals, dtype=np.float64), *bank_vals,
-             np.full(diag.size, self.gmin)]
+             np.full(diag.size, GMIN)]
         )
         # Compress to CSC, duplicates summed in stamp order.  For a linear
         # run this pattern is the whole system's.
@@ -486,7 +490,7 @@ class SparseBackend(LinearSolverBackend):
         self._port_row_abs = np.bincount(
             indices, weights=np.abs(self._static_base), minlength=self._n
         )[ports]
-        self._gmin_held_port = bool((self._port_row_abs <= self.gmin).any())
+        self._gmin_held_port = bool((self._port_row_abs <= GMIN).any())
         p = ports.size
         slot = dict(zip(ports.tolist(), range(p)))
         self._pos_of = {
@@ -566,7 +570,7 @@ class SparseBackend(LinearSolverBackend):
 
         Returns ``None`` when there are no static factors, the ``p x p``
         system is singular or either half fails (a port node held only by
-        ``gmin``, where the update would always fail, never gets here:
+        :data:`GMIN`, where the update would always fail, never gets here:
         :meth:`solve` skips it).  With no ports, ``x = y`` is what
         factoring the whole system would give, and only its finiteness is
         checked, as there.
@@ -638,7 +642,7 @@ class SparseBackend(LinearSolverBackend):
             if x is not None:
                 self.stats["port_solves"] += 1
                 return x
-            # A gmin-held port, no static factors, or an update that failed
+            # A GMIN-held port, no static factors, or an update that failed
             # its guard: factor the whole system for this iteration.
             try:
                 lu = _splu(A)

@@ -4,14 +4,14 @@ The reference transient solver (:mod:`repro.circuits.transient`) rebuilds
 the whole MNA system from scratch at every Newton iteration: it allocates a
 fresh ``(n, n)`` matrix, stamps *every* element (including the purely linear
 ones, whose matrix contribution never changes within a run), loops over the
-nodes in Python for the ``gmin`` diagonal and calls a fresh dense solve.
+nodes in Python for the ``GMIN`` diagonal and calls a fresh dense solve.
 
 This module splits that work by how often it actually changes:
 
 * **once per run** — the matrix stamps of all ``stamp_kind == "static"``
   elements (resistors, capacitor/inductor companions, source incidence
-  rows, transmission-line characteristic rows) plus the vectorised ``gmin``
-  diagonal;
+  rows, transmission-line characteristic rows) plus the vectorised
+  :data:`~repro.perf.backends.GMIN` diagonal;
 * **once per time step** — the x-independent RHS (source values at ``t``,
   companion-model history currents, line history voltages) is assembled
   into a preallocated ``rhs_static`` via ``stamp_rhs``;
@@ -88,9 +88,9 @@ class SharedStaticContext:
     shared across backends.
 
     The caller guarantees that all sharing circuits produce identical static
-    stamps (same topology, same element values, same ``dt``/``method``/
-    ``gmin``); the context verifies only a cheap signature (unknown count,
-    time step, method, gmin, backend) and raises on mismatch.
+    stamps (same topology, same element values, same ``dt``); the context
+    verifies only a cheap signature (unknown count, time step, backend) and
+    raises on mismatch.
     """
 
     def __init__(self):
@@ -239,9 +239,8 @@ class FastPathAssembler:
     ----------
     circuit, compiled:
         The circuit and its compiled index maps.
-    dt, method, gmin:
-        Time step, integration method and node-to-ground conductance of the
-        run (fixed for the assembler's lifetime).
+    dt:
+        Time step of the run (fixed for the assembler's lifetime).
     shared:
         The :class:`SharedStaticContext` of the run's sweep corner group; a
         private one (:attr:`static`) is made when omitted.
@@ -262,8 +261,6 @@ class FastPathAssembler:
         circuit: "Circuit",
         compiled: "CompiledCircuit",
         dt: float,
-        method: str,
-        gmin: float,
         shared: SharedStaticContext | None = None,
         backend: str | None = None,
         health: RunHealth | None = None,
@@ -271,8 +268,6 @@ class FastPathAssembler:
         self.circuit = circuit
         self.compiled = compiled
         self.dt = float(dt)
-        self.method = method
-        self.gmin = float(gmin)
         #: the run's static network and its factors
         self.static = shared if shared is not None else SharedStaticContext()
         self.health = health if health is not None else RunHealth()
@@ -318,14 +313,9 @@ class FastPathAssembler:
         sharing runs.
         """
         static = self.static
-        static._check_signature(
-            (self.compiled.n_unknowns, self.dt, self.method, self.gmin,
-             self.backend.name)
-        )
+        static._check_signature((self.compiled.n_unknowns, self.dt, self.backend.name))
         if static.matrix is None:
-            self.backend.assemble_static(
-                StampContext(self.compiled, self.dt, 0.0, self.method)
-            )
+            self.backend.assemble_static(StampContext(self.compiled, self.dt, 0.0))
         else:
             static.stats["static_reuses"] += 1
             self.stats["static_reused"] = True
@@ -334,7 +324,7 @@ class FastPathAssembler:
 
     def begin_step(self, t: float) -> StampContext:
         """Assemble the per-step static RHS and return the step context."""
-        ctx = StampContext(self.compiled, self.dt, t, self.method)
+        ctx = StampContext(self.compiled, self.dt, t)
         rhs = self._rhs_static
         rhs[:] = 0.0
         for element in self.static_elements:

@@ -1,4 +1,4 @@
-"""Failure taxonomy, health telemetry and retry policies of the solver stack.
+"""Failure taxonomy and health telemetry of the solver stack.
 
 The paper's observation that the Newton "iterations required for
 convergence at each time iteration are very few" is an *expectation*, not
@@ -15,11 +15,11 @@ This package is that contract:
   / ``nan_inf`` / ``backend_error``), the step index and scenario it hit,
   the residual magnitude, and free-form context;
 * :class:`RunHealth` — the per-run accumulator every solver tier writes
-  into, surfaced as ``Result.perf_stats["health"]`` and by the CLI;
-* :class:`RetryPolicy` — the bounded-retry/graceful-degradation settings
-  of :meth:`repro.circuits.transient.TransientSolver.step_once`: rewind
-  the failed step, re-run (clears transient faults bit-identically), then
-  halve ``dt`` locally and boost the Newton damping;
+  into, surfaced as ``Result.perf_stats["health"]`` and by the CLI, with
+  the counters of the transient solver's retry ladder
+  (``TransientOptions.max_retries``: rewind the failed step, re-run it,
+  which clears transient faults bit-identically, then halve ``dt`` locally
+  and boost the Newton damping);
 * the typed exceptions (:class:`SolverError` and its kind-specific
   subclasses) raised under the default strict policy, each carrying its
   :class:`SolveFailure`;
@@ -40,7 +40,6 @@ __all__ = [
     "BACKEND_ERROR",
     "SolveFailure",
     "RunHealth",
-    "RetryPolicy",
     "SolverError",
     "NonConvergenceError",
     "SingularMatrixError",
@@ -179,57 +178,6 @@ def error_for(failure: SolveFailure) -> SolverError:
     return _ERROR_OF[failure.kind](failure)
 
 
-# -- retry policy -----------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with graceful degradation for a failed time step.
-
-    Jobs select it declaratively through ``engine.max_retries`` (CLI:
-    ``--max-retries``), which builds ``RetryPolicy(max_retries=N)`` with
-    the defaults below; in-process callers pass a fully-tuned policy via
-    ``TransientOptions(retry_policy=...)``.
-
-    The retry ladder of :meth:`~repro.circuits.transient.TransientSolver.step_once`:
-
-    1. the first retry rewinds the step and re-runs it unchanged — a
-       transient fault (cleared cache, consumed injected fault) recovers
-       **bit-identically** to a fault-free run;
-    2. further retries (``dt_halving``) advance the same interval in
-       ``2, 4, ...`` sub-steps of ``dt/2, dt/4, ...`` through a robust
-       dense assembly, re-stamping the dynamic contributions per sub-step
-       and boosting the Newton damping by ``damping_boost`` per retry.
-
-    Singular/ill-conditioned factorizations additionally fall back
-    sparse → dense inside the :class:`~repro.perf.backends.LinearSolverBackend`
-    seam regardless of the policy; the policy bounds how often a whole
-    step is re-attempted.
-
-    Attributes
-    ----------
-    max_retries:
-        Retries per failing step (0 disables retrying — the strict
-        default of :class:`~repro.circuits.transient.TransientOptions`).
-    dt_halving:
-        Allow the local-sub-step degradation from the second retry on.
-        Skipped automatically for circuits holding elements that bind the
-        time step at construction (``supports_local_dt = False``).
-    damping_boost:
-        Multiplier (< 1) applied to the per-iteration voltage-update cap
-        ``max_delta_v`` on every retry.
-    """
-
-    max_retries: int = 2
-    dt_halving: bool = True
-    damping_boost: float = 0.5
-
-    def __post_init__(self):
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValueError(f"max_retries must be a non-negative int, got {self.max_retries!r}")
-        if not 0.0 < self.damping_boost <= 1.0:
-            raise ValueError(f"damping_boost must lie in (0, 1], got {self.damping_boost!r}")
-
-
 # -- health accumulator -----------------------------------------------------
 
 #: at most this many full failure records are kept per accumulator
@@ -256,7 +204,7 @@ class RunHealth:
         self.events: list[SolveFailure] = []
         #: steps committed without convergence (policy ``warn``/``ignore``)
         self.nonconverged_commits = 0
-        #: step re-attempts performed by the retry policy
+        #: step re-attempts performed by the retry ladder
         self.retries = 0
         #: distinct steps that needed at least one retry
         self.retried_steps = 0

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.newton import NewtonOptions
 from repro.core.ports import LumpedTermination, ResistorTermination
 from repro.fdtd.geometry import add_pec_plate, add_via
 from repro.fdtd.grid import YeeGrid
@@ -204,7 +203,6 @@ class PCBStructure:
         other_termination_ohms: float = 50.0,
         dt: float | None = None,
         plane_wave: PlaneWaveSource | None = None,
-        newton_options: NewtonOptions | None = None,
     ) -> tuple[FDTD3DSolver, LumpedElementSite, LumpedElementSite]:
         """Grid + solver + all six terminations, ready to run.
 
@@ -213,7 +211,7 @@ class PCBStructure:
         ``other_termination_ohms`` (50 ohm in the paper).
         """
         grid = self.build_grid()
-        solver = FDTD3DSolver(grid, dt=dt, newton_options=newton_options)
+        solver = FDTD3DSolver(grid, dt=dt)
         if plane_wave is not None:
             solver.set_plane_wave(plane_wave)
         driver_site = solver.add_lumped_element(self.driver_port(driver_termination, route=1))

@@ -32,7 +32,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.newton import NewtonOptions
 from repro.core.ports import LumpedTermination, ResistorTermination, ResistiveSourceTermination
 from repro.fdtd.constants import C0
 from repro.fdtd.geometry import add_pec_plate, add_pec_wire
@@ -187,11 +186,10 @@ class ValidationLineStructure:
         far_termination: LumpedTermination,
         dt: float | None = None,
         plane_wave: PlaneWaveSource | None = None,
-        newton_options: NewtonOptions | None = None,
     ) -> tuple[FDTD3DSolver, LumpedElementSite, LumpedElementSite]:
         """Grid + solver + both ports, ready to run."""
         grid = self.build_grid()
-        solver = FDTD3DSolver(grid, dt=dt, newton_options=newton_options)
+        solver = FDTD3DSolver(grid, dt=dt)
         if plane_wave is not None:
             solver.set_plane_wave(plane_wave)
         near = solver.add_lumped_element(self.port_site("near_end", "near", near_termination))

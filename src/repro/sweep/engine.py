@@ -28,7 +28,7 @@ iteration counts are solver bookkeeping, and the waveforms are the
 contract.  A scenario that fails in the batch is quarantined (a lane
 leaves its group's block solves from the failing step on) and gets one
 cold solo retry after the batch; only that retry runs the options'
-``retry_policy``.
+``max_retries``.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class CircuitSweep:
         fast = perf.resolve_fast(self.options.fast)
         # A failure in the batch quarantines its scenario: the retry ladder
         # runs only in the solo retry, which keeps the full options.
-        options = dataclasses.replace(self.options, retry_policy=None)
+        options = dataclasses.replace(self.options, max_retries=0)
 
         contexts: Dict[object, SharedStaticContext] = {}
         solvers: list[TransientSolver] = []

@@ -178,28 +178,20 @@ class _CapacitorLane:
 
     needs_stamp = needs_accept = True
 
-    def __init__(self, elements, compiled, method, dt):
+    def __init__(self, elements, compiled, dt):
         self.ports = _Ports(elements[0], compiled)
-        self.trapezoidal = method == "trapezoidal"
         capacitance = _lanes([el.capacitance for el in elements])
-        self.geq = (2.0 if self.trapezoidal else 1.0) * capacitance / dt
+        self.geq = 2.0 * capacitance / dt
         self.neg_geq = -self.geq  # the scalar code's -geq * v, negation first
         self.v_prev = _lanes([el._v_prev for el in elements])
         self.i_prev = _lanes([el._i_prev for el in elements])
 
     def stamp_rhs(self, rhs, step, t, ctxs) -> None:
-        if self.trapezoidal:
-            i_hist = self.neg_geq * self.v_prev - self.i_prev
-        else:
-            i_hist = self.neg_geq * self.v_prev
-        self.ports.add_current(rhs, i_hist)
+        self.ports.add_current(rhs, self.neg_geq * self.v_prev - self.i_prev)
 
     def accept(self, x, step, ctxs) -> None:
         v_new = self.ports.voltages(x)
-        if self.trapezoidal:
-            self.i_prev = self.geq * (v_new - self.v_prev) - self.i_prev
-        else:
-            self.i_prev = self.geq * (v_new - self.v_prev)
+        self.i_prev = self.geq * (v_new - self.v_prev) - self.i_prev
         self.v_prev = v_new
 
 
@@ -208,23 +200,19 @@ class _InductorLane:
 
     needs_stamp = needs_accept = True
 
-    def __init__(self, elements, compiled, method, dt):
+    def __init__(self, elements, compiled, dt):
         el = elements[0]
         self.ports = _Ports(el, compiled)
         self.rows = el._j if self.ports.bank else compiled.branch_index(el.name)
-        self.trapezoidal = method == "trapezoidal"
         inductance = _lanes([e.inductance for e in elements])
         # The scalar element's (-2 L) / dt and the bank's -(2 L / dt) are
         # the same number: negation is exact.
-        self.k = -((2.0 if self.trapezoidal else 1.0) * inductance / dt)
+        self.k = -(2.0 * inductance / dt)
         self.i_prev = _lanes([e._i_prev for e in elements])
         self.v_prev = _lanes([e._v_prev for e in elements])
 
     def stamp_rhs(self, rhs, step, t, ctxs) -> None:
-        if self.trapezoidal:
-            rhs[self.rows] += self.k * self.i_prev - self.v_prev
-        else:
-            rhs[self.rows] += self.k * self.i_prev
+        rhs[self.rows] += self.k * self.i_prev - self.v_prev
 
     def accept(self, x, step, ctxs) -> None:
         self.i_prev = x[self.rows].copy()
@@ -337,7 +325,7 @@ class _HookLane:
                 el.accept(x[:, col], ctx)
 
 
-def _lane(elements, compiled, times, method, dt, read_pos):
+def _lane(elements, compiled, times, dt, read_pos):
     """The lane form of one element position (``None``: nothing per step)."""
     kind = type(elements[0])
     if not all(_is_plain(el) for el in elements):
@@ -347,9 +335,9 @@ def _lane(elements, compiled, times, method, dt, read_pos):
     if kind is VoltageSource:
         return _SourceLane(elements, compiled, times)
     if kind in (Capacitor, CapacitorBank):
-        return _CapacitorLane(elements, compiled, method, dt)
+        return _CapacitorLane(elements, compiled, dt)
     if kind in (Inductor, InductorBank):
-        return _InductorLane(elements, compiled, method, dt)
+        return _InductorLane(elements, compiled, dt)
     if kind is IdealTransmissionLine:
         return _LineLane(elements, compiled, times, read_pos)
     return _HookLane(elements)
@@ -371,7 +359,7 @@ class LaneSet:
         first = runs[0]
         asm = first.assembler
         self.times = first.times
-        self.dt, self.method = asm.dt, asm.method
+        self.dt = asm.dt
         # Column-major, so that a corner group's columns are one contiguous
         # block for its LAPACK solve.
         self.x = np.asfortranarray(np.stack([run.x for run in runs], axis=1))
@@ -387,8 +375,7 @@ class LaneSet:
 
         self.lanes = []
         for elements in zip(*(run.assembler.circuit.elements for run in runs)):
-            lane = _lane(list(elements), asm.compiled, self.times, self.method,
-                         self.dt, read_pos)
+            lane = _lane(list(elements), asm.compiled, self.times, self.dt, read_pos)
             if lane is not None:
                 self.lanes.append(lane)
         self.n_recorded = first.rec_idx.size
@@ -438,10 +425,7 @@ class LaneSet:
             return
         t = float(self.times[step])
         if self._compiled is not None:
-            self._ctxs = [
-                StampContext(compiled, self.dt, t, self.method)
-                for compiled in self._compiled
-            ]
+            self._ctxs = [StampContext(compiled, self.dt, t) for compiled in self._compiled]
         for lane in self._stamping:
             lane.stamp_rhs(rhs, step, t, self._ctxs)
 

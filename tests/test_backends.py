@@ -279,13 +279,14 @@ class TestPortRankSolve:
         assert stats["sparse_factorizations"] == 1 + rejected
         assert stats["health"]["backend_fallbacks"] == 0
 
-    def test_failed_static_factorization_factors_every_iteration(self):
-        # Without gmin the static matrix has an empty row at "m": splu
+    def test_failed_static_factorization_factors_every_iteration(self, monkeypatch):
+        # Without GMIN the static matrix has an empty row at "m": splu
         # cannot factor it, so every iteration factors the whole system.
+        monkeypatch.setattr(backends, "GMIN", 0.0)
+
         def run(backend):
             solver = TransientSolver(
-                _stacked_diodes(), 1e-11,
-                options=TransientOptions(backend=backend, gmin=0.0),
+                _stacked_diodes(), 1e-11, options=TransientOptions(backend=backend),
             )
             result = solver.run(4e-9, record_nodes=["m"], record_branches=[])
             return result.voltage("m"), solver.perf_stats

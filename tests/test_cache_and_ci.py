@@ -329,6 +329,27 @@ class TestCIPipeline:
         assert "h['backend_fallbacks'] == 1" in smoke
         assert "h['events'][0]['step'] == 3" in smoke
 
+    def test_quick_tier_runs_the_retry_ladder_from_the_cli(self, workflow):
+        # The same step drives engine.max_retries through the CLI under a
+        # nonconvergence@4x2 plan: 3 retries recover the RBF link by re-runs
+        # and the transistor link by one dt-halving (exit 0 both), and 1
+        # retry must exit 3.
+        test_job = workflow["jobs"]["test"]
+        smoke = next(
+            step["run"] for step in test_job["steps"]
+            if isinstance(step, dict) and "-k resilience" in step.get("run", "")
+        )
+        lines = [line.strip() for line in smoke.splitlines()]
+        plan = 'REPRO_FAULT_PLAN="nonconvergence@4x2" python -m repro run '
+        for job in ("examples/jobs/rbf_link.json --quick --max-retries 3",
+                    "rbf_link_transistor.json --quick --max-retries 3",
+                    "examples/jobs/rbf_link.json --quick --max-retries 1"):
+            assert any(plan + job in line for line in lines), job
+        assert "d['engine']['variant'] = 'transistor'" in smoke
+        assert 'test "$rc" -eq 3' in smoke
+        assert "== (2, 1, 1, 1)" in smoke
+        assert "== (0, 1)" in smoke
+
     def test_quick_tier_runs_mur_smoke(self, workflow):
         # The 3-D FDTD suites and the Mur face-table tests run as their own
         # named quick-tier step.

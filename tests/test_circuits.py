@@ -1,5 +1,7 @@
 """Tests for the SPICE-class circuit substrate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,8 +241,23 @@ class TestDevicesAndMacromodelElement:
         assert v_sim == pytest.approx(v_expected, abs=0.05)
 
     def test_transient_options_validation(self):
+        # The options are what a job's engine block sets, plus the
+        # benchmark's backend pin.
+        assert {f.name for f in dataclasses.fields(TransientOptions)} == {
+            "fast", "backend", "on_nonconvergence", "max_retries",
+        }
         with pytest.raises(ValueError):
-            TransientOptions(method="magic")
+            TransientOptions(on_nonconvergence="magic")
+
+    def test_solver_rejects_macromodel_built_for_another_step(self, driver_model):
+        from repro.macromodel.driver import LogicStimulus
+
+        bound = driver_model.bound(LogicStimulus.from_pattern("0", 2e-9))
+        ckt = Circuit()
+        ckt.add(MacromodelElement("drv", "out", GROUND, bound, 5e-12))
+        ckt.add(Resistor("r", "out", GROUND, 200.0))
+        with pytest.raises(ValueError, match="4e-12.*5e-12"):
+            TransientSolver(ckt, 4e-12)
 
     def test_solver_rejects_bad_inputs(self):
         ckt = Circuit()

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.ports import ResistiveSourceTermination, ResistorTermination
+from repro.fdtd.courant import courant_time_step
 from repro.fdtd.geometry import add_pec_plate, add_pec_wire, add_via
 from repro.fdtd.grid import YeeGrid
 from repro.fdtd.lumped import LumpedElementSite
@@ -60,7 +61,9 @@ def _solver(with_wave: bool) -> FDTD3DSolver:
     add_pec_plate(grid, "z", 3, (3, 9), (3, 7))  # deep-interior edges only
     add_via(grid, 4, 4, (0, 2))
     add_pec_wire(grid, "z", (9, 2, 1), 1)
-    solver = FDTD3DSolver(grid, courant_safety=0.9, fast=True)
+    solver = FDTD3DSolver(
+        grid, dt=courant_time_step(grid.dx, grid.dy, grid.dz, safety=0.9), fast=True
+    )
     if with_wave:
         # Propagating along +x, polarised along -z: only Ez is illuminated.
         solver.set_plane_wave(PlaneWaveSource(90.0, 180.0, _incident, amplitude=100.0))

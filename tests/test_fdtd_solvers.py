@@ -98,6 +98,19 @@ class TestFDTD1D:
         assert res.newton_stats.total_solves == res.times.size
         assert res.newton_stats.mean_iterations > 1.0
 
+    def test_rejects_termination_built_for_another_step(self, driver_model):
+        # The line steps at delay / n_cells = 4 ps; an RC load built for
+        # 8 ps would differentiate with the wrong step.
+        td = 0.4e-9
+        bound = driver_model.bound(LogicStimulus.from_pattern("01", 2e-9))
+        with pytest.raises(ValueError, match="far end.*4e-12.*8e-12"):
+            FDTD1DLine(
+                131.0, td,
+                ResampledPortModel(bound, td / 100),
+                ParallelRCTermination(500.0, 1e-12, td / 50),
+                n_cells=100,
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FDTD1DLine(0.0, 1e-9, ResistorTermination(50.0), ResistorTermination(50.0))
@@ -180,6 +193,14 @@ class TestFDTD3D:
         solver.add_lumped_element(site)
         with pytest.raises(ValueError):
             solver.run(n_steps=1)
+
+    def test_lumped_site_rejects_termination_built_for_another_step(self, receiver_model):
+        # A port resampled for 1.5 ps would run with a tau 10% low in a
+        # solver stepping at 1.65 ps, also behind the orientation adapter.
+        port = ResampledPortModel(receiver_model, 1.5e-12)
+        site = LumpedElementSite("rx", "z", (4, 4, 4), port, flip=True)
+        with pytest.raises(ValueError, match="'rx'.*1.65e-12.*1.5e-12"):
+            site.bind(YeeGrid(8, 8, 8, 1e-3), 1.65e-12)
 
     def test_flipped_termination_sign_convention(self):
         inner = ResistiveSourceTermination(100.0, lambda t: 1.0)

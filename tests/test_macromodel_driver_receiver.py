@@ -9,23 +9,10 @@ from repro.macromodel.library import (
     driver_pullup_current,
 )
 from repro.macromodel.receiver import LinearSubmodel
-from repro.macromodel.regressor import RegressorSpec, RegressorState, build_regression_data
+from repro.macromodel.regressor import RegressorSpec, build_regression_data
 
 
 class TestRegressor:
-    def test_state_push_order(self):
-        state = RegressorState(3)
-        state.push(1.0, 0.1)
-        state.push(2.0, 0.2)
-        np.testing.assert_allclose(state.x_v, [2.0, 1.0, 0.0])
-        np.testing.assert_allclose(state.x_i, [0.2, 0.1, 0.0])
-
-    def test_state_copy_is_independent(self):
-        state = RegressorState(2, v0=1.0)
-        clone = state.copy()
-        state.push(5.0, 0.5)
-        np.testing.assert_allclose(clone.x_v, [1.0, 1.0])
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RegressorSpec(dynamic_order=0, sampling_time=1e-12)

@@ -22,6 +22,7 @@ from repro.circuits.tline import IdealTransmissionLine
 from repro.circuits.transient import TransientOptions, TransientSolver
 from repro.core.ports import ParallelRCTermination, ResistiveSourceTermination
 from repro.core.resampling import ResampledPortModel
+from repro.fdtd.courant import courant_time_step
 from repro.fdtd.geometry import add_pec_plate
 from repro.fdtd.grid import YeeGrid
 from repro.fdtd.lumped import LumpedElementSite
@@ -159,7 +160,7 @@ def test_mosfet_stamp_fast_matches_stamp(polarity):
     ckt.add(Resistor("rg", "g", GROUND, 1e3))
     ckt.add(Resistor("rs2", "s", GROUND, 1e3))
     compiled = ckt.compile()
-    ctx = StampContext(compiled, 1e-12, 0.0, "trapezoidal")
+    ctx = StampContext(compiled, 1e-12, 0.0)
     mos.prepare_fast(compiled)
     n = compiled.n_unknowns
     rng = np.random.default_rng(polarity == "p")
@@ -224,7 +225,9 @@ def _small_3d_solver(fast, with_wave, receiver_model):
         if with_wave
         else None
     )
-    solver = FDTD3DSolver(grid, courant_safety=0.9, fast=fast)
+    solver = FDTD3DSolver(
+        grid, dt=courant_time_step(grid.dx, grid.dy, grid.dz, safety=0.9), fast=fast
+    )
     if plane_wave is not None:
         solver.set_plane_wave(plane_wave)
     site_r = LumpedElementSite(
@@ -232,7 +235,7 @@ def _small_3d_solver(fast, with_wave, receiver_model):
     )
     site_m = LumpedElementSite(
         "rx", "z", (9, 6, 2),
-        ResampledPortModel(receiver_model, 1.5e-12, fast=fast),
+        ResampledPortModel(receiver_model, solver.dt, fast=fast),
     )
     solver.add_lumped_element(site_r)
     solver.add_lumped_element(site_m)

@@ -182,8 +182,7 @@ def _assemble_system(circuit, backend: str, dt: float = 1e-11):
     from repro.perf.mna import FastPathAssembler
 
     compiled = circuit.compile()
-    asm = FastPathAssembler(circuit, compiled, dt, "trapezoidal", 1e-12,
-                            backend=backend)
+    asm = FastPathAssembler(circuit, compiled, dt, backend=backend)
     asm.begin_run()
     ctx = asm.begin_step(dt)
     A, rhs = asm.iterate(np.zeros(compiled.n_unknowns), ctx)

@@ -11,6 +11,7 @@ recovered run reproduces a fault-free one.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -38,7 +39,6 @@ from repro.resilience import (
     NON_CONVERGENCE,
     NanInfError,
     NonConvergenceError,
-    RetryPolicy,
     RunHealth,
     SINGULAR_MATRIX,
     SingularMatrixError,
@@ -86,6 +86,16 @@ def _run(circuit_factory, options=None, duration=2e-10, dt=2e-12):
     solver = TransientSolver(circuit_factory(), dt, options=options)
     result = solver.run(duration)
     return solver, result
+
+
+def _rbf_link_spec(**engine):
+    """``rbf_link.json --quick`` with the given engine-block fields."""
+    from repro.api import load_spec
+
+    spec = load_spec(os.path.join(
+        os.path.dirname(__file__), "..", "examples", "jobs", "rbf_link.json",
+    )).quickened()
+    return dataclasses.replace(spec, engine=dataclasses.replace(spec.engine, **engine))
 
 
 def _scenarios(n=3):
@@ -161,12 +171,10 @@ class TestTaxonomy:
 
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
+            TransientOptions(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(damping_boost=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(damping_boost=1.5)
-        assert RetryPolicy(max_retries=0).max_retries == 0
+            TransientOptions(max_retries=1.5)
+        assert TransientOptions().max_retries == 0
 
     def test_run_health_counts_and_merge(self):
         a = RunHealth()
@@ -331,7 +339,7 @@ class TestCircuitRetryLadder:
     @pytest.mark.parametrize("kind", ["nan", "nonconvergence", "backend_error"])
     def test_transient_fault_recovers_bit_identically(self, kind):
         _, clean = _run(_diode_circuit)
-        options = TransientOptions(retry_policy=RetryPolicy(max_retries=2))
+        options = TransientOptions(max_retries=2)
         solver = TransientSolver(_diode_circuit(), 2e-12, options=options)
         with faults.injected(faults.Fault(kind, step=5)):
             result = solver.run(2e-10)
@@ -360,24 +368,24 @@ class TestCircuitRetryLadder:
         assert health["retried_steps"] == 0
 
     def test_persistent_fault_exhausts_retries_and_raises(self):
-        options = TransientOptions(
-            retry_policy=RetryPolicy(max_retries=2, dt_halving=False)
-        )
+        # One retry is the plain re-run, which meets the fault again.
+        options = TransientOptions(max_retries=1)
         solver = TransientSolver(_rc_circuit(), 2e-12, options=options)
         with faults.injected(faults.Fault("nan", step=3, count=None)):
             with pytest.raises(NanInfError):
                 solver.run(2e-10)
         health = solver.perf_stats["health"]
-        assert health["retries"] == 2
+        assert health["retries"] == 1
         assert health["recovered_steps"] == 0
-        assert health["failure_counts"][NAN_INF] == 3  # initial + 2 retries
+        assert health["dt_halvings"] == 0
+        assert health["failure_counts"][NAN_INF] == 2  # initial + 1 retry
 
     def test_dt_halving_rung_recovers_repeated_nonconvergence(self):
         # The fault survives the plain re-run (count=2), so recovery needs
         # the second rung: boosted damping + the dt/2 sub-step excursion,
         # which does not consult the injector.
         _, clean = _run(_rc_circuit)
-        options = TransientOptions(retry_policy=RetryPolicy(max_retries=3))
+        options = TransientOptions(max_retries=3)
         solver = TransientSolver(_rc_circuit(), 2e-12, options=options)
         with faults.injected(faults.Fault("nonconvergence", step=4, count=2)):
             result = solver.run(2e-10)
@@ -391,6 +399,32 @@ class TestCircuitRetryLadder:
         assert np.allclose(
             result.voltage("out"), clean.voltage("out"), rtol=1e-3, atol=1e-6
         )
+
+    @pytest.mark.parametrize("variant, dt_halvings", [("rbf", 0), ("transistor", 1)])
+    def test_job_max_retries_drives_the_ladder(self, monkeypatch, variant, dt_halvings):
+        # A job's engine.max_retries is the ladder's retry budget.  The
+        # macromodels bind their step, so the RBF link's second retry
+        # re-runs the step; the transistor link halves it.
+        from repro.api import run
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "nonconvergence@4x2")
+        faults.reload_env_plan()
+        result = run(_rbf_link_spec(variant=variant, max_retries=3))
+        health = result.perf_stats["health"]
+        assert health["retries"] == 2
+        assert health["retried_steps"] == 1
+        assert health["recovered_steps"] == 1
+        assert health["damping_boosts"] == 1
+        assert health["dt_halvings"] == dt_halvings
+
+    def test_job_max_retries_below_the_fault_raises(self, monkeypatch):
+        from repro.api import run
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "nonconvergence@4x2")
+        faults.reload_env_plan()
+        with pytest.raises(NonConvergenceError) as excinfo:
+            run(_rbf_link_spec(max_retries=1))
+        assert excinfo.value.failure.step == 4
 
     def test_singular_sparse_newton_step_solves_the_filled_system(self, monkeypatch):
         # CI's resilience smoke: the injected iteration solves its whole
@@ -646,8 +680,6 @@ class TestRBFSweepFaults:
     def test_retry_policy_runs_only_in_the_solo_retry(self):
         # In the batch a failure quarantines its scenario without a retry;
         # the one cold solo retry keeps the job's retry policy.
-        import dataclasses
-
         from repro.api import load_spec, run
 
         spec = load_spec(os.path.join(

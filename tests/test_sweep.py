@@ -350,26 +350,8 @@ class TestLaneSets:
         assert batched.perf_stats["lane_sets"] == 1
         assert len(batched.perf_stats["direct_linear_scenarios"]) == 4
 
-    def test_backward_euler_lanes_match_sequential(self):
-        from repro.sweep.links import LinearLinkSpec
 
-        options = TransientOptions(method="backward_euler")
-        scenarios = _pattern_scenarios(3) + [
-            Scenario(name="solo", bit_pattern="011", corner={"z0": 110.0}),
-        ]
-        for segments in (0, 8):
-            sweep = linear_link_sweep(
-                scenarios, dt=1e-11, duration=2e-9,
-                spec=LinearLinkSpec(segments=segments), options=options,
-            )
-            batched = sweep.run()
-            sequential = sweep.run_sequential()
-            _assert_sweeps_match(batched, sequential)
-            _assert_bit_identical(batched, sequential, "solo")
-            assert batched.perf_stats["lane_sets"] == 1
-
-
-def _block_sweep(dt, steps, delays, segments=0, method="trapezoidal"):
+def _block_sweep(dt, steps, delays, segments=0):
     """The linear link with one corner group per line delay, plus a z0 corner.
 
     ``delays[0]`` is the nominal delay; group ``a`` has two lanes, every
@@ -387,8 +369,7 @@ def _block_sweep(dt, steps, delays, segments=0, method="trapezoidal"):
         Scenario(name=f"d{k}", bit_pattern=format(5 + k, "04b"), corner={"delay": delay})
         for k, delay in enumerate(delays[1:])
     ]
-    return linear_link_sweep(scenarios, dt=dt, duration=steps * dt, spec=spec,
-                             options=TransientOptions(method=method))
+    return linear_link_sweep(scenarios, dt=dt, duration=steps * dt, spec=spec)
 
 
 #: line delays as multiples of dt: shorter than one step (one-step
@@ -409,12 +390,11 @@ class TestBlockStepping:
         steps=st.integers(min_value=30, max_value=160),
         factors=st.lists(_delay_factors, min_size=1, max_size=3),
         segments=st.sampled_from([0, 0, 0, 6]),
-        method=st.sampled_from(["trapezoidal", "backward_euler"]),
     )
     @settings(max_examples=16, deadline=None)
-    def test_blocks_match_standalone_runs(self, dt, steps, factors, segments, method):
+    def test_blocks_match_standalone_runs(self, dt, steps, factors, segments):
         delays = list(dict.fromkeys(f * dt for f in factors))
-        sweep = _block_sweep(dt, steps, delays, segments, method)
+        sweep = _block_sweep(dt, steps, delays, segments)
         batched = sweep.run()
         sequential = sweep.run_sequential()
         _assert_sweeps_match(batched, sequential)
