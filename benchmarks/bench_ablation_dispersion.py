@@ -42,7 +42,7 @@ def test_ablation_mesh_dispersion(benchmark):
         for label, structure in (("fine (0.723 mm)", fine), ("coarse (1.446 mm)", coarse)):
             z_c, t_d = estimate_line_parameters(structure)
             link = LinkDescription(load="rc", z0=z_c, delay=t_d, duration=3e-9)
-            ref_1d = run_fdtd1d_link(models, link, z_c, t_d)
+            ref_1d = run_fdtd1d_link(models, link)
             res_3d = run_fdtd3d_link(structure, models, link)
             out[label] = (z_c, t_d, engine_agreement(ref_1d, res_3d))
         return out

@@ -11,9 +11,9 @@ fast-path run.  Two workloads:
   factorization; the acceptance gate asserts the amortised per-scenario
   wall time is at least 2x below the cold single run and the batched
   waveforms match per-scenario sequential runs to <= 1e-12 relative.
-* ``rbf`` — a macromodel-link pattern sweep whose scenarios each run
-  their own Newton solve on the shared static stamps, each port on its
-  own separable evaluator (the speedup is reported, not gated; the
+* ``rbf`` — a pattern sweep of the macromodel link into the receiver
+  load, whose scenarios each run their own Newton solve on the shared
+  static stamps, each port on its own separable evaluator (the speedup is reported, not gated; the
   equivalence check — the batch must be waveform-identical to sequential
   runs — is the contract).
 
@@ -38,6 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 
 from repro.circuits.transient import TransientSolver  # noqa: E402
+from repro.core.cosim import LinkDescription  # noqa: E402
 from repro.experiments.devices import identified_reference_macromodels  # noqa: E402
 from repro.sweep import (  # noqa: E402
     Scenario,
@@ -74,7 +75,9 @@ def linear_scenarios(n: int) -> list[Scenario]:
 
 
 def bench_linear(n_scenarios: int, duration: float, dt: float, trials: int) -> dict:
-    sweep = linear_link_sweep(linear_scenarios(n_scenarios), dt=dt, duration=duration)
+    sweep = linear_link_sweep(
+        linear_scenarios(n_scenarios), LinkDescription(duration=duration), dt=dt
+    )
 
     # Cold standalone fast-path run of one scenario (includes compile,
     # assembly and factorization — the costs the batch amortises).
@@ -126,7 +129,7 @@ def bench_rbf(models, n_scenarios: int, duration: float, dt: float, trials: int)
         for k in range(n_scenarios)
     ]
     sweep = rbf_link_sweep(
-        scenarios, {None: (models.driver, models.receiver)}, dt=dt, duration=duration
+        scenarios, LinkDescription(duration=duration, load="receiver"), models, dt=dt
     )
     batched = sequential = None
     for _ in range(trials):

@@ -4,7 +4,9 @@ Each adapter translates a validated :class:`~repro.api.spec.SimulationSpec`
 into the existing engine entry points (``run_link_rbf``/``run_link_transistor``,
 ``run_fdtd1d_link``, ``run_fdtd3d_link``, the sweep builders of
 :mod:`repro.sweep.links`) — so a job run through the front door produces
-the *same arithmetic* as the direct call.  :data:`ENGINES` maps every
+the *same arithmetic* as the direct call.  Every adapter reads the link
+from one :class:`~repro.core.cosim.LinkDescription`, built by
+:func:`_link_description`.  :data:`ENGINES` maps every
 kind of :data:`~repro.api.spec.ENGINE_KINDS` to its summary line and
 adapter; :func:`repro.api.run`, the CLI and ``GET /engines`` read it.
 
@@ -45,13 +47,12 @@ def resolve_models(spec: SimulationSpec, stats: dict | None = None):
     them, and the wall time of this call.
     """
     from repro.experiments.devices import reference_macromodels
-    from repro.macromodel.library import ReferenceDeviceParameters
 
     start = time.perf_counter()
     devices = spec.devices
     models, cached = reference_macromodels(
         devices.source,
-        dataclasses.replace(ReferenceDeviceParameters(), **dict(devices.params)),
+        _device_parameters(spec),
         n_centers=devices.n_centers,
         seed=devices.seed,
         driver=devices.driver,
@@ -66,20 +67,27 @@ def resolve_models(spec: SimulationSpec, stats: dict | None = None):
     return models
 
 
+def _device_parameters(spec: SimulationSpec):
+    """The :class:`ReferenceDeviceParameters` a spec's devices block sets."""
+    from repro.macromodel.library import ReferenceDeviceParameters
+
+    return dataclasses.replace(ReferenceDeviceParameters(), **dict(spec.devices.params))
+
+
 def _link_description(spec: SimulationSpec):
-    """The :class:`LinkDescription` equivalent of a spec's link/stimulus blocks."""
+    """The link a spec describes: its ``link`` block, its stimulus and its duration.
+
+    The only place a spec becomes a :class:`LinkDescription`; every
+    adapter, ``build_sweep`` included, reads the link from here.
+    """
     from repro.core.cosim import LinkDescription
 
     return LinkDescription(
-        z0=spec.link.z0,
-        delay=spec.link.delay,
         bit_pattern=spec.stimulus.bit_pattern,
         bit_time=spec.stimulus.bit_time,
+        edge_time=spec.stimulus.edge_time,
         duration=spec.duration,
-        load=spec.link.load,
-        load_resistance=spec.link.load_resistance,
-        load_capacitance=spec.link.load_capacitance,
-        segments=spec.link.segments,
+        **spec.link.to_dict(),
     )
 
 
@@ -109,12 +117,9 @@ def _run_circuit(spec: SimulationSpec, models=None) -> Result:
     options = _transient_options(spec)
     model_stats: dict = {}
     if spec.engine.variant == "transistor":
-        from repro.macromodel.library import ReferenceDeviceParameters
-
-        params = dataclasses.replace(
-            ReferenceDeviceParameters(), **dict(spec.devices.params)
+        result = run_link_transistor(
+            link, _device_parameters(spec), dt=dt, options=options
         )
-        result = run_link_transistor(link, params, dt=dt, options=options)
     else:
         models = models if models is not None else resolve_models(spec, model_stats)
         result = run_link_rbf(
@@ -131,10 +136,7 @@ def _run_fdtd1d(spec: SimulationSpec, models=None) -> Result:
 
     model_stats: dict = {}
     models = models if models is not None else resolve_models(spec, model_stats)
-    link = _link_description(spec)
-    result = run_fdtd1d_link(
-        models, link, z_c=spec.link.z0, t_d=spec.link.delay, n_cells=spec.engine.n_cells
-    )
+    result = run_fdtd1d_link(models, _link_description(spec), n_cells=spec.engine.n_cells)
     out = Result.from_simulation_result(result, meta=_spec_meta(spec))
     out.perf_stats.update(model_stats)
     return out
@@ -147,8 +149,7 @@ def _run_fdtd3d(spec: SimulationSpec, models=None) -> Result:
     model_stats: dict = {}
     models = models if models is not None else resolve_models(spec, model_stats)
     structure = ValidationLineStructure.scaled(spec.structure.scale)
-    link = _link_description(spec)
-    result = run_fdtd3d_link(structure, models, link)
+    result = run_fdtd3d_link(structure, models, _link_description(spec))
     meta = _spec_meta(spec)
     meta["structure_scale"] = spec.structure.scale
     out = Result.from_simulation_result(result, meta=meta)
@@ -164,12 +165,7 @@ def build_sweep(spec: SimulationSpec, models=None):
     adapter below and the shard workers of :mod:`repro.sweep.shard`
     (which build one sweep per corner-group shard from a sub-spec).
     """
-    from repro.sweep.links import (
-        LinearLinkSpec,
-        RBFLinkSpec,
-        linear_link_sweep,
-        rbf_link_sweep,
-    )
+    from repro.sweep.links import linear_link_sweep, rbf_link_sweep
 
     if spec.stats is not None:
         raise ValueError(
@@ -177,29 +173,16 @@ def build_sweep(spec: SimulationSpec, models=None):
             "sampled by repro.sweep.montecarlo.run_montecarlo first"
         )
     scenarios = [sc.to_scenario() for sc in spec.scenarios]
-    dt = spec.resolved_dt()
-    options = _transient_options(spec)
+    link = _link_description(spec)
+    common = dict(
+        dt=spec.resolved_dt(),
+        vdd=_device_parameters(spec).vdd,
+        options=_transient_options(spec),
+    )
     if spec.engine.sweep_family == "linear":
-        sweep = linear_link_sweep(
-            scenarios,
-            dt=dt,
-            duration=spec.duration,
-            spec=LinearLinkSpec.from_job_spec(spec),
-            options=options,
-        )
-        engine_label = "sweep-linear"
-    else:
-        models = models if models is not None else resolve_models(spec)
-        sweep = rbf_link_sweep(
-            scenarios,
-            {None: (models.driver, models.receiver)},
-            dt=dt,
-            duration=spec.duration,
-            spec=RBFLinkSpec.from_job_spec(spec),
-            options=options,
-        )
-        engine_label = "sweep-rbf"
-    return sweep, engine_label
+        return linear_link_sweep(scenarios, link, **common), "sweep-linear"
+    models = models if models is not None else resolve_models(spec)
+    return rbf_link_sweep(scenarios, link, models, **common), "sweep-rbf"
 
 
 def run_sweep_batch(spec: SimulationSpec, models=None):

@@ -51,6 +51,7 @@ __all__ = [
     "FORMAT_VERSION",
     "ENGINE_KINDS",
     "DISTRIBUTION_KINDS",
+    "CORNER_NAMES",
     "StimulusSpec",
     "DeviceSpec",
     "LinkSpec",
@@ -436,6 +437,12 @@ class LinkSpec(_Block):
     segments: int = _field(0, _integer, _NON_NEGATIVE)
 
 
+#: the link values a scenario corner may override: every number of the link
+#: block (a sweep scenario runs the job's link with its corner applied,
+#: :func:`repro.sweep.links.scenario_link`)
+CORNER_NAMES = ("z0", "delay", "load_resistance", "load_capacitance", "source_resistance")
+
+
 @dataclasses.dataclass(frozen=True)
 class StructureSpec(_Block):
     """The discretised 3-D structure of an ``fdtd3d`` job.
@@ -458,15 +465,20 @@ class StructureSpec(_Block):
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioSpec(_Block):
-    """One scenario of a ``sweep`` job (mirrors :class:`repro.sweep.scenario.Scenario`)."""
+    """One scenario of a ``sweep`` job (mirrors :class:`repro.sweep.scenario.Scenario`).
+
+    ``corner`` overrides link values named in :data:`CORNER_NAMES`.
+    """
 
     _PATH = "scenario"
 
     name: str = _field(_REQUIRED, _string, _NON_EMPTY)
     bit_pattern: Optional[str] = _field(None, _pattern)
     drive_strength: float = _field(1.0, _number)
-    corner: Mapping[str, float] = _field(dict, _mapping_of(_number))
-    static_group: Optional[str] = _field(None, _string)
+    corner: Mapping[str, float] = _field(
+        dict, _mapping_of(_number),
+        (lambda v: set(v) <= set(CORNER_NAMES), f"may only set {list(CORNER_NAMES)}"),
+    )
 
     def to_scenario(self):
         """The runtime :class:`~repro.sweep.scenario.Scenario` of this block."""
@@ -477,7 +489,6 @@ class ScenarioSpec(_Block):
             bit_pattern=self.bit_pattern,
             drive_strength=self.drive_strength,
             corner=dict(self.corner),
-            static_group=self.static_group,
         )
 
 
@@ -583,7 +594,7 @@ class DistributionSpec(_Block):
 
 
 #: the scenario dimensions a stats distribution may target besides
-#: ``corner.<parameter>``
+#: ``corner.<name>``
 _STATS_DIRECT_TARGETS = ("bit_pattern", "drive_strength")
 
 
@@ -613,9 +624,10 @@ class StatsSpec(_Block):
         reruns hit the result store instead of solving).
     distributions:
         Mapping of target -> :class:`DistributionSpec`.  Targets:
-        ``"corner.<parameter>"`` (static-affecting corner values, e.g.
-        ``corner.load_resistance``, ``corner.delay`` for launch-timing
-        skew), ``"drive_strength"`` (linear family only) and
+        ``"corner.<name>"`` for a name in :data:`CORNER_NAMES`
+        (static-affecting corner values, e.g. ``corner.load_resistance``,
+        ``corner.delay`` for launch-timing skew), ``"drive_strength"``
+        (linear family only) and
         ``"bit_pattern"`` (``pattern`` or 0/1-string ``choice`` kinds).
     corner_groups:
         Number of distinct corner draws shared across the batch (each
@@ -670,12 +682,15 @@ class StatsSpec(_Block):
                     raise ValueError(
                         f"{at}: {target} needs a numeric distribution, got {dist.kind!r}"
                     )
-                if target == "corner.":
-                    raise ValueError(f"{at}: empty corner parameter name")
+                if target.startswith("corner.") \
+                        and target[len("corner."):] not in CORNER_NAMES:
+                    raise ValueError(
+                        f"{at}: unknown corner value; allowed: {list(CORNER_NAMES)}"
+                    )
             else:
                 raise ValueError(
                     f"{where}.distributions: unknown target {target!r}; expected "
-                    f"'corner.<parameter>' or one of {list(_STATS_DIRECT_TARGETS)}"
+                    f"'corner.<name>' or one of {list(_STATS_DIRECT_TARGETS)}"
                 )
         if not self.low < self.high:
             raise ValueError(f"{where} logic thresholds need low < high")

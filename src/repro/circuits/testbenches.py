@@ -6,7 +6,9 @@ Two families live here:
   and 5 at circuit level: a switching driver, an ideal transmission line
   (131 ohm, 0.4 ns) and a far-end load (1 pF // 500 ohm or a receiver).
   Both the transistor-level and the RBF-macromodel variants are provided;
-  they are the "SPICE (reference)" and "SPICE (RBF model)" engines.
+  they are the "SPICE (reference)" and "SPICE (RBF model)" engines.  The
+  macromodel circuit (:func:`rbf_link_circuit`) is also what every
+  scenario of an ``rbf`` sweep runs.
 * **Identification testbenches** — the experiments that generate training
   records for macromodel identification: fixed-logic-state port sweeps and
   switching records under two different loads.
@@ -33,6 +35,8 @@ from repro.waveforms.signals import BitPattern, PiecewiseLinearWaveform
 __all__ = [
     "run_link_transistor",
     "run_link_rbf",
+    "rbf_link_circuit",
+    "link_start_level",
     "record_fixed_state",
     "record_switching",
     "record_receiver_port",
@@ -43,40 +47,49 @@ __all__ = [
 _INPUT_EDGE_TIME = 100e-12
 
 
-def _add_far_end_load(
-    circuit: Circuit,
+def _add_rc_load(circuit: Circuit, link: LinkDescription, v0: float = 0.0) -> None:
+    """The link's RC load at ``far``; the capacitor starts charged to ``v0``."""
+    circuit.add(Resistor("rload", "far", GROUND, link.load_resistance))
+    circuit.add(Capacitor("cload", "far", GROUND, link.load_capacitance, v0=v0))
+
+
+def link_start_level(link: LinkDescription, vdd: float) -> float:
+    """The level the macromodel link starts at: the driver's initial level.
+
+    A pattern that starts with '1' begins at Vdd, not at a 0 V guess the
+    Newton solve of the first step cannot reach.
+    """
+    return vdd if link.bit_pattern[0] == "1" else 0.0
+
+
+def rbf_link_circuit(
     link: LinkDescription,
-    far_node: str,
+    driver_model: DriverMacromodel,
     receiver_model: ReceiverMacromodel | None,
     dt: float,
-    transistor_level: bool,
-    params: ReferenceDeviceParameters,
-    v0: float = 0.0,
-) -> None:
-    """Attach the far-end load requested by the link description.
+    vdd: float,
+) -> Circuit:
+    """The macromodel link: driver port, interconnect and the load ``link.load`` names.
 
-    ``v0`` is the line's initial level: the load capacitor starts charged
-    to it and the receiver macromodel's regressor history is filled with it.
+    The interconnect is the ideal line, or an LC ladder when
+    ``link.segments > 0``.  The whole link starts at
+    :func:`link_start_level`: the line, the load capacitor and the ports'
+    regressor histories.  Each port is built for the solver step ``dt``.
     """
-    if link.load == "rc":
-        circuit.add(Resistor("rload", far_node, GROUND, link.load_resistance))
-        circuit.add(Capacitor("cload", far_node, GROUND, link.load_capacitance, v0=v0))
-    elif transistor_level:
-        add_cmos_receiver(circuit, "rx", far_node, params)
-    else:
-        if receiver_model is None:
-            raise ValueError("a receiver macromodel is required for load='receiver'")
-        circuit.add(MacromodelElement("rx", far_node, GROUND, receiver_model, dt, v0=v0))
-
-
-def _add_interconnect(
-    circuit: Circuit, link: LinkDescription, near: str, far: str, v_initial: float = 0.0
-) -> None:
-    """The link's interconnect: ideal MoC line, or an LC ladder when
-    ``link.segments > 0`` (the system-scale sparse-backend workload)."""
+    v0 = link_start_level(link, vdd)
+    stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
+    circuit = Circuit("link-rbf")
+    circuit.add(MacromodelElement("drv", "near", GROUND, driver_model.bound(stimulus), dt, v0=v0))
     add_link_interconnect(
-        circuit, near, far, link.z0, link.delay, link.segments, v_initial=v_initial
+        circuit, "near", "far", link.z0, link.delay, link.segments, v_initial=v0
     )
+    if link.load == "rc":
+        _add_rc_load(circuit, link, v0)
+    elif receiver_model is None:
+        raise ValueError("a receiver macromodel is required for load='receiver'")
+    else:
+        circuit.add(MacromodelElement("rx", "far", GROUND, receiver_model, dt, v0=v0))
+    return circuit
 
 
 def _link_result(
@@ -132,8 +145,11 @@ def run_link_transistor(
     )
     circuit = Circuit("link-transistor")
     add_cmos_driver(circuit, "drv", "near", stimulus, params)
-    _add_interconnect(circuit, link, "near", "far")
-    _add_far_end_load(circuit, link, "far", None, dt, True, params)
+    add_link_interconnect(circuit, "near", "far", link.z0, link.delay, link.segments)
+    if link.load == "rc":
+        _add_rc_load(circuit, link)
+    else:
+        add_cmos_receiver(circuit, "rx", "far", params)
 
     solver = TransientSolver(circuit, dt, options=options)
     result = solver.run(link.duration + settle, record_nodes=["near", "far"])
@@ -164,18 +180,8 @@ def run_link_rbf(
     as the sparse linear-solver backend those large links call for.
     """
     params = params or ReferenceDeviceParameters()
-    stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
-    bound_driver = driver_model.bound(stimulus)
-    v0 = params.vdd if stimulus.initial_state == 1 else 0.0
-
-    circuit = Circuit("link-rbf")
-    circuit.add(MacromodelElement("drv", "near", GROUND, bound_driver, dt, v0=v0))
-    _add_interconnect(circuit, link, "near", "far", v_initial=v0)
-    _add_far_end_load(circuit, link, "far", receiver_model, dt, False, params, v0=v0)
-
-    # The whole link starts at the driver's initial level: a pattern that
-    # starts with '1' begins at Vdd, not at a 0 V guess the Newton solve of
-    # the first step cannot reach.
+    circuit = rbf_link_circuit(link, driver_model, receiver_model, dt, params.vdd)
+    v0 = link_start_level(link, params.vdd)
     solver = TransientSolver(circuit, dt, options=options)
     result = solver.run(
         link.duration, record_nodes=["near", "far"],

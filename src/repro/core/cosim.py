@@ -5,8 +5,8 @@ driver, an interconnect, and a load — across four different simulation
 engines (SPICE with transistor-level devices, SPICE with RBF macromodels,
 1-D FDTD with RBF macromodels, 3-D FDTD with RBF macromodels).  To make
 those comparisons mechanical, every backend returns the same
-:class:`SimulationResult` structure and the experiments describe the link
-once with a :class:`LinkDescription`.
+:class:`SimulationResult` structure, and every engine and sweep reads the
+link from one :class:`LinkDescription`.
 """
 
 from __future__ import annotations
@@ -125,7 +125,11 @@ class LinkDescription:
     This mirrors the paper's validation structure: a transmission line of
     characteristic impedance ``z0`` and one-way delay ``delay`` driven at
     the near end by a switching driver and loaded at the far end either by
-    a parallel RC or by a receiver macromodel.
+    a parallel RC or by a receiver macromodel.  It is the one link record:
+    the job API builds it from a spec's ``link`` and ``stimulus`` blocks
+    (:func:`repro.api.engines._link_description`), and a sweep scenario's
+    link is this record with the scenario's pattern and corner applied
+    (:func:`repro.sweep.links.scenario_link`).
 
     Attributes
     ----------
@@ -144,6 +148,12 @@ class LinkDescription:
         ``"receiver"`` for the RBF receiver of Figure 5.
     load_resistance, load_capacitance:
         Parameters of the RC load (ignored for the receiver load).
+    source_resistance:
+        Thevenin resistance of the linear sweep family's ideal driver (the
+        macromodel and transistor-level drivers ignore it).
+    edge_time:
+        Edge time of the linear sweep family's stimulus (the macromodel
+        drivers take their edges from the identified model).
     segments:
         Interconnect discretisation of the circuit-level engines: 0 (the
         default) keeps the paper's ideal method-of-characteristics line;
@@ -161,6 +171,8 @@ class LinkDescription:
     load: str = "rc"
     load_resistance: float = 500.0
     load_capacitance: float = 1e-12
+    source_resistance: float = 50.0
+    edge_time: float = 1e-10
     segments: int = 0
 
     def __post_init__(self):

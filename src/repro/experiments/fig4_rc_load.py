@@ -68,19 +68,27 @@ class Figure4Result:
         return list(self.results)
 
 
+def _link_ports(models: ReferenceMacromodels, link: LinkDescription, dt: float):
+    """The link's driver port and the far-end load ``link.load`` names, built for ``dt``."""
+    stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
+    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
+    if link.load == "rc":
+        return driver, ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
+    return driver, ResampledPortModel(models.receiver, dt)
+
+
 def run_fdtd3d_link(
     structure: ValidationLineStructure,
     models: ReferenceMacromodels,
     link: LinkDescription,
 ) -> SimulationResult:
-    """The 3-D FDTD engine for the Figure 4 / Figure 5 link."""
+    """The 3-D FDTD engine for the Figure 4 / Figure 5 link.
+
+    The line is the structure's own: ``link.z0`` and ``link.delay`` are
+    not read.
+    """
     dt = courant_time_step(structure.mesh_size)
-    stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
-    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
-    if link.load == "rc":
-        load = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
-    else:
-        load = ResampledPortModel(models.receiver, dt)
+    driver, load = _link_ports(models, link, dt)
     solver, near_site, far_site = structure.build_solver(driver, load, dt=dt)
     times = solver.run(duration=link.duration)
     return SimulationResult(
@@ -97,19 +105,12 @@ def run_fdtd3d_link(
 def run_fdtd1d_link(
     models: ReferenceMacromodels,
     link: LinkDescription,
-    z_c: float,
-    t_d: float,
     n_cells: int = 100,
 ) -> SimulationResult:
-    """The 1-D FDTD engine for the Figure 4 / Figure 5 link."""
-    stimulus = LogicStimulus.from_pattern(link.bit_pattern, link.bit_time)
-    dt = t_d / n_cells
-    driver = ResampledPortModel(models.driver.bound(stimulus), dt)
-    if link.load == "rc":
-        load = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt)
-    else:
-        load = ResampledPortModel(models.receiver, dt)
-    line = FDTD1DLine(z_c, t_d, driver, load, n_cells=n_cells)
+    """The 1-D FDTD engine for the Figure 4 / Figure 5 link (``dt = link.delay / n_cells``)."""
+    dt = link.delay / n_cells
+    driver, load = _link_ports(models, link, dt)
+    line = FDTD1DLine(link.z0, link.delay, driver, load, n_cells=n_cells)
     return line.run(link.duration)
 
 
@@ -154,7 +155,7 @@ def run_figure4(
     results["spice-rbf"] = run_link_rbf(
         link, models.driver, models.receiver, dt=circuit_dt, params=models.params
     )
-    results["fdtd1d-rbf"] = run_fdtd1d_link(models, link, z_c, t_d)
+    results["fdtd1d-rbf"] = run_fdtd1d_link(models, link)
     results["fdtd3d-rbf"] = run_fdtd3d_link(structure, models, link)
 
     reference = results["spice-transistor"]

@@ -14,14 +14,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.core.cosim import LinkDescription
 from repro.core import newton
-from repro.core.ports import ParallelRCTermination
-from repro.core.resampling import ResampledPortModel
+from repro.core.cosim import LinkDescription
 from repro.experiments.devices import ReferenceMacromodels, identified_reference_macromodels
-from repro.fdtd.courant import courant_time_step
-from repro.fdtd.solver1d import FDTD1DLine
-from repro.macromodel.driver import LogicStimulus
+from repro.experiments.fig4_rc_load import run_fdtd1d_link, run_fdtd3d_link
 from repro.structures.validation_line import ValidationLineStructure
 
 __all__ = ["NewtonIterationResult", "run_newton_iteration_study"]
@@ -65,35 +61,21 @@ def run_newton_iteration_study(
     """
     if models is None:
         models = identified_reference_macromodels(use_identification=use_identification)
-    stimulus = LogicStimulus.from_pattern("010", 2e-9)
-    link = LinkDescription(load="rc")
+    link = LinkDescription(load="rc", duration=duration)
 
     histogram: Dict[str, Dict[int, int]] = {}
     max_iterations: Dict[str, int] = {}
     mean_iterations: Dict[str, float] = {}
-
-    # 1-D FDTD engine.
-    dt1d = link.delay / 100
-    driver_1d = ResampledPortModel(models.driver.bound(stimulus), dt1d)
-    load_1d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt1d)
-    line = FDTD1DLine(link.z0, link.delay, driver_1d, load_1d, n_cells=100)
-    result_1d = line.run(duration)
-    stats = result_1d.newton_stats
-    histogram["fdtd1d-rbf"] = dict(stats.histogram)
-    max_iterations["fdtd1d-rbf"] = stats.max_iterations
-    mean_iterations["fdtd1d-rbf"] = stats.mean_iterations
-
-    # 3-D FDTD engine on a shortened structure.
-    structure = ValidationLineStructure.scaled(scale)
-    dt3d = courant_time_step(structure.mesh_size)
-    driver_3d = ResampledPortModel(models.driver.bound(stimulus), dt3d)
-    load_3d = ParallelRCTermination(link.load_resistance, link.load_capacitance, dt3d)
-    solver, _, _ = structure.build_solver(driver_3d, load_3d, dt=dt3d)
-    solver.run(duration=duration)
-    stats3 = solver.newton_stats
-    histogram["fdtd3d-rbf"] = dict(stats3.histogram)
-    max_iterations["fdtd3d-rbf"] = stats3.max_iterations
-    mean_iterations["fdtd3d-rbf"] = stats3.mean_iterations
+    # The 3-D engine runs on a shortened structure.
+    runs = {
+        "fdtd1d-rbf": run_fdtd1d_link(models, link),
+        "fdtd3d-rbf": run_fdtd3d_link(ValidationLineStructure.scaled(scale), models, link),
+    }
+    for engine, result in runs.items():
+        stats = result.newton_stats
+        histogram[engine] = dict(stats.histogram)
+        max_iterations[engine] = stats.max_iterations
+        mean_iterations[engine] = stats.mean_iterations
 
     return NewtonIterationResult(
         histogram=histogram,

@@ -5,14 +5,16 @@ and pattern sweeps run the same link hundreds of times with only the
 stimulus or a few element values changed.  This package runs such batches
 so the engine work that does not change across scenarios is done once:
 
-* :mod:`repro.sweep.scenario` — scenario descriptions (patterns, corners,
-  device variants) and their static-sharing keys;
+* :mod:`repro.sweep.scenario` — scenario descriptions (patterns, drive
+  strengths, corners) and their static-sharing keys;
 * :mod:`repro.sweep.engine` — the batched runner (static MNA + LU shared
   per corner group, multi-RHS linear block solves, a standalone Newton
   run for every other scenario);
 * :mod:`repro.sweep.lanes` — the array state that steps a sweep's linear
   scenarios together, one lane per scenario;
-* :mod:`repro.sweep.links` — canned linear and RBF link testbenches;
+* :mod:`repro.sweep.links` — the linear and RBF link sweeps, each scenario
+  running the sweep's :class:`~repro.core.cosim.LinkDescription` with its
+  pattern and corner applied;
 * :mod:`repro.sweep.result` — the :class:`SweepResult` container;
 * :mod:`repro.sweep.report` — eye-diagram / worst-case-corner reports,
   plus the statistical summaries (distributions, bathtub curves);
@@ -21,12 +23,7 @@ so the engine work that does not change across scenarios is done once:
 """
 
 from repro.sweep.engine import CircuitSweep
-from repro.sweep.links import (
-    LinearLinkSpec,
-    RBFLinkSpec,
-    linear_link_sweep,
-    rbf_link_sweep,
-)
+from repro.sweep.links import linear_link_sweep, rbf_link_sweep, scenario_link
 from repro.sweep.montecarlo import generate_scenarios, run_montecarlo
 from repro.sweep.report import (
     SweepEyeReport,
@@ -39,10 +36,9 @@ from repro.sweep.scenario import Scenario
 
 __all__ = [
     "CircuitSweep",
-    "LinearLinkSpec",
-    "RBFLinkSpec",
     "linear_link_sweep",
     "rbf_link_sweep",
+    "scenario_link",
     "SweepEyeReport",
     "eye_report",
     "metric_distribution",

@@ -37,6 +37,16 @@ def receiver_model(params):
     return make_reference_receiver_macromodel(params)
 
 
+@pytest.fixture(scope="session")
+def library_models(driver_model, receiver_model, params):
+    """The library macromodels packaged as the engines and sweeps take them."""
+    from repro.experiments.devices import ReferenceMacromodels
+
+    return ReferenceMacromodels(
+        driver=driver_model, receiver=receiver_model, params=params, source="library"
+    )
+
+
 #: the core count the pool-decision fixtures pin with ``os.cpu_count``
 CORES = 4
 

@@ -40,10 +40,10 @@ JOBS_DIR = os.path.join(REPO_ROOT, "examples", "jobs")
 #: stored result of that job: such a change must be deliberate.
 PINNED_FIXTURE_HASHES = {
     "fdtd1d_link.json": "17291fece53d7925c5bc24d5d77dca27c392de072c3cc613b112867e379deb6f",
-    "linear_link.json": "0d75b573791d336c96a1ce0cd4f1615ffea186fc442b085442a039f9eafed8f1",
+    "linear_link.json": "4313589ab528202b2fa0401e4c06137c917f0179404a9b17b6f05de3a71066e6",
     "montecarlo_sweep.json": "af63e08089aeceb2ffa69a8b3a49710904fe95fd540e03f7f662c4529ed1b6f6",
     "pattern_corner_sweep.json":
-        "2ba2a0046d39f8ae9cfc7f04108cad8033154b4f60850cf0865de1f4332a9425",
+        "aaffca82042d1c65af1b76653967699adb500f150dea949c8446c59ba80c95bf",
     "rbf_link.json": "a354f6aae605bd5e741d1df67041b527e7de4aa8d562d4cee3994d29df471e27",
     "sparse_ladder.json": "2cf472dcaa5575180db45f21816c71ee3e87a9ef1d980959483cfeaca88172cb",
     "validation_line_3d.json": "ef02852b48e2f284aecbe6afc5da6670cbc5e266e8fd49ed8472fa184e759185",
@@ -108,8 +108,7 @@ def _all_field_specs() -> dict:
             link=LinkSpec(z0=95),
             scenarios=(
                 ScenarioSpec(name="a", bit_pattern="011", drive_strength=1.2,
-                             corner={"z0": 100, "load_resistance": 350.0},
-                             static_group="g1"),
+                             corner={"z0": 100, "load_resistance": 350.0}),
                 ScenarioSpec(name="b"),
             ),
             engine=EngineOptions(sweep_family="linear", workers=2, shards=2),
@@ -151,7 +150,7 @@ PINNED_ALL_FIELD_HASHES = {
     "circuit_inline": "00af6bdac8b36d4dbb51e8e3843228946e687f6cb0337b985610a2fc5bb7c5d4",
     "circuit_transistor": "13d93eefb9ab20d46eb56859c0bd66fffbd46c819eb3782ed4402917d2062fc5",
     "fdtd3d_scaled": "548e2a20e248ca05ffdf81353c2dcc494a355e18d7db7fc2e60dc4f7ce372ff7",
-    "sweep_scenarios": "4fa05376e46893be40282ce459b68a8f990dc293f4d2fbb22bed619eb0f29190",
+    "sweep_scenarios": "a9b54f03660badf61e7cac6d96a5d8203248db6741dedd369c01193472b7ae16",
     "stats_pattern": "08cda611e0f826b524d9dbf71c0c213b932245551c1bd71a775802c51afba51f",
     "stats_choice": "337f34d65d0a40a748172e5b7925b1798f3b2a6619191141217f0e4133670117",
 }
@@ -200,7 +199,7 @@ def _make_spec(kind: str, driver_model=None) -> SimulationSpec:
                 ScenarioSpec(name="a", bit_pattern="010", drive_strength=1.1),
                 ScenarioSpec(name="b", bit_pattern="011",
                              corner={"z0": 100.0, "load_resistance": 400.0}),
-                ScenarioSpec(name="c", static_group="g1"),
+                ScenarioSpec(name="c"),
             ),
             engine=EngineOptions(dt=1e-11, sweep_family="linear"),
             **common,
@@ -323,18 +322,20 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="corner"):
             spec_from_dict(data)
 
-    @pytest.mark.parametrize("field", ["static_group"])
+    @pytest.mark.parametrize("field", ["name"])
     def test_scenario_labels_must_be_strings(self, field):
         # shard workers re-read scenarios from JSON, so the constructor must
         # reject what the JSON decoder rejects
         with pytest.raises(ValueError, match=rf"scenario\.{field}"):
-            ScenarioSpec(name="a", **{field: 7})
+            ScenarioSpec(**{"name": "a", field: 7})
 
     @pytest.mark.parametrize("path, value, where", [
         (("engine", "batch_prepare"), True, "engine"),
         (("engine", "sparse_mna"), True, "engine"),
         (("scenarios", 0, "device"), "fast_corner", r"scenarios\[0\]"),
-    ], ids=["engine.batch_prepare", "engine.sparse_mna", "scenarios.device"])
+        (("scenarios", 0, "static_group"), "g1", r"scenarios\[0\]"),
+    ], ids=["engine.batch_prepare", "engine.sparse_mna", "scenarios.device",
+            "scenarios.static_group"])
     def test_removed_keys_are_rejected(self, path, value, where):
         # These keys left the spec; a job file still carrying one names the
         # key and its path instead of running.
@@ -375,6 +376,22 @@ class TestSpecRoundTrip:
         target[path[-1]] = value
         with pytest.raises(ValueError, match=where + ": expected a finite number"):
             spec_from_dict(data)
+
+    def test_unknown_corner_names_are_rejected(self):
+        # a misspelt corner would be hashed and then run as the nominal link
+        data = _make_spec("sweep").to_dict()
+        data["scenarios"][1]["corner"] = {"z_0": 100.0}
+        with pytest.raises(ValueError, match=r"scenarios\[1\]\.corner may only set "
+                                             r"\['z0', 'delay', 'load_resistance', "
+                                             r"'load_capacitance', 'source_resistance'\]"):
+            spec_from_dict(data)
+
+    def test_unknown_stats_corner_targets_are_rejected(self):
+        with pytest.raises(ValueError, match=r"stats\.distributions\['corner\.z_0'\]: "
+                                             r"unknown corner value; allowed: \['z0', "):
+            StatsSpec(samples=2, distributions={
+                "corner.z_0": DistributionSpec(kind="uniform", low=90.0, high=110.0),
+            })
 
     def test_int_corner_values_normalised_to_float(self):
         a = ScenarioSpec(name="a", corner={"z0": 100})
@@ -595,12 +612,13 @@ class TestEngineEquivalence:
         direct = run_fdtd1d_link(
             models,
             LinkDescription(bit_pattern="010", bit_time=1e-9, duration=2e-9, load="rc"),
-            z_c=131.0, t_d=0.4e-9, n_cells=50,
+            n_cells=50,
         )
         for probe in ("near_end", "far_end"):
             assert _rel_diff(direct.voltage(probe), via_api.waveform(probe)) <= 1e-12
 
     def test_sweep_linear_matches_direct_sweep(self):
+        from repro.core.cosim import LinkDescription
         from repro.sweep import Scenario, linear_link_sweep
 
         scenarios_spec = (
@@ -615,7 +633,7 @@ class TestEngineEquivalence:
         direct = linear_link_sweep(
             [Scenario(name="nom", bit_pattern="010"),
              Scenario(name="z100", bit_pattern="011", corner={"z0": 100.0})],
-            dt=1e-11, duration=3e-9,
+            LinkDescription(duration=3e-9), dt=1e-11,
         ).run()
         assert via_api.meta["n_scenarios"] == 2
         for name in ("nom", "z100"):
@@ -625,11 +643,13 @@ class TestEngineEquivalence:
                 ) <= 1e-12
 
     def test_sweep_rbf_matches_direct_sweep(self, params, driver_model, receiver_model):
+        from repro.core.cosim import LinkDescription
         from repro.sweep import Scenario, rbf_link_sweep
 
         spec = SimulationSpec(
             kind="sweep", duration=2e-9,
             stimulus=StimulusSpec(bit_pattern="010", bit_time=1e-9),
+            link=LinkSpec(load="receiver"),
             scenarios=(
                 ScenarioSpec(name="nom", bit_pattern="010"),
                 ScenarioSpec(name="z100", bit_pattern="010", corner={"z0": 100.0}),
@@ -638,14 +658,11 @@ class TestEngineEquivalence:
         )
         models = _models(params, driver_model, receiver_model)
         via_api = run(spec, models=models)
-        from repro.sweep.links import RBFLinkSpec
-
         direct = rbf_link_sweep(
             [Scenario(name="nom", bit_pattern="010"),
              Scenario(name="z100", bit_pattern="010", corner={"z0": 100.0})],
-            {None: (driver_model, receiver_model)},
-            dt=2e-11, duration=2e-9,
-            spec=RBFLinkSpec(bit_time=1e-9),
+            LinkDescription(bit_time=1e-9, duration=2e-9, load="receiver"),
+            models, dt=2e-11,
         ).run()
         for name in ("nom", "z100"):
             for node in ("near", "far"):
@@ -712,14 +729,47 @@ class TestGoldenJobs:
                 assert handle.read() == spec.to_json() + "\n"
         assert kinds == {"circuit", "fdtd1d", "fdtd3d", "sweep"}
 
+    def test_rbf_sweep_ends_in_the_load_its_link_asks_for(self):
+        # The fixture asks for the RC load: each scenario runs the circuit
+        # engine's link with its corner applied (a load corner sets the RC
+        # load's value), and the receiver load gives other waveforms.
+        from repro.api.engines import _link_description, resolve_models
+        from repro.circuits.testbenches import run_link_rbf
+        from repro.sweep.links import scenario_link
+
+        spec = load_spec(os.path.join(JOBS_DIR, "pattern_corner_sweep.json")).quickened()
+        assert spec.link.load == "rc"
+        spec = dataclasses.replace(spec, scenarios=spec.scenarios + (
+            ScenarioSpec(name="r300", bit_pattern="0110",
+                         corner={"load_resistance": 300.0, "load_capacitance": 2e-12}),
+        ))
+        rc = run(spec)
+        receiver = run(dataclasses.replace(
+            spec, link=dataclasses.replace(spec.link, load="receiver")
+        ))
+        models = resolve_models(spec)
+        link = _link_description(spec)
+        for scenario in spec.scenarios:
+            far = f"{scenario.name}/far"
+            assert np.max(np.abs(rc.waveform(far) - receiver.waveform(far))) > 1e-2, far
+            direct = run_link_rbf(
+                scenario_link(link, scenario.to_scenario()), models.driver,
+                models.receiver, dt=spec.resolved_dt(), params=models.params,
+            )
+            for node in ("near", "far"):
+                assert _rel_diff(
+                    direct.voltage(f"{node}_end"), rc.waveform(f"{scenario.name}/{node}")
+                ) <= 1e-12, (scenario.name, node)
+
     def test_linear_link_job_end_to_end(self):
+        from repro.core.cosim import LinkDescription
         from repro.sweep import linear_link_sweep
 
         spec = load_spec(os.path.join(JOBS_DIR, "linear_link.json"))
         result = run(spec)
         direct = linear_link_sweep(
             [sc.to_scenario() for sc in spec.scenarios],
-            dt=spec.engine.dt, duration=spec.duration,
+            LinkDescription(duration=spec.duration), dt=spec.engine.dt,
         ).run()
         name = spec.scenarios[0].name
         assert _rel_diff(

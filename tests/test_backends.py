@@ -36,6 +36,7 @@ from repro.circuits.ladder import (
 )
 from repro.circuits.netlist import GROUND, Circuit
 from repro.circuits.transient import TransientOptions, TransientSolver
+from repro.core.cosim import LinkDescription
 from repro.perf import backends
 from repro.perf.backends import SPARSE_THRESHOLD, resolve_backend_name
 from repro.waveforms.signals import BitPattern
@@ -362,7 +363,7 @@ class TestSweepBackends:
 
         options = TransientOptions(backend="sparse")
         sweep = linear_link_sweep(
-            _sweep_scenarios(), dt=1e-11, duration=3e-9, options=options
+            _sweep_scenarios(), LinkDescription(duration=3e-9), dt=1e-11, options=options
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -379,14 +380,15 @@ class TestSweepBackends:
         assert batched.perf_stats["shared_factorizations"] == 2
         assert batched.perf_stats["block_solves"] > 0
 
-    def test_rbf_ladder_sweep_shares_its_static_factors(self, driver_model, receiver_model):
+    def test_rbf_ladder_sweep_shares_its_static_factors(self, library_models):
         # Newton scenarios above the threshold factor their corner group's
         # static network once and stay bit-identical to standalone runs.
-        from repro.sweep.links import RBFLinkSpec, rbf_link_sweep
+        from repro.sweep.links import rbf_link_sweep
 
         sweep = rbf_link_sweep(
-            _sweep_scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
-            duration=1.5e-9, spec=RBFLinkSpec(segments=60),
+            _sweep_scenarios(),
+            LinkDescription(duration=1.5e-9, load="receiver", segments=60),
+            library_models, dt=1e-11,
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -548,14 +550,13 @@ class TestUnfactorableStaticNetwork:
         assert stats["port_solves"] == 0
         assert stats["sparse_factorizations"] == _iterations(stats)
 
-    def test_newton_sweep_tries_once_per_corner_group(
-        self, attempts, driver_model, receiver_model
-    ):
-        from repro.sweep.links import RBFLinkSpec, rbf_link_sweep
+    def test_newton_sweep_tries_once_per_corner_group(self, attempts, library_models):
+        from repro.sweep.links import rbf_link_sweep
 
         result = rbf_link_sweep(
-            _sweep_scenarios(), {None: (driver_model, receiver_model)}, dt=1e-11,
-            duration=0.5e-9, spec=RBFLinkSpec(segments=60),
+            _sweep_scenarios(),
+            LinkDescription(duration=0.5e-9, load="receiver", segments=60),
+            library_models, dt=1e-11,
         ).run()
         stats = result.perf_stats
         assert stats["static_groups"] == len(attempts) == 2
@@ -566,7 +567,7 @@ class TestUnfactorableStaticNetwork:
         from repro.sweep.links import linear_link_sweep
 
         result = linear_link_sweep(
-            _sweep_scenarios(), dt=1e-11, duration=0.5e-9,
+            _sweep_scenarios(), LinkDescription(duration=0.5e-9), dt=1e-11,
             options=TransientOptions(backend="sparse"),
         ).run()
         stats = result.perf_stats
@@ -595,18 +596,15 @@ class TestSweepSegments:
     def test_link_segments_reach_the_sweep_builders(self):
         # A sweep job asking for an LC-ladder interconnect must actually
         # get one (regression: the builders used to ignore link.segments).
-        from repro.sweep.links import LinearLinkSpec, RBFLinkSpec
-        from repro.sweep.scenario import Scenario
+        from repro.api.engines import build_sweep
 
-        spec = self._spec("linear")
-        link_spec = LinearLinkSpec.from_job_spec(spec)
-        assert link_spec.segments == 30
-        circuit = link_spec.build(Scenario(name="a", bit_pattern="010"))
-        names = {element.name for element in circuit.elements}
-        # ladder banks, not a MoC line (PR 5 banked the ladder generators)
-        assert "tl_l" in names and "tl_c" in names
-        assert len(circuit.element("tl_l")) == 30
-        assert RBFLinkSpec.from_job_spec(self._spec("rbf")).segments == 30
+        for family in ("linear", "rbf"):
+            sweep, _ = build_sweep(self._spec(family))
+            circuit = sweep.builder(sweep.scenarios[0])
+            names = {element.name for element in circuit.elements}
+            # ladder banks, not a MoC line: the ladder generators build banks
+            assert "tl_l" in names and "tl_c" in names, family
+            assert len(circuit.element("tl_l")) == 30
 
     def test_linear_ladder_sweep_runs_through_the_api(self):
         from repro.api import run

@@ -394,6 +394,25 @@ class TestCIPipeline:
         assert "['lane_sets'] == 1" in cli
         assert "len(p['direct_linear_scenarios']) == 4" in cli
 
+    def test_quick_tier_runs_link_smoke(self, workflow):
+        # The RBF fixture runs from the CLI with the RC and the receiver load,
+        # the far-end waveforms must differ, and a copy that still carries a
+        # scenario static_group must exit 2 as an unknown key.
+        test_job = workflow["jobs"]["test"]
+        commands = [
+            step.get("run", "") for step in test_job["steps"] if isinstance(step, dict)
+        ]
+        link = [command for command in commands if "link_receiver.json" in command]
+        assert link
+        assert "examples/jobs/pattern_corner_sweep.json" in link[0]
+        assert "for load in ('rc', 'receiver')" in link[0]
+        assert "python -m repro run link_rc.json --quick" in link[0]
+        assert "python -m repro run link_receiver.json --quick" in link[0]
+        assert "all(a[n] != b[n] for n in far)" in link[0]
+        assert "d['scenarios'][0]['static_group']" in link[0]
+        assert "python -m repro run link_static_group.json --quick" in link[0]
+        assert 'test "$rc" -eq 2' in link[0]
+
     def test_quick_tier_runs_model_memo_smoke(self, workflow):
         # The model-memo suite plus an in-process double run of the RBF
         # fixture: the second run must be a memo hit with equal waveforms.

@@ -127,20 +127,6 @@ class TestBankedVsScalarWaveforms:
         assert scalar_stats["banked_elements"] == 0  # stamped as written
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_integration_methods_match(self, backend):
-        # The banks' trapezoidal companions on the fast path against the
-        # scalar ones on the reference path.
-        builders, probe, _ = FAMILIES["rlc-link"]
-        ref = TransientSolver(builders(False)(), 1e-11, TransientOptions(fast=False)).run(
-            2.5e-9, record_nodes=[probe], record_branches=[]
-        ).voltage(probe)
-        wave = TransientSolver(builders(True)(), 1e-11, TransientOptions(backend=backend)).run(
-            2.5e-9, record_nodes=[probe], record_branches=[]
-        ).voltage(probe)
-        assert np.max(np.abs(ref)) > 0.1
-        assert _rel_err(wave, ref) <= REL_TOL
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_nonlinear_rbf_receiver(self, backend, driver_model, receiver_model):
         from repro.circuits.rbf_element import MacromodelElement
         from repro.macromodel.driver import LogicStimulus

@@ -14,18 +14,9 @@ import pytest
 
 from repro.circuits.testbenches import run_link_rbf, run_link_transistor
 from repro.core.cosim import LinkDescription
-from repro.experiments.devices import ReferenceMacromodels
 from repro.experiments.fig4_rc_load import run_fdtd1d_link, run_fdtd3d_link
 from repro.experiments.reporting import engine_agreement
 from repro.structures.validation_line import ValidationLineStructure, estimate_line_parameters
-
-
-@pytest.fixture(scope="module")
-def library_models(driver_model, receiver_model, params):
-    """Fast analytic macromodels packaged for the experiment helpers."""
-    return ReferenceMacromodels(
-        driver=driver_model, receiver=receiver_model, params=params, source="library"
-    )
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +38,7 @@ class TestRBFEnginesMutualConsistency:
         link = LinkDescription(load="rc", z0=z_c, delay=t_d, duration=4e-9)
         spice = run_link_rbf(link, library_models.driver, library_models.receiver,
                              dt=10e-12, params=library_models.params)
-        fdtd1d = run_fdtd1d_link(library_models, link, z_c, t_d)
+        fdtd1d = run_fdtd1d_link(library_models, link)
         fdtd3d = run_fdtd3d_link(structure, library_models, link)
         return spice, fdtd1d, fdtd3d
 

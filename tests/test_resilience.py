@@ -30,6 +30,7 @@ from repro.circuits import (
     TransientSolver,
     VoltageSource,
 )
+from repro.core.cosim import LinkDescription
 from repro.core.newton import NewtonStats, newton_solve_scalar_fused
 from repro.resilience import (
     BACKEND_ERROR,
@@ -482,7 +483,9 @@ class TestLinearSweepFaults:
     DT, DURATION = 1e-11, 2e-9
 
     def _sweep(self, scenarios, **kwargs):
-        return linear_link_sweep(scenarios, dt=self.DT, duration=self.DURATION, **kwargs)
+        return linear_link_sweep(
+            scenarios, LinkDescription(duration=self.DURATION), dt=self.DT, **kwargs
+        )
 
     def test_nan_quarantines_then_solo_recovery(self):
         scenarios = _scenarios(4)
@@ -625,10 +628,10 @@ class TestLinearSweepFaults:
 class TestRBFSweepFaults:
     DT, DURATION = 1e-11, 1.5e-9
 
-    def _sweep(self, scenarios, driver_model, receiver_model, **kwargs):
+    def _sweep(self, scenarios, models, **kwargs):
         return rbf_link_sweep(
-            scenarios, {None: (driver_model, receiver_model)},
-            dt=self.DT, duration=self.DURATION, **kwargs
+            scenarios, LinkDescription(duration=self.DURATION, load="receiver"), models,
+            dt=self.DT, **kwargs
         )
 
     def _rbf_scenarios(self, n=3):
@@ -637,10 +640,10 @@ class TestRBFSweepFaults:
             for k, pattern in enumerate(["010", "0110", "0101"][:n])
         ]
 
-    def test_nan_quarantines_then_solo_recovery(self, driver_model, receiver_model):
+    def test_nan_quarantines_then_solo_recovery(self, library_models):
         scenarios = self._rbf_scenarios()
-        clean = self._sweep(scenarios, driver_model, receiver_model).run()
-        sweep = self._sweep(scenarios, driver_model, receiver_model)
+        clean = self._sweep(scenarios, library_models).run()
+        sweep = self._sweep(scenarios, library_models)
         with faults.injected(faults.Fault("nan", step=30, scenario="r1")):
             result = sweep.run()
         assert result.status_of("r1") == "recovered"
@@ -649,12 +652,10 @@ class TestRBFSweepFaults:
         assert stats["quarantined_scenarios"] == ["r1"]
         assert stats["health"]["failure_counts"][NAN_INF] == 1
 
-    def test_nonconvergence_and_backend_error_recover(
-        self, driver_model, receiver_model
-    ):
+    def test_nonconvergence_and_backend_error_recover(self, library_models):
         scenarios = self._rbf_scenarios()
-        clean = self._sweep(scenarios, driver_model, receiver_model).run()
-        sweep = self._sweep(scenarios, driver_model, receiver_model)
+        clean = self._sweep(scenarios, library_models).run()
+        sweep = self._sweep(scenarios, library_models)
         with faults.injected(
             faults.Fault("nonconvergence", step=12, scenario="r0"),
             faults.Fault("backend_error", step=40, scenario="r2"),
@@ -667,10 +668,10 @@ class TestRBFSweepFaults:
         counts = result.perf_stats["health"]["failure_counts"]
         assert counts[NON_CONVERGENCE] == 1 and counts[BACKEND_ERROR] == 1
 
-    def test_singular_solve_degrades_in_place(self, driver_model, receiver_model):
+    def test_singular_solve_degrades_in_place(self, library_models):
         scenarios = self._rbf_scenarios(2)
-        clean = self._sweep(scenarios, driver_model, receiver_model).run()
-        sweep = self._sweep(scenarios, driver_model, receiver_model)
+        clean = self._sweep(scenarios, library_models).run()
+        sweep = self._sweep(scenarios, library_models)
         with faults.injected(faults.Fault("singular", step=25, scenario="r0")):
             result = sweep.run()
         assert all(result.status_of(sc.name) == "ok" for sc in result.scenarios)

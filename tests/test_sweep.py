@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.elements import Capacitor
 from repro.circuits.transient import TransientOptions
-from repro.macromodel.library import make_reference_driver_macromodel
+from repro.core.cosim import LinkDescription
 from repro.sweep import (
     Scenario,
     eye_report,
@@ -58,7 +58,7 @@ def _pattern_scenarios(n=8):
 
 class TestLinearSweep:
     def test_matches_sequential_with_one_factorization(self):
-        sweep = linear_link_sweep(_pattern_scenarios(8), dt=1e-11, duration=4e-9)
+        sweep = linear_link_sweep(_pattern_scenarios(8), LinkDescription(duration=4e-9), dt=1e-11)
         batched = sweep.run()
         sequential = sweep.run_sequential()
 
@@ -79,7 +79,7 @@ class TestLinearSweep:
             Scenario(name="weak", bit_pattern="010", corner={"load_resistance": 150.0}),
             Scenario(name="weak2", bit_pattern="011", corner={"load_resistance": 150.0}),
         ]
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=3e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=3e-9), dt=1e-11)
         batched = sweep.run()
         sequential = sweep.run_sequential()
 
@@ -96,7 +96,7 @@ class TestLinearSweep:
     def test_reference_path_lockstep_matches_sequential(self):
         options = TransientOptions(fast=False)
         sweep = linear_link_sweep(
-            _pattern_scenarios(3), dt=2e-11, duration=2e-9, options=options
+            _pattern_scenarios(3), LinkDescription(duration=2e-9), dt=2e-11, options=options
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -105,13 +105,14 @@ class TestLinearSweep:
 
 
 class TestRBFSweep:
-    def test_matches_sequential(self, params, driver_model, receiver_model):
+    def test_matches_sequential(self, library_models):
         scenarios = [
             Scenario(name=f"r{k}", bit_pattern=pattern)
             for k, pattern in enumerate(["010", "0110", "0101", "0011"])
         ]
         sweep = rbf_link_sweep(
-            scenarios, {None: (driver_model, receiver_model)}, dt=1e-11, duration=3e-9
+            scenarios, LinkDescription(duration=3e-9, load="receiver"), library_models,
+            dt=1e-11,
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -120,68 +121,27 @@ class TestRBFSweep:
             _assert_bit_identical(batched, sequential, scenario.name)
         assert batched.perf_stats["static_reuses"] == 3
 
-    def test_device_variants_batch_within_their_group(
-        self, params, driver_model, receiver_model
-    ):
-        variant = make_reference_driver_macromodel(params, n_centers=40, seed=7)
-        scenarios = [
-            Scenario(name="a0", bit_pattern="010"),
-            Scenario(name="a1", bit_pattern="011"),
-            Scenario(name="b0", bit_pattern="010", device="variant"),
-            Scenario(name="b1", bit_pattern="011", device="variant"),
-        ]
-        devices = {
-            None: (driver_model, receiver_model),
-            "variant": (variant, receiver_model),
-        }
-        sweep = rbf_link_sweep(scenarios, devices, dt=1e-11, duration=2e-9)
-        batched = sweep.run()
-        sequential = sweep.run_sequential()
-
-        _assert_sweeps_match(batched, sequential)
-        # The variant device actually changes the waveform (it approximates
-        # the same physical driver, so the difference is small but real).
-        a = batched.voltage("a0", "near")
-        b = batched.voltage("b0", "near")
-        assert np.max(np.abs(a - b)) > 1e-5
-
-    def test_rc_corner_scenarios_mix_with_receiver_scenarios(
-        self, params, driver_model, receiver_model
-    ):
-        scenarios = [
-            Scenario(name="rx", bit_pattern="010"),
-            Scenario(name="rx2", bit_pattern="001"),
-            Scenario(name="rc", bit_pattern="010", corner={"load_resistance": 500.0}),
-        ]
-        sweep = rbf_link_sweep(
-            scenarios, {None: (driver_model, receiver_model)}, dt=1e-11, duration=2e-9
-        )
-        batched = sweep.run()
-        sequential = sweep.run_sequential()
-        _assert_sweeps_match(batched, sequential)
-        assert batched.perf_stats["static_groups"] == 2
-
 
 class TestMixedStaticGroup:
     def test_linear_members_of_mixed_group_share_one_factorization(self):
         """Linear scenarios sharing statics with a nonlinear one still share the LU."""
         from repro.circuits.diode import Diode
         from repro.sweep.engine import CircuitSweep
-        from repro.sweep.links import LinearLinkSpec
+        from repro.sweep.links import linear_link_circuit, scenario_link
 
-        spec = LinearLinkSpec()
+        link = LinkDescription()
 
         def build(scenario):
-            circuit = spec.build(scenario)
-            if scenario.device == "clamped":
+            circuit = linear_link_circuit(scenario_link(link, scenario), 1.8)
+            if scenario.name == "clamp":
                 # A diode is a dynamic element: same static stamps, nonlinear run.
                 circuit.add(Diode("dclamp", "far", "0"))
             return circuit
 
         scenarios = [
-            Scenario(name="lin0", bit_pattern="010", static_group="g"),
-            Scenario(name="lin1", bit_pattern="011", static_group="g"),
-            Scenario(name="clamp", bit_pattern="010", device="clamped", static_group="g"),
+            Scenario(name="lin0", bit_pattern="010"),
+            Scenario(name="lin1", bit_pattern="011"),
+            Scenario(name="clamp", bit_pattern="010"),
         ]
         sweep = CircuitSweep(
             build, scenarios, dt=1e-11, duration=2e-9,
@@ -236,7 +196,7 @@ class TestLaneSets:
             for g, (corner, width) in enumerate(zip(corners, widths))
             for k in range(width)
         ]
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=3e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=3e-9), dt=1e-11)
         batched = sweep.run()
         sequential = sweep.run_sequential()
         _assert_sweeps_match(batched, sequential)
@@ -259,8 +219,8 @@ class TestLaneSets:
             Scenario(name="b0", bit_pattern="010", corner={"z0": 90.0}),
             Scenario(name="b1", bit_pattern="110", corner={"z0": 90.0}),
         ]
-        clean = linear_link_sweep(scenarios, dt=1e-11, duration=2e-9).run()
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=2e-9)
+        clean = linear_link_sweep(scenarios, LinkDescription(duration=2e-9), dt=1e-11).run()
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=2e-9), dt=1e-11)
         with faults.injected(faults.Fault("nan", step=5, scenario="a1")):
             result = sweep.run()
         assert result.status_of("a1") == "recovered"
@@ -276,13 +236,12 @@ class TestLaneSets:
 
     def test_ladder_above_sparse_threshold_steps_bank_lanes(self):
         from repro.perf.backends import SPARSE_THRESHOLD
-        from repro.sweep.links import LinearLinkSpec
 
         scenarios = _pattern_scenarios(3) + [
             Scenario(name="slow", bit_pattern="011", corner={"delay": 0.5e-9}),
         ]
         sweep = linear_link_sweep(
-            scenarios, dt=1e-11, duration=2e-9, spec=LinearLinkSpec(segments=60)
+            scenarios, LinkDescription(duration=2e-9, segments=60), dt=1e-11
         )
         batched = sweep.run()
         sequential = sweep.run_sequential()
@@ -300,13 +259,12 @@ class TestLaneSets:
         # A pinned dense backend LU-factors at any size, in the shared block
         # solve as in a standalone run.
         from repro.perf.backends import SPARSE_THRESHOLD
-        from repro.sweep.links import LinearLinkSpec
 
         scenarios = _pattern_scenarios(3) + [
             Scenario(name="slow", bit_pattern="011", corner={"delay": 0.5e-9}),
         ]
         sweep = linear_link_sweep(
-            scenarios, dt=1e-11, duration=2e-9, spec=LinearLinkSpec(segments=60),
+            scenarios, LinkDescription(duration=2e-9, segments=60), dt=1e-11,
             options=TransientOptions(backend="dense"),
         )
         batched = sweep.run()
@@ -321,13 +279,15 @@ class TestLaneSets:
     def test_custom_static_element_steps_through_its_hooks(self):
         from repro.circuits.elements import CurrentSource
         from repro.sweep.engine import CircuitSweep
-        from repro.sweep.links import LinearLinkSpec
+        from repro.sweep.links import linear_link_circuit, scenario_link
         from repro.waveforms.signals import BitPattern
 
-        spec = LinearLinkSpec()
+        link = LinkDescription()
 
         def build(scenario):
-            circuit = spec.build(scenario)
+            circuit = linear_link_circuit(
+                scenario_link(link, scenario), 1.8 * scenario.drive_strength
+            )
             circuit.add(_TaggedCapacitor("ctag", "near", "0", 0.3e-12))
             circuit.add(CurrentSource(
                 "iinj", "far", "0",
@@ -357,10 +317,8 @@ def _block_sweep(dt, steps, delays, segments=0):
     ``delays[0]`` is the nominal delay; group ``a`` has two lanes, every
     other group one.  Bits of ``25 dt`` keep every run switching.
     """
-    from repro.sweep.links import LinearLinkSpec
-
-    spec = LinearLinkSpec(delay=delays[0], segments=segments,
-                          bit_time=25 * dt, edge_time=5 * dt)
+    link = LinkDescription(delay=delays[0], segments=segments, bit_time=25 * dt,
+                           edge_time=5 * dt, duration=steps * dt)
     scenarios = [
         Scenario(name="a0", bit_pattern="0110"),
         Scenario(name="a1", bit_pattern="1011", drive_strength=0.9),
@@ -369,7 +327,7 @@ def _block_sweep(dt, steps, delays, segments=0):
         Scenario(name=f"d{k}", bit_pattern=format(5 + k, "04b"), corner={"delay": delay})
         for k, delay in enumerate(delays[1:])
     ]
-    return linear_link_sweep(scenarios, dt=dt, duration=steps * dt, spec=spec)
+    return linear_link_sweep(scenarios, link, dt=dt)
 
 
 #: line delays as multiples of dt: shorter than one step (one-step
@@ -443,7 +401,7 @@ class TestSweepResultAndReport:
             Scenario(name="strong", bit_pattern="0101101", drive_strength=1.0),
             Scenario(name="weak", bit_pattern="0101101", drive_strength=0.45),
         ]
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=16e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=16e-9), dt=1e-11)
         result = sweep.run()
 
         report = eye_report(result, "far", 2e-9, low=0.0, high=1.8, t_start=2e-9)
@@ -472,7 +430,7 @@ class TestSweepResultAndReport:
             Scenario(name="strong", bit_pattern="0101101", drive_strength=1.0),
             Scenario(name="weak", bit_pattern="0101101", drive_strength=0.45),
         ]
-        sweep = linear_link_sweep(scenarios, dt=3e-11, duration=16e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=16e-9), dt=3e-11)
         result = sweep.run()
         report = eye_report(result, "far", 2e-9, low=0.0, high=1.8, t_start=2e-9)
 
@@ -488,7 +446,7 @@ class TestSweepResultAndReport:
 
     def test_result_accessors_and_errors(self):
         scenarios = [Scenario(name="only", bit_pattern="010")]
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=2e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=2e-9), dt=1e-11)
         result = sweep.run()
         assert result.n_scenarios == 1
         assert result.scenario("only").bit_pattern == "010"
@@ -506,7 +464,7 @@ class TestSweepResultAndReport:
 
     def test_eye_feeds_waveforms_eye(self):
         scenarios = [Scenario(name="s", bit_pattern="01010101")]
-        sweep = linear_link_sweep(scenarios, dt=1e-11, duration=16e-9)
+        sweep = linear_link_sweep(scenarios, LinkDescription(duration=16e-9), dt=1e-11)
         result = sweep.run()
         eye = result.eye("s", "far", 2e-9, t_start=2e-9)
         assert eye.n_traces >= 6
